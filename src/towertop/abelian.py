@@ -97,16 +97,26 @@ class IntegerMatrix:
     def __mul__(self, other: "IntegerMatrix") -> "IntegerMatrix":
         if self.ncols != other.nrows:
             raise ValueError("shape mismatch in matrix product")
-        ot = other.transpose()
-        return IntegerMatrix(
-            [[sum(a * b for a, b in zip(row, col)) for col in ot.rows] for row in self.rows],
-            ncols=other.ncols,
-        )
+        # boundary matrices and near-identity transforms are mostly zeros:
+        # accumulate row k of ``other`` only for nonzero a = self[i][k],
+        # and walk only that row's nonzero entries
+        n = other.ncols
+        terms = [[(j, b) for j, b in enumerate(row) if b] for row in other.rows]
+        out = []
+        for row in self.rows:
+            acc = [0] * n
+            for a, row_terms in zip(row, terms):
+                if a:
+                    for j, b in row_terms:
+                        acc[j] += a * b
+            out.append(acc)
+        return IntegerMatrix(out, ncols=n)
 
     def matvec(self, x: Sequence[int]) -> tuple:
         if len(x) != self.ncols:
             raise ValueError("vector length mismatch")
-        return tuple(sum(a * b for a, b in zip(row, x)) for row in self.rows)
+        terms = [(j, xj) for j, xj in enumerate(x) if xj]
+        return tuple(sum(row[j] * xj for j, xj in terms) for row in self.rows)
 
     def hstack(self, other: "IntegerMatrix") -> "IntegerMatrix":
         if self.nrows != other.nrows:
@@ -142,8 +152,10 @@ class SmithDecomposition:
     U and V are unimodular (built purely from elementary operations),
     D is diagonal with nonnegative entries, every diagonal entry
     divides the next, and zero entries trail.  ``uinv`` and ``vinv``
-    are the tracked inverses of U and V.  The defining identity is
-    re-verified on construction.
+    are the tracked inverses of U and V.  Construction re-verifies in
+    full and exactly that U*M*V = D, U*U^-1 = I and V*V^-1 = I, then the
+    diagonal, sign and divisibility conditions on D; only the matrix
+    product underneath skips zero entries.
     """
 
     matrix: IntegerMatrix
@@ -200,7 +212,11 @@ def smith_normal_form(matrix: IntegerMatrix) -> SmithDecomposition:
 
     Pivots are re-chosen by least absolute value after every reduction
     pass and remainders are balanced, so the pivot at least halves on
-    every repeat and entries cannot blow up.
+    every repeat.  Nothing bounds the transforms, though: on dense
+    torsion input U and V grow (up to 1045-bit entries on towers of
+    4-6 generator presentations with relation entries in [-9, 9]), while
+    on boundary matrices, whose pivots are nearly all units, they stay
+    at 1-2 bits.
 
     >>> s = smith_normal_form(IntegerMatrix([[2, 4], [6, 8]]))
     >>> s.invariant_factors
@@ -245,11 +261,15 @@ def smith_normal_form(matrix: IntegerMatrix) -> SmithDecomposition:
         vinv[k] = [x - q * y for x, y in zip(vinv[k], vinv[j])]
 
     def min_entry(t):
+        # first entry of least absolute value in row-major order; a unit
+        # is already that minimum, so the scan stops at the first one
         best = None
         for i in range(t, m):
             for j in range(t, n):
                 x = a[i][j]
                 if x != 0 and (best is None or abs(x) < abs(a[best[0]][best[1]])):
+                    if x == 1 or x == -1:
+                        return (i, j)
                     best = (i, j)
         return best
 
@@ -273,6 +293,11 @@ def smith_normal_form(matrix: IntegerMatrix) -> SmithDecomposition:
             for j in range(t + 1, n):
                 if a[t][j] != 0:
                     add_col(j, t, -_balanced_quotient(a[t][j], a[t][t]))
+            # a unit pivot leaves no residue and divides every entry, so
+            # the rescan and the divisibility search below would both
+            # come up empty
+            if a[t][t] == 1 or a[t][t] == -1:
+                break
             # any leftover residue is at most half the pivot, so the
             # trailing block now holds a strictly smaller entry iff the
             # pass was incomplete; chase it and the pivot keeps halving

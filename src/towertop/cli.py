@@ -383,6 +383,8 @@ def deserialize(text: str, where: str = "document"):
         doc = json.loads(text)
     except json.JSONDecodeError as e:
         _fail(where, f"line {e.lineno}: not valid JSON ({e.msg})")
+    except RecursionError:
+        _fail(where, "arrays or objects nested too deeply")
     version = _need(doc, "format_version", where)
     if version != FORMAT_VERSION:
         _fail(where, f"unknown format_version {version!r}")
@@ -390,7 +392,10 @@ def deserialize(text: str, where: str = "document"):
     if kind not in KINDS:
         _fail(where, f"unknown document kind {kind!r}")
     payload = _need(doc, "payload", where)
-    return kind, _DECODERS[kind](payload, f"{where}.payload")
+    try:
+        return kind, _DECODERS[kind](payload, f"{where}.payload")
+    except RecursionError:
+        _fail(where, "vertex labels nested too deeply")
 
 
 def serialize(kind: str, obj) -> str:
@@ -820,6 +825,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     except ValueError as e:
         print(f"error in {args.command}: {e}", file=sys.stderr)
         return 2
+    except AssertionError as e:
+        print(f"internal self-check failed in {args.command}: {e}", file=sys.stderr)
+        return 3
     if isinstance(result, str):
         sys.stdout.write(result)
     else:

@@ -24,8 +24,6 @@ the k-fold composite, with entry 0 the full group.
 from dataclasses import dataclass
 from typing import List, Optional, Union
 
-import sympy
-
 from .abelian import (
     FGAbelianGroup,
     GroupHom,
@@ -564,6 +562,8 @@ def _unit_part_degree(endo: GroupHom) -> int:
     r = endo.source.free_rank
     if r == 0:
         return 0
+    import sympy  # deferred: importing it costs about 0.3 s of every CLI run
+
     can = endo.canonical_matrix()
     block = [[can.rows[i][j] for j in range(r)] for i in range(r)]
     x = sympy.Symbol("x")

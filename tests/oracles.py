@@ -13,6 +13,23 @@ from itertools import combinations
 from math import gcd
 
 
+def dense_product(a_rows, b_rows, ncols: int):
+    """Textbook product of two integer matrices, every entry multiplied.
+
+    ``ncols`` is the width of the right factor, needed when it has no
+    rows.  The left factor's width must equal the right factor's height.
+    """
+    a = [list(map(int, r)) for r in a_rows]
+    b = [list(map(int, r)) for r in b_rows]
+    assert all(len(r) == len(b) for r in a)
+    return [[sum(r[t] * b[t][j] for t in range(len(b))) for j in range(ncols)] for r in a]
+
+
+def dense_matvec(a_rows, x):
+    """Textbook matrix-vector product, every entry multiplied."""
+    return [sum(int(r[t]) * int(x[t]) for t in range(len(x))) for r in a_rows]
+
+
 def bareiss_rank(rows) -> int:
     """Rank over the integers by fraction-free elimination."""
     a = [list(map(int, r)) for r in rows]

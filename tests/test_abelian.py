@@ -1,8 +1,11 @@
 from __future__ import annotations
 
 import random
+from dataclasses import replace
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from towertop.abelian import (
     FGAbelianGroup,
@@ -16,7 +19,39 @@ from towertop.abelian import (
     solve,
 )
 
-from oracles import bareiss_det, bareiss_rank, determinantal_invariant_factors
+from oracles import (
+    bareiss_det,
+    bareiss_rank,
+    dense_matvec,
+    dense_product,
+    determinantal_invariant_factors,
+)
+
+# the same examples on every run, so CI is deterministic
+DETERMINISTIC = settings(derandomize=True, database=None, deadline=None)
+
+# mostly zeros and units, like boundary matrices and near-identity transforms
+ENTRIES = st.one_of(st.just(0), st.sampled_from((1, -1)), st.integers(-9, 9))
+DIMS = st.integers(0, 6)
+
+
+@st.composite
+def matrices(draw, nrows=DIMS, ncols=DIMS):
+    m, n = draw(nrows), draw(ncols)
+    row = st.lists(ENTRIES, min_size=n, max_size=n)
+    return IntegerMatrix(draw(st.lists(row, min_size=m, max_size=m)), ncols=n)
+
+
+@st.composite
+def products(draw):
+    m, k, n = draw(DIMS), draw(DIMS), draw(DIMS)
+    return draw(matrices(st.just(m), st.just(k))), draw(matrices(st.just(k), st.just(n)))
+
+
+@st.composite
+def matvecs(draw):
+    a = draw(matrices())
+    return a, tuple(draw(st.lists(ENTRIES, min_size=a.ncols, max_size=a.ncols)))
 
 
 def random_matrix(rng, max_dim=6, bound=9):
@@ -69,6 +104,51 @@ def test_smith_matches_determinantal_divisors_small():
             rows.append([rng.randint(-6, 6) for _ in range(width)])
         s = smith_normal_form(IntegerMatrix(rows))
         assert list(s.invariant_factors) == determinantal_invariant_factors(rows)
+
+
+@DETERMINISTIC
+@given(products())
+@example((IntegerMatrix([], ncols=3), IntegerMatrix([[1, -2]] * 3)))
+@example((IntegerMatrix([[], []], ncols=0), IntegerMatrix([], ncols=4)))
+@example((IntegerMatrix([[1, 2]] * 3), IntegerMatrix([[], []], ncols=0)))
+def test_product_matches_dense_reference(pair):
+    a, b = pair
+    got = a * b
+    assert (got.nrows, got.ncols) == (a.nrows, b.ncols)
+    assert [list(r) for r in got.rows] == dense_product(a.rows, b.rows, b.ncols)
+
+
+@DETERMINISTIC
+@given(matvecs())
+@example((IntegerMatrix([], ncols=3), (1, 0, -2)))
+@example((IntegerMatrix([[], []], ncols=0), ()))
+def test_matvec_matches_dense_reference(pair):
+    a, x = pair
+    assert list(a.matvec(x)) == dense_matvec(a.rows, x)
+
+
+@DETERMINISTIC
+@given(matrices(st.integers(0, 4), st.integers(0, 4)))
+def test_smith_invariant_factors_match_determinantal_divisors(m):
+    assert list(smith_normal_form(m).invariant_factors) == determinantal_invariant_factors(m.rows)
+
+
+@DETERMINISTIC
+@given(
+    matrices(st.integers(1, 5), st.integers(1, 5)),
+    st.sampled_from(("u", "uinv", "d", "v", "vinv")),
+    st.data(),
+)
+def test_tampered_decomposition_is_rejected(m, field, data):
+    # one wrong entry anywhere must break U*M*V = D, U*U^-1 = I or V*V^-1 = I
+    s = smith_normal_form(m)
+    target = getattr(s, field)
+    i = data.draw(st.integers(0, target.nrows - 1))
+    j = data.draw(st.integers(0, target.ncols - 1))
+    rows = [list(r) for r in target.rows]
+    rows[i][j] += data.draw(st.integers(-3, 3).filter(bool))
+    with pytest.raises(AssertionError):
+        replace(s, **{field: IntegerMatrix(rows, ncols=target.ncols)})
 
 
 def test_solve_and_kernel():

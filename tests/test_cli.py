@@ -1,6 +1,7 @@
 """Document round trips, report golden strings, and exit-code routing."""
 
 import contextlib
+import dataclasses
 import io
 import json
 import pathlib
@@ -242,6 +243,40 @@ def test_petkova_interiority_violation_exits_two(tmp_path):
     )
     assert code == 2
     assert "not interior" in err
+
+
+def test_deeply_nested_documents_exit_one_naming_the_file(tmp_path):
+    brackets = tmp_path / "brackets.complex"
+    brackets.write_text("[" * 3000 + "]" * 3000)
+    label = "[" * 700 + "0" + "]" * 700
+    deep_label = tmp_path / "label.complex"
+    deep_label.write_text(
+        '{"format_version": "1", "kind": "complex", '
+        '"payload": {"maximal": [[' + label + ", 1, 2]]}}"
+    )
+    for doc in (brackets, deep_label):
+        code, out, err = run_cli(["homology", str(doc), "--dim", "1"])
+        assert code == 1 and out == ""
+        assert err.startswith(f"error: {doc}: ") and "nested too deeply" in err
+
+
+def test_failed_self_check_exits_three_with_one_line(monkeypatch):
+    import towertop.simplicial as simplicial
+
+    real = simplicial.smith_normal_form
+
+    def off_by_one(matrix):
+        s = real(matrix)
+        d = IntegerMatrix([[x + 1 for x in r] for r in s.d.rows], ncols=s.d.ncols)
+        return dataclasses.replace(s, d=d)
+
+    monkeypatch.setattr(simplicial, "smith_normal_form", off_by_one)
+    code, out, err = run_cli(["homology", path("torus.complex"), "--dim", "1"])
+    assert code == 3 and out == ""
+    assert err == (
+        "internal self-check failed in homology: "
+        "Smith decomposition identity U*M*V = D failed\n"
+    )
 
 
 def test_fail_verdict_still_exits_zero(tmp_path):
