@@ -524,9 +524,6 @@ class FGAbelianGroup:
         parts.extend(f"Z/{t}" for t in self.torsion)
         return " + ".join(parts) if parts else "0"
 
-    def same_invariants(self, other: "FGAbelianGroup") -> bool:
-        return self.invariants == other.invariants
-
     def __eq__(self, other) -> bool:
         # structural identity of the presentation, not abstract isomorphism
         return (
@@ -540,17 +537,6 @@ class FGAbelianGroup:
 
     def __repr__(self) -> str:
         return f"<FGAbelianGroup {self.describe()} on {self.ngens} generators>"
-
-
-def canonicalize_presentation(generators: int, relations: IntegerMatrix) -> FGAbelianGroup:
-    """Build the group presented by ``generators`` and relation rows.
-
-    >>> canonicalize_presentation(2, IntegerMatrix([[2, 4], [6, 8]])).describe()
-    'Z/2 + Z/4'
-    >>> canonicalize_presentation(1, IntegerMatrix([], ncols=1)).describe()
-    'Z'
-    """
-    return FGAbelianGroup(generators, relations)
 
 
 class GroupHom:
@@ -610,10 +596,6 @@ class GroupHom:
             self._canonical = IntegerMatrix.from_columns(cols, nrows=self.target.canonical_ngens)
         return self._canonical
 
-    def apply(self, x: Sequence[int]) -> tuple:
-        """Image in target presentation coordinates."""
-        return self.matrix.matvec(x)
-
     def apply_canonical(self, y: Sequence[int]) -> tuple:
         return self.target.reduce_canonical(self.canonical_matrix().matvec(y))
 
@@ -661,17 +643,6 @@ class GroupHom:
 
     def __repr__(self) -> str:
         return f"<GroupHom {self.source.describe()} -> {self.target.describe()}>"
-
-
-def compose_homs(f: GroupHom, g: GroupHom) -> GroupHom:
-    """The composite g o f (f applied first).
-
-    >>> z = FGAbelianGroup.free(1)
-    >>> two = GroupHom(z, z, IntegerMatrix([[2]]))
-    >>> compose_homs(two, two).matrix.rows
-    ((4,),)
-    """
-    return g.compose(f)
 
 
 class Subgroup:
@@ -758,10 +729,8 @@ class Subgroup:
         """The subgroup itself as an abstract group (canonicalized)."""
         if self._as_group is None:
             k = len(self.generators)
-            n = self.group.canonical_ngens
-            cols = list(self.generators) + self.group.canonical_relation_columns()
-            stacked = IntegerMatrix.from_columns(cols, nrows=n)
-            rows = [tuple(col[:k]) for col in kernel_basis(stacked)]
+            stacked, snf = self._solver()
+            rows = [tuple(col[:k]) for col in kernel_basis(stacked, snf)]
             self._as_group = FGAbelianGroup(k, IntegerMatrix(rows, ncols=k))
         return self._as_group
 

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from typing import Optional, Tuple, Union
 
 from .abelian import FGAbelianGroup, GroupHom
-from .compactohedral import _interior_witness
+from .compactohedral import interior_witness
 from .simplicial import SimplicialMap, cohomology, induced_cohomology_map
 from .tower import (
     Certificate,
@@ -190,7 +190,7 @@ def petkova_report(filtration, n: int, window: Optional[int] = None) -> SESRepor
             raise ValueError(
                 f"stage {j} is not contained in stage {j + 1}: witness {missing!r}"
             )
-        w = _interior_witness(filtration[j], filtration[j + 1], ambient)
+        w = interior_witness(filtration[j], filtration[j + 1], ambient)
         if w is not None:
             raise ValueError(
                 f"stage {j} is not interior to stage {j + 1}: witness {w!r}"

@@ -3,8 +3,8 @@
 Documents are JSON envelopes: {"format_version": "1", "kind": ...,
 "payload": ...}.  Complexes are stored by their maximal simplexes and
 closed under faces on load; vertex labels are integers, strings, or
-nested arrays (decoded to tuples); rationals travel as integers or
-"p/q" strings.  Serialization sorts keys and simplexes, so identical
+arrays of labels nested at most 32 deep (decoded to tuples); rationals
+travel as integers or "p/q" strings.  Serialization sorts keys and simplexes, so identical
 inputs produce byte-identical files and reports.
 
 Exit status: 0 for success, including Undetermined and FAIL verdicts;
@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Optional
 
-from .abelian import FGAbelianGroup, GroupHom, IntegerMatrix
+from .abelian import FGAbelianGroup
 from .assembly import cech_cohomology_report, petkova_report, steenrod_report
 from .compactohedral import VARIANTS, build_gallery, validate
 from .nerve import BallCover, PointSample, lebesgue_number, nerve
@@ -34,13 +34,12 @@ from .simplicial import (
     label_key,
     pinched_telescope,
 )
-from .tower import Certificate, ColimResult, ComplexTower, GroupTower
+from .tower import Certificate, ColimResult, ComplexTower
 
 FORMAT_VERSION = "1"
 KINDS = (
     "complex",
     "map",
-    "group_tower",
     "complex_tower",
     "filtration",
     "point_sample",
@@ -79,13 +78,21 @@ def _as_int(x, where: str) -> int:
 # -- label and scalar codecs ----------------------------------------------
 
 
-def _decode_label(x, where: str):
+# Deepest array nesting accepted in a vertex label.  The package's own
+# labels nest one deep; every label comparison walks the whole nesting,
+# so labels hundreds deep would make every command slow.
+MAX_LABEL_DEPTH = 32
+
+
+def _decode_label(x, where: str, depth: int = 0):
     if isinstance(x, bool):
         _fail(where, "boolean vertex labels are not supported")
     if isinstance(x, (int, str)):
         return x
     if isinstance(x, list):
-        return tuple(_decode_label(v, where) for v in x)
+        if depth == MAX_LABEL_DEPTH:
+            raise RecursionError  # reported like a label too deep to decode
+        return tuple(_decode_label(v, where, depth + 1) for v in x)
     _fail(where, f"unsupported vertex label {x!r}")
 
 
@@ -269,42 +276,6 @@ def _encode_complex_tower(t: ComplexTower) -> dict:
     return out
 
 
-def _decode_group_tower(payload, where: str) -> GroupTower:
-    levels = [
-        _decode_group(p, f"{where}.levels[{i}]")
-        for i, p in enumerate(_as_list(_need(payload, "levels", where), where))
-    ]
-    bonds = []
-    for i, rows in enumerate(_as_list(_need(payload, "bonds", where), where)):
-        spot = f"{where}.bonds[{i}]"
-        if i + 1 >= len(levels):
-            _fail(where, "more bonds than adjacent level pairs")
-        rows = [
-            [_as_int(x, spot) for x in _as_list(r, spot)]
-            for r in _as_list(rows, spot)
-        ]
-        try:
-            matrix = IntegerMatrix(rows, ncols=levels[i + 1].canonical_ngens)
-            bonds.append(GroupHom.from_canonical_matrix(levels[i + 1], levels[i], matrix))
-        except ValueError as e:
-            _fail(spot, str(e))
-    cert = _decode_certificate(payload.get("certificate"), f"{where}.certificate")
-    try:
-        return GroupTower(levels, bonds, cert)
-    except ValueError as e:
-        _fail(where, str(e))
-
-
-def _encode_group_tower(t: GroupTower) -> dict:
-    out = {
-        "levels": [_encode_group(g) for g in t.levels],
-        "bonds": [[list(r) for r in b.canonical_matrix().rows] for b in t.bonds],
-    }
-    if t.certificate is not None:
-        out["certificate"] = _encode_certificate(t.certificate)
-    return out
-
-
 def _decode_filtration(payload, where: str) -> list:
     stages = _as_list(_need(payload, "stages", where), where)
     return [
@@ -359,7 +330,6 @@ def _encode_cover(c: BallCover) -> dict:
 _DECODERS = {
     "complex": _decode_complex,
     "map": _decode_map,
-    "group_tower": _decode_group_tower,
     "complex_tower": _decode_complex_tower,
     "filtration": _decode_filtration,
     "point_sample": _decode_point_sample,
@@ -369,7 +339,6 @@ _DECODERS = {
 _ENCODERS = {
     "complex": _encode_complex,
     "map": _encode_map,
-    "group_tower": _encode_group_tower,
     "complex_tower": _encode_complex_tower,
     "filtration": _encode_filtration,
     "point_sample": _encode_point_sample,

@@ -54,7 +54,7 @@ def _ordered(simplexes):
 # -- interiority ---------------------------------------------------------
 
 
-def _interior_witness(a: SimplicialComplex, b: SimplicialComplex, k: SimplicialComplex):
+def interior_witness(a: SimplicialComplex, b: SimplicialComplex, k: SimplicialComplex):
     """First simplex of ``k`` meeting ``a`` but escaping ``b``, or None."""
     marked = set(a.vertices)
     for s in _ordered(k.simplexes):
@@ -85,7 +85,7 @@ def contained_in_interior(
         raise ValueError("the inner complex must be a subcomplex of the ambient one")
     if not b.is_subcomplex_of(k):
         raise ValueError("the outer complex must be a subcomplex of the ambient one")
-    return _interior_witness(a, b, k) is None
+    return interior_witness(a, b, k) is None
 
 
 # -- reports -------------------------------------------------------------
@@ -124,12 +124,13 @@ class ValidationReport:
         return f"FAIL ({self.failed_axiom()})"
 
 
-VARIANTS = (
-    "compactohedral",
-    "weakly_compactohedral",
-    "pre_compactohedral",
-    "weakly_pre_compactohedral",
-)
+_AXIOMS = {
+    "compactohedral": ("C0", "C1", "C2", "C3"),
+    "weakly_compactohedral": ("C0", "C1", "C3"),
+    "pre_compactohedral": ("C0", "C1", "C2''", "C3''"),
+    "weakly_pre_compactohedral": ("C0", "C1", "C2'", "C3'"),
+}
+VARIANTS = tuple(_AXIOMS)
 
 
 def _check_c0(tower: ComplexTower) -> List[Violation]:
@@ -165,7 +166,7 @@ def _check_c2(tower: ComplexTower) -> List[Violation]:
     for i, bond in enumerate(tower.bonds):
         fine_k = tower.marked_K[i + 1]
         pulled = preimage_subcomplex(bond, tower.marked_K[i])
-        w = _interior_witness(fine_k, pulled, tower.levels[i + 1])
+        w = interior_witness(fine_k, pulled, tower.levels[i + 1])
         if w is not None:
             out.append(
                 Violation(
@@ -180,44 +181,58 @@ def _check_c2(tower: ComplexTower) -> List[Violation]:
 
 
 def _outside_iso_violation(
-    bond: SimplicialMap, blocked_coarse: SimplicialComplex, axiom: str, level: int
+    bond: SimplicialMap,
+    fine: SimplicialComplex,
+    coarse: SimplicialComplex,
+    axiom: str,
+    level: int,
+    where: str,
 ) -> Optional[Violation]:
-    """Check the bond restricts to an isomorphism away from the marking.
+    """Check the bond restricts to an isomorphism from ``fine`` onto ``coarse``.
 
-    Both sides are the full subcomplexes spanned by vertices outside
-    the marking (coarse) and outside its bond preimage (fine); the
-    witness always lives in the coarse level.
+    A vertex bijection plus two-sided simplex matching; ``where`` ends
+    each detail string, and the witness always lives in the coarse level.
     """
-    coarse, fine = bond.target, bond.source
-    blocked_fine = preimage_subcomplex(bond, blocked_coarse)
-    coarse_out = [v for v in coarse.vertices if v not in set(blocked_coarse.vertices)]
-    fine_out = [v for v in fine.vertices if v not in set(blocked_fine.vertices)]
-    coarse_full = coarse.full_subcomplex(coarse_out)
-    fine_full = fine.full_subcomplex(fine_out)
-
     inverse = {}
-    for v in fine_out:
+    for v in fine.vertices:
         w = bond.vertex_map[v]
         if w in inverse:
-            return Violation(axiom, level, (w,), "coarse vertex covered twice away from the marking")
+            return Violation(axiom, level, (w,), f"coarse vertex covered twice {where}")
         inverse[w] = v
-    for w in coarse_out:
+    for w in coarse.vertices:
         if w not in inverse:
-            return Violation(axiom, level, (w,), "coarse vertex not covered away from the marking")
-    for s in _ordered(fine_full.simplexes):
+            return Violation(axiom, level, (w,), f"coarse vertex not covered {where}")
+    for s in _ordered(fine.simplexes):
         if len(bond.image_simplex(s)) != len(s):
-            return Violation(axiom, level, bond.image_simplex(s), "simplex collapses away from the marking")
-    for t in _ordered(coarse_full.simplexes):
+            return Violation(axiom, level, bond.image_simplex(s), f"simplex collapses {where}")
+    for t in _ordered(coarse.simplexes):
         pulled = tuple(inverse[w] for w in t)
         if not fine.has_simplex(pulled):
-            return Violation(axiom, level, t, "coarse simplex has no counterpart away from the marking")
+            return Violation(axiom, level, t, f"coarse simplex has no counterpart {where}")
     return None
 
 
-def _check_c3(tower: ComplexTower, marked, axiom: str) -> List[Violation]:
+def _outside(level: SimplicialComplex, blocked: SimplicialComplex) -> SimplicialComplex:
+    """Full subcomplex of ``level`` on the vertices outside ``blocked``."""
+    gone = set(blocked.vertices)
+    return level.full_subcomplex(v for v in level.vertices if v not in gone)
+
+
+def _open_complements(bond: SimplicialMap, marking: SimplicialComplex):
+    """Full subcomplexes off the marking's bond preimage (fine) and off the marking (coarse)."""
+    return _outside(bond.source, preimage_subcomplex(bond, marking)), _outside(bond.target, marking)
+
+
+def _closed_complements(bond: SimplicialMap, collar: SimplicialComplex):
+    """Closure of the coarse level outside the collar (coarse) and its bond preimage (fine)."""
+    coarse = generated_subcomplex(s for s in bond.target.simplexes if s not in collar.simplexes)
+    return preimage_subcomplex(bond, coarse), coarse
+
+
+def _check_c3(tower: ComplexTower, marked, axiom: str, sides, where: str) -> List[Violation]:
     out = []
     for i, bond in enumerate(tower.bonds):
-        v = _outside_iso_violation(bond, marked[i], axiom, i)
+        v = _outside_iso_violation(bond, *sides(bond, marked[i]), axiom, i, where)
         if v is not None:
             out.append(v)
     return out
@@ -240,7 +255,7 @@ def _check_collar_containment(tower: ComplexTower, interior: bool, axiom: str) -
     for i in range(len(tower.levels)):
         k_i, l_i = tower.marked_K[i], tower.marked_L[i]
         if interior:
-            w = _interior_witness(k_i, l_i, tower.levels[i])
+            w = interior_witness(k_i, l_i, tower.levels[i])
             if w is not None:
                 out.append(
                     Violation(axiom, i, w, "simplex touching the marking escapes the collar")
@@ -254,46 +269,16 @@ def _check_collar_containment(tower: ComplexTower, interior: bool, axiom: str) -
     return out
 
 
-def _closed_complement(level: SimplicialComplex, collar: SimplicialComplex) -> SimplicialComplex:
-    """Closure of the part of the level outside the collar."""
-    outside = [s for s in level.simplexes if s not in collar.simplexes]
-    return generated_subcomplex(outside)
-
-
-def _check_c3_closed(tower: ComplexTower, axiom: str) -> List[Violation]:
-    """C3'': bond is an isomorphism between closed complements of the collars."""
-    out = []
-    for i, bond in enumerate(tower.bonds):
-        coarse_cc = _closed_complement(tower.levels[i], tower.marked_L[i])
-        fine_cc = preimage_subcomplex(bond, coarse_cc)
-        # vertex bijection plus two-sided simplex matching
-        inverse = {}
-        violation = None
-        for v in fine_cc.vertices:
-            w = bond.vertex_map[v]
-            if w in inverse:
-                violation = Violation(axiom, i, (w,), "coarse vertex covered twice in the closed complement")
-                break
-            inverse[w] = v
-        if violation is None:
-            for w in coarse_cc.vertices:
-                if w not in inverse:
-                    violation = Violation(axiom, i, (w,), "coarse vertex not covered in the closed complement")
-                    break
-        if violation is None:
-            for s in _ordered(fine_cc.simplexes):
-                if len(bond.image_simplex(s)) != len(s):
-                    violation = Violation(axiom, i, bond.image_simplex(s), "simplex collapses in the closed complement")
-                    break
-        if violation is None:
-            for t in _ordered(coarse_cc.simplexes):
-                pulled = tuple(inverse[w] for w in t)
-                if not fine_cc.has_simplex(pulled):
-                    violation = Violation(axiom, i, t, "coarse simplex has no counterpart in the closed complement")
-                    break
-        if violation is not None:
-            out.append(violation)
-    return out
+_CHECKS = {
+    "C0": _check_c0,
+    "C1": _check_c1,
+    "C2": _check_c2,
+    "C3": lambda t: _check_c3(t, t.marked_K, "C3", _open_complements, "away from the marking"),
+    "C2''": lambda t: _check_collar_containment(t, True, "C2''"),
+    "C3''": lambda t: _check_c3(t, t.marked_L, "C3''", _closed_complements, "in the closed complement"),
+    "C2'": lambda t: _check_collar_containment(t, False, "C2'"),
+    "C3'": lambda t: _check_c3(t, t.marked_L, "C3'", _open_complements, "away from the marking"),
+}
 
 
 def validate(tower: ComplexTower, variant: str = "compactohedral") -> ValidationReport:
@@ -310,39 +295,9 @@ def validate(tower: ComplexTower, variant: str = "compactohedral") -> Validation
     if needs_collar and tower.marked_L is None:
         raise ValueError(f"{variant} needs marked_L on every level")
 
-    if variant == "compactohedral":
-        axioms = ("C0", "C1", "C2", "C3")
-        checks = {
-            "C1": lambda: _check_c1(tower),
-            "C2": lambda: _check_c2(tower),
-            "C3": lambda: _check_c3(tower, tower.marked_K, "C3"),
-        }
-    elif variant == "weakly_compactohedral":
-        axioms = ("C0", "C1", "C3")
-        checks = {
-            "C1": lambda: _check_c1(tower),
-            "C3": lambda: _check_c3(tower, tower.marked_K, "C3"),
-        }
-    elif variant == "pre_compactohedral":
-        axioms = ("C0", "C1", "C2''", "C3''")
-        checks = {
-            "C1": lambda: _check_c1(tower),
-            "C2''": lambda: _check_collar_containment(tower, True, "C2''"),
-            "C3''": lambda: _check_c3_closed(tower, "C3''"),
-        }
-    else:
-        axioms = ("C0", "C1", "C2'", "C3'")
-        checks = {
-            "C1": lambda: _check_c1(tower),
-            "C2'": lambda: _check_collar_containment(tower, False, "C2'"),
-            "C3'": lambda: _check_c3(tower, tower.marked_L, "C3'"),
-        }
-
-    c0 = _check_c0(tower)
-    if c0:
-        return ValidationReport(variant, "FAIL", axioms, tuple(c0))
-    for name in axioms[1:]:
-        found = checks[name]()
+    axioms = _AXIOMS[variant]
+    for name in axioms:
+        found = _CHECKS[name](tower)
         if found:
             return ValidationReport(variant, "FAIL", axioms, tuple(found))
     return ValidationReport(variant, "PASS", axioms, ())

@@ -10,26 +10,26 @@ actually computed, or (b) an extrapolation licensed by a certificate.
 A certificate asserts that the visible pattern continues forever:
 ``periodic`` means levels and bonds repeat (up to canonical
 coordinates) with the stated offset and period; ``shift_family`` means
-every bond beyond the offset is injective and not surjective, with the
-limiting value carried as ``stable_core``.  Certificates are verified
-against the visible data on construction and rejected when the data
-contradicts them; what they add is the right to extend the verified
-pattern beyond the truncation.
+every bond beyond the offset is injective and not surjective (in a
+direct system, surjective and not injective), with the limiting value
+carried as ``stable_core``.  Certificates are verified against the
+visible data on construction and rejected when the data contradicts
+them; what they add is the right to extend the verified pattern beyond
+the truncation.
 
 The image chain at a level is the descending sequence of images of the
 composite bonds from deeper and deeper stages: entry k is the image of
 the k-fold composite, with entry 0 the full group.
 """
 
-from dataclasses import dataclass
-from typing import List, Optional, Union
+from dataclasses import dataclass, replace
+from typing import List, Optional, Tuple, Union
 
 from .abelian import (
     FGAbelianGroup,
     GroupHom,
     IntegerMatrix,
     Subgroup,
-    compose_homs,
 )
 from .simplicial import (
     cohomology,
@@ -48,7 +48,8 @@ class Certificate:
     abstract isomorphism type of the data, not label identity).
 
     kind = "shift_family": beyond ``offset`` every bond is injective
-    and not surjective, and the inverse limit equals ``stable_core``.
+    and not surjective (surjective and not injective in a direct
+    system), and the limit equals ``stable_core``.
 
     ``lim1_display`` optionally names the derived-limit quotient shown
     when the first derived limit is uncountable.
@@ -69,13 +70,34 @@ class Certificate:
             raise ValueError("certificate period must be positive")
 
 
-def _verify_group_certificate(levels, bonds, cert: Certificate) -> None:
+def _checked_sequence(levels, bonds, forward: bool):
+    """Levels and bonds as lists, checked to form a sequence.
+
+    Bond ``i`` maps level ``i + 1`` into level ``i`` in an inverse
+    sequence and level ``i`` into level ``i + 1`` in a direct one.
+    """
+    levels, bonds = list(levels), list(bonds)
+    name = "direct system" if forward else "tower"
+    if not levels:
+        raise ValueError(f"a {name} needs at least one level")
+    if len(bonds) != len(levels) - 1:
+        raise ValueError(f"a {name} needs exactly one bond per adjacent pair of levels")
+    for i, b in enumerate(bonds):
+        src, tgt = (i, i + 1) if forward else (i + 1, i)
+        if b.source != levels[src] or b.target != levels[tgt]:
+            raise ValueError(f"bond {i} does not map level {src} into level {tgt}")
+    return levels, bonds
+
+
+def _check_period_length(levels, cert: Certificate) -> None:
+    if cert.kind == "periodic" and len(levels) < cert.offset + cert.period + 1:
+        raise ValueError("periodic certificate needs one full period of levels")
+
+
+def _verify_group_certificate(levels, bonds, cert: Certificate, forward: bool) -> None:
+    _check_period_length(levels, cert)
     if cert.kind == "periodic":
         o, p = cert.offset, cert.period
-        if len(levels) < o + p + 1:
-            raise ValueError(
-                "periodic certificate needs at least one full period of observed levels"
-            )
         for j in range(o, len(levels) - p):
             if levels[j].invariants != levels[j + p].invariants:
                 raise ValueError(
@@ -87,31 +109,36 @@ def _verify_group_certificate(levels, bonds, cert: Certificate) -> None:
                     f"certificate contradicted: bonds {j} and {j + p} differ canonically"
                 )
     else:
+        # a direct system shrinks dually: bonds onto, never one-to-one
+        need, bar = ("surjective", "injective") if forward else ("injective", "surjective")
         for j in range(cert.offset, len(bonds)):
-            if not bonds[j].is_injective():
-                raise ValueError(f"certificate contradicted: bond {j} is not injective")
-            if bonds[j].is_surjective():
-                raise ValueError(f"certificate contradicted: bond {j} is surjective")
+            if not getattr(bonds[j], "is_" + need)():
+                raise ValueError(f"certificate contradicted: bond {j} is not {need}")
+            if getattr(bonds[j], "is_" + bar)():
+                raise ValueError(f"certificate contradicted: bond {j} is {bar}")
 
 
-class GroupTower:
-    """Inverse sequence of finitely generated abelian groups."""
+class _GroupSequence:
+    """Levels, bonds and an optional certificate, verified on construction."""
 
     __slots__ = ("levels", "bonds", "certificate")
+    forward = False
 
     def __init__(self, levels, bonds, certificate: Optional[Certificate] = None):
-        self.levels = list(levels)
-        self.bonds = list(bonds)
-        if not self.levels:
-            raise ValueError("a tower needs at least one level")
-        if len(self.bonds) != len(self.levels) - 1:
-            raise ValueError("a tower needs exactly one bond per adjacent pair of levels")
-        for i, b in enumerate(self.bonds):
-            if b.source != self.levels[i + 1] or b.target != self.levels[i]:
-                raise ValueError(f"bond {i} does not map level {i + 1} into level {i}")
+        self.levels, self.bonds = _checked_sequence(levels, bonds, self.forward)
         if certificate is not None:
-            _verify_group_certificate(self.levels, self.bonds, certificate)
+            _verify_group_certificate(self.levels, self.bonds, certificate, self.forward)
         self.certificate = certificate
+
+    def __repr__(self) -> str:
+        inner = ", ".join(g.describe() for g in self.levels)
+        return f"<{type(self).__name__} {inner}>"
+
+
+class GroupTower(_GroupSequence):
+    """Inverse sequence of finitely generated abelian groups."""
+
+    __slots__ = ()
 
     def truncate(self, depth: int) -> "GroupTower":
         """First ``depth + 1`` levels, dropping the certificate."""
@@ -119,58 +146,12 @@ class GroupTower:
             raise ValueError("truncation depth out of range")
         return GroupTower(self.levels[: depth + 1], self.bonds[:depth])
 
-    def __repr__(self) -> str:
-        inner = ", ".join(g.describe() for g in self.levels)
-        return f"<GroupTower {inner}>"
 
-
-class DirectSystem:
+class DirectSystem(_GroupSequence):
     """Direct sequence of finitely generated abelian groups."""
 
-    __slots__ = ("levels", "bonds", "certificate")
-
-    def __init__(self, levels, bonds, certificate: Optional[Certificate] = None):
-        self.levels = list(levels)
-        self.bonds = list(bonds)
-        if not self.levels:
-            raise ValueError("a direct system needs at least one level")
-        if len(self.bonds) != len(self.levels) - 1:
-            raise ValueError("a direct system needs one bond per adjacent pair of levels")
-        for i, b in enumerate(self.bonds):
-            if b.source != self.levels[i] or b.target != self.levels[i + 1]:
-                raise ValueError(f"bond {i} does not map level {i} into level {i + 1}")
-        if certificate is not None:
-            self._verify(certificate)
-        self.certificate = certificate
-
-    def _verify(self, cert: Certificate) -> None:
-        if cert.kind == "periodic":
-            o, p = cert.offset, cert.period
-            if len(self.levels) < o + p + 1:
-                raise ValueError(
-                    "periodic certificate needs at least one full period of observed levels"
-                )
-            for j in range(o, len(self.levels) - p):
-                if self.levels[j].invariants != self.levels[j + p].invariants:
-                    raise ValueError(
-                        f"certificate contradicted: levels {j} and {j + p} are not isomorphic"
-                    )
-            for j in range(o, len(self.bonds) - p):
-                if self.bonds[j].canonical_matrix() != self.bonds[j + p].canonical_matrix():
-                    raise ValueError(
-                        f"certificate contradicted: bonds {j} and {j + p} differ canonically"
-                    )
-        else:
-            # dual shrinking family: bonds eventually surjective, never injective
-            for j in range(cert.offset, len(self.bonds)):
-                if not self.bonds[j].is_surjective():
-                    raise ValueError(f"certificate contradicted: bond {j} is not surjective")
-                if self.bonds[j].is_injective():
-                    raise ValueError(f"certificate contradicted: bond {j} is injective")
-
-    def __repr__(self) -> str:
-        inner = ", ".join(g.describe() for g in self.levels)
-        return f"<DirectSystem {inner}>"
+    __slots__ = ()
+    forward = True
 
 
 class ComplexTower:
@@ -193,22 +174,11 @@ class ComplexTower:
         marked_L=None,
         certificate: Optional[Certificate] = None,
     ):
-        self.levels = list(levels)
-        self.bonds = list(bonds)
-        if not self.levels:
-            raise ValueError("a tower needs at least one level")
-        if len(self.bonds) != len(self.levels) - 1:
-            raise ValueError("a tower needs exactly one bond per adjacent pair of levels")
-        for i, b in enumerate(self.bonds):
-            if b.source != self.levels[i + 1]:
-                raise ValueError(f"bond {i} source is not level {i + 1}")
-            if b.target != self.levels[i]:
-                raise ValueError(f"bond {i} target is not level {i}")
+        self.levels, self.bonds = _checked_sequence(levels, bonds, False)
         self.marked_K = self._check_marked(marked_K, "marked_K")
         self.marked_L = self._check_marked(marked_L, "marked_L")
-        if certificate is not None and certificate.kind == "periodic":
-            if len(self.levels) < certificate.offset + certificate.period + 1:
-                raise ValueError("periodic certificate needs one full period of levels")
+        if certificate is not None:
+            _check_period_length(self.levels, certificate)
         self.certificate = certificate
 
     def _check_marked(self, marked, name):
@@ -298,7 +268,7 @@ def _image_chain(tower: GroupTower, level: int, depth: int) -> List[Subgroup]:
     comp = None
     for k in range(depth):
         b = tower.bonds[level + k]
-        comp = b if comp is None else compose_homs(b, comp)
+        comp = b if comp is None else comp.compose(b)
         chain.append(comp.image_subgroup())
     return chain
 
@@ -310,59 +280,53 @@ def _iteration_bound(group: FGAbelianGroup) -> int:
     return 2 * (group.free_rank + sum(t.bit_length() for t in group.torsion)) + 4
 
 
-def _canonical_model(group: FGAbelianGroup) -> FGAbelianGroup:
-    fr, tors = group.invariants
-    return FGAbelianGroup.from_invariants(fr, tors)
-
-
-def _period_endo_inverse(tower: GroupTower, cert: Certificate, base: int) -> GroupHom:
+def _period_endo(seq: _GroupSequence, cert: Certificate, base: int) -> GroupHom:
     """One period of bonds as an endomorphism of the canonical model at ``base``.
 
     Bonds are taken canonically from the certified pattern, so the
-    composite exists even when ``base + period`` exceeds the window.
+    composite exists even when ``base + period`` exceeds the window;
+    they compose in the direction the sequence's bonds point.
     """
     o, p = cert.offset, cert.period
-    mats = [
-        tower.bonds[o + ((j - o) % p)].canonical_matrix() for j in range(base, base + p)
-    ]
-    prod = mats[0]
-    for m in mats[1:]:
-        prod = prod * m
-    model = _canonical_model(tower.levels[base])
+    prod = None
+    for j in range(base, base + p):
+        m = seq.bonds[o + ((j - o) % p)].canonical_matrix()
+        prod = m if prod is None else (m * prod if seq.forward else prod * m)
+    model = FGAbelianGroup.from_invariants(*seq.levels[base].invariants)
     return GroupHom(model, model, prod)
 
 
-def _stable_endo_image(model: FGAbelianGroup, endo: GroupHom) -> Optional[Subgroup]:
-    """The stable image of iterated ``endo``, or None if it never repeats.
+def _stable_endo_image(endo: GroupHom) -> Tuple[Subgroup, bool]:
+    """The last image of iterated ``endo`` and whether it repeated.
 
     An image chain of a single endomorphism cannot pause and then drop
-    (a repeat propagates forever), so the first repeat is the limit;
-    absence of a repeat within the iteration bound rules one out.
+    (a repeat propagates forever), so a repeated image is the limit;
+    absence of a repeat within the iteration bound rules one out, and
+    the image returned is then that of the deepest power computed.
     """
-    prev = Subgroup.full(model)
+    prev = Subgroup.full(endo.source)
     power = endo
-    for _ in range(_iteration_bound(model)):
+    for _ in range(_iteration_bound(endo.source)):
         cur = power.image_subgroup()
         if cur.equals(prev):
-            return prev
+            return prev, True
         prev = cur
-        power = compose_homs(power, endo)
-    return None
+        power = endo.compose(power)
+    return prev, False
 
 
 def _periodic_stable_image(tower: GroupTower, level: int, cert: Certificate) -> Optional[Subgroup]:
     """Certified eventual image at ``level``, or None when images keep falling."""
     base = max(level, cert.offset)
-    endo = _period_endo_inverse(tower, cert, base)
-    stable = _stable_endo_image(endo.source, endo)
-    if stable is None:
+    stable, repeated = _stable_endo_image(_period_endo(tower, cert, base))
+    if not repeated:
         return None
     carried = Subgroup(tower.levels[base], stable.generators)
     if base == level:
         return carried
     down = tower.bonds[level]
     for j in range(level + 1, base):
-        down = compose_homs(tower.bonds[j], down)
+        down = down.compose(tower.bonds[j])
     return carried.image_under(down)
 
 
@@ -592,16 +556,10 @@ def periodic_lim(group: FGAbelianGroup, endo: GroupHom) -> FGAbelianGroup:
     """
     if endo.source != group or endo.target != group:
         raise ValueError("periodic limit needs an endomorphism of the given group")
-    stable = _stable_endo_image(group, endo)
-    if stable is not None:
-        return stable.as_group()
-    prev = Subgroup.full(group)
-    power = endo
-    for _ in range(_iteration_bound(group)):
-        prev = power.image_subgroup()
-        power = compose_homs(power, endo)
-    torsion = prev.as_group().torsion
-    return FGAbelianGroup.from_invariants(_unit_part_degree(endo), torsion)
+    image, repeated = _stable_endo_image(endo)
+    if repeated:
+        return image.as_group()
+    return FGAbelianGroup.from_invariants(_unit_part_degree(endo), image.as_group().torsion)
 
 
 def tower_lim(
@@ -615,7 +573,7 @@ def tower_lim(
     """
     cert = tower.certificate
     if cert is not None and cert.kind == "periodic":
-        endo = _period_endo_inverse(tower, cert, cert.offset)
+        endo = _period_endo(tower, cert, cert.offset)
         return periodic_lim(endo.source, endo)
     if cert is not None and cert.kind == "shift_family":
         core = cert.stable_core
@@ -647,14 +605,7 @@ def colim_direct_system(
     cert = system.certificate
 
     if cert is not None and cert.kind == "periodic":
-        o, p = cert.offset, cert.period
-        mats = [system.bonds[o + ((j - o) % p)].canonical_matrix() for j in range(o, o + p)]
-        prod = mats[0]
-        for m in mats[1:]:
-            prod = m * prod
-        model = _canonical_model(system.levels[o])
-        endo = GroupHom(model, model, prod)
-        if endo.is_isomorphism():
+        if _period_endo(system, cert, cert.offset).is_isomorphism():
             return ColimResult(
                 system.levels[t],
                 t,
@@ -685,38 +636,24 @@ def colim_direct_system(
 # -- towers induced on homology and cohomology ---------------------------
 
 
-def _transfer_certificate(cert, levels, bonds, forward: bool) -> Optional[Certificate]:
-    """Re-verify a complex tower's certificate on induced group data.
+def _certified_sequence(holder, cert, levels, bonds) -> _GroupSequence:
+    """The induced sequence, carrying a complex tower's certificate where it verifies.
 
     A certificate on complexes promises periodicity (or shrinking) of
-    the induced algebra; it is attached to the group tower only in the
-    form that actually verifies there, and silently dropped otherwise.
+    the induced algebra; the sequence takes it in the first form that
+    verifies on construction and is built uncertified otherwise.
     """
-    if cert is None:
-        return None
-    periodic = Certificate(
-        "periodic", cert.offset, cert.period, lim1_display=cert.lim1_display
-    )
-    holder = DirectSystem if forward else GroupTower
-    try:
-        holder(levels, bonds, periodic)
-        return periodic
-    except ValueError:
-        pass
-    if cert.kind == "shift_family":
-        shift = Certificate(
-            "shift_family",
-            cert.offset,
-            1,
-            stable_core=cert.stable_core,
-            lim1_display=cert.lim1_display,
-        )
+    forms = []
+    if cert is not None:
+        forms.append(replace(cert, kind="periodic", stable_core=None))
+        if cert.kind == "shift_family":
+            forms.append(replace(cert, period=1))
+    for form in forms:
         try:
-            holder(levels, bonds, shift)
-            return shift
+            return holder(levels, bonds, form)
         except ValueError:
             pass
-    return None
+    return holder(levels, bonds)
 
 
 def homology_tower(
@@ -729,8 +666,7 @@ def homology_tower(
         for i, f in enumerate(tower.bonds)
     ]
     groups = [r.group for r in results]
-    cert = _transfer_certificate(getattr(tower, "certificate", None), groups, homs, forward=False)
-    return GroupTower(groups, homs, cert)
+    return _certified_sequence(GroupTower, getattr(tower, "certificate", None), groups, homs)
 
 
 def cohomology_system(tower: ComplexTower, n: int) -> DirectSystem:
@@ -741,5 +677,4 @@ def cohomology_system(tower: ComplexTower, n: int) -> DirectSystem:
         for i, f in enumerate(tower.bonds)
     ]
     groups = [r.group for r in results]
-    cert = _transfer_certificate(getattr(tower, "certificate", None), groups, homs, forward=True)
-    return DirectSystem(groups, homs, cert)
+    return _certified_sequence(DirectSystem, getattr(tower, "certificate", None), groups, homs)

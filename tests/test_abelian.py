@@ -12,8 +12,6 @@ from towertop.abelian import (
     GroupHom,
     IntegerMatrix,
     Subgroup,
-    canonicalize_presentation,
-    compose_homs,
     kernel_basis,
     smith_normal_form,
     solve,
@@ -185,13 +183,13 @@ def test_kernel_random_spans_kernel():
 
 
 def test_canonicalize_presentation():
-    g = canonicalize_presentation(2, IntegerMatrix([[2, 4], [6, 8]]))
+    g = FGAbelianGroup(2, IntegerMatrix([[2, 4], [6, 8]]))
     assert g.invariants == (0, (2, 4))
     assert g.describe() == "Z/2 + Z/4"
-    assert canonicalize_presentation(1, IntegerMatrix([], ncols=1)).describe() == "Z"
-    assert canonicalize_presentation(0, IntegerMatrix([], ncols=0)).describe() == "0"
+    assert FGAbelianGroup(1, IntegerMatrix([], ncols=1)).describe() == "Z"
+    assert FGAbelianGroup(0, IntegerMatrix([], ncols=0)).describe() == "0"
     # unit invariant factors vanish from the canonical form
-    g = canonicalize_presentation(2, IntegerMatrix([[1, 0]]))
+    g = FGAbelianGroup(2, IntegerMatrix([[1, 0]]))
     assert g.invariants == (1, ())
 
 
@@ -234,13 +232,13 @@ def test_hom_composition_on_torsion():
     z6 = FGAbelianGroup.from_invariants(0, (6,))
     three = GroupHom(z6, z6, IntegerMatrix([[3]]))
     two = GroupHom(z6, z6, IntegerMatrix([[2]]))
-    composite = compose_homs(three, two)  # x -> 6x = 0
+    composite = two.compose(three)  # x -> 6x = 0
     assert composite.equal_hom(GroupHom.zero(z6, z6))
 
 
 def test_hom_canonical_matrix_quotient():
     # Z^2 modulo (2, 4): canonical form Z/2 + Z/4 wait: relations rows (2,4) only
-    g = canonicalize_presentation(2, IntegerMatrix([[2, 4]]))
+    g = FGAbelianGroup(2, IntegerMatrix([[2, 4]]))
     assert g.invariants == (1, (2,))
     h = GroupHom.identity(g)
     assert h.canonical_matrix() == IntegerMatrix.identity(2)
@@ -329,11 +327,11 @@ def test_random_homs_compose_associatively():
         f = random_hom(rng, a, b)
         g = random_hom(rng, b, c)
         h = random_hom(rng, c, d)
-        left = compose_homs(compose_homs(f, g), h)
-        right = compose_homs(f, compose_homs(g, h))
+        left = h.compose(g.compose(f))
+        right = h.compose(g).compose(f)
         assert left.equal_hom(right)
         ident = GroupHom.identity(b)
-        assert compose_homs(f, ident).equal_hom(f)
+        assert ident.compose(f).equal_hom(f)
 
 
 def test_random_hom_kernel_image_consistency():

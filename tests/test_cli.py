@@ -19,12 +19,11 @@ from generators import (
     random_complex,
     torus_7,
 )
-from towertop.abelian import FGAbelianGroup, GroupHom, IntegerMatrix
+from towertop.abelian import IntegerMatrix
 from towertop.cli import InputProblem, deserialize, main, serialize
 from towertop.compactohedral import build_gallery, fence_violation
 from towertop.nerve import BallCover, PointSample
 from towertop.simplicial import SimplicialMap
-from towertop.tower import Certificate, GroupTower
 
 SAMPLE = pathlib.Path(__file__).resolve().parent.parent / "sample"
 
@@ -97,34 +96,6 @@ def test_map_round_trip():
     assert back.vertex_map == f.vertex_map
 
 
-def test_group_tower_round_trip():
-    z = FGAbelianGroup.from_invariants(1)
-    mixed = FGAbelianGroup.from_invariants(2, (4,))
-    double = GroupHom(z, z, IntegerMatrix([[2]]))
-    onto = GroupHom(mixed, z, IntegerMatrix([[1, 0, 0]]))
-    t = GroupTower([z, z, mixed], [double, onto])
-    text = serialize("group_tower", t)
-    kind, back = deserialize(text)
-    assert kind == "group_tower"
-    assert [g.invariants for g in back.levels] == [g.invariants for g in t.levels]
-    assert [b.canonical_matrix() for b in back.bonds] == [
-        b.canonical_matrix() for b in t.bonds
-    ]
-    assert back.certificate is None
-    assert serialize("group_tower", back) == text
-
-
-def test_certified_group_tower_round_trip():
-    z = FGAbelianGroup.from_invariants(1)
-    double = GroupHom(z, z, IntegerMatrix([[2]]))
-    cert = Certificate("periodic", offset=0, period=1, lim1_display="Z/~")
-    t = GroupTower([z, z, z], [double, double], cert)
-    text = serialize("group_tower", t)
-    kind, back = deserialize(text)
-    assert back.certificate == cert
-    assert serialize("group_tower", back) == text
-
-
 def test_point_sample_and_cover_round_trip():
     s = PointSample([(Fraction(1, 3), Fraction(0)), (Fraction(2), Fraction(-1, 2))], [0])
     kind, back = deserialize(serialize("point_sample", s))
@@ -155,9 +126,15 @@ def test_unknown_format_version_is_rejected_before_parsing():
         deserialize(text)
 
 
-def test_unknown_kind_is_rejected():
+def test_unknown_kind_is_rejected(tmp_path):
     with pytest.raises(InputProblem, match="unknown document kind"):
         deserialize('{"format_version": "1", "kind": "poset", "payload": {}}')
+    # no subcommand reads group towers, so their document kind is gone
+    doc = tmp_path / "groups.tower"
+    doc.write_text('{"format_version": "1", "kind": "group_tower", "payload": {"levels": []}}')
+    code, out, err = run_cli(["homology", str(doc), "--dim", "1"])
+    assert code == 1 and out == ""
+    assert err == f"error: {doc}: unknown document kind 'group_tower'\n"
 
 
 def test_boolean_labels_are_rejected():
@@ -248,16 +225,20 @@ def test_petkova_interiority_violation_exits_two(tmp_path):
 def test_deeply_nested_documents_exit_one_naming_the_file(tmp_path):
     brackets = tmp_path / "brackets.complex"
     brackets.write_text("[" * 3000 + "]" * 3000)
-    label = "[" * 700 + "0" + "]" * 700
-    deep_label = tmp_path / "label.complex"
-    deep_label.write_text(
-        '{"format_version": "1", "kind": "complex", '
-        '"payload": {"maximal": [[' + label + ", 1, 2]]}}"
-    )
-    for doc in (brackets, deep_label):
+    labels = {}
+    for depth in (32, 33, 700):
+        label = "[" * depth + "0" + "]" * depth
+        labels[depth] = tmp_path / f"label{depth}.complex"
+        labels[depth].write_text(
+            '{"format_version": "1", "kind": "complex", '
+            '"payload": {"maximal": [[' + label + ", 1, 2]]}}"
+        )
+    for doc in (brackets, labels[33], labels[700]):
         code, out, err = run_cli(["homology", str(doc), "--dim", "1"])
         assert code == 1 and out == ""
         assert err.startswith(f"error: {doc}: ") and "nested too deeply" in err
+    # the deepest label accepted
+    assert run_cli(["homology", str(labels[32]), "--dim", "1"]) == (0, "H_1 = 0\n", "")
 
 
 def test_failed_self_check_exits_three_with_one_line(monkeypatch):

@@ -8,7 +8,7 @@ from towertop.compactohedral import (
     implied_collars,
     validate,
 )
-from towertop.simplicial import SimplicialComplex, homology
+from towertop.simplicial import SimplicialComplex, SimplicialMap, homology
 from towertop.tower import ComplexTower, homology_tower, lim1_class, tower_lim
 
 import pytest
@@ -175,6 +175,41 @@ def test_violation_witnesses_are_where_expected():
     c3 = validate(fence_violation("C3", 6, 3), "compactohedral").violations[0]
     assert c3.level == 1
     assert c3.witness == (("s", 1, 4), ("s", 1, 5))
+
+    # C3 (open complements) and C3'' (closed complements) share one
+    # check; only the compared sides and the detail phrase differ
+    gone = (("s", 1, 4), ("s", 1, 5))
+    for variant, axiom, where in (
+        ("compactohedral", "C3", "away from the marking"),
+        ("pre_compactohedral", "C3''", "in the closed complement"),
+    ):
+        report = validate(fence_violation("C3", 6, 3), variant)
+        assert [(v.axiom, v.level, v.witness, v.detail) for v in report.violations] == [
+            (axiom, 1, gone, f"coarse simplex has no counterpart {where}")
+        ]
+
+
+def test_complement_isomorphism_needs_a_vertex_bijection():
+    empty = SimplicialComplex.empty()
+    triangle = cl([(0, 1), (1, 2), (0, 2)])
+    hexagon = cl([(i, (i + 1) % 6) for i in range(6)])
+    fold = SimplicialMap(hexagon, triangle, {v: v % 3 for v in range(6)})
+    edge = cl([(0, 1)])
+    short = SimplicialMap.inclusion(edge, triangle)
+    for fine, bond, witness, what in (
+        (hexagon, fold, (0,), "covered twice"),
+        (edge, short, (2,), "not covered"),
+    ):
+        t = ComplexTower([triangle, fine], [bond], [empty, empty], [empty, empty])
+        for variant, axiom, where in (
+            ("compactohedral", "C3", "away from the marking"),
+            ("pre_compactohedral", "C3''", "in the closed complement"),
+            ("weakly_pre_compactohedral", "C3'", "away from the marking"),
+        ):
+            report = validate(t, variant)
+            assert [(v.axiom, v.level, v.witness, v.detail) for v in report.violations] == [
+                (axiom, 0, witness, f"coarse vertex {what} {where}")
+            ]
 
 
 def test_weaker_variants_tolerate_the_interiority_break():

@@ -138,6 +138,20 @@ def test_periodic_lim_torsion_doubling():
     g = FGAbelianGroup.from_invariants(0, (4,))
     a = hom(g, g, [[2]])
     assert periodic_lim(g, a).is_trivial()
+    # the images never repeat; the torsion comes from the deepest image,
+    # not from the group
+    g = FGAbelianGroup.from_invariants(1, (2,))
+    assert periodic_lim(g, hom(g, g, [[2, 0], [0, 0]])).is_trivial()
+
+
+def test_period_map_composes_in_bond_order():
+    # A then B and B then A have the same type of stable image but not
+    # the same subgroup: (AB)^k has image the first axis, (BA)^k the diagonal
+    a = hom(Z2, Z2, [[1, 0], [0, 0]])
+    b = hom(Z2, Z2, [[1, 1], [1, 0]])
+    t = GroupTower([Z2] * 5, [a, b, a, b], Certificate("periodic", period=2))
+    assert [ml_status(t, level).index for level in range(4)] == [1, 2, 1, None]
+    assert tower_lim(t).invariants == (1, ())
 
 
 def test_periodic_lim_requires_endomorphism():
@@ -204,6 +218,18 @@ def test_certificate_rejected_on_contradicting_data():
         GroupTower([Z] * 3, [GroupHom.identity(Z)] * 2, Certificate("shift_family"))
     with pytest.raises(ValueError):
         Certificate("mystery")
+    # one verifier serves both directions: an inverse tower shrinks
+    # through injective non-surjective bonds, a direct system through
+    # surjective non-injective ones
+    shift = Certificate("shift_family")
+    with pytest.raises(ValueError, match="bond 0 is not injective"):
+        GroupTower([Z, Z2], [hom(Z2, Z, [[1, 0]])], shift)
+    with pytest.raises(ValueError, match="bond 1 is surjective"):
+        GroupTower([Z] * 3, [hom(Z, Z, [[2]]), GroupHom.identity(Z)], shift)
+    with pytest.raises(ValueError, match="bond 0 is not surjective"):
+        DirectSystem([Z, Z], [hom(Z, Z, [[2]])], shift)
+    with pytest.raises(ValueError, match="bond 1 is injective"):
+        DirectSystem([Z2, Z, Z], [hom(Z2, Z, [[1, 0]]), GroupHom.identity(Z)], shift)
 
 
 def test_shift_family_certificate():
