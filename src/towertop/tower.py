@@ -522,22 +522,19 @@ def stable_lim(
 
 
 def _unit_part_degree(endo: GroupHom) -> int:
-    """Degree of the unit-constant part of the free block's characteristic polynomial."""
+    """Degree of the unit-constant part of the free block's characteristic polynomial.
+
+    Computed exactly by ``polynomial.unit_part_degree`` (Faddeev–LeVerrier,
+    then Zassenhaus factorization with Berlekamp splitting and Hensel
+    lifting), which asserts that its factors multiply back to the
+    characteristic polynomial.
+    """
     r = endo.source.free_rank
     if r == 0:
         return 0
-    import sympy  # deferred: importing it costs about 0.3 s of every CLI run
+    from .polynomial import unit_part_degree  # deferred: most runs never need it
 
-    can = endo.canonical_matrix()
-    block = [[can.rows[i][j] for j in range(r)] for i in range(r)]
-    x = sympy.Symbol("x")
-    poly = sympy.Matrix(block).charpoly(x).as_expr()
-    total = 0
-    for factor, mult in sympy.factor_list(poly, x)[1]:
-        p = sympy.Poly(factor, x)
-        if abs(p.eval(0)) == 1:
-            total += p.degree() * mult
-    return total
+    return unit_part_degree([row[:r] for row in endo.canonical_matrix().rows[:r]])
 
 
 def periodic_lim(group: FGAbelianGroup, endo: GroupHom) -> FGAbelianGroup:
@@ -548,7 +545,10 @@ def periodic_lim(group: FGAbelianGroup, endo: GroupHom) -> FGAbelianGroup:
     When the image chain repeats, that intersection is reached exactly;
     otherwise the free rank is the degree of the unit-constant part of
     the characteristic polynomial on the free quotient, and the torsion
-    has already stabilized within the iteration bound.
+    has already stabilized within the iteration bound.  That degree comes
+    from exact integer arithmetic in ``towertop.polynomial``
+    (Faddeev–LeVerrier and a Zassenhaus factorization), and factors that
+    fail to multiply back to the polynomial raise AssertionError.
 
     >>> z = FGAbelianGroup.free(1)
     >>> periodic_lim(z, GroupHom(z, z, IntegerMatrix([[2]]))).describe()

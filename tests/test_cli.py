@@ -260,6 +260,20 @@ def test_failed_self_check_exits_three_with_one_line(monkeypatch):
     )
 
 
+def test_failed_factor_product_check_exits_three(monkeypatch):
+    import towertop.polynomial as polynomial
+
+    real = polynomial._factor_square_free
+    monkeypatch.setattr(polynomial, "_factor_square_free", lambda f: real(f)[1:])
+    argv = ["gallery", "solenoid", "--p", "2", "--depth", "4", "--report", "steenrod", "--dim", "1"]
+    assert run_cli(argv) == (
+        3,
+        "",
+        "internal self-check failed in gallery: "
+        "factors do not multiply back to the characteristic polynomial\n",
+    )
+
+
 def test_fail_verdict_still_exits_zero(tmp_path):
     doc = tmp_path / "broken.tower"
     doc.write_text(serialize("complex_tower", fence_violation("C2", 6, 3)))
@@ -414,3 +428,28 @@ def test_console_entry_point_subprocess():
     )
     assert proc.returncode == 0
     assert proc.stdout == "H_1 = Z^2\n"
+
+
+def test_certified_periodic_report_imports_no_sympy():
+    # the dimension-1 solenoid tower never repeats its images, so its limit
+    # goes through the unit part of a characteristic polynomial
+    script = (
+        "import sys\n"
+        "from towertop.cli import main\n"
+        "code = main(['gallery', 'solenoid', '--p', '2', '--depth', '4',\n"
+        "             '--report', 'steenrod', '--dim', '1'])\n"
+        "assert 'sympy' not in sys.modules, 'sympy was imported'\n"
+        "sys.exit(code)\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout == (
+        "steenrod report, dimension 1\n"
+        "lim1: Zero\n"
+        "lim = 0\n"
+        "H_1(X) = 0\n"
+        "note: left term: derived limit of the dimension-2 homology tower (Zero)\n"
+        "note: dimension-2 tower: certified periodic (offset 0, period 1)\n"
+        "note: right term: inverse limit of the dimension-1 homology tower\n"
+        "note: dimension-1 tower: certified periodic (offset 0, period 1)\n"
+    )

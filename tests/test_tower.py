@@ -3,8 +3,11 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from towertop.abelian import FGAbelianGroup, GroupHom, IntegerMatrix, Subgroup
+from towertop.polynomial import charpoly, factor, unit_part_degree
 from towertop.tower import (
     Certificate,
     ColimResult,
@@ -124,9 +127,37 @@ def test_periodic_lim_coprime_scalings_vanish():
     assert periodic_lim(Z2, a).is_trivial()
 
 
+# Swinnerton-Dyer polynomial of sqrt 2, sqrt 3, sqrt 5: irreducible over Z but
+# split into at least four factors modulo every prime
+SWINNERTON_DYER = [576, 0, -960, 0, 352, 0, -40, 0, 1]
+
+# monic polynomials (constant term first) and the degrees of their unit parts
+HARD_CASES = [
+    ([2, 1, 1], 0),  # x^2 + x + 2 and x^2 - 3x + 2: the same 2-adic Newton polygon
+    ([2, -3, 1], 1),
+    ([-2, 5, -4, 1], 2),  # (x - 1)^2 (x - 2)
+    ([0, -1, 1], 1),  # x (x - 1)
+    (SWINNERTON_DYER, 0),
+    ([2, -5, 0, -2, 1], 2),  # (x^2 - 3x + 1)(x^2 + x + 2)
+    # (x^4 + 1) times the octic: six factors mod 7, recombined in pairs and more
+    ([576, 0, -960, 0, 928, 0, -1000, 0, 353, 0, -40, 0, 1], 4),
+]
+
+
+def companion(poly):
+    """Companion matrix of a monic polynomial given constant term first."""
+    n = len(poly) - 1
+    return [[int(i == j + 1) if j < n - 1 else -poly[i] for j in range(n)] for i in range(n)]
+
+
 def test_periodic_lim_mixed_unit_part():
     a = hom(Z2, Z2, [[1, 1], [0, 2]])
     assert periodic_lim(Z2, a).invariants == (1, ())
+    # the free rank of the limit is the unit-part degree, whether or not
+    # the image chain repeats (x (x - 1) repeats, the others never do)
+    for poly, expected in HARD_CASES:
+        g = FGAbelianGroup.free(len(poly) - 1)
+        assert periodic_lim(g, hom(g, g, companion(poly))).invariants == (expected, ())
 
 
 def test_periodic_lim_unimodular_full():
@@ -157,6 +188,60 @@ def test_period_map_composes_in_bond_order():
 def test_periodic_lim_requires_endomorphism():
     with pytest.raises(ValueError):
         periodic_lim(Z, hom(Z2, Z, [[1, 0]]))
+
+
+# -- unit part of a characteristic polynomial --------------------------------
+
+# the same examples on every run, so CI is deterministic
+DETERMINISTIC = settings(derandomize=True, database=None, deadline=None, max_examples=200)
+
+
+def sympy_unit_part_degree(block):
+    """The unit-part degree as sympy's charpoly and factor_list give it."""
+    sympy = pytest.importorskip("sympy")
+    x = sympy.Symbol("x")
+    total = 0
+    for f, mult in sympy.factor_list(sympy.Matrix(block).charpoly(x).as_expr(), x)[1]:
+        p = sympy.Poly(f, x)
+        if abs(p.eval(0)) == 1:
+            total += p.degree() * mult
+    return total
+
+
+@st.composite
+def square_blocks(draw):
+    """Dense r x r blocks, r <= 6, or companion matrices of products of small factors."""
+    r = draw(st.integers(1, 6))
+    if draw(st.booleans()):
+        row = st.lists(st.integers(-9, 9), min_size=r, max_size=r)
+        return draw(st.lists(row, min_size=r, max_size=r))
+    poly = [1]
+    while len(poly) - 1 < r:
+        degree = draw(st.integers(1, 3))
+        constant = draw(st.sampled_from((1, -1, 2, -2, 3, 0)))
+        middle = draw(st.lists(st.integers(-4, 4), min_size=degree - 1, max_size=degree - 1))
+        f = [constant] + middle + [1]
+        poly = [sum(poly[k] * f[i - k] for k in range(len(poly)) if 0 <= i - k < len(f))
+                for i in range(len(poly) + degree)]
+    return companion(poly)
+
+
+def test_unit_part_degree_matches_sympy():
+    pytest.importorskip("sympy")
+
+    @DETERMINISTIC
+    @given(square_blocks())
+    def check(block):
+        assert unit_part_degree(block) == sympy_unit_part_degree(block)
+
+    check()
+
+
+def test_charpoly_and_factor_on_hard_cases():
+    for poly, _ in HARD_CASES:
+        assert charpoly(companion(poly)) == poly
+    assert factor(SWINNERTON_DYER) == [(SWINNERTON_DYER, 1)]
+    assert factor([-2, 5, -4, 1]) == [([-2, 1], 1), ([-1, 1], 2)]
 
 
 def test_stable_lim_alternating_projection():
