@@ -40,7 +40,7 @@ class IntegerMatrix:
     __slots__ = ("rows", "ncols")
 
     def __init__(self, rows: Iterable[Iterable[int]], ncols: Optional[int] = None):
-        self.rows = tuple(tuple(int(x) for x in row) for row in rows)
+        self.rows = tuple(tuple(map(int, row)) for row in rows)
         if self.rows:
             widths = {len(r) for r in self.rows}
             if len(widths) != 1:
@@ -547,9 +547,13 @@ class GroupHom:
     verifies well-definedness (every source relation must land in the
     target relation lattice); this is a real check, not an assumption,
     because chain-level inputs arrive in presentation coordinates.
+
+    The canonical matrix, the kernel and the image are computed on
+    first use and kept, so repeated injectivity and surjectivity tests
+    on one hom factor each matrix once.
     """
 
-    __slots__ = ("source", "target", "matrix", "_canonical")
+    __slots__ = ("source", "target", "matrix", "_canonical", "_kernel", "_image")
 
     def __init__(self, source: FGAbelianGroup, target: FGAbelianGroup, matrix: IntegerMatrix):
         if matrix.ncols != source.ngens or matrix.nrows != target.ngens:
@@ -558,6 +562,8 @@ class GroupHom:
         self.target = target
         self.matrix = matrix
         self._canonical = None
+        self._kernel = None
+        self._image = None
         for row in source.relations.rows:
             image = matrix.matvec(row)
             if not target.element_is_zero(image):
@@ -606,23 +612,27 @@ class GroupHom:
         return GroupHom(inner.source, self.target, self.matrix * inner.matrix)
 
     def image_subgroup(self) -> "Subgroup":
-        gens = [
-            self.apply_canonical(e) for e in self.source.canonical_generators()
-        ]
-        return Subgroup(self.target, gens)
+        if self._image is None:
+            gens = [
+                self.apply_canonical(e) for e in self.source.canonical_generators()
+            ]
+            self._image = Subgroup(self.target, gens)
+        return self._image
 
     def kernel_subgroup(self) -> "Subgroup":
         """Kernel as a subgroup of the source (canonical coordinates)."""
-        can = self.canonical_matrix()
-        rel_cols = self.target.canonical_relation_columns()
-        stacked = can.hstack(
-            IntegerMatrix.from_columns(rel_cols, nrows=self.target.canonical_ngens)
-        )
-        n = self.source.canonical_ngens
-        gens = [tuple(col[:n]) for col in kernel_basis(stacked)]
-        # source torsion relations are kernel members as well
-        gens.extend(self.source.canonical_relation_columns())
-        return Subgroup(self.source, [self.source.reduce_canonical(g) for g in gens])
+        if self._kernel is None:
+            can = self.canonical_matrix()
+            rel_cols = self.target.canonical_relation_columns()
+            stacked = can.hstack(
+                IntegerMatrix.from_columns(rel_cols, nrows=self.target.canonical_ngens)
+            )
+            n = self.source.canonical_ngens
+            gens = [tuple(col[:n]) for col in kernel_basis(stacked)]
+            # source torsion relations are kernel members as well
+            gens.extend(self.source.canonical_relation_columns())
+            self._kernel = Subgroup(self.source, [self.source.reduce_canonical(g) for g in gens])
+        return self._kernel
 
     def is_injective(self) -> bool:
         return self.kernel_subgroup().is_trivial()

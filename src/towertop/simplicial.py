@@ -19,7 +19,7 @@ telescope additionally cones off the deepest level copy.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import combinations
 from typing import Dict, Iterable, Optional
 
@@ -27,6 +27,7 @@ from .abelian import (
     FGAbelianGroup,
     GroupHom,
     IntegerMatrix,
+    SmithDecomposition,
     kernel_basis,
     smith_normal_form,
     solve,
@@ -260,6 +261,12 @@ class HomologyResult:
     columns in ``cycle_columns``, coordinates over ``basis``); the
     j-th entry of ``representatives`` is the chain realizing the j-th
     canonical generator, as a map simplex -> coefficient.
+    ``cycle_snf`` is the Smith decomposition of the cycle matrix (its
+    ``matrix``), kept so that induced maps into this group solve
+    against it without factoring it again; it takes no part in
+    equality or repr.  Results come from ``homology`` and
+    ``cohomology`` only: both build them in ``_quotient_of_cycles``,
+    the one place that has the decomposition to hand.
     """
 
     group: FGAbelianGroup
@@ -267,6 +274,7 @@ class HomologyResult:
     degree: int
     basis: tuple
     cycle_columns: tuple
+    cycle_snf: SmithDecomposition = field(compare=False, repr=False)
 
 
 def _sign_normalized(cols):
@@ -301,6 +309,7 @@ def _quotient_of_cycles(cycle_cols, image_cols, chain_rank: int, degree: int, ba
         degree=degree,
         basis=tuple(basis),
         cycle_columns=tuple(tuple(c) for c in cycle_cols),
+        cycle_snf=ksnf,
     )
 
 
@@ -315,7 +324,7 @@ def homology(k: SimplicialComplex, n: int, reduced: bool = False) -> HomologyRes
     'Z'
     """
     if n < 0:
-        return HomologyResult(FGAbelianGroup.trivial(), (), n, (), ())
+        return _quotient_of_cycles([], [], 0, n, ())
     basis = k.n_simplexes(n)
     if n == 0 and reduced and basis:
         lower = augmentation_matrix(k)
@@ -334,7 +343,7 @@ def cohomology(k: SimplicialComplex, n: int) -> HomologyResult:
     'Z'
     """
     if n < 0:
-        return HomologyResult(FGAbelianGroup.trivial(), (), n, (), ())
+        return _quotient_of_cycles([], [], 0, n, ())
     basis = k.n_simplexes(n)
     outgoing = boundary_matrix(k, n + 1).transpose()
     incoming = boundary_matrix(k, n).transpose()
@@ -383,11 +392,11 @@ def _induced_between(
 
     Each presentation generator of the source (a cycle basis column)
     is pushed through the chain map and solved against the target
-    cycle basis; solvability is a real check that cycles land on
-    cycles.
+    cycle basis, through the target's kept Smith decomposition;
+    solvability is a real check that cycles land on cycles.
     """
-    tgt = IntegerMatrix.from_columns(target_h.cycle_columns, nrows=len(target_h.basis))
-    snf = smith_normal_form(tgt)
+    snf = target_h.cycle_snf
+    tgt = snf.matrix
     cols = []
     for col in source_h.cycle_columns:
         image = chain_matrix.matvec(col)

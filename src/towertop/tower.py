@@ -19,7 +19,9 @@ the truncation.
 
 The image chain at a level is the descending sequence of images of the
 composite bonds from deeper and deeper stages: entry k is the image of
-the k-fold composite, with entry 0 the full group.
+the k-fold composite, with entry 0 the full group.  A tower keeps each
+chain it builds, so ``ml_status``, ``lim1_class`` and ``stable_lim`` on
+one tower share the same subgroups and factor each of them once.
 """
 
 from dataclasses import dataclass, replace
@@ -71,12 +73,12 @@ class Certificate:
 
 
 def _checked_sequence(levels, bonds, forward: bool):
-    """Levels and bonds as lists, checked to form a sequence.
+    """Levels and bonds as tuples, checked to form a sequence.
 
     Bond ``i`` maps level ``i + 1`` into level ``i`` in an inverse
     sequence and level ``i`` into level ``i + 1`` in a direct one.
     """
-    levels, bonds = list(levels), list(bonds)
+    levels, bonds = tuple(levels), tuple(bonds)
     name = "direct system" if forward else "tower"
     if not levels:
         raise ValueError(f"a {name} needs at least one level")
@@ -119,7 +121,11 @@ def _verify_group_certificate(levels, bonds, cert: Certificate, forward: bool) -
 
 
 class _GroupSequence:
-    """Levels, bonds and an optional certificate, verified on construction."""
+    """Levels, bonds and an optional certificate, verified on construction.
+
+    Levels and bonds are tuples, so nothing derived from them and kept
+    on the sequence can go stale.
+    """
 
     __slots__ = ("levels", "bonds", "certificate")
     forward = False
@@ -136,9 +142,20 @@ class _GroupSequence:
 
 
 class GroupTower(_GroupSequence):
-    """Inverse sequence of finitely generated abelian groups."""
+    """Inverse sequence of finitely generated abelian groups.
 
-    __slots__ = ()
+    Each level's image chain and the composite of bonds behind its
+    deepest entry are kept once built (see ``_image_chain``), so
+    analyses of one tower share their subgroups and the factorizations
+    those subgroups keep.
+    """
+
+    __slots__ = ("_chains", "_composites")
+
+    def __init__(self, levels, bonds, certificate: Optional[Certificate] = None):
+        super().__init__(levels, bonds, certificate)
+        self._chains = [None] * len(self.levels)
+        self._composites = [None] * len(self.levels)
 
     def truncate(self, depth: int) -> "GroupTower":
         """First ``depth + 1`` levels, dropping the certificate."""
@@ -263,14 +280,22 @@ class ColimResult:
 
 
 def _image_chain(tower: GroupTower, level: int, depth: int) -> List[Subgroup]:
-    """Images in levels[level] of the composites of 0..depth bonds below it."""
-    chain = [Subgroup.full(tower.levels[level])]
-    comp = None
-    for k in range(depth):
+    """Images in levels[level] of the composites of 0..depth bonds below it.
+
+    The tower keeps the chain and extends it past what earlier calls
+    built; a shorter window gets a prefix of the same subgroups.  A
+    depth below 0 gives the full group alone, as a depth of 0 does.
+    """
+    chain = tower._chains[level]
+    if chain is None:
+        chain = tower._chains[level] = [Subgroup.full(tower.levels[level])]
+    while len(chain) <= depth:
+        k = len(chain) - 1
         b = tower.bonds[level + k]
-        comp = b if comp is None else comp.compose(b)
+        comp = b if k == 0 else tower._composites[level].compose(b)
+        tower._composites[level] = comp
         chain.append(comp.image_subgroup())
-    return chain
+    return chain[: max(depth, 0) + 1]
 
 
 def _iteration_bound(group: FGAbelianGroup) -> int:
@@ -330,6 +355,55 @@ def _periodic_stable_image(tower: GroupTower, level: int, cert: Certificate) -> 
     return carried.image_under(down)
 
 
+def _ml_verdict(tower: GroupTower, level: int, window: int) -> Tuple[str, Optional[int], str]:
+    """Verdict, stable index and reason of ``ml_status``, arguments unchecked."""
+    subs = _image_chain(tower, level, window)
+    repeat = next((k for k in range(len(subs) - 1) if subs[k].equals(subs[k + 1])), None)
+    cert = tower.certificate
+    unsettled = "certified pattern does not settle the chain at this level"
+
+    if cert is None:
+        if repeat is not None:
+            return "Stabilized", repeat, "first repeated image within the window"
+        return (
+            "UndeterminedWithinWindow",
+            None,
+            "no repeated image within the window and no certificate to extend it",
+        )
+
+    if cert.kind == "periodic":
+        stable = _periodic_stable_image(tower, level, cert)
+        if stable is not None:
+            for k, s in enumerate(subs):
+                if s.equals(stable):
+                    return "Stabilized", k, "image chain reaches the certified eventual image"
+            # stabilization is proved even though the window is too
+            # short to exhibit the stable index
+            return "Stabilized", None, "certified eventual image lies beyond the window"
+        if all(b.is_injective() for b in tower.bonds[level:]):
+            o, p = cert.offset, cert.period
+            if any(not tower.bonds[j].is_surjective() for j in range(o, o + p)):
+                return (
+                    "StrictlyDecreasing",
+                    None,
+                    "certified periodic bonds are injective and drop rank every period",
+                )
+        return "UndeterminedWithinWindow", None, unsettled
+
+    # shift_family: bonds beyond the offset are injective and not
+    # surjective forever; injectivity of the observed prefix makes the
+    # whole chain strictly decreasing from the offset on
+    if all(b.is_injective() for b in tower.bonds[level:]):
+        return (
+            "StrictlyDecreasing",
+            None,
+            "certified shrinking family: injective non-surjective bonds force strict descent",
+        )
+    if repeat is not None:
+        return "Stabilized", repeat, "first repeated image within the window"
+    return "UndeterminedWithinWindow", None, unsettled
+
+
 def ml_status(tower: GroupTower, level: int, window: Optional[int] = None) -> MLStatus:
     """Image-chain verdict at one level.
 
@@ -351,78 +425,9 @@ def ml_status(tower: GroupTower, level: int, window: Optional[int] = None) -> ML
         raise ValueError(
             f"window {window} exceeds the truncated tower: only {available} bonds below level {level}"
         )
-    subs = _image_chain(tower, level, window)
-    groups = [s.as_group() for s in subs]
-    repeat = next((k for k in range(len(subs) - 1) if subs[k].equals(subs[k + 1])), None)
-    cert = tower.certificate
-
-    if cert is None:
-        if repeat is not None:
-            return MLStatus(
-                "Stabilized", repeat, groups, "first repeated image within the window"
-            )
-        return MLStatus(
-            "UndeterminedWithinWindow",
-            None,
-            groups,
-            "no repeated image within the window and no certificate to extend it",
-        )
-
-    if cert.kind == "periodic":
-        stable = _periodic_stable_image(tower, level, cert)
-        if stable is not None:
-            for k, s in enumerate(subs):
-                if s.equals(stable):
-                    return MLStatus(
-                        "Stabilized",
-                        k,
-                        groups,
-                        "image chain reaches the certified eventual image",
-                    )
-            # stabilization is proved even though the window is too
-            # short to exhibit the stable index
-            return MLStatus(
-                "Stabilized",
-                None,
-                groups,
-                "certified eventual image lies beyond the window",
-            )
-        if all(b.is_injective() for b in tower.bonds[level:]):
-            o, p = cert.offset, cert.period
-            if any(not tower.bonds[j].is_surjective() for j in range(o, o + p)):
-                return MLStatus(
-                    "StrictlyDecreasing",
-                    None,
-                    groups,
-                    "certified periodic bonds are injective and drop rank every period",
-                )
-        return MLStatus(
-            "UndeterminedWithinWindow",
-            None,
-            groups,
-            "certified pattern does not settle the chain at this level",
-        )
-
-    # shift_family: bonds beyond the offset are injective and not
-    # surjective forever; injectivity of the observed prefix makes the
-    # whole chain strictly decreasing from the offset on
-    if all(b.is_injective() for b in tower.bonds[level:]):
-        return MLStatus(
-            "StrictlyDecreasing",
-            None,
-            groups,
-            "certified shrinking family: injective non-surjective bonds force strict descent",
-        )
-    if repeat is not None:
-        return MLStatus(
-            "Stabilized", repeat, groups, "first repeated image within the window"
-        )
-    return MLStatus(
-        "UndeterminedWithinWindow",
-        None,
-        groups,
-        "certified pattern does not settle the chain at this level",
-    )
+    verdict, index, reason = _ml_verdict(tower, level, window)
+    groups = [s.as_group() for s in _image_chain(tower, level, window)]
+    return MLStatus(verdict, index, groups, reason)
 
 
 def lim1_class(tower: GroupTower, window: Optional[int] = None) -> Lim1Class:
@@ -433,14 +438,16 @@ def lim1_class(tower: GroupTower, window: Optional[int] = None) -> Lim1Class:
     when every image chain stabilizes.  A certified strictly falling
     chain at any level therefore forces the uncountable side.
     """
-    statuses = []
+    verdicts = []
     for i in range(len(tower.levels)):
         available = len(tower.bonds) - i
         if available == 0:
             continue
         w = available if window is None else min(window, available)
-        statuses.append(ml_status(tower, i, w))
-    if any(s.verdict == "StrictlyDecreasing" for s in statuses):
+        if w < 1:
+            raise ValueError("window must be at least 1")
+        verdicts.append(_ml_verdict(tower, i, w)[0])
+    if "StrictlyDecreasing" in verdicts:
         display = tower.certificate.lim1_display if tower.certificate else None
         return Lim1Class(
             "Uncountable",
@@ -448,7 +455,7 @@ def lim1_class(tower: GroupTower, window: Optional[int] = None) -> Lim1Class:
             "the derived limit is then uncountable",
             display,
         )
-    if all(s.verdict == "Stabilized" for s in statuses):
+    if all(v == "Stabilized" for v in verdicts):
         basis = (
             "image chains stabilize at every level within the window"
             if tower.certificate is None
@@ -479,6 +486,11 @@ def _restricted_hom(bond: GroupHom, fine: Subgroup, coarse: Subgroup) -> Optiona
     )
 
 
+def _chain_invariants(chains) -> tuple:
+    """Invariants of every image in the given chains, as ``NotStable`` shows them."""
+    return tuple(tuple(s.as_group().invariants for s in subs) for subs in chains)
+
+
 def stable_lim(
     tower: GroupTower, window: Optional[int] = None
 ) -> Union[FGAbelianGroup, NotStable]:
@@ -495,18 +507,18 @@ def stable_lim(
     if n == 1:
         return Subgroup.full(tower.levels[0]).as_group()
     stable = []
-    chains_display = []
+    chains = []
     for i in range(n - 1):
         available = len(tower.bonds) - i
         w = available if window is None else min(window, available)
         subs = _image_chain(tower, i, w)
-        chains_display.append(tuple(s.as_group().invariants for s in subs))
+        chains.append(subs)
         idx = next((k for k in range(len(subs) - 1) if subs[k].equals(subs[k + 1])), None)
         if idx is None:
             if len(subs) >= 3:
                 return NotStable(
                     f"image chain at level {i} does not repeat within the window",
-                    tuple(chains_display),
+                    _chain_invariants(chains),
                 )
             idx = len(subs) - 1  # window too short to confirm; take the deepest image
         stable.append(subs[idx])
@@ -516,7 +528,7 @@ def stable_lim(
             return NotStable(
                 f"the bond does not carry the stable image at level {i + 1} "
                 f"isomorphically onto the stable image at level {i}",
-                tuple(chains_display),
+                _chain_invariants(chains),
             )
     return stable[0].as_group()
 

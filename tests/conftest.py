@@ -1,0 +1,31 @@
+"""Suite-wide test settings and fixtures.
+
+Property tests draw the same examples on every run, keep no example
+database and have no per-example deadline, so results do not depend on
+earlier runs or on how busy the host is.  A test may still raise its
+own example count with ``@settings(max_examples=...)``.
+"""
+
+import pytest
+from hypothesis import settings
+
+import towertop.abelian
+import towertop.simplicial
+
+settings.register_profile("deterministic", derandomize=True, database=None, deadline=None)
+settings.load_profile("deterministic")
+
+
+@pytest.fixture
+def smith_calls(monkeypatch):
+    """The matrices given to ``smith_normal_form`` while the test runs, in order."""
+    calls = []
+    real = towertop.abelian.smith_normal_form
+
+    def counting(matrix):
+        calls.append(matrix)
+        return real(matrix)
+
+    for module in (towertop.abelian, towertop.simplicial):
+        monkeypatch.setattr(module, "smith_normal_form", counting)
+    return calls

@@ -210,6 +210,17 @@ def test_math_precondition_exits_two(tmp_path):
     assert code == 2
 
 
+def test_window_below_one_exits_two():
+    for argv in (
+        ["gallery", "comb", "--teeth", "3", "--depth", "2", "--report", "steenrod"],
+        ["tower-report", path("dyadic.tower"), "--report", "steenrod"],
+    ):
+        for w in ("0", "-1"):
+            code, out, err = run_cli(argv + ["--dim", "0", "--window", w])
+            assert code == 2
+            assert "window must be at least 1" in err
+
+
 def test_petkova_interiority_violation_exits_two(tmp_path):
     tri = hollow_triangle()
     stages = [tri.full_subcomplex([2]), tri.full_subcomplex([1, 2]), tri]

@@ -159,6 +159,18 @@ def test_collapsed_simplexes_map_to_zero():
     assert induced_map(collapse, 1).canonical_matrix().is_zero()
 
 
+def test_induced_map_between_computed_ends_factors_nothing(smith_calls):
+    f = polygon_wrap(6, 3)
+    for n in (-1, 0, 1, 2):
+        source_h, target_h = homology(f.source, n), homology(f.target, n)
+        co_source, co_target = cohomology(f.target, n), cohomology(f.source, n)
+        del smith_calls[:]
+        hom = induced_map(f, n, source_h=source_h, target_h=target_h)
+        co = induced_cohomology_map(f, n, source_h=co_source, target_h=co_target)
+        assert smith_calls == []
+        assert hom.equal_hom(induced_map(f, n)) and co.equal_hom(induced_cohomology_map(f, n))
+
+
 def test_induced_functoriality_random():
     rng = random.Random(2718)
     done = 0

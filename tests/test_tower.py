@@ -29,6 +29,7 @@ from towertop.tower import (
 )
 
 from generators import circle_power_tower, constant_tower, hollow_triangle
+from oracles import bareiss_det
 
 
 Z = FGAbelianGroup.free(1)
@@ -86,6 +87,23 @@ def test_window_must_fit_truncation():
         ml_status(t, 0, 5)
     with pytest.raises(ValueError):
         ml_status(t, 2, 1)
+
+
+def test_lim1_class_rejects_windows_below_one():
+    t = doubling_tower(3, certified=False)
+    for w in (0, -1):
+        with pytest.raises(ValueError, match="window must be at least 1"):
+            lim1_class(t, w)
+
+
+def test_stable_lim_reads_windows_below_one_as_zero():
+    # a window below 1 shows each level's full group alone
+    t = doubling_tower(3, certified=False)
+    at_zero = stable_lim(t, 0)
+    assert isinstance(at_zero, NotStable)
+    assert at_zero.image_chains == ((((1, ()),),) * 2)
+    assert stable_lim(doubling_tower(3, certified=False), -1) == at_zero
+    assert stable_lim(t, -1) == at_zero
 
 
 def test_certified_doubling_lim1_uncountable():
@@ -192,9 +210,6 @@ def test_periodic_lim_requires_endomorphism():
 
 # -- unit part of a characteristic polynomial --------------------------------
 
-# the same examples on every run, so CI is deterministic
-DETERMINISTIC = settings(derandomize=True, database=None, deadline=None, max_examples=200)
-
 
 def sympy_unit_part_degree(block):
     """The unit-part degree as sympy's charpoly and factor_list give it."""
@@ -229,7 +244,7 @@ def square_blocks(draw):
 def test_unit_part_degree_matches_sympy():
     pytest.importorskip("sympy")
 
-    @DETERMINISTIC
+    @settings(max_examples=200)
     @given(square_blocks())
     def check(block):
         assert unit_part_degree(block) == sympy_unit_part_degree(block)
@@ -443,3 +458,145 @@ def test_ml_status_chain_includes_full_group_first():
     st = ml_status(t, 0, 2)
     assert st.image_chain[0].invariants == (1, ())
     assert len(st.image_chain) == 3
+
+
+def test_levels_and_bonds_cannot_be_reassigned():
+    # the tower keeps image chains built from its bonds, so they are tuples
+    t = doubling_tower(3)
+    assert isinstance(t.levels, tuple) and isinstance(t.bonds, tuple)
+    with pytest.raises(TypeError):
+        t.bonds[0] = GroupHom.identity(Z)
+    with pytest.raises(TypeError):
+        t.levels[0] = Z2
+
+
+# -- kept image chains: shared analyses agree with fresh ones -----------------
+
+
+def adjugate(a):
+    n = len(a)
+    return [
+        [(-1) ** (i + j) * bareiss_det([[a[r][c] for c in range(n) if c != i] for r in range(n) if r != j])
+         for j in range(n)]
+        for i in range(n)
+    ]
+
+
+def tower_relations(relations, bonds):
+    """Relations of every level of Z^n / R_i with dense bonds A_i.
+
+    Level i + 1 has relations adj(A_i) r for the relations r of level i;
+    A_i carries them to det(A_i) r, so every bond is well defined
+    whatever the determinant.
+    """
+    rels = [relations]
+    for a in bonds:
+        adj = adjugate(a)
+        rels.append([[sum(x * y for x, y in zip(r_adj, r)) for r_adj in adj] for r in rels[-1]])
+    return rels
+
+
+@st.composite
+def dense_tower_data(draw):
+    n = draw(st.integers(2, 3))
+    row = st.lists(st.integers(-9, 9), min_size=n, max_size=n)
+    square = st.lists(st.lists(st.integers(-3, 3), min_size=n, max_size=n), min_size=n, max_size=n)
+    bonds = draw(st.lists(square, min_size=1, max_size=3))
+    return n, tower_relations(draw(st.lists(row, max_size=n)), bonds), bonds
+
+
+def dense_sequences(data):
+    """A fresh uncertified tower and its reversal as a direct system."""
+    n, rels, bonds = data
+    levels = [FGAbelianGroup(n, IntegerMatrix(r, ncols=n)) for r in rels]
+    homs = [hom(levels[i + 1], levels[i], a) for i, a in enumerate(bonds)]
+    return GroupTower(levels, homs), DirectSystem(levels[::-1], homs[::-1])
+
+
+def certified_fixture(name):
+    """The certified towers of the tests above, built from fresh objects."""
+    z, z2 = FGAbelianGroup.free(1), FGAbelianGroup.free(2)
+    if name == "doubling":
+        levels, bonds, cert = [z] * 4, [hom(z, z, [[2]])] * 3, Certificate("periodic")
+    elif name == "diag":
+        levels, bonds, cert = [z2] * 4, [hom(z2, z2, [[1, 0], [0, 2]])] * 3, Certificate("periodic")
+    elif name == "period-two":
+        a, b = hom(z2, z2, [[1, 0], [0, 0]]), hom(z2, z2, [[1, 1], [1, 0]])
+        levels, bonds, cert = [z2] * 5, [a, b, a, b], Certificate("periodic", period=2)
+    elif name == "rank-drop":
+        z3 = FGAbelianGroup.free(3)
+        a = hom(z3, z3, [[0, 1, 0], [0, 0, 0], [0, 0, 1]])
+        levels, bonds, cert = [z3] * 4, [a] * 3, Certificate("periodic")
+    elif name == "torsion":
+        g = FGAbelianGroup.from_invariants(0, (6,))
+        levels, bonds, cert = [g] * 3, [GroupHom.identity(g)] * 2, Certificate("periodic")
+    else:
+        levels, bonds, cert = [z] * 4, [hom(z, z, [[3]])] * 3, Certificate("shift_family")
+    system_cert = cert if cert.kind == "periodic" else None
+    return GroupTower(levels, bonds, cert), DirectSystem(levels[::-1], bonds[::-1], system_cert)
+
+
+CERTIFIED = ("doubling", "diag", "period-two", "rank-drop", "torsion", "shift-family")
+
+
+def analysis_calls(nlevels):
+    nb = nlevels - 1
+    windows = [None] + list(range(1, nb + 1))
+    calls = [(kind, w) for kind in ("lim1", "lim", "colim") for w in windows]
+    calls += [("ml", level, w) for level in range(nb) for w in [None] + list(range(1, nb - level + 1))]
+    return calls
+
+
+def outcome(call, tower, system):
+    """The comparable content of one analysis: verdicts, reasons, invariants."""
+    kind, *args = call
+    if kind == "lim1":
+        return lim1_class(tower, *args)
+    if kind == "lim":
+        out = tower_lim(tower, *args)
+        return out if isinstance(out, NotStable) else out.invariants
+    if kind == "colim":
+        out = colim_direct_system(system, *args)
+        if isinstance(out, ColimResult):
+            return out.group.invariants, out.index, out.note
+        return out
+    status = ml_status(tower, *args)
+    return status.verdict, status.index, status.reason, [g.invariants for g in status.image_chain]
+
+
+def check_shared_matches_fresh(build, order):
+    tower, system = build()
+    for call in order:
+        assert outcome(call, tower, system) == outcome(call, *build()), call
+
+
+@settings(max_examples=50)
+@given(dense_tower_data(), st.data())
+def test_shared_tower_analyses_match_fresh_ones(data, draw):
+    order = draw.draw(st.permutations(analysis_calls(len(data[1]))))
+    check_shared_matches_fresh(lambda: dense_sequences(data), order)
+
+
+@settings(max_examples=30)
+@given(st.sampled_from(CERTIFIED), st.data())
+def test_shared_certified_analyses_match_fresh_ones(name, draw):
+    nlevels = len(certified_fixture(name)[0].levels)
+    order = draw.draw(st.permutations(analysis_calls(nlevels)))
+    check_shared_matches_fresh(lambda: certified_fixture(name), order)
+
+
+def test_lim1_then_lim_on_one_tower_shares_factorizations(smith_calls):
+    bonds = [
+        [[2, 1, 0], [-1, 3, 2], [0, 1, -2]],
+        [[1, -2, 3], [2, 0, 1], [-3, 1, 1]],
+        [[3, 0, -1], [1, 2, 2], [0, -3, 1]],
+    ]
+    data = (3, tower_relations([[4, -7, 2], [0, 6, 9]], bonds), bonds)
+    (first, _), (second, _), (shared, _) = [dense_sequences(data) for _ in range(3)]
+    del smith_calls[:]
+    apart = lim1_class(first), tower_lim(second)
+    separate = len(smith_calls)
+    del smith_calls[:]
+    together = lim1_class(shared), tower_lim(shared)
+    assert len(smith_calls) < separate
+    assert together == apart
