@@ -336,19 +336,17 @@ def smith_normal_form(matrix: IntegerMatrix) -> SmithDecomposition:
     )
 
 
-def solve(matrix: IntegerMatrix, b: Sequence[int], snf: Optional[SmithDecomposition] = None):
-    """One integer solution x of matrix * x = b, or None when unsolvable.
+def solve(snf: SmithDecomposition, b: Sequence[int]):
+    """One integer solution x of snf.matrix * x = b, or None when unsolvable.
 
-    >>> solve(IntegerMatrix([[2, 0], [0, 3]]), (4, 9))
+    >>> solve(smith_normal_form(IntegerMatrix([[2, 0], [0, 3]])), (4, 9))
     (2, 3)
-    >>> solve(IntegerMatrix([[2]]), (3,)) is None
+    >>> solve(smith_normal_form(IntegerMatrix([[2]])), (3,)) is None
     True
     """
-    if snf is None:
-        snf = smith_normal_form(matrix)
     c = snf.u.matvec(b)
     diag = snf.diagonal()
-    w = [0] * matrix.ncols
+    w = [0] * snf.matrix.ncols
     for i, ci in enumerate(c):
         di = diag[i] if i < len(diag) else 0
         if di == 0:
@@ -361,16 +359,14 @@ def solve(matrix: IntegerMatrix, b: Sequence[int], snf: Optional[SmithDecomposit
     return snf.v.matvec(w)
 
 
-def kernel_basis(matrix: IntegerMatrix, snf: Optional[SmithDecomposition] = None) -> list:
-    """Columns forming a basis of the integer kernel of ``matrix``.
+def kernel_basis(snf: SmithDecomposition) -> list:
+    """Columns forming a basis of the integer kernel of ``snf.matrix``.
 
     The basis spans the kernel as a direct summand of the domain
     lattice (it consists of columns of the unimodular V), so solving
     in terms of it is exact.
     """
-    if snf is None:
-        snf = smith_normal_form(matrix)
-    return [snf.v.column(j) for j in range(snf.rank, matrix.ncols)]
+    return [snf.v.column(j) for j in range(snf.rank, snf.matrix.ncols)]
 
 
 class FGAbelianGroup:
@@ -628,7 +624,7 @@ class GroupHom:
                 IntegerMatrix.from_columns(rel_cols, nrows=self.target.canonical_ngens)
             )
             n = self.source.canonical_ngens
-            gens = [tuple(col[:n]) for col in kernel_basis(stacked)]
+            gens = [tuple(col[:n]) for col in kernel_basis(smith_normal_form(stacked))]
             # source torsion relations are kernel members as well
             gens.extend(self.source.canonical_relation_columns())
             self._kernel = Subgroup(self.source, [self.source.reduce_canonical(g) for g in gens])
@@ -663,7 +659,7 @@ class Subgroup:
     relation lattice.
     """
 
-    __slots__ = ("group", "generators", "_snf", "_stacked", "_as_group")
+    __slots__ = ("group", "generators", "_snf", "_as_group")
 
     def __init__(self, group: FGAbelianGroup, generators: Iterable[Sequence[int]]):
         self.group = group
@@ -674,7 +670,6 @@ class Subgroup:
                 gens.append(red)
         self.generators = tuple(gens)
         self._snf = None
-        self._stacked = None
         self._as_group = None
 
     @classmethod
@@ -689,16 +684,14 @@ class Subgroup:
         if self._snf is None:
             n = self.group.canonical_ngens
             cols = list(self.generators) + self.group.canonical_relation_columns()
-            self._stacked = IntegerMatrix.from_columns(cols, nrows=n)
-            self._snf = smith_normal_form(self._stacked)
-        return self._stacked, self._snf
+            self._snf = smith_normal_form(IntegerMatrix.from_columns(cols, nrows=n))
+        return self._snf
 
     def contains(self, y: Sequence[int]) -> bool:
         y = self.group.reduce_canonical(y)
         if not any(y):
             return True
-        stacked, snf = self._solver()
-        return solve(stacked, y, snf) is not None
+        return solve(self._solver(), y) is not None
 
     def coordinates(self, y: Sequence[int]):
         """Express an element over this subgroup's generators, or None.
@@ -710,8 +703,7 @@ class Subgroup:
         k = len(self.generators)
         if not any(y):
             return tuple([0] * k)
-        stacked, snf = self._solver()
-        sol = solve(stacked, y, snf)
+        sol = solve(self._solver(), y)
         if sol is None:
             return None
         return tuple(sol[:k])
@@ -739,8 +731,7 @@ class Subgroup:
         """The subgroup itself as an abstract group (canonicalized)."""
         if self._as_group is None:
             k = len(self.generators)
-            stacked, snf = self._solver()
-            rows = [tuple(col[:k]) for col in kernel_basis(stacked, snf)]
+            rows = [tuple(col[:k]) for col in kernel_basis(self._solver())]
             self._as_group = FGAbelianGroup(k, IntegerMatrix(rows, ncols=k))
         return self._as_group
 

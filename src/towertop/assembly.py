@@ -196,6 +196,8 @@ def petkova_report(filtration, n: int, window: Optional[int] = None) -> SESRepor
                 f"stage {j} is not interior to stage {j + 1}: witness {w!r}"
             )
 
+    if window is not None and window < 1:
+        raise ValueError("window must be at least 1")
     if n == 0:
         left = Lim1Class("Zero", "no tower below dimension 0")
         above_note = "left term: nothing below dimension 0 (Zero)"

@@ -28,9 +28,7 @@ from .abelian import (
     GroupHom,
     IntegerMatrix,
     SmithDecomposition,
-    kernel_basis,
     smith_normal_form,
-    solve,
 )
 
 
@@ -260,13 +258,13 @@ class HomologyResult:
     ``group`` is presented on a basis of the cycle lattice (the
     columns in ``cycle_columns``, coordinates over ``basis``); the
     j-th entry of ``representatives`` is the chain realizing the j-th
-    canonical generator, as a map simplex -> coefficient.
-    ``cycle_snf`` is the Smith decomposition of the cycle matrix (its
-    ``matrix``), kept so that induced maps into this group solve
-    against it without factoring it again; it takes no part in
-    equality or repr.  Results come from ``homology`` and
-    ``cohomology`` only: both build them in ``_quotient_of_cycles``,
-    the one place that has the decomposition to hand.
+    canonical generator, as a map simplex -> coefficient.  The cycle
+    basis is the trailing columns of V in ``outgoing_snf``, the Smith
+    decomposition U * M * V = D of the outgoing map M (boundary,
+    augmentation or transposed coboundary), each times its entry of
+    ``cycle_signs``, so ``cycle_coordinates`` reads V^-1 and factors
+    nothing; neither field takes part in equality or repr.  Results
+    come from ``homology`` and ``cohomology`` only.
     """
 
     group: FGAbelianGroup
@@ -274,29 +272,38 @@ class HomologyResult:
     degree: int
     basis: tuple
     cycle_columns: tuple
-    cycle_snf: SmithDecomposition = field(compare=False, repr=False)
+    outgoing_snf: SmithDecomposition = field(compare=False, repr=False)
+    cycle_signs: tuple = field(compare=False, repr=False)
+
+    def cycle_coordinates(self, chain) -> Optional[tuple]:
+        """Coordinates of ``chain`` over ``cycle_columns``, or None for a non-cycle."""
+        return _cycle_coordinates(self.outgoing_snf, self.cycle_signs, chain)
 
 
-def _sign_normalized(cols):
-    """Flip each column so its first nonzero entry is positive."""
-    out = []
-    for col in cols:
-        lead = next((c for c in col if c != 0), 1)
-        out.append(tuple(-c for c in col) if lead < 0 else tuple(col))
-    return out
+def _cycle_coordinates(snf: SmithDecomposition, signs, chain) -> Optional[tuple]:
+    # with y = V^-1 * chain, M * chain = U^-1 * D * y is zero iff y[:rank] is
+    y = snf.vinv.matvec(chain)
+    rank = len(y) - len(signs)
+    if any(y[:rank]):
+        return None
+    return tuple(s * c for s, c in zip(signs, y[rank:]))
 
 
-def _quotient_of_cycles(cycle_cols, image_cols, chain_rank: int, degree: int, basis):
-    cycle_cols = _sign_normalized(cycle_cols)
-    kmat = IntegerMatrix.from_columns(cycle_cols, nrows=chain_rank)
-    ksnf = smith_normal_form(kmat)
+def _quotient_of_cycles(outgoing: IntegerMatrix, image_cols, degree: int, basis):
+    snf = smith_normal_form(outgoing)
+    cycle_cols, signs = [], []
+    for j in range(snf.rank, outgoing.ncols):
+        col = snf.v.column(j)
+        signs.append(-1 if next(c for c in col if c) < 0 else 1)
+        cycle_cols.append(tuple(signs[-1] * c for c in col))
     rel_rows = []
     for col in image_cols:
-        coords = solve(kmat, col, ksnf)
+        coords = _cycle_coordinates(snf, signs, col)
         if coords is None:
             raise AssertionError("boundary image is not a cycle; chain complex broken")
         rel_rows.append(coords)
     group = FGAbelianGroup(len(cycle_cols), IntegerMatrix(rel_rows, ncols=len(cycle_cols)))
+    kmat = IntegerMatrix.from_columns(cycle_cols, nrows=outgoing.ncols)
     reps = []
     for j in range(group.canonical_ngens):
         e = [0] * group.canonical_ngens
@@ -308,8 +315,9 @@ def _quotient_of_cycles(cycle_cols, image_cols, chain_rank: int, degree: int, ba
         representatives=tuple(reps),
         degree=degree,
         basis=tuple(basis),
-        cycle_columns=tuple(tuple(c) for c in cycle_cols),
-        cycle_snf=ksnf,
+        cycle_columns=tuple(cycle_cols),
+        outgoing_snf=snf,
+        cycle_signs=tuple(signs),
     )
 
 
@@ -324,15 +332,14 @@ def homology(k: SimplicialComplex, n: int, reduced: bool = False) -> HomologyRes
     'Z'
     """
     if n < 0:
-        return _quotient_of_cycles([], [], 0, n, ())
+        return _quotient_of_cycles(IntegerMatrix([], ncols=0), [], n, ())
     basis = k.n_simplexes(n)
     if n == 0 and reduced and basis:
         lower = augmentation_matrix(k)
     else:
         lower = boundary_matrix(k, n)
     upper = boundary_matrix(k, n + 1)
-    cycles = kernel_basis(lower)
-    return _quotient_of_cycles(cycles, upper.columns(), len(basis), n, basis)
+    return _quotient_of_cycles(lower, upper.columns(), n, basis)
 
 
 def cohomology(k: SimplicialComplex, n: int) -> HomologyResult:
@@ -343,12 +350,11 @@ def cohomology(k: SimplicialComplex, n: int) -> HomologyResult:
     'Z'
     """
     if n < 0:
-        return _quotient_of_cycles([], [], 0, n, ())
+        return _quotient_of_cycles(IntegerMatrix([], ncols=0), [], n, ())
     basis = k.n_simplexes(n)
     outgoing = boundary_matrix(k, n + 1).transpose()
     incoming = boundary_matrix(k, n).transpose()
-    cocycles = kernel_basis(outgoing)
-    return _quotient_of_cycles(cocycles, incoming.columns(), len(basis), n, basis)
+    return _quotient_of_cycles(outgoing, incoming.columns(), n, basis)
 
 
 def chain_map_matrix(f: SimplicialMap, n: int) -> IntegerMatrix:
@@ -391,16 +397,14 @@ def _induced_between(
     """Hom between quotient groups from a chain-level matrix.
 
     Each presentation generator of the source (a cycle basis column)
-    is pushed through the chain map and solved against the target
-    cycle basis, through the target's kept Smith decomposition;
-    solvability is a real check that cycles land on cycles.
+    is pushed through the chain map and written over the target cycle
+    basis by ``target_h.cycle_coordinates``, which reads the target's
+    kept decomposition and factors nothing; a chain with no
+    coordinates is a real failure of cycles to land on cycles.
     """
-    snf = target_h.cycle_snf
-    tgt = snf.matrix
     cols = []
     for col in source_h.cycle_columns:
-        image = chain_matrix.matvec(col)
-        coords = solve(tgt, image, snf)
+        coords = target_h.cycle_coordinates(chain_matrix.matvec(col))
         if coords is None:
             raise AssertionError("image of a cycle is not a cycle; induced map broken")
         cols.append(coords)

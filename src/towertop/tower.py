@@ -606,6 +606,8 @@ def colim_direct_system(
     the system moving forever).  A shrinking-family certificate reports
     the certified core, reached beyond any finite stage.
     """
+    if window is not None and window < 1:
+        raise ValueError("window must be at least 1")
     nb = len(system.bonds)
     w = nb if window is None else min(window, nb)
     bonds = system.bonds[:w]

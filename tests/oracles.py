@@ -1,10 +1,11 @@
 """Independent oracles used to cross-check the exact linear algebra.
 
-Nothing in here imports the package under test.  The routines are
-deliberately different algorithms from the ones being checked:
-fraction-free (Bareiss) elimination for ranks and determinants, and
-gcd-of-minors determinantal divisors for invariant factors.  They are
-exponential or cubic in places, meant for small matrices only.
+Apart from ``refactored_cycle_coordinates``, nothing in here imports the
+package under test.  The routines are deliberately different algorithms
+from the ones being checked: fraction-free (Bareiss) elimination for
+ranks and determinants, and gcd-of-minors determinantal divisors for
+invariant factors.  They are exponential or cubic in places, meant for
+small matrices only.
 """
 
 from __future__ import annotations
@@ -162,3 +163,18 @@ def betti_from_boundaries(d_n, d_np1, n_chain_rank: int) -> int:
     d_np1 maps (n+1)-chains in.  betti = dim ker d_n - rank d_np1.
     """
     return (n_chain_rank - bareiss_rank(d_n)) - bareiss_rank(d_np1)
+
+
+def refactored_cycle_coordinates(cycle_columns, chain):
+    """Coordinates of ``chain`` over ``cycle_columns`` from their own factorization.
+
+    The reference for ``HomologyResult.cycle_coordinates``, which reads
+    them off the outgoing map's decomposition instead: here the cycle
+    matrix gets a Smith decomposition of its own and the chain is solved
+    against it.  The columns are independent, so a solution is the unique
+    coordinate vector; None when the chain is outside their span.
+    """
+    from towertop.abelian import IntegerMatrix, smith_normal_form, solve
+
+    cycles = IntegerMatrix.from_columns(cycle_columns, nrows=len(chain))
+    return solve(smith_normal_form(cycles), chain)

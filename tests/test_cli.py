@@ -214,11 +214,15 @@ def test_window_below_one_exits_two():
     for argv in (
         ["gallery", "comb", "--teeth", "3", "--depth", "2", "--report", "steenrod"],
         ["tower-report", path("dyadic.tower"), "--report", "steenrod"],
+        ["gallery", "comb", "--teeth", "3", "--depth", "2", "--report", "cech"],
+        ["tower-report", path("dyadic.tower"), "--report", "cech"],
+        ["tower-report", path("triangle_filtration.filtration"), "--report", "petkova"],
     ):
-        for w in ("0", "-1"):
-            code, out, err = run_cli(argv + ["--dim", "0", "--window", w])
-            assert code == 2
-            assert "window must be at least 1" in err
+        for dim in ("0", "1"):
+            for w in ("0", "-1"):
+                code, out, err = run_cli(argv + ["--dim", dim, "--window", w])
+                assert code == 2
+                assert "window must be at least 1" in err
 
 
 def test_petkova_interiority_violation_exits_two(tmp_path):

@@ -7,6 +7,7 @@ import pytest
 from towertop.simplicial import (
     SimplicialComplex,
     SimplicialMap,
+    augmentation_matrix,
     boundary_matrix,
     chain_map_matrix,
     cohomology,
@@ -33,7 +34,16 @@ from generators import (
     tetra_sphere,
     torus_7,
 )
-from oracles import bareiss_det, bareiss_rank, minor_gcd, mod_p_rank
+from oracles import (
+    bareiss_det,
+    bareiss_rank,
+    betti_from_boundaries,
+    dense_matvec,
+    determinantal_invariant_factors,
+    minor_gcd,
+    mod_p_rank,
+    refactored_cycle_coordinates,
+)
 
 
 def betti(k, n):
@@ -169,6 +179,53 @@ def test_induced_map_between_computed_ends_factors_nothing(smith_calls):
         co = induced_cohomology_map(f, n, source_h=co_source, target_h=co_target)
         assert smith_calls == []
         assert hom.equal_hom(induced_map(f, n)) and co.equal_hom(induced_cohomology_map(f, n))
+
+
+def quotient_cases(k, n):
+    """(result, outgoing map, incoming map) for H_n, reduced H_n and H^n of k."""
+    if n == 0 and k.n_simplexes(0):
+        reduced_outgoing = augmentation_matrix(k)
+    else:
+        reduced_outgoing = boundary_matrix(k, n)
+    down, up = boundary_matrix(k, n), boundary_matrix(k, n + 1)
+    return (
+        (homology(k, n), down, up),
+        (homology(k, n, reduced=True), reduced_outgoing, up),
+        (cohomology(k, n), up.transpose(), down.transpose()),
+    )
+
+
+def test_cycle_coordinates_match_refactored_cycle_matrix():
+    rng = random.Random(606)
+    for _ in range(30):
+        k = random_complex(rng, max_vertices=5, max_cells=4, max_card=3)
+        for n in range(-1, k.dimension() + 2):
+            for h, outgoing, incoming in quotient_cases(k, n):
+                cycles = h.cycle_columns
+                for col in incoming.columns():
+                    coords = h.cycle_coordinates(col)
+                    assert coords is not None
+                    assert coords == refactored_cycle_coordinates(cycles, col)
+                for j, col in enumerate(cycles):
+                    unit = tuple(int(i == j) for i in range(len(cycles)))
+                    assert h.cycle_coordinates(col) == unit
+                for _ in range(5):
+                    chain = [rng.randint(-3, 3) for _ in h.basis]
+                    if any(dense_matvec(outgoing.rows, chain)):
+                        assert h.cycle_coordinates(chain) is None
+                        assert refactored_cycle_coordinates(cycles, chain) is None
+                torsion = [d for d in determinantal_invariant_factors(incoming.rows) if d > 1]
+                betti = betti_from_boundaries(outgoing.rows, incoming.rows, len(h.basis))
+                assert h.group.invariants == (betti, tuple(torsion))
+
+
+def test_homology_factors_the_outgoing_map_and_the_relations_only(smith_calls):
+    for k in (hollow_triangle(), projective_plane(), torus_7(), disjoint_points(3)):
+        for n in range(k.dimension() + 2):
+            del smith_calls[:]
+            cases = quotient_cases(k, n)
+            assert len(smith_calls) == 2 * len(cases)
+            assert smith_calls[::2] == [outgoing for _, outgoing, _ in cases]
 
 
 def test_induced_functoriality_random():
