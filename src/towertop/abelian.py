@@ -20,6 +20,7 @@ mutual generator membership, never by comparing generator lists.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import mul
 from typing import Iterable, Optional, Sequence
 
 
@@ -53,6 +54,18 @@ class IntegerMatrix:
             if ncols is None:
                 raise ValueError("ncols required for a matrix with no rows")
             self.ncols = int(ncols)
+
+    @classmethod
+    def _derived(cls, rows: tuple, ncols: int) -> "IntegerMatrix":
+        """Matrix from rows the package computed out of checked matrices.
+
+        ``rows`` must already be a tuple of equal-width tuples of ints;
+        nothing is coerced or re-scanned, unlike the public constructor.
+        """
+        m = cls.__new__(cls)
+        m.rows = rows
+        m.ncols = ncols
+        return m
 
     @property
     def nrows(self) -> int:
@@ -89,10 +102,9 @@ class IntegerMatrix:
         return [self.column(j) for j in range(self.ncols)]
 
     def transpose(self) -> "IntegerMatrix":
-        return IntegerMatrix(
-            [[self.rows[i][j] for i in range(self.nrows)] for j in range(self.ncols)],
-            ncols=self.nrows,
-        )
+        if not self.rows:
+            return IntegerMatrix._derived(((),) * self.ncols, 0)
+        return IntegerMatrix._derived(tuple(zip(*self.rows)), self.nrows)
 
     def __mul__(self, other: "IntegerMatrix") -> "IntegerMatrix":
         if self.ncols != other.nrows:
@@ -109,23 +121,24 @@ class IntegerMatrix:
                 if a:
                     for j, b in row_terms:
                         acc[j] += a * b
-            out.append(acc)
-        return IntegerMatrix(out, ncols=n)
+            out.append(tuple(acc))
+        return IntegerMatrix._derived(tuple(out), n)
 
     def matvec(self, x: Sequence[int]) -> tuple:
         if len(x) != self.ncols:
             raise ValueError("vector length mismatch")
         terms = [(j, xj) for j, xj in enumerate(x) if xj]
+        if 2 * len(terms) > len(x):
+            # mostly nonzero: one C-level pass beats skipping the zeros
+            return tuple(sum(map(mul, row, x)) for row in self.rows)
         return tuple(sum(row[j] * xj for j, xj in terms) for row in self.rows)
 
     def hstack(self, other: "IntegerMatrix") -> "IntegerMatrix":
         if self.nrows != other.nrows:
             raise ValueError("row count mismatch in hstack")
-        if self.nrows == 0:
-            return IntegerMatrix([], ncols=self.ncols + other.ncols)
-        return IntegerMatrix(
-            [row_a + row_b for row_a, row_b in zip(self.rows, other.rows)],
-            ncols=self.ncols + other.ncols,
+        return IntegerMatrix._derived(
+            tuple(row_a + row_b for row_a, row_b in zip(self.rows, other.rows)),
+            self.ncols + other.ncols,
         )
 
     def is_zero(self) -> bool:
@@ -152,10 +165,18 @@ class SmithDecomposition:
     U and V are unimodular (built purely from elementary operations),
     D is diagonal with nonnegative entries, every diagonal entry
     divides the next, and zero entries trail.  ``uinv`` and ``vinv``
-    are the tracked inverses of U and V.  Construction re-verifies in
-    full and exactly that U*M*V = D, U*U^-1 = I and V*V^-1 = I, then the
-    diagonal, sign and divisibility conditions on D; only the matrix
-    product underneath skips zero entries.
+    are the tracked inverses of U and V.
+
+    Construction re-verifies everything exactly: the shapes (U and
+    U^-1 are m x m, V and V^-1 are n x n, D is m x n for an m x n
+    matrix M), then V * V^-1 = I, U * M = D * V^-1, U * U^-1 = I, and
+    the diagonal, sign and divisibility conditions on D.  V is square,
+    so its one-sided inverse is two-sided, and U * M = D * V^-1 holds
+    exactly when U * M * V = D does: multiply either on the right by V
+    or by V^-1.  It is the cheaper identity to check: the product skips
+    D's zero entries, so D * V^-1 scales at most min(m, n) rows of
+    V^-1, while U * M * V multiplies the grown entries of U * M by those
+    of V.  Only the matrix products underneath skip zero entries.
     """
 
     matrix: IntegerMatrix
@@ -166,12 +187,19 @@ class SmithDecomposition:
     vinv: IntegerMatrix
 
     def __post_init__(self):
-        if (self.u * self.matrix) * self.v != self.d:
-            raise AssertionError("Smith decomposition identity U*M*V = D failed")
-        if self.u * self.uinv != IntegerMatrix.identity(self.u.nrows):
-            raise AssertionError("tracked inverse of U is wrong")
-        if self.v * self.vinv != IntegerMatrix.identity(self.v.nrows):
+        m, n = self.matrix.nrows, self.matrix.ncols
+        for name, shape in (
+            ("u", (m, m)), ("uinv", (m, m)), ("d", (m, n)), ("v", (n, n)), ("vinv", (n, n))
+        ):
+            factor = getattr(self, name)
+            if (factor.nrows, factor.ncols) != shape:
+                raise AssertionError(f"Smith factor {name} has the wrong shape")
+        if not _is_identity(self.v * self.vinv):
             raise AssertionError("tracked inverse of V is wrong")
+        if self.u * self.matrix != self.d * self.vinv:
+            raise AssertionError("Smith decomposition identity U*M*V = D failed")
+        if not _is_identity(self.u * self.uinv):
+            raise AssertionError("tracked inverse of U is wrong")
         diag = self.diagonal()
         for i, x in enumerate(diag):
             if x < 0:
@@ -197,6 +225,14 @@ class SmithDecomposition:
     @property
     def invariant_factors(self) -> tuple:
         return tuple(x for x in self.diagonal() if x != 0)
+
+
+def _is_identity(matrix: IntegerMatrix) -> bool:
+    """Whether ``matrix`` is square with ones on the diagonal and zeros elsewhere."""
+    return matrix.ncols == matrix.nrows and all(
+        row[i] == 1 and not any(row[:i]) and not any(row[i + 1 :])
+        for i, row in enumerate(matrix.rows)
+    )
 
 
 def _balanced_quotient(x: int, p: int) -> int:
@@ -238,12 +274,17 @@ def smith_normal_form(matrix: IntegerMatrix) -> SmithDecomposition:
         for row in uinv:  # column swap on the inverse
             row[i], row[k] = row[k], row[i]
 
+    # the column updates below touch only rows whose entry in the
+    # source column is nonzero: adding q * 0 changes nothing, so these
+    # are the same operations in the same order, minus the no-ops
+
     def add_row(i, k, q):
         # row_i += q * row_k on a and u; col_k -= q * col_i on uinv
         a[i] = [x + q * y for x, y in zip(a[i], a[k])]
         u[i] = [x + q * y for x, y in zip(u[i], u[k])]
         for row in uinv:
-            row[k] -= q * row[i]
+            if row[i]:
+                row[k] -= q * row[i]
 
     def swap_cols(j, k):
         for row in a:
@@ -255,9 +296,11 @@ def smith_normal_form(matrix: IntegerMatrix) -> SmithDecomposition:
     def add_col(j, k, q):
         # col_j += q * col_k on a and v; row_k -= q * row_j on vinv
         for row in a:
-            row[j] += q * row[k]
+            if row[k]:
+                row[j] += q * row[k]
         for row in v:
-            row[j] += q * row[k]
+            if row[k]:
+                row[j] += q * row[k]
         vinv[k] = [x - q * y for x, y in zip(vinv[k], vinv[j])]
 
     def min_entry(t):
@@ -326,23 +369,41 @@ def smith_normal_form(matrix: IntegerMatrix) -> SmithDecomposition:
             for row in uinv:
                 row[i] = -row[i]
 
+    def done(rows, width):
+        return IntegerMatrix._derived(tuple(map(tuple, rows)), width)
+
     return SmithDecomposition(
         matrix=matrix,
-        u=IntegerMatrix(u, ncols=m),
-        uinv=IntegerMatrix(uinv, ncols=m),
-        d=IntegerMatrix(a, ncols=n),
-        v=IntegerMatrix(v, ncols=n),
-        vinv=IntegerMatrix(vinv, ncols=n),
+        u=done(u, m),
+        uinv=done(uinv, m),
+        d=done(a, n),
+        v=done(v, n),
+        vinv=done(vinv, n),
     )
 
 
 def solve(snf: SmithDecomposition, b: Sequence[int]):
     """One integer solution x of snf.matrix * x = b, or None when unsolvable.
 
+    The diagonal step ``_diagonal_solution`` decides solvability and
+    gives w with D * w = U * b; the solution is x = V * w.  Membership
+    tests (``Subgroup.contains``) take the diagonal step alone.
+
     >>> solve(smith_normal_form(IntegerMatrix([[2, 0], [0, 3]])), (4, 9))
     (2, 3)
     >>> solve(smith_normal_form(IntegerMatrix([[2]])), (3,)) is None
     True
+    """
+    w = _diagonal_solution(snf, b)
+    return None if w is None else snf.v.matvec(w)
+
+
+def _diagonal_solution(snf: SmithDecomposition, b: Sequence[int]):
+    """The w with D * w = U * b, or None when it is not integral.
+
+    snf.matrix * x = b has an integer solution exactly when this w
+    exists, and x = V * w is then one; callers that need only
+    solvability stop here and never multiply by V.
     """
     c = snf.u.matvec(b)
     diag = snf.diagonal()
@@ -356,7 +417,7 @@ def solve(snf: SmithDecomposition, b: Sequence[int]):
             if ci % di != 0:
                 return None
             w[i] = ci // di
-    return snf.v.matvec(w)
+    return w
 
 
 def kernel_basis(snf: SmithDecomposition) -> list:
@@ -616,18 +677,31 @@ class GroupHom:
         return self._image
 
     def kernel_subgroup(self) -> "Subgroup":
-        """Kernel as a subgroup of the source (canonical coordinates)."""
+        """Kernel as a subgroup of the source (canonical coordinates).
+
+        The image subgroup's generators are the nonzero canonical
+        columns in order, so its solver factors [those columns | target
+        relation columns], and the first parts of that matrix's kernel
+        columns are the relations among the nonzero columns modulo the
+        target relations.  Scattered back to their column positions,
+        together with a unit vector for every zero column and the
+        source torsion relations, they generate the kernel: no matrix
+        is factored beyond the image's own.
+        """
         if self._kernel is None:
-            can = self.canonical_matrix()
-            rel_cols = self.target.canonical_relation_columns()
-            stacked = can.hstack(
-                IntegerMatrix.from_columns(rel_cols, nrows=self.target.canonical_ngens)
-            )
             n = self.source.canonical_ngens
-            gens = [tuple(col[:n]) for col in kernel_basis(smith_normal_form(stacked))]
+            columns = self.canonical_matrix().columns()
+            nonzero = [j for j in range(n) if any(columns[j])]
+            gens = [tuple(int(i == j) for i in range(n)) for j in range(n) if not any(columns[j])]
+            if nonzero:
+                for col in kernel_basis(self.image_subgroup()._solver()):
+                    g = [0] * n
+                    for j, c in zip(nonzero, col):
+                        g[j] = c
+                    gens.append(g)
             # source torsion relations are kernel members as well
             gens.extend(self.source.canonical_relation_columns())
-            self._kernel = Subgroup(self.source, [self.source.reduce_canonical(g) for g in gens])
+            self._kernel = Subgroup(self.source, gens)
         return self._kernel
 
     def is_injective(self) -> bool:
@@ -691,7 +765,7 @@ class Subgroup:
         y = self.group.reduce_canonical(y)
         if not any(y):
             return True
-        return solve(self._solver(), y) is not None
+        return _diagonal_solution(self._solver(), y) is not None
 
     def coordinates(self, y: Sequence[int]):
         """Express an element over this subgroup's generators, or None.

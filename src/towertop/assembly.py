@@ -101,6 +101,8 @@ def steenrod_report(
     """
     if n < 0:
         raise ValueError("dimension must be nonnegative")
+    if window is not None and window < 1:
+        raise ValueError("window must be at least 1")
     above = homology_tower(tower, n + 1)
     below = homology_tower(tower, n, reduced=(n == 0))
     left = lim1_class(above, window)
@@ -129,6 +131,8 @@ def cech_cohomology_report(
     """Colimit of the dimension-``n`` cohomologies along the tower."""
     if n < 0:
         raise ValueError("dimension must be nonnegative")
+    if window is not None and window < 1:
+        raise ValueError("window must be at least 1")
     system = cohomology_system(tower, n)
     result = colim_direct_system(system, window)
     notes = [

@@ -145,17 +145,19 @@ class GroupTower(_GroupSequence):
     """Inverse sequence of finitely generated abelian groups.
 
     Each level's image chain and the composite of bonds behind its
-    deepest entry are kept once built (see ``_image_chain``), so
-    analyses of one tower share their subgroups and the factorizations
-    those subgroups keep.
+    deepest entry are kept once built (see ``_image_chain``), and so is
+    a periodic certificate's period map with its stable image (see
+    ``_kept_period_image``), so analyses of one tower share their
+    subgroups and the factorizations those subgroups keep.
     """
 
-    __slots__ = ("_chains", "_composites")
+    __slots__ = ("_chains", "_composites", "_period_images")
 
     def __init__(self, levels, bonds, certificate: Optional[Certificate] = None):
         super().__init__(levels, bonds, certificate)
         self._chains = [None] * len(self.levels)
         self._composites = [None] * len(self.levels)
+        self._period_images = {}
 
     def truncate(self, depth: int) -> "GroupTower":
         """First ``depth + 1`` levels, dropping the certificate."""
@@ -294,7 +296,10 @@ def _image_chain(tower: GroupTower, level: int, depth: int) -> List[Subgroup]:
         b = tower.bonds[level + k]
         comp = b if k == 0 else tower._composites[level].compose(b)
         tower._composites[level] = comp
-        chain.append(comp.image_subgroup())
+        image = comp.image_subgroup()
+        # an image on the very same generators is the same subgroup:
+        # keep the earlier object and the factorizations it holds
+        chain.append(chain[-1] if image.generators == chain[-1].generators else image)
     return chain[: max(depth, 0) + 1]
 
 
@@ -340,10 +345,26 @@ def _stable_endo_image(endo: GroupHom) -> Tuple[Subgroup, bool]:
     return prev, False
 
 
+def _kept_period_image(tower: GroupTower, base: int) -> Tuple[GroupHom, Subgroup, bool]:
+    """The period map at ``base`` with ``_stable_endo_image`` of it, kept on the tower.
+
+    The map depends on ``base`` only through its place in the period:
+    the certificate makes levels a period apart isomorphic and takes
+    the bonds cyclically.  So it is built and iterated once per place.
+    """
+    cert = tower.certificate
+    place = cert.offset + (base - cert.offset) % cert.period
+    kept = tower._period_images.get(place)
+    if kept is None:
+        endo = _period_endo(tower, cert, place)
+        kept = tower._period_images[place] = (endo, *_stable_endo_image(endo))
+    return kept
+
+
 def _periodic_stable_image(tower: GroupTower, level: int, cert: Certificate) -> Optional[Subgroup]:
     """Certified eventual image at ``level``, or None when images keep falling."""
     base = max(level, cert.offset)
-    stable, repeated = _stable_endo_image(_period_endo(tower, cert, base))
+    _, stable, repeated = _kept_period_image(tower, base)
     if not repeated:
         return None
     carried = Subgroup(tower.levels[base], stable.generators)
@@ -568,7 +589,11 @@ def periodic_lim(group: FGAbelianGroup, endo: GroupHom) -> FGAbelianGroup:
     """
     if endo.source != group or endo.target != group:
         raise ValueError("periodic limit needs an endomorphism of the given group")
-    image, repeated = _stable_endo_image(endo)
+    return _periodic_limit(endo, *_stable_endo_image(endo))
+
+
+def _periodic_limit(endo: GroupHom, image: Subgroup, repeated: bool) -> FGAbelianGroup:
+    """``periodic_lim`` of ``endo`` from its ``_stable_endo_image``."""
     if repeated:
         return image.as_group()
     return FGAbelianGroup.from_invariants(_unit_part_degree(endo), image.as_group().torsion)
@@ -585,8 +610,7 @@ def tower_lim(
     """
     cert = tower.certificate
     if cert is not None and cert.kind == "periodic":
-        endo = _period_endo(tower, cert, cert.offset)
-        return periodic_lim(endo.source, endo)
+        return _periodic_limit(*_kept_period_image(tower, cert.offset))
     if cert is not None and cert.kind == "shift_family":
         core = cert.stable_core
         return core if core is not None else FGAbelianGroup.trivial()

@@ -1,7 +1,8 @@
 """Independent oracles used to cross-check the exact linear algebra.
 
-Apart from ``refactored_cycle_coordinates``, nothing in here imports the
-package under test.  The routines are deliberately different algorithms
+Apart from ``refactored_cycle_coordinates`` and
+``stacked_kernel_subgroup``, nothing in here imports the package under
+test.  The routines are deliberately different algorithms
 from the ones being checked: fraction-free (Bareiss) elimination for
 ranks and determinants, and gcd-of-minors determinantal divisors for
 invariant factors.  They are exponential or cubic in places, meant for
@@ -178,3 +179,23 @@ def refactored_cycle_coordinates(cycle_columns, chain):
 
     cycles = IntegerMatrix.from_columns(cycle_columns, nrows=len(chain))
     return solve(smith_normal_form(cycles), chain)
+
+
+def stacked_kernel_subgroup(hom):
+    """Kernel of ``hom`` from a factorization of its own stacked matrix.
+
+    The reference for ``GroupHom.kernel_subgroup``, which reads the
+    kernel off the factorization its image subgroup keeps instead: here
+    [canonical matrix | target relation columns] gets a Smith
+    decomposition of its own, the kernel columns cut to their first
+    part are kernel members, and so are the source's torsion relations.
+    """
+    from towertop.abelian import IntegerMatrix, Subgroup, kernel_basis, smith_normal_form
+
+    rel_cols = hom.target.canonical_relation_columns()
+    stacked = hom.canonical_matrix().hstack(
+        IntegerMatrix.from_columns(rel_cols, nrows=hom.target.canonical_ngens)
+    )
+    n = hom.source.canonical_ngens
+    gens = [tuple(col[:n]) for col in kernel_basis(smith_normal_form(stacked))]
+    return Subgroup(hom.source, gens + hom.source.canonical_relation_columns())

@@ -1,7 +1,9 @@
 from __future__ import annotations
 
+import hashlib
 import random
 from dataclasses import replace
+from math import gcd
 
 import pytest
 from hypothesis import example, given
@@ -23,6 +25,7 @@ from oracles import (
     dense_matvec,
     dense_product,
     determinantal_invariant_factors,
+    stacked_kernel_subgroup,
 )
 
 # mostly zeros and units, like boundary matrices and near-identity transforms
@@ -90,6 +93,38 @@ def test_smith_properties_random():
         assert abs(bareiss_det(s.v.rows)) == 1
 
 
+def pinned_smith_inputs():
+    """300 seeded matrices: dense, sparse with unit entries, and empty shapes."""
+    rng = random.Random(20261018)
+    out = []
+    for k in range(300):
+        kind = k % 3
+        if kind == 0:
+            m, n = rng.randint(1, 6), rng.randint(1, 6)
+            rows = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(m)]
+        elif kind == 1:
+            m, n = rng.randint(1, 9), rng.randint(1, 9)
+            rows = [[rng.choice((0, 0, 0, 1, -1)) for _ in range(n)] for _ in range(m)]
+        else:
+            m, n = rng.choice(((rng.randint(0, 4), 0), (0, rng.randint(0, 4))))
+            rows = [[] for _ in range(m)]
+        out.append(IntegerMatrix(rows, ncols=n))
+    return out
+
+
+# sha256 of the reprs of every decomposition of ``pinned_smith_inputs``,
+# all six fields each: the elimination's pivots, operations and their
+# order, and so every transform it returns, stay exactly as they were
+PINNED_SMITH_DIGEST = "8efd85c31964a1da15c6c44908307d75cca8d71efd13662002fe574b4d76fcf3"
+
+
+def test_smith_decompositions_are_pinned():
+    digest = hashlib.sha256()
+    for m in pinned_smith_inputs():
+        digest.update(repr(smith_normal_form(m)).encode())
+    assert digest.hexdigest() == PINNED_SMITH_DIGEST
+
+
 def test_smith_matches_determinantal_divisors_small():
     rng = random.Random(99)
     for _ in range(60):
@@ -115,6 +150,10 @@ def test_product_matches_dense_reference(pair):
 @given(matvecs())
 @example((IntegerMatrix([], ncols=3), (1, 0, -2)))
 @example((IntegerMatrix([[], []], ncols=0), ()))
+# more than half nonzero takes the dense product, at most half the sparse one
+@example((IntegerMatrix([[1, -2, 3], [4, 5, -6]]), (7, -1, 2)))
+@example((IntegerMatrix([[1, -2, 3, 9], [4, 5, -6, 0]]), [0, -1, 5, 0]))
+@example((IntegerMatrix([[1, -2, 3, 9], [4, 5, -6, 0]]), (3, -1, 5, 0)))
 def test_matvec_matches_dense_reference(pair):
     a, x = pair
     assert list(a.matvec(x)) == dense_matvec(a.rows, x)
@@ -173,6 +212,24 @@ def test_kernel_random_spans_kernel():
         for c in cols:
             assert all(v == 0 for v in m.matvec(c))
         assert len(cols) == m.ncols - bareiss_rank(m.rows)
+
+
+def test_contains_agrees_with_solve():
+    rng = random.Random(31)
+    for _ in range(150):
+        if rng.random() < 0.5:
+            g = random_canonical_group(rng)
+        else:
+            k = rng.randint(0, 4)
+            rows = [[rng.randint(-6, 6) for _ in range(k)] for _ in range(rng.randint(0, 3))]
+            g = FGAbelianGroup(k, IntegerMatrix(rows, ncols=k))
+        n = g.canonical_ngens
+        gens = [tuple(rng.randint(-4, 4) for _ in range(n)) for _ in range(rng.randint(0, 3))]
+        sub = Subgroup(g, gens)
+        for _ in range(5):
+            y = g.reduce_canonical(tuple(rng.randint(-6, 6) for _ in range(n)))
+            expected = not any(y) or solve(sub._solver(), y) is not None
+            assert sub.contains(y) == expected
 
 
 def test_canonicalize_presentation():
@@ -268,6 +325,16 @@ def test_kernel_and_image_are_factored_once(smith_calls):
     assert len(smith_calls) == first
 
 
+def test_injectivity_after_surjectivity_factors_nothing(smith_calls):
+    src = FGAbelianGroup.free(3)
+    tgt = FGAbelianGroup.from_invariants(1, (6,))
+    f = GroupHom(src, tgt, IntegerMatrix([[1, 2, 3], [2, 4, 0]]))
+    assert not f.image_subgroup().is_full()
+    del smith_calls[:]
+    assert not f.is_injective()
+    assert smith_calls == []
+
+
 def test_subgroup_equality_by_mutual_membership():
     z2 = FGAbelianGroup.free(2)
     a = Subgroup(z2, [(2, 0), (0, 2)])
@@ -352,3 +419,46 @@ def test_random_hom_kernel_image_consistency():
         img = f.image_subgroup()
         for e in a.canonical_generators():
             assert img.contains(f.apply_canonical(e))
+
+
+@st.composite
+def presented_groups(draw):
+    """A group in canonical shape, trivial ones included, or a random presentation."""
+    if draw(st.booleans()):
+        free = draw(st.integers(0, 2))
+        torsion, t = [], 1
+        for step in draw(st.lists(st.sampled_from((2, 3, 4)), max_size=2)):
+            t *= step
+            torsion.append(t)
+        return FGAbelianGroup.from_invariants(free, torsion)
+    n = draw(st.integers(0, 3))
+    row = st.lists(st.integers(-6, 6), min_size=n, max_size=n)
+    return FGAbelianGroup(n, IntegerMatrix(draw(st.lists(row, max_size=3)), ncols=n))
+
+
+@st.composite
+def canonical_homs(draw):
+    """A well-defined hom, drawn column by column in canonical coordinates."""
+    source, target = draw(presented_groups()), draw(presented_groups())
+    cols = []
+    for order in [0] * source.free_rank + list(source.torsion):
+        if draw(st.integers(0, 3)) == 0:
+            cols.append([0] * target.canonical_ngens)
+            continue
+        # a torsion generator of order k goes to an element killed by k
+        col = [0 if order else draw(st.integers(-3, 3)) for _ in range(target.free_rank)]
+        for s in target.torsion:
+            step = s // gcd(s, order)
+            col.append(step * draw(st.integers(-2, 2)))
+        cols.append(col)
+    canonical = IntegerMatrix.from_columns(cols, nrows=target.canonical_ngens)
+    return GroupHom.from_canonical_matrix(source, target, canonical)
+
+
+@given(canonical_homs())
+def test_kernel_matches_stacked_matrix_kernel(f):
+    ker, ref = f.kernel_subgroup(), stacked_kernel_subgroup(f)
+    assert ker.is_trivial() == ref.is_trivial()
+    assert ker.is_subset_of(ref) and ref.is_subset_of(ker)
+    for g in ker.generators:
+        assert f.target.canonical_is_zero(f.apply_canonical(g))

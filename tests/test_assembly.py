@@ -158,3 +158,18 @@ def test_window_is_a_cap_not_a_demand():
     plain = steenrod_report(comb, 1)
     assert wide.left.verdict == plain.left.verdict
     assert invariants(wide.middle) == invariants(plain.middle)
+
+
+def test_rejected_window_factors_nothing(smith_calls):
+    comb = build_gallery("comb", teeth=8, depth=3)
+    single = constant_tower(hollow_triangle(), 1)
+    for report, tower in (
+        (steenrod_report, comb),
+        (steenrod_report, single),
+        (cech_cohomology_report, comb),
+    ):
+        for window in (0, -1):
+            del smith_calls[:]
+            with pytest.raises(ValueError, match="window must be at least 1"):
+                report(tower, 1, window)
+            assert smith_calls == []

@@ -600,3 +600,35 @@ def test_lim1_then_lim_on_one_tower_shares_factorizations(smith_calls):
     together = lim1_class(shared), tower_lim(shared)
     assert len(smith_calls) < separate
     assert together == apart
+
+
+def test_dense_tower_analyses_make_a_fixed_number_of_factorizations(smith_calls):
+    # the analyses the benchmark's group towers run, on one fixed tower of
+    # five generators and four bonds: a count, not a clock, so a return of
+    # repeated factorizations fails here on any host
+    rng = random.Random(3)
+    bonds = []
+    while len(bonds) < 4:
+        a = [[rng.randint(-3, 3) for _ in range(5)] for _ in range(5)]
+        if abs(bareiss_det(a)) >= 2:
+            bonds.append(a)
+    relations = [[rng.randint(-9, 9) for _ in range(5)] for _ in range(3)]
+    tower, system = dense_sequences((5, tower_relations(relations, bonds), bonds))
+    del smith_calls[:]
+    lim1, lim, colim = lim1_class(tower), tower_lim(tower), colim_direct_system(system)
+    assert lim1.verdict == "Zero"
+    assert isinstance(lim, NotStable) and isinstance(colim, NotFinitelyStable)
+    assert len(smith_calls) == 29
+
+
+def test_certified_analyses_make_a_fixed_number_of_factorizations(smith_calls):
+    # a periodic tower's period map and its stable image are built once per
+    # place in the period and shared by every level and by tower_lim
+    expected = {"doubling": 14, "diag": 16, "period-two": 20, "rank-drop": 12, "torsion": 8}
+    counts = {}
+    for name in expected:
+        tower, _ = certified_fixture(name)
+        del smith_calls[:]
+        lim1_class(tower), tower_lim(tower)
+        counts[name] = len(smith_calls)
+    assert counts == expected
