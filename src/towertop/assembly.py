@@ -36,6 +36,7 @@ from .tower import (
     Lim1Class,
     NotFinitelyStable,
     NotStable,
+    _check_window,
     cohomology_system,
     colim_direct_system,
     homology_tower,
@@ -101,8 +102,7 @@ def steenrod_report(
     """
     if n < 0:
         raise ValueError("dimension must be nonnegative")
-    if window is not None and window < 1:
-        raise ValueError("window must be at least 1")
+    _check_window(window)
     above = homology_tower(tower, n + 1)
     below = homology_tower(tower, n, reduced=(n == 0))
     left = lim1_class(above, window)
@@ -131,8 +131,7 @@ def cech_cohomology_report(
     """Colimit of the dimension-``n`` cohomologies along the tower."""
     if n < 0:
         raise ValueError("dimension must be nonnegative")
-    if window is not None and window < 1:
-        raise ValueError("window must be at least 1")
+    _check_window(window)
     system = cohomology_system(tower, n)
     result = colim_direct_system(system, window)
     notes = [
@@ -200,8 +199,7 @@ def petkova_report(filtration, n: int, window: Optional[int] = None) -> SESRepor
                 f"stage {j} is not interior to stage {j + 1}: witness {w!r}"
             )
 
-    if window is not None and window < 1:
-        raise ValueError("window must be at least 1")
+    _check_window(window)
     if n == 0:
         left = Lim1Class("Zero", "no tower below dimension 0")
         above_note = "left term: nothing below dimension 0 (Zero)"

@@ -91,6 +91,12 @@ def _checked_sequence(levels, bonds, forward: bool):
     return levels, bonds
 
 
+def _check_window(window: Optional[int]) -> None:
+    """Reject a window below 1; None stands for the whole tower."""
+    if window is not None and window < 1:
+        raise ValueError("window must be at least 1")
+
+
 def _check_period_length(levels, cert: Certificate) -> None:
     if cert.kind == "periodic" and len(levels) < cert.offset + cert.period + 1:
         raise ValueError("periodic certificate needs one full period of levels")
@@ -440,8 +446,7 @@ def ml_status(tower: GroupTower, level: int, window: Optional[int] = None) -> ML
     available = len(tower.bonds) - level
     if window is None:
         window = available
-    if window < 1:
-        raise ValueError("window must be at least 1")
+    _check_window(window)
     if window > available:
         raise ValueError(
             f"window {window} exceeds the truncated tower: only {available} bonds below level {level}"
@@ -459,14 +464,13 @@ def lim1_class(tower: GroupTower, window: Optional[int] = None) -> Lim1Class:
     when every image chain stabilizes.  A certified strictly falling
     chain at any level therefore forces the uncountable side.
     """
+    _check_window(window)
     verdicts = []
     for i in range(len(tower.levels)):
         available = len(tower.bonds) - i
         if available == 0:
             continue
         w = available if window is None else min(window, available)
-        if w < 1:
-            raise ValueError("window must be at least 1")
         verdicts.append(_ml_verdict(tower, i, w)[0])
     if "StrictlyDecreasing" in verdicts:
         display = tower.certificate.lim1_display if tower.certificate else None
@@ -630,8 +634,7 @@ def colim_direct_system(
     the system moving forever).  A shrinking-family certificate reports
     the certified core, reached beyond any finite stage.
     """
-    if window is not None and window < 1:
-        raise ValueError("window must be at least 1")
+    _check_window(window)
     nb = len(system.bonds)
     w = nb if window is None else min(window, nb)
     bonds = system.bonds[:w]

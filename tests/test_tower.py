@@ -90,10 +90,12 @@ def test_window_must_fit_truncation():
 
 
 def test_lim1_class_rejects_windows_below_one():
-    t = doubling_tower(3, certified=False)
-    for w in (0, -1):
-        with pytest.raises(ValueError, match="window must be at least 1"):
-            lim1_class(t, w)
+    # depth 1 has no bond to look along; the rule holds there too
+    for depth in (3, 1):
+        t = doubling_tower(depth, certified=False)
+        for w in (0, -1):
+            with pytest.raises(ValueError, match="window must be at least 1"):
+                lim1_class(t, w)
 
 
 def test_stable_lim_reads_windows_below_one_as_zero():
