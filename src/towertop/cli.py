@@ -10,7 +10,8 @@ inputs produce byte-identical files and reports.
 Exit status: 0 for success, including Undetermined and FAIL verdicts;
 1 for input problems (unreadable file, malformed document, missing
 flag), with a message naming the file and the violation; 2 for
-mathematical precondition failures raised by the operations.
+mathematical precondition failures raised by the operations; 3 when
+one of the package's own exactness self-checks fails.
 """
 
 import argparse
@@ -37,14 +38,6 @@ from .simplicial import (
 from .tower import Certificate, ColimResult, ComplexTower
 
 FORMAT_VERSION = "1"
-KINDS = (
-    "complex",
-    "map",
-    "complex_tower",
-    "filtration",
-    "point_sample",
-    "cover",
-)
 
 
 class InputProblem(Exception):
@@ -73,6 +66,20 @@ def _as_int(x, where: str) -> int:
     if isinstance(x, bool) or not isinstance(x, int):
         _fail(where, f"expected an integer, got {x!r}")
     return x
+
+
+def _checked(where: str, build, *args):
+    """``build(*args)``, with a ValueError or TypeError reported at ``where``."""
+    try:
+        return build(*args)
+    except (ValueError, TypeError) as e:
+        _fail(where, str(e))
+
+
+def _items(payload, key: str, where: str, decode) -> list:
+    """Decode each entry of the array ``payload[key]`` at its indexed path."""
+    entries = _as_list(_need(payload, key, where), where)
+    return [decode(x, f"{where}.{key}[{i}]") for i, x in enumerate(entries)]
 
 
 # -- label and scalar codecs ----------------------------------------------
@@ -115,6 +122,10 @@ def _decode_rational(x, where: str) -> Fraction:
     _fail(where, f"expected an integer or 'p/q' string, got {x!r}")
 
 
+def _decode_tuple(x, where: str, decode) -> tuple:
+    return tuple(decode(v, where) for v in _as_list(x, where))
+
+
 def _simplex_sort_key(s):
     return (len(s), tuple(label_key(v) for v in s))
 
@@ -123,29 +134,24 @@ def _simplex_sort_key(s):
 
 
 def _decode_complex(payload, where: str) -> SimplicialComplex:
-    maximal = []
-    for i, s in enumerate(_as_list(_need(payload, "maximal", where), where)):
-        spot = f"{where}.maximal[{i}]"
-        maximal.append(tuple(_decode_label(v, spot) for v in _as_list(s, spot)))
+    maximal = _items(
+        payload, "maximal", where, lambda s, at: _decode_tuple(s, at, _decode_label)
+    )
     extras = [
         _decode_label(v, f"{where}.extra_vertices")
         for v in _as_list(payload.get("extra_vertices", []), where)
     ]
-    try:
-        return SimplicialComplex.from_maximal(maximal, extra_vertices=extras)
-    except (ValueError, TypeError) as e:
-        _fail(where, str(e))
+    return _checked(where, SimplicialComplex.from_maximal, maximal, extras)
 
 
 def _encode_complex(k: SimplicialComplex) -> dict:
-    tops = [
-        s
-        for s in k.simplexes
-        if not any(set(s) < set(t) for t in k.simplexes)
-    ]
+    # a face-closed complex's maximal simplexes are those that are no
+    # other simplex's facet
+    facets = {t[:i] + t[i + 1 :] for t in k.simplexes for i in range(len(t))}
     return {
         "maximal": [
-            [_encode_label(v) for v in s] for s in sorted(tops, key=_simplex_sort_key)
+            [_encode_label(v) for v in s]
+            for s in sorted(k.simplexes - facets, key=_simplex_sort_key)
         ]
     }
 
@@ -172,18 +178,7 @@ def _decode_map(payload, where: str) -> SimplicialMap:
     source = _decode_complex(_need(payload, "source", where), f"{where}.source")
     target = _decode_complex(_need(payload, "target", where), f"{where}.target")
     vm = _decode_vertex_map(_need(payload, "vertex_map", where), f"{where}.vertex_map")
-    try:
-        return SimplicialMap(source, target, vm)
-    except (ValueError, TypeError) as e:
-        _fail(where, str(e))
-
-
-def _encode_map(f: SimplicialMap) -> dict:
-    return {
-        "source": _encode_complex(f.source),
-        "target": _encode_complex(f.target),
-        "vertex_map": _encode_vertex_map(f),
-    }
+    return _checked(where, SimplicialMap, source, target, vm)
 
 
 def _decode_group(payload, where: str) -> FGAbelianGroup:
@@ -192,10 +187,7 @@ def _decode_group(payload, where: str) -> FGAbelianGroup:
         _as_int(t, f"{where}.torsion")
         for t in _as_list(payload.get("torsion", []), where)
     ]
-    try:
-        return FGAbelianGroup.from_invariants(free_rank, torsion)
-    except ValueError as e:
-        _fail(where, str(e))
+    return _checked(where, FGAbelianGroup.from_invariants, free_rank, torsion)
 
 
 def _encode_group(g: FGAbelianGroup) -> dict:
@@ -207,59 +199,35 @@ def _decode_certificate(payload, where: str) -> Optional[Certificate]:
         return None
     kind = _need(payload, "kind", where)
     core = payload.get("stable_core")
-    try:
-        return Certificate(
-            kind,
-            _as_int(payload.get("offset", 0), where),
-            _as_int(payload.get("period", 1), where),
-            None if core is None else _decode_group(core, f"{where}.stable_core"),
-            payload.get("lim1_display"),
-        )
-    except ValueError as e:
-        _fail(where, str(e))
-
-
-def _encode_certificate(c: Optional[Certificate]):
-    if c is None:
-        return None
-    return {
-        "kind": c.kind,
-        "offset": c.offset,
-        "period": c.period,
-        "stable_core": None if c.stable_core is None else _encode_group(c.stable_core),
-        "lim1_display": c.lim1_display,
-    }
+    return _checked(
+        where,
+        Certificate,
+        kind,
+        _as_int(payload.get("offset", 0), where),
+        _as_int(payload.get("period", 1), where),
+        None if core is None else _decode_group(core, f"{where}.stable_core"),
+        payload.get("lim1_display"),
+    )
 
 
 def _decode_complex_tower(payload, where: str) -> ComplexTower:
-    levels = [
-        _decode_complex(p, f"{where}.levels[{i}]")
-        for i, p in enumerate(_as_list(_need(payload, "levels", where), where))
-    ]
+    levels = _items(payload, "levels", where, _decode_complex)
     bonds = []
     for i, pairs in enumerate(_as_list(_need(payload, "bonds", where), where)):
         spot = f"{where}.bonds[{i}]"
         if i + 1 >= len(levels):
             _fail(where, "more bonds than adjacent level pairs")
         vm = _decode_vertex_map(pairs, spot)
-        try:
-            bonds.append(SimplicialMap(levels[i + 1], levels[i], vm))
-        except (ValueError, TypeError) as e:
-            _fail(spot, str(e))
-    marks = {}
-    for name in ("marked_K", "marked_L"):
-        if payload.get(name) is not None:
-            marks[name] = [
-                _decode_complex(p, f"{where}.{name}[{i}]")
-                for i, p in enumerate(_as_list(payload[name], where))
-            ]
+        bonds.append(_checked(spot, SimplicialMap, levels[i + 1], levels[i], vm))
+    marks = {
+        name: _items(payload, name, where, _decode_complex)
+        for name in ("marked_K", "marked_L")
+        if payload.get(name) is not None
+    }
     cert = _decode_certificate(payload.get("certificate"), f"{where}.certificate")
-    try:
-        return ComplexTower(
-            levels, bonds, marks.get("marked_K"), marks.get("marked_L"), cert
-        )
-    except ValueError as e:
-        _fail(where, str(e))
+    return _checked(
+        where, ComplexTower, levels, bonds, marks.get("marked_K"), marks.get("marked_L"), cert
+    )
 
 
 def _encode_complex_tower(t: ComplexTower) -> dict:
@@ -267,83 +235,75 @@ def _encode_complex_tower(t: ComplexTower) -> dict:
         "levels": [_encode_complex(k) for k in t.levels],
         "bonds": [_encode_vertex_map(b) for b in t.bonds],
     }
-    if t.marked_K is not None:
-        out["marked_K"] = [_encode_complex(k) for k in t.marked_K]
-    if t.marked_L is not None:
-        out["marked_L"] = [_encode_complex(k) for k in t.marked_L]
-    if t.certificate is not None:
-        out["certificate"] = _encode_certificate(t.certificate)
+    for name in ("marked_K", "marked_L"):
+        if getattr(t, name) is not None:
+            out[name] = [_encode_complex(k) for k in getattr(t, name)]
+    c = t.certificate
+    if c is not None:
+        out["certificate"] = {
+            "kind": c.kind,
+            "offset": c.offset,
+            "period": c.period,
+            "stable_core": None if c.stable_core is None else _encode_group(c.stable_core),
+            "lim1_display": c.lim1_display,
+        }
     return out
 
 
-def _decode_filtration(payload, where: str) -> list:
-    stages = _as_list(_need(payload, "stages", where), where)
-    return [
-        _decode_complex(p, f"{where}.stages[{i}]") for i, p in enumerate(stages)
-    ]
-
-
-def _encode_filtration(stages) -> dict:
-    return {"stages": [_encode_complex(k) for k in stages]}
-
-
 def _decode_point_sample(payload, where: str) -> PointSample:
-    points = []
-    for i, p in enumerate(_as_list(_need(payload, "points", where), where)):
-        spot = f"{where}.points[{i}]"
-        points.append(tuple(_decode_rational(c, spot) for c in _as_list(p, spot)))
+    points = _items(
+        payload, "points", where, lambda p, at: _decode_tuple(p, at, _decode_rational)
+    )
     mark = [
         _as_int(i, f"{where}.compactum_mark")
         for i in _as_list(payload.get("compactum_mark", []), where)
     ]
-    try:
-        return PointSample(points, mark)
-    except ValueError as e:
-        _fail(where, str(e))
+    return _checked(where, PointSample, points, mark)
 
 
-def _encode_point_sample(s: PointSample) -> dict:
-    return {
-        "points": [[str(c) for c in p] for p in s.points],
-        "compactum_mark": sorted(s.compactum_mark),
-    }
+def _decode_ball(e, where: str) -> tuple:
+    e = _as_list(e, where)
+    if len(e) != 2:
+        _fail(where, "expected a [center_index, radius] pair")
+    return _as_int(e[0], where), _decode_rational(e[1], where)
 
 
-def _decode_cover(payload, where: str) -> BallCover:
-    elements = []
-    for i, e in enumerate(_as_list(_need(payload, "elements", where), where)):
-        spot = f"{where}.elements[{i}]"
-        e = _as_list(e, spot)
-        if len(e) != 2:
-            _fail(spot, "expected a [center_index, radius] pair")
-        elements.append((_as_int(e[0], spot), _decode_rational(e[1], spot)))
-    try:
-        return BallCover(elements)
-    except ValueError as e:
-        _fail(where, str(e))
-
-
-def _encode_cover(c: BallCover) -> dict:
-    return {"elements": [[center, str(radius)] for center, radius in c.elements]}
-
-
-_DECODERS = {
-    "complex": _decode_complex,
-    "map": _decode_map,
-    "complex_tower": _decode_complex_tower,
-    "filtration": _decode_filtration,
-    "point_sample": _decode_point_sample,
-    "cover": _decode_cover,
+# kind -> (decode(payload, where), encode(obj) -> payload)
+_CODECS = {
+    "complex": (_decode_complex, _encode_complex),
+    "map": (
+        _decode_map,
+        lambda f: {
+            "source": _encode_complex(f.source),
+            "target": _encode_complex(f.target),
+            "vertex_map": _encode_vertex_map(f),
+        },
+    ),
+    "complex_tower": (_decode_complex_tower, _encode_complex_tower),
+    "filtration": (
+        lambda payload, where: _items(payload, "stages", where, _decode_complex),
+        lambda stages: {"stages": [_encode_complex(k) for k in stages]},
+    ),
+    "point_sample": (
+        _decode_point_sample,
+        lambda s: {
+            "points": [[str(c) for c in p] for p in s.points],
+            "compactum_mark": sorted(s.compactum_mark),
+        },
+    ),
+    "cover": (
+        lambda payload, where: _checked(
+            where, BallCover, _items(payload, "elements", where, _decode_ball)
+        ),
+        lambda c: {"elements": [[center, str(radius)] for center, radius in c.elements]},
+    ),
 }
+KINDS = tuple(_CODECS)
 
-_ENCODERS = {
-    "complex": _encode_complex,
-    "map": _encode_map,
-    "complex_tower": _encode_complex_tower,
-    "filtration": _encode_filtration,
-    "point_sample": _encode_point_sample,
-    "cover": _encode_cover,
-}
+
+def _envelope(kind: str, payload) -> str:
+    envelope = {"format_version": FORMAT_VERSION, "kind": kind, "payload": payload}
+    return json.dumps(envelope, sort_keys=True, indent=2) + "\n"
 
 
 def deserialize(text: str, where: str = "document"):
@@ -362,7 +322,7 @@ def deserialize(text: str, where: str = "document"):
         _fail(where, f"unknown document kind {kind!r}")
     payload = _need(doc, "payload", where)
     try:
-        return kind, _DECODERS[kind](payload, f"{where}.payload")
+        return kind, _CODECS[kind][0](payload, f"{where}.payload")
     except RecursionError:
         _fail(where, "vertex labels nested too deeply")
 
@@ -371,12 +331,7 @@ def serialize(kind: str, obj) -> str:
     """Deterministic envelope text for a document of the given kind."""
     if kind not in KINDS:
         raise InputProblem(f"unknown document kind {kind!r}")
-    envelope = {
-        "format_version": FORMAT_VERSION,
-        "kind": kind,
-        "payload": _ENCODERS[kind](obj),
-    }
-    return json.dumps(envelope, sort_keys=True, indent=2) + "\n"
+    return _envelope(kind, _CODECS[kind][1](obj))
 
 
 def _load(path: str, expected_kind: str):
@@ -404,17 +359,19 @@ class Report:
 
 def _emit(report: Report, fmt: str) -> str:
     if fmt == "structured":
-        envelope = {
-            "format_version": FORMAT_VERSION,
-            "kind": "report",
-            "payload": report.data,
-        }
-        return json.dumps(envelope, sort_keys=True, indent=2) + "\n"
+        return _envelope("report", report.data)
     return "\n".join(report.lines) + "\n"
 
 
 def _compact(value) -> str:
     return json.dumps(value, separators=(",", ":"))
+
+
+def _group_report(lines: List[str], name: str, group, data: dict) -> Report:
+    """A report ending in ``name = group``, with the group in its data."""
+    display = group.describe()
+    data.update(group=_encode_group(group), display=display)
+    return Report(lines + [f"{name} = {display}"], data)
 
 
 def _ses_report(header: str, report, middle_name: str) -> Report:
@@ -457,13 +414,11 @@ def _ses_report(header: str, report, middle_name: str) -> Report:
     )
 
 
-def _steenrod_report_for(tower, n: int, window) -> Report:
-    report = steenrod_report(tower, n, window)
-    name = f"H~_{n}(X)" if n == 0 else f"H_{n}(X)"
-    return _ses_report("steenrod", report, name)
-
-
-def _cech_report_for(tower, n: int, window) -> Report:
+def _tower_report(kind: str, tower, n: int, window) -> Report:
+    """The Steenrod or Čech report of a complex tower in dimension ``n``."""
+    if kind == "steenrod":
+        name = f"H~_{n}(X)" if n == 0 else f"H_{n}(X)"
+        return _ses_report("steenrod", steenrod_report(tower, n, window), name)
     report = cech_cohomology_report(tower, n, window)
     lines = [f"cech report, dimension {n}"]
     if isinstance(report.result, ColimResult):
@@ -497,46 +452,30 @@ def _cech_report_for(tower, n: int, window) -> Report:
 # -- subcommands -----------------------------------------------------------
 
 
+def _homology_name(args) -> str:
+    return f"H~_{args.dim}" if args.reduced else f"H_{args.dim}"
+
+
 def _cmd_homology(args) -> Report:
     k = _load(args.file, "complex")
-    res = homology(k, args.dim, reduced=args.reduced)
-    name = f"H~_{args.dim}" if args.reduced else f"H_{args.dim}"
-    display = res.group.describe()
-    return Report(
-        [f"{name} = {display}"],
-        {
-            "command": "homology",
-            "dimension": args.dim,
-            "reduced": args.reduced,
-            "group": _encode_group(res.group),
-            "display": display,
-        },
-    )
+    group = homology(k, args.dim, reduced=args.reduced).group
+    data = {"command": "homology", "dimension": args.dim, "reduced": args.reduced}
+    return _group_report([], _homology_name(args), group, data)
 
 
 def _cmd_cohomology(args) -> Report:
-    k = _load(args.file, "complex")
-    res = cohomology(k, args.dim)
-    display = res.group.describe()
-    return Report(
-        [f"H^{args.dim} = {display}"],
-        {
-            "command": "cohomology",
-            "dimension": args.dim,
-            "group": _encode_group(res.group),
-            "display": display,
-        },
-    )
+    group = cohomology(_load(args.file, "complex"), args.dim).group
+    data = {"command": "cohomology", "dimension": args.dim}
+    return _group_report([], f"H^{args.dim}", group, data)
 
 
 def _cmd_induced(args) -> Report:
     f = _load(args.file, "map")
     hom = induced_map(f, args.dim, reduced=args.reduced)
     rows = [list(r) for r in hom.canonical_matrix().rows]
-    name = f"H~_{args.dim}" if args.reduced else f"H_{args.dim}"
     return Report(
         [
-            f"{name}: {hom.source.describe()} -> {hom.target.describe()}",
+            f"{_homology_name(args)}: {hom.source.describe()} -> {hom.target.describe()}",
             f"matrix = {_compact(rows)}",
         ],
         {
@@ -550,44 +489,17 @@ def _cmd_induced(args) -> Report:
     )
 
 
-def _telescope_depth(args, tower) -> int:
-    return len(tower.levels) - 1 if args.depth is None else args.depth
-
-
 def _cmd_telescope(args) -> Report:
+    """``telescope`` and ``pinch``: homology of a tower's (pinched) finite telescope."""
     tower = _load(args.file, "complex_tower")
-    depth = _telescope_depth(args, tower)
-    tele = finite_telescope(tower, depth)
-    res = homology(tele.complex, args.dim)
-    display = res.group.describe()
-    return Report(
-        [f"telescope through level {depth}", f"H_{args.dim} = {display}"],
-        {
-            "command": "telescope",
-            "depth": depth,
-            "dimension": args.dim,
-            "group": _encode_group(res.group),
-            "display": display,
-        },
-    )
-
-
-def _cmd_pinch(args) -> Report:
-    tower = _load(args.file, "complex_tower")
-    depth = _telescope_depth(args, tower)
-    pinched = pinched_telescope(tower, depth)
-    res = homology(pinched.complex, args.dim)
-    display = res.group.describe()
-    return Report(
-        [f"pinched telescope through level {depth}", f"H_{args.dim} = {display}"],
-        {
-            "command": "pinch",
-            "depth": depth,
-            "dimension": args.dim,
-            "group": _encode_group(res.group),
-            "display": display,
-        },
-    )
+    depth = len(tower.levels) - 1 if args.depth is None else args.depth
+    build, title = {
+        "telescope": (finite_telescope, "telescope"),
+        "pinch": (pinched_telescope, "pinched telescope"),
+    }[args.command]
+    group = homology(build(tower, depth).complex, args.dim).group
+    data = {"command": args.command, "depth": depth, "dimension": args.dim}
+    return _group_report([f"{title} through level {depth}"], f"H_{args.dim}", group, data)
 
 
 def _cmd_tower_report(args) -> Report:
@@ -596,9 +508,7 @@ def _cmd_tower_report(args) -> Report:
         report = petkova_report(stages, args.dim, args.window)
         return _ses_report("petkova", report, f"H^{args.dim}(X)")
     tower = _load(args.file, "complex_tower")
-    if args.report == "steenrod":
-        return _steenrod_report_for(tower, args.dim, args.window)
-    return _cech_report_for(tower, args.dim, args.window)
+    return _tower_report(args.report, tower, args.dim, args.window)
 
 
 def _cmd_validate(args) -> Report:
@@ -628,32 +538,27 @@ def _cmd_validate(args) -> Report:
     )
 
 
+def _load_sample_and_cover(args):
+    # the sample loads first, so its error wins when both files are bad
+    return _load(args.sample, "point_sample"), _load(args.cover, "cover")
+
+
 def _cmd_nerve(args) -> Report:
-    sample = _load(args.sample, "point_sample")
-    cover = _load(args.cover, "cover")
+    sample, cover = _load_sample_and_cover(args)
     k = nerve(cover, sample)
-    res = homology(k, args.dim)
-    display = res.group.describe()
-    return Report(
-        [
-            f"nerve has {len(k.vertices)} vertices and {len(k.simplexes)} simplexes",
-            f"H_{args.dim} = {display}",
-        ],
-        {
-            "command": "nerve",
-            "vertices": len(k.vertices),
-            "simplexes": len(k.simplexes),
-            "dimension": args.dim,
-            "group": _encode_group(res.group),
-            "display": display,
-        },
-    )
+    group = homology(k, args.dim).group
+    data = {
+        "command": "nerve",
+        "vertices": len(k.vertices),
+        "simplexes": len(k.simplexes),
+        "dimension": args.dim,
+    }
+    line = f"nerve has {len(k.vertices)} vertices and {len(k.simplexes)} simplexes"
+    return _group_report([line], f"H_{args.dim}", group, data)
 
 
 def _cmd_lebesgue(args) -> Report:
-    sample = _load(args.sample, "point_sample")
-    cover = _load(args.cover, "cover")
-    value = lebesgue_number(sample, cover)
+    value = lebesgue_number(*_load_sample_and_cover(args))
     return Report(
         [f"lebesgue number = {value}"],
         {"command": "lebesgue", "lebesgue": str(value)},
@@ -680,9 +585,7 @@ def _cmd_gallery(args):
         return serialize("complex_tower", tower)
     if args.dim is None:
         raise InputProblem("--report needs --dim")
-    if args.report == "steenrod":
-        return _steenrod_report_for(tower, args.dim, args.window)
-    return _cech_report_for(tower, args.dim, args.window)
+    return _tower_report(args.report, tower, args.dim, args.window)
 
 
 # -- argument parsing -------------------------------------------------------
@@ -693,87 +596,62 @@ class _Parser(argparse.ArgumentParser):
         raise InputProblem(message)
 
 
-def _add_format(p):
-    p.add_argument("--format", choices=("text", "structured"), default="text")
+# (name, help, handler, argument specs); each spec is the positional and
+# keyword arguments of one ``add_argument`` call, in help order
+_FILE = (("file",), {})
+_DIM = (("--dim",), {"type": int, "required": True})
+_REDUCED = (("--reduced",), {"action": "store_true"})
+_DEPTH = (("--depth",), {"type": int})
+_WINDOW = (("--window",), {"type": int})
+_SAMPLE = (("--sample",), {"required": True})
+_COVER = (("--cover",), {"required": True})
+_COMMANDS = (
+    ("homology", "homology of a complex document",
+     _cmd_homology, (_FILE, _DIM, _REDUCED)),
+    ("cohomology", "cohomology of a complex document",
+     _cmd_cohomology, (_FILE, _DIM)),
+    ("induced", "induced homology map of a map document",
+     _cmd_induced, (_FILE, _DIM, _REDUCED)),
+    ("telescope", "homology of a tower's finite telescope",
+     _cmd_telescope, (_FILE, _DIM, _DEPTH)),
+    ("pinch", "homology of a tower's pinched telescope",
+     _cmd_telescope, (_FILE, _DIM, _DEPTH)),
+    ("tower-report", "limit reports for a tower or filtration", _cmd_tower_report, (
+        _FILE,
+        (("--report",), {"choices": ("steenrod", "cech", "petkova"), "required": True}),
+        _DIM,
+        _WINDOW,
+    )),
+    ("validate", "check tower markings against an axiom family", _cmd_validate, (
+        _FILE,
+        (("--variant",), {"choices": VARIANTS, "default": "compactohedral"}),
+    )),
+    ("nerve", "nerve of a ball cover over a point sample",
+     _cmd_nerve, (_SAMPLE, _COVER, (("--dim",), {"type": int, "default": 1}))),
+    ("lebesgue", "exact Lebesgue number of a cover",
+     _cmd_lebesgue, (_SAMPLE, _COVER)),
+    ("gallery", "build a worked example tower", _cmd_gallery, (
+        (("family",), {"choices": tuple(_FAMILY_PARAMS)}),
+        (("--teeth",), {"type": int}),
+        (("--segments",), {"type": int}),
+        (("--depth",), {"type": int}),
+        (("--p",), {"type": int}),
+        (("--report",), {"choices": ("steenrod", "cech")}),
+        (("--dim",), {"type": int}),
+        _WINDOW,
+    )),
+)
 
 
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="towertop", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("homology", help="homology of a complex document")
-    p.add_argument("file")
-    p.add_argument("--dim", type=int, required=True)
-    p.add_argument("--reduced", action="store_true")
-    _add_format(p)
-    p.set_defaults(handler=_cmd_homology)
-
-    p = sub.add_parser("cohomology", help="cohomology of a complex document")
-    p.add_argument("file")
-    p.add_argument("--dim", type=int, required=True)
-    _add_format(p)
-    p.set_defaults(handler=_cmd_cohomology)
-
-    p = sub.add_parser("induced", help="induced homology map of a map document")
-    p.add_argument("file")
-    p.add_argument("--dim", type=int, required=True)
-    p.add_argument("--reduced", action="store_true")
-    _add_format(p)
-    p.set_defaults(handler=_cmd_induced)
-
-    p = sub.add_parser("telescope", help="homology of a tower's finite telescope")
-    p.add_argument("file")
-    p.add_argument("--dim", type=int, required=True)
-    p.add_argument("--depth", type=int)
-    _add_format(p)
-    p.set_defaults(handler=_cmd_telescope)
-
-    p = sub.add_parser("pinch", help="homology of a tower's pinched telescope")
-    p.add_argument("file")
-    p.add_argument("--dim", type=int, required=True)
-    p.add_argument("--depth", type=int)
-    _add_format(p)
-    p.set_defaults(handler=_cmd_pinch)
-
-    p = sub.add_parser("tower-report", help="limit reports for a tower or filtration")
-    p.add_argument("file")
-    p.add_argument("--report", choices=("steenrod", "cech", "petkova"), required=True)
-    p.add_argument("--dim", type=int, required=True)
-    p.add_argument("--window", type=int)
-    _add_format(p)
-    p.set_defaults(handler=_cmd_tower_report)
-
-    p = sub.add_parser("validate", help="check tower markings against an axiom family")
-    p.add_argument("file")
-    p.add_argument("--variant", choices=VARIANTS, default="compactohedral")
-    _add_format(p)
-    p.set_defaults(handler=_cmd_validate)
-
-    p = sub.add_parser("nerve", help="nerve of a ball cover over a point sample")
-    p.add_argument("--sample", required=True)
-    p.add_argument("--cover", required=True)
-    p.add_argument("--dim", type=int, default=1)
-    _add_format(p)
-    p.set_defaults(handler=_cmd_nerve)
-
-    p = sub.add_parser("lebesgue", help="exact Lebesgue number of a cover")
-    p.add_argument("--sample", required=True)
-    p.add_argument("--cover", required=True)
-    _add_format(p)
-    p.set_defaults(handler=_cmd_lebesgue)
-
-    p = sub.add_parser("gallery", help="build a worked example tower")
-    p.add_argument("family", choices=tuple(_FAMILY_PARAMS))
-    p.add_argument("--teeth", type=int)
-    p.add_argument("--segments", type=int)
-    p.add_argument("--depth", type=int)
-    p.add_argument("--p", type=int)
-    p.add_argument("--report", choices=("steenrod", "cech"))
-    p.add_argument("--dim", type=int)
-    p.add_argument("--window", type=int)
-    _add_format(p)
-    p.set_defaults(handler=_cmd_gallery)
-
+    for name, help_text, handler, specs in _COMMANDS:
+        p = sub.add_parser(name, help=help_text)
+        for flags, options in specs:
+            p.add_argument(*flags, **options)
+        p.add_argument("--format", choices=("text", "structured"), default="text")
+        p.set_defaults(handler=handler)
     return parser
 
 
@@ -781,13 +659,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-    except InputProblem as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 1
+        result = args.handler(args)
     except SystemExit as e:
         return 0 if e.code in (0, None) else 1
-    try:
-        result = args.handler(args)
     except InputProblem as e:
         print(f"error: {e}", file=sys.stderr)
         return 1

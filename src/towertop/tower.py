@@ -291,8 +291,7 @@ def _image_chain(tower: GroupTower, level: int, depth: int) -> List[Subgroup]:
     """Images in levels[level] of the composites of 0..depth bonds below it.
 
     The tower keeps the chain and extends it past what earlier calls
-    built; a shorter window gets a prefix of the same subgroups.  A
-    depth below 0 gives the full group alone, as a depth of 0 does.
+    built; a shorter window gets a prefix of the same subgroups.
     """
     chain = tower._chains[level]
     if chain is None:
@@ -306,7 +305,7 @@ def _image_chain(tower: GroupTower, level: int, depth: int) -> List[Subgroup]:
         # an image on the very same generators is the same subgroup:
         # keep the earlier object and the factorizations it holds
         chain.append(chain[-1] if image.generators == chain[-1].generators else image)
-    return chain[: max(depth, 0) + 1]
+    return chain[: depth + 1]
 
 
 def _iteration_bound(group: FGAbelianGroup) -> int:
@@ -528,6 +527,7 @@ def stable_lim(
     proper inclusions (or whose chains never repeat) yield NotStable
     with the observed chains attached.
     """
+    _check_window(window)
     n = len(tower.levels)
     if n == 1:
         return Subgroup.full(tower.levels[0]).as_group()
@@ -612,6 +612,7 @@ def tower_lim(
     endomorphism; shrinking families carry their limit as certified
     data; everything else falls back to ``stable_lim``.
     """
+    _check_window(window)
     cert = tower.certificate
     if cert is not None and cert.kind == "periodic":
         return _periodic_limit(*_kept_period_image(tower, cert.offset))

@@ -199,3 +199,13 @@ def stacked_kernel_subgroup(hom):
     n = hom.source.canonical_ngens
     gens = [tuple(col[:n]) for col in kernel_basis(smith_normal_form(stacked))]
     return Subgroup(hom.source, gens + hom.source.canonical_relation_columns())
+
+
+def maximal_simplexes(simplexes) -> set:
+    """Simplexes whose vertex set is a proper subset of no other simplex's.
+
+    The reference for the document encoder, which drops every facet of
+    another simplex instead and so relies on the complex being closed
+    under faces.  Quadratic in the number of simplexes.
+    """
+    return {s for s in simplexes if not any(set(s) < set(t) for t in simplexes)}

@@ -19,11 +19,13 @@ from generators import (
     random_complex,
     torus_7,
 )
-from towertop.abelian import IntegerMatrix
+from oracles import maximal_simplexes
+from towertop.abelian import FGAbelianGroup, IntegerMatrix
 from towertop.cli import InputProblem, deserialize, main, serialize
 from towertop.compactohedral import build_gallery, fence_violation
 from towertop.nerve import BallCover, PointSample
 from towertop.simplicial import SimplicialMap
+from towertop.tower import Certificate, ComplexTower
 
 SAMPLE = pathlib.Path(__file__).resolve().parent.parent / "sample"
 
@@ -110,6 +112,55 @@ def test_filtration_round_trip():
     stages = [hollow_triangle().full_subcomplex([1]), hollow_triangle()]
     kind, back = deserialize(serialize("filtration", stages))
     assert back == stages
+
+
+def _untuple(x):
+    return tuple(map(_untuple, x)) if isinstance(x, list) else x
+
+
+def test_encoded_maximal_simplexes_match_the_proper_subset_rule():
+    rng = random.Random(29)
+    complexes = [random_complex(rng) for _ in range(80)]
+    towers = [
+        build_gallery("comb", teeth=5, depth=3),
+        build_gallery("fence", segments=5, depth=3),
+        build_gallery("solenoid", p=2, depth=3),
+        build_gallery("warsaw", depth=3),
+    ] + [fence_violation(axiom, 6, 3) for axiom in ("C1", "C2", "C3")]
+    for t in towers:
+        complexes += [*t.levels, *(t.marked_K or ()), *(t.marked_L or ())]
+    for k in complexes:
+        maximal = [_untuple(s) for s in json.loads(serialize("complex", k))["payload"]["maximal"]]
+        assert len(maximal) == len(set(maximal))
+        assert set(maximal) == maximal_simplexes(k.simplexes)
+
+
+@pytest.mark.parametrize(
+    "certificate, marks",
+    [
+        (
+            Certificate("shift_family", 1, 2, FGAbelianGroup.from_invariants(1, (2, 4)), "Q/Z"),
+            "K",
+        ),
+        (Certificate("periodic", offset=1, period=2), "KL"),
+        (Certificate("shift_family", lim1_display="Prod(Z)/Sum(Z)"), "L"),
+        (None, ""),
+    ],
+)
+def test_certificates_and_markings_round_trip(certificate, marks):
+    base = build_gallery("fence", segments=5, depth=3)
+    t = ComplexTower(
+        base.levels,
+        base.bonds,
+        base.marked_K if "K" in marks else None,
+        base.marked_L if "L" in marks else None,
+        certificate,
+    )
+    text = serialize("complex_tower", t)
+    kind, back = deserialize(text)
+    assert back.certificate == certificate
+    assert back.marked_K == t.marked_K and back.marked_L == t.marked_L
+    assert serialize("complex_tower", back) == text
 
 
 # -- malformed documents ----------------------------------------------------

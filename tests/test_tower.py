@@ -98,14 +98,14 @@ def test_lim1_class_rejects_windows_below_one():
                 lim1_class(t, w)
 
 
-def test_stable_lim_reads_windows_below_one_as_zero():
-    # a window below 1 shows each level's full group alone
-    t = doubling_tower(3, certified=False)
-    at_zero = stable_lim(t, 0)
-    assert isinstance(at_zero, NotStable)
-    assert at_zero.image_chains == ((((1, ()),),) * 2)
-    assert stable_lim(doubling_tower(3, certified=False), -1) == at_zero
-    assert stable_lim(t, -1) == at_zero
+@pytest.mark.parametrize("cert", [None, "periodic", "shift_family"])
+def test_stable_and_tower_lim_reject_windows_below_one(cert):
+    # a certificate decides tower_lim without any window; the rule holds there too
+    t = GroupTower([Z] * 3, [hom(Z, Z, [[2]])] * 2, None if cert is None else Certificate(cert))
+    for lim in (stable_lim, tower_lim):
+        for w in (0, -1):
+            with pytest.raises(ValueError, match="window must be at least 1"):
+                lim(t, w)
 
 
 def test_certified_doubling_lim1_uncountable():
