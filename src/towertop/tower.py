@@ -21,7 +21,9 @@ The image chain at a level is the descending sequence of images of the
 composite bonds from deeper and deeper stages: entry k is the image of
 the k-fold composite, with entry 0 the full group.  A tower keeps each
 chain it builds, so ``ml_status``, ``lim1_class`` and ``stable_lim`` on
-one tower share the same subgroups and factor each of them once.
+one tower share the same subgroups and factor each of them once.  A
+``NotStable`` holds the chains it was given and factors their entries
+only when its ``image_chains`` is read.
 """
 
 from dataclasses import dataclass, replace
@@ -260,12 +262,36 @@ class Lim1Class:
     display: Optional[str] = None
 
 
-@dataclass
 class NotStable:
-    """Outcome of ``stable_lim`` when no stable value is reachable."""
+    """Outcome of ``stable_lim`` when no stable value is reachable.
 
-    reason: str
-    image_chains: tuple
+    ``image_chains`` lists, per level looked at, the isomorphism types
+    of the images in its chain.  The outcome holds the chains
+    ``stable_lim`` observed and builds those types on first read.
+    """
+
+    __slots__ = ("reason", "_chains", "_image_chains")
+
+    def __init__(self, reason: str, chains):
+        self.reason = reason
+        self._chains = tuple(chains)
+        self._image_chains = None
+
+    @property
+    def image_chains(self) -> tuple:
+        if self._image_chains is None:
+            self._image_chains = _chain_invariants(self._chains)
+        return self._image_chains
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.reason, self.image_chains) == (other.reason, other.image_chains)
+
+    __hash__ = None
+
+    def __repr__(self) -> str:
+        return f"NotStable(reason={self.reason!r}, image_chains={self.image_chains!r})"
 
 
 @dataclass
@@ -291,7 +317,9 @@ def _image_chain(tower: GroupTower, level: int, depth: int) -> List[Subgroup]:
     """Images in levels[level] of the composites of 0..depth bonds below it.
 
     The tower keeps the chain and extends it past what earlier calls
-    built; a shorter window gets a prefix of the same subgroups.
+    built; a shorter window gets a prefix of the same subgroups.  The
+    prefix is a new list, so a ``NotStable`` holding it reads the chain
+    as it was observed however far later calls extend the tower's.
     """
     chain = tower._chains[level]
     if chain is None:
@@ -444,6 +472,8 @@ def ml_status(tower: GroupTower, level: int, window: Optional[int] = None) -> ML
         raise ValueError("level out of range")
     available = len(tower.bonds) - level
     if window is None:
+        if available == 0:
+            raise ValueError(f"level {level} has no bond below it")
         window = available
     _check_window(window)
     if window > available:
@@ -525,7 +555,13 @@ def stable_lim(
     images; the limit is then the stable image at the coarsest level.
     This is deliberately partial: towers whose stable images keep
     proper inclusions (or whose chains never repeat) yield NotStable
-    with the observed chains attached.
+    with the observed chains attached; their isomorphism types are
+    computed only when ``image_chains`` is read.
+
+    >>> z = FGAbelianGroup.free(1)
+    >>> double = GroupHom(z, z, IntegerMatrix([[2]]))
+    >>> stable_lim(GroupTower([z] * 3, [double] * 2))
+    NotStable(reason='image chain at level 0 does not repeat within the window', image_chains=(((1, ()), (1, ()), (1, ())),))
     """
     _check_window(window)
     n = len(tower.levels)
@@ -542,8 +578,7 @@ def stable_lim(
         if idx is None:
             if len(subs) >= 3:
                 return NotStable(
-                    f"image chain at level {i} does not repeat within the window",
-                    _chain_invariants(chains),
+                    f"image chain at level {i} does not repeat within the window", chains
                 )
             idx = len(subs) - 1  # window too short to confirm; take the deepest image
         stable.append(subs[idx])
@@ -553,7 +588,7 @@ def stable_lim(
             return NotStable(
                 f"the bond does not carry the stable image at level {i + 1} "
                 f"isomorphically onto the stable image at level {i}",
-                _chain_invariants(chains),
+                chains,
             )
     return stable[0].as_group()
 

@@ -3,7 +3,7 @@
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from towertop.abelian import FGAbelianGroup, GroupHom, IntegerMatrix, Subgroup
@@ -87,6 +87,13 @@ def test_window_must_fit_truncation():
         ml_status(t, 0, 5)
     with pytest.raises(ValueError):
         ml_status(t, 2, 1)
+    # the deepest level has no bond to default the window to; a window the
+    # caller passes is still checked as given
+    with pytest.raises(ValueError, match="level 2 has no bond below it"):
+        ml_status(t, 2)
+    for w in (0, -1):
+        with pytest.raises(ValueError, match="window must be at least 1"):
+            ml_status(t, 2, w)
 
 
 def test_lim1_class_rejects_windows_below_one():
@@ -587,6 +594,33 @@ def test_shared_certified_analyses_match_fresh_ones(name, draw):
     check_shared_matches_fresh(lambda: certified_fixture(name), order)
 
 
+@settings(max_examples=30)
+@given(dense_tower_data(), st.data())
+def test_late_image_chains_read_matches_early_and_fresh_ones(data, draw):
+    # analyses at deeper windows extend the chains the tower keeps; a
+    # NotStable read after them still shows the chains it was given
+    nb = len(data[2])
+    assume(nb >= 2)
+    w = draw.draw(st.integers(1, nb - 1))
+    tower, _ = dense_sequences(data)
+    early = tower_lim(tower, w)
+    assume(isinstance(early, NotStable))
+    early_chains = early.image_chains
+    late = tower_lim(tower, w)
+    for deeper in range(w + 1, nb + 1):
+        for level in range(nb - deeper + 1):
+            ml_status(tower, level, deeper)
+        lim1_class(tower, deeper), tower_lim(tower, deeper)
+    assert late == early
+    assert late.image_chains == early_chains == tower_lim(dense_sequences(data)[0], w).image_chains
+
+
+def test_read_and_unread_not_stable_compare_equal():
+    read, unread = (stable_lim(doubling_tower(3, certified=False)) for _ in range(2))
+    assert read.image_chains == (((1, ()),) * 3,)
+    assert unread == read
+
+
 def test_lim1_then_lim_on_one_tower_shares_factorizations(smith_calls):
     bonds = [
         [[2, 1, 0], [-1, 3, 2], [0, 1, -2]],
@@ -620,6 +654,9 @@ def test_dense_tower_analyses_make_a_fixed_number_of_factorizations(smith_calls)
     lim1, lim, colim = lim1_class(tower), tower_lim(tower), colim_direct_system(system)
     assert lim1.verdict == "Zero"
     assert isinstance(lim, NotStable) and isinstance(colim, NotFinitelyStable)
+    assert len(smith_calls) == 11
+    # the NotStable factors the images it shows only when they are read
+    lim.image_chains
     assert len(smith_calls) == 29
 
 
