@@ -16,6 +16,7 @@ one of the package's own exactness self-checks fails.
 
 import argparse
 import json
+import re
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
@@ -34,6 +35,7 @@ from .simplicial import (
     induced_map,
     label_key,
     pinched_telescope,
+    simplex_key,
 )
 from .tower import Certificate, ColimResult, ComplexTower
 
@@ -110,24 +112,20 @@ def _encode_label(v):
 
 
 def _decode_rational(x, where: str) -> Fraction:
-    if isinstance(x, bool):
-        _fail(where, "expected a rational")
-    if isinstance(x, int):
+    if isinstance(x, int) and not isinstance(x, bool):
         return Fraction(x)
-    if isinstance(x, str):
+    # only the documented forms: Fraction alone also reads exponents, and
+    # "1e100000000" would build that power of ten
+    if isinstance(x, str) and re.fullmatch(r"[+-]?[0-9]+(/[0-9]+)?", x):
         try:
             return Fraction(x)
-        except (ValueError, ZeroDivisionError):
-            _fail(where, f"not a rational: {x!r}")
+        except (ValueError, ZeroDivisionError):  # q = 0, or more digits than int() reads
+            pass
     _fail(where, f"expected an integer or 'p/q' string, got {x!r}")
 
 
 def _decode_tuple(x, where: str, decode) -> tuple:
     return tuple(decode(v, where) for v in _as_list(x, where))
-
-
-def _simplex_sort_key(s):
-    return (len(s), tuple(label_key(v) for v in s))
 
 
 # -- document codecs -------------------------------------------------------
@@ -151,7 +149,7 @@ def _encode_complex(k: SimplicialComplex) -> dict:
     return {
         "maximal": [
             [_encode_label(v) for v in s]
-            for s in sorted(k.simplexes - facets, key=_simplex_sort_key)
+            for s in sorted(k.simplexes - facets, key=simplex_key)
         ]
     }
 
@@ -312,6 +310,8 @@ def deserialize(text: str, where: str = "document"):
         doc = json.loads(text)
     except json.JSONDecodeError as e:
         _fail(where, f"line {e.lineno}: not valid JSON ({e.msg})")
+    except ValueError as e:  # an integer past Python's digit limit
+        _fail(where, f"not valid JSON ({e})")
     except RecursionError:
         _fail(where, "arrays or objects nested too deeply")
     version = _need(doc, "format_version", where)

@@ -38,17 +38,11 @@ from typing import List, Optional, Tuple
 from .simplicial import (
     SimplicialComplex,
     SimplicialMap,
-    generated_subcomplex,
-    label_key,
     preimage_subcomplex,
     sort_simplex,
     validate_complex,
 )
 from .tower import Certificate, ComplexTower
-
-
-def _ordered(simplexes):
-    return sorted(simplexes, key=lambda s: (len(s), tuple(label_key(v) for v in s)))
 
 
 # -- interiority ---------------------------------------------------------
@@ -57,7 +51,7 @@ def _ordered(simplexes):
 def interior_witness(a: SimplicialComplex, b: SimplicialComplex, k: SimplicialComplex):
     """First simplex of ``k`` meeting ``a`` but escaping ``b``, or None."""
     marked = set(a.vertices)
-    for s in _ordered(k.simplexes):
+    for s in k.ordered():
         if any(v in marked for v in s) and s not in b.simplexes:
             return s
     return None
@@ -97,9 +91,6 @@ class Violation:
     level: int
     witness: tuple
     detail: str
-
-    def message(self) -> str:
-        return f"level {self.level}: witness {self.witness!r} ({self.detail})"
 
 
 @dataclass(frozen=True)
@@ -142,21 +133,15 @@ def _check_c0(tower: ComplexTower) -> List[Violation]:
     return out
 
 
-def _check_c1(tower: ComplexTower) -> List[Violation]:
+def _escapes(tower: ComplexTower, fine_marks, axiom: str, what: str) -> List[Violation]:
+    """Each level's first simplex of ``fine_marks`` whose bond image leaves the coarse marking."""
+    detail = f"{what} simplex whose image escapes the coarse marking"
     out = []
     for i, bond in enumerate(tower.bonds):
-        fine_k = tower.marked_K[i + 1]
-        coarse_k = tower.marked_K[i]
-        for s in _ordered(fine_k.simplexes):
-            if bond.image_simplex(s) not in coarse_k.simplexes:
-                out.append(
-                    Violation(
-                        "C1",
-                        i + 1,
-                        s,
-                        "marked simplex whose image escapes the coarse marking",
-                    )
-                )
+        coarse_k = tower.marked_K[i].simplexes
+        for s in fine_marks[i + 1].ordered():
+            if bond.image_simplex(s) not in coarse_k:
+                out.append(Violation(axiom, i + 1, s, detail))
                 break
     return out
 
@@ -205,7 +190,7 @@ def _outside_iso_violation(
     for w in coarse.vertices:
         if w not in inverse:
             return Violation(axiom, level, (w,), f"coarse vertex not covered {where}")
-    for t in _ordered(coarse.simplexes):
+    for t in coarse.ordered():
         pulled = tuple(inverse[w] for w in t)
         if not fine.has_simplex(pulled):
             return Violation(axiom, level, t, f"coarse simplex has no counterpart {where}")
@@ -225,7 +210,9 @@ def _open_complements(bond: SimplicialMap, marking: SimplicialComplex):
 
 def _closed_complements(bond: SimplicialMap, collar: SimplicialComplex):
     """Closure of the coarse level outside the collar (coarse) and its bond preimage (fine)."""
-    coarse = generated_subcomplex(s for s in bond.target.simplexes if s not in collar.simplexes)
+    coarse = SimplicialComplex.from_maximal(
+        s for s in bond.target.simplexes if s not in collar.simplexes
+    )
     return preimage_subcomplex(bond, coarse), coarse
 
 
@@ -240,18 +227,7 @@ def _check_c3(tower: ComplexTower, marked, axiom: str, sides, where: str) -> Lis
 
 def _check_collar_containment(tower: ComplexTower, interior: bool, axiom: str) -> List[Violation]:
     """C2' / C2'': the collar maps into the marking, which sits inside the collar."""
-    out = []
-    for i, bond in enumerate(tower.bonds):
-        fine_l = tower.marked_L[i + 1]
-        coarse_k = tower.marked_K[i]
-        for s in _ordered(fine_l.simplexes):
-            if bond.image_simplex(s) not in coarse_k.simplexes:
-                out.append(
-                    Violation(
-                        axiom, i + 1, s, "collar simplex whose image escapes the coarse marking"
-                    )
-                )
-                break
+    out = _escapes(tower, tower.marked_L, axiom, "collar")
     for i in range(len(tower.levels)):
         k_i, l_i = tower.marked_K[i], tower.marked_L[i]
         if interior:
@@ -262,7 +238,7 @@ def _check_collar_containment(tower: ComplexTower, interior: bool, axiom: str) -
                 )
         else:
             missing = next(
-                (s for s in _ordered(k_i.simplexes) if s not in l_i.simplexes), None
+                (s for s in k_i.ordered() if s not in l_i.simplexes), None
             )
             if missing is not None:
                 out.append(Violation(axiom, i, missing, "marking not contained in the collar"))
@@ -271,7 +247,7 @@ def _check_collar_containment(tower: ComplexTower, interior: bool, axiom: str) -
 
 _CHECKS = {
     "C0": _check_c0,
-    "C1": _check_c1,
+    "C1": lambda t: _escapes(t, t.marked_K, "C1", "marked"),
     "C2": _check_c2,
     "C3": lambda t: _check_c3(t, t.marked_K, "C3", _open_complements, "away from the marking"),
     "C2''": lambda t: _check_collar_containment(t, True, "C2''"),

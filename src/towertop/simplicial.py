@@ -49,6 +49,15 @@ def sort_simplex(vertices: Iterable) -> tuple:
     return tuple(sorted(vertices, key=label_key))
 
 
+def simplex_key(s: tuple) -> tuple:
+    """The one simplex order: by size, then by the labels' keys in turn.
+
+    >>> sorted([(2,), (0, 1), (1,)], key=simplex_key)
+    [(1,), (2,), (0, 1)]
+    """
+    return (len(s), tuple(label_key(v) for v in s))
+
+
 class SimplicialComplex:
     """Face-closed finite abstract simplicial complex.
 
@@ -97,9 +106,17 @@ class SimplicialComplex:
             for s in self.simplexes:
                 by_dim.setdefault(len(s) - 1, []).append(s)
             for lst in by_dim.values():
-                lst.sort(key=lambda s: tuple(label_key(v) for v in s))
+                lst.sort(key=simplex_key)
             self._by_dim = by_dim
         return list(self._by_dim.get(n, []))
+
+    def ordered(self) -> list:
+        """Every simplex in ``simplex_key`` order.
+
+        >>> SimplicialComplex.from_maximal([(2, 1)], extra_vertices=[0]).ordered()
+        [(0,), (1,), (2,), (1, 2)]
+        """
+        return [s for n in range(-1, self.dimension() + 1) for s in self.n_simplexes(n)]
 
     def dimension(self) -> int:
         return max((len(s) - 1 for s in self.simplexes), default=-1)
@@ -120,9 +137,6 @@ class SimplicialComplex:
     def union(self, other: "SimplicialComplex") -> "SimplicialComplex":
         return SimplicialComplex(self.simplexes | other.simplexes)
 
-    def relabel(self, fn) -> "SimplicialComplex":
-        return SimplicialComplex(tuple(fn(v) for v in s) for s in self.simplexes)
-
     def __eq__(self, other) -> bool:
         return isinstance(other, SimplicialComplex) and self.simplexes == other.simplexes
 
@@ -138,9 +152,6 @@ class ComplexViolation:
     kind: str
     simplex: tuple
 
-    def message(self) -> str:
-        return f"{self.kind}: {self.simplex!r}"
-
 
 def validate_complex(k: SimplicialComplex) -> Optional[ComplexViolation]:
     """None when face-closed and well-formed, else the first violation found.
@@ -150,7 +161,7 @@ def validate_complex(k: SimplicialComplex) -> Optional[ComplexViolation]:
     >>> validate_complex(SimplicialComplex([(1, 2)])).kind
     'missing face'
     """
-    for s in sorted(k.simplexes, key=lambda s: (len(s), tuple(label_key(v) for v in s))):
+    for s in k.ordered():
         if len(s) == 0:
             return ComplexViolation("empty simplex", s)
         if len(set(s)) != len(s):
@@ -160,11 +171,6 @@ def validate_complex(k: SimplicialComplex) -> Optional[ComplexViolation]:
                 if face not in k.simplexes:
                     return ComplexViolation("missing face", s)
     return None
-
-
-def generated_subcomplex(simplexes: Iterable[tuple]) -> SimplicialComplex:
-    """Smallest complex containing the given simplexes (their closure)."""
-    return SimplicialComplex.from_maximal(simplexes) if simplexes else SimplicialComplex.empty()
 
 
 class SimplicialMap:
@@ -485,19 +491,10 @@ def mapping_cylinder(f: SimplicialMap):
 
 @dataclass(frozen=True)
 class Telescope:
-    """Finite telescope of a complex tower with its level inclusions."""
+    """Finite (or pinched) telescope of a complex tower with its level inclusions."""
 
     complex: SimplicialComplex
     level_embeddings: tuple  # SimplicialMap per level, index 0 = coarsest
-
-
-@dataclass(frozen=True)
-class PinchedTelescope:
-    """Telescope with the deepest level copy coned off."""
-
-    complex: SimplicialComplex
-    level_embeddings: tuple
-    apex: tuple
 
 
 def finite_telescope(tower, n: int) -> Telescope:
@@ -523,7 +520,7 @@ def finite_telescope(tower, n: int) -> Telescope:
     return Telescope(complex=tele, level_embeddings=embeddings)
 
 
-def pinched_telescope(tower, n: int) -> PinchedTelescope:
+def pinched_telescope(tower, n: int) -> Telescope:
     """Telescope through level ``n`` with a cone over the deepest copy.
 
     Models collapsing the fiber end of the telescope to a point; for a
@@ -542,4 +539,4 @@ def pinched_telescope(tower, n: int) -> PinchedTelescope:
     embeddings = tuple(
         SimplicialMap(m.source, pinched, dict(m.vertex_map)) for m in tele.level_embeddings
     )
-    return PinchedTelescope(complex=pinched, level_embeddings=embeddings, apex=apex)
+    return Telescope(complex=pinched, level_embeddings=embeddings)

@@ -167,12 +167,6 @@ class GroupTower(_GroupSequence):
         self._composites = [None] * len(self.levels)
         self._period_images = {}
 
-    def truncate(self, depth: int) -> "GroupTower":
-        """First ``depth + 1`` levels, dropping the certificate."""
-        if depth < 0 or depth >= len(self.levels):
-            raise ValueError("truncation depth out of range")
-        return GroupTower(self.levels[: depth + 1], self.bonds[:depth])
-
 
 class DirectSystem(_GroupSequence):
     """Direct sequence of finitely generated abelian groups."""
@@ -336,6 +330,11 @@ def _image_chain(tower: GroupTower, level: int, depth: int) -> List[Subgroup]:
     return chain[: depth + 1]
 
 
+def _first_repeat(subs: List[Subgroup]) -> Optional[int]:
+    """First index k with subs[k] equal to subs[k + 1], or None."""
+    return next((k for k in range(len(subs) - 1) if subs[k].equals(subs[k + 1])), None)
+
+
 def _iteration_bound(group: FGAbelianGroup) -> int:
     # enough steps for both the free part (rank drops + unimodular
     # stabilization) and the torsion part (descending chain in a
@@ -412,7 +411,7 @@ def _periodic_stable_image(tower: GroupTower, level: int, cert: Certificate) -> 
 def _ml_verdict(tower: GroupTower, level: int, window: int) -> Tuple[str, Optional[int], str]:
     """Verdict, stable index and reason of ``ml_status``, arguments unchecked."""
     subs = _image_chain(tower, level, window)
-    repeat = next((k for k in range(len(subs) - 1) if subs[k].equals(subs[k + 1])), None)
+    repeat = _first_repeat(subs)
     cert = tower.certificate
     unsettled = "certified pattern does not settle the chain at this level"
 
@@ -574,7 +573,7 @@ def stable_lim(
         w = available if window is None else min(window, available)
         subs = _image_chain(tower, i, w)
         chains.append(subs)
-        idx = next((k for k in range(len(subs) - 1) if subs[k].equals(subs[k + 1])), None)
+        idx = _first_repeat(subs)
         if idx is None:
             if len(subs) >= 3:
                 return NotStable(

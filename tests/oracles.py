@@ -1,7 +1,8 @@
 """Independent oracles used to cross-check the exact linear algebra.
 
-Apart from ``refactored_cycle_coordinates`` and
-``stacked_kernel_subgroup``, nothing in here imports the package under
+Apart from ``refactored_cycle_coordinates``,
+``stacked_kernel_subgroup`` and ``inline_simplex_order`` (which takes
+only the label order), nothing in here imports the package under
 test.  The routines are deliberately different algorithms
 from the ones being checked: fraction-free (Bareiss) elimination for
 ranks and determinants, and gcd-of-minors determinantal divisors for
@@ -199,6 +200,18 @@ def stacked_kernel_subgroup(hom):
     n = hom.source.canonical_ngens
     gens = [tuple(col[:n]) for col in kernel_basis(smith_normal_form(stacked))]
     return Subgroup(hom.source, gens + hom.source.canonical_relation_columns())
+
+
+def inline_simplex_order(simplexes) -> list:
+    """Simplexes sorted by size, then by their labels' keys in turn.
+
+    The reference for ``SimplicialComplex.ordered`` and ``simplex_key``:
+    the sort the validators, the complex validator and the document
+    encoder each once wrote out for themselves.
+    """
+    from towertop.simplicial import label_key
+
+    return sorted(simplexes, key=lambda s: (len(s), tuple(label_key(v) for v in s)))
 
 
 def maximal_simplexes(simplexes) -> set:

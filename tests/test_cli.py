@@ -307,6 +307,38 @@ def test_deeply_nested_documents_exit_one_naming_the_file(tmp_path):
     assert run_cli(["homology", str(labels[32]), "--dim", "1"]) == (0, "H_1 = 0\n", "")
 
 
+def test_integer_past_the_digit_limit_exits_one_naming_the_file(tmp_path):
+    doc = tmp_path / "long_label.complex"
+    doc.write_text(
+        '{"format_version": "1", "kind": "complex", '
+        '"payload": {"maximal": [[' + "7" * 5001 + ", 1]]}}"
+    )
+    code, out, err = run_cli(["homology", str(doc), "--dim", "1"])
+    assert code == 1 and out == ""
+    assert err.startswith(f"error: {doc}: not valid JSON")
+
+
+def test_exponent_rationals_exit_one_naming_the_field(tmp_path):
+    # Fraction alone reads "1e5000" as 10**5000; only integers and p/q pass
+    sample, cover = tmp_path / "exponent.sample", tmp_path / "exponent.cover"
+    sample.write_text(json.dumps(
+        {"format_version": "1", "kind": "point_sample", "payload": {"points": [["0", "1e5000"]]}}
+    ))
+    cover.write_text(json.dumps(
+        {"format_version": "1", "kind": "cover", "payload": {"elements": [[0, "1e5000"]]}}
+    ))
+    for files, field in (
+        ((sample, path("three_arcs.cover")), f"{sample}.payload.points[0]"),
+        ((path("diamond.sample"), cover), f"{cover}.payload.elements[0]"),
+    ):
+        code, out, err = run_cli(["lebesgue", "--sample", str(files[0]), "--cover", str(files[1])])
+        assert code == 1 and out == ""
+        assert err.startswith(f"error: {field}: ") and "'1e5000'" in err
+    signed = {"elements": [[0, "+3/2"], [1, "4/6"], [2, 5]]}
+    text = json.dumps({"format_version": "1", "kind": "cover", "payload": signed})
+    assert [r for _, r in deserialize(text)[1].elements] == [Fraction(3, 2), Fraction(2, 3), 5]
+
+
 def test_failed_self_check_exits_three_with_one_line(monkeypatch):
     import towertop.simplicial as simplicial
 

@@ -1,5 +1,8 @@
 """Validator and gallery tests: interiority, axiom checks, violations."""
 
+from unittest.mock import patch
+
+from oracles import inline_simplex_order
 from towertop.compactohedral import (
     VARIANTS,
     build_gallery,
@@ -168,6 +171,7 @@ def test_violation_witnesses_are_where_expected():
     c1 = validate(fence_violation("C1", 6, 3), "compactohedral").violations[0]
     assert c1.level == 2
     assert c1.witness == (("s", 1, 0),)
+    assert c1.detail == "marked simplex whose image escapes the coarse marking"
 
     c2 = validate(fence_violation("C2", 6, 3), "compactohedral").violations[0]
     assert c2.level == 2
@@ -187,6 +191,33 @@ def test_violation_witnesses_are_where_expected():
         assert [(v.axiom, v.level, v.witness, v.detail) for v in report.violations] == [
             (axiom, 1, gone, f"coarse simplex has no counterpart {where}")
         ]
+
+
+def collar_escape_tower() -> ComplexTower:
+    """A fence whose collars are whole levels, so each bond carries its collar out of K."""
+    base = build_gallery("fence", segments=4, depth=2)
+    return ComplexTower(base.levels, base.bonds, base.marked_K, base.levels)
+
+
+def test_collar_escape_is_reported_at_every_level():
+    escape = "collar simplex whose image escapes the coarse marking"
+    for variant, axiom in (("pre_compactohedral", "C2''"), ("weakly_pre_compactohedral", "C2'")):
+        report = validate(collar_escape_tower(), variant)
+        assert [(v.axiom, v.level, v.witness, v.detail) for v in report.violations] == [
+            (axiom, 1, (("s", 1, 4),), escape),
+            (axiom, 2, (("s", 1, 0),), escape),
+        ]
+
+
+def test_validators_walk_simplexes_in_the_inline_order():
+    towers = [fence_violation(axiom, 6, 3) for axiom in ("C1", "C2", "C3")]
+    towers.append(collar_escape_tower())
+    inline = lambda k: inline_simplex_order(k.simplexes)  # noqa: E731
+    for t in towers:
+        for variant in VARIANTS:
+            shared = validate(t, variant).violations
+            with patch.object(SimplicialComplex, "ordered", inline):
+                assert validate(t, variant).violations == shared
 
 
 def test_complement_isomorphism_needs_a_vertex_bijection():

@@ -1,21 +1,12 @@
 import doctest
+import importlib
+import pkgutil
 
-import towertop.abelian
-import towertop.assembly
-import towertop.cli
-import towertop.compactohedral
-import towertop.nerve
-import towertop.simplicial
-import towertop.tower
+import towertop
 
-MODULES = (
-    towertop.abelian,
-    towertop.simplicial,
-    towertop.tower,
-    towertop.compactohedral,
-    towertop.assembly,
-    towertop.nerve,
-    towertop.cli,
+MODULES = tuple(
+    importlib.import_module(f"towertop.{info.name}")
+    for info in pkgutil.iter_modules(towertop.__path__)
 )
 
 

@@ -1,8 +1,11 @@
 from __future__ import annotations
 
 import random
+from itertools import combinations
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from towertop.simplicial import (
     SimplicialComplex,
@@ -17,6 +20,7 @@ from towertop.simplicial import (
     induced_map,
     mapping_cylinder,
     pinched_telescope,
+    simplex_key,
     validate_complex,
 )
 
@@ -40,6 +44,7 @@ from oracles import (
     betti_from_boundaries,
     dense_matvec,
     determinantal_invariant_factors,
+    inline_simplex_order,
     minor_gcd,
     mod_p_rank,
     refactored_cycle_coordinates,
@@ -59,6 +64,50 @@ def test_validate_complex():
     broken = SimplicialComplex([(1, 2), (1,)])  # missing vertex 2 and face (2,)
     v = validate_complex(broken)
     assert v is not None and v.kind == "missing face"
+
+
+LABELS = st.recursive(
+    st.integers(-3, 3) | st.sampled_from("abc"),
+    lambda inner: st.tuples(inner) | st.tuples(inner, inner),
+    max_leaves=3,
+)
+
+
+@st.composite
+def damaged_simplex_sets(draw) -> list:
+    """A face-closed complex's simplexes with some dropped and raw ones added.
+
+    The raw additions may be empty or repeat a vertex, and a dropped
+    simplex leaves its cofaces with a missing face.
+    """
+    maximal = draw(st.lists(st.lists(LABELS, min_size=1, max_size=4), max_size=5))
+    closed = sorted(SimplicialComplex.from_maximal(maximal).simplexes, key=repr)
+    dropped = draw(st.sets(st.integers(0, max(len(closed) - 1, 0)), max_size=2))
+    pool = st.sampled_from((0, 1, "a", (0,)))  # few labels, so repeats are common
+    raw = draw(st.lists(st.lists(pool, max_size=4).map(tuple), max_size=3))
+    return [s for i, s in enumerate(closed) if i not in dropped] + raw
+
+
+def inline_first_violation(simplexes):
+    """(kind, simplex) of the first malformed simplex in the inline order, or None."""
+    for s in inline_simplex_order(simplexes):
+        if not s:
+            return ("empty simplex", s)
+        if len(set(s)) != len(s):
+            return ("repeated vertex", s)
+        if len(s) > 1 and any(f not in simplexes for f in combinations(s, len(s) - 1)):
+            return ("missing face", s)
+    return None
+
+
+@given(damaged_simplex_sets())
+def test_shared_order_matches_the_inline_sort(simplexes):
+    k = SimplicialComplex(simplexes)
+    assert k.ordered() == inline_simplex_order(k.simplexes)
+    assert k.ordered() == sorted(k.simplexes, key=simplex_key)
+    bad = validate_complex(k)
+    expected = inline_first_violation(k.simplexes)
+    assert (None if bad is None else (bad.kind, bad.simplex)) == expected
 
 
 def test_edge_boundary_sign_convention():
