@@ -26,7 +26,6 @@ from dataclasses import dataclass
 from typing import Optional, Tuple, Union
 
 from .abelian import FGAbelianGroup, GroupHom
-from .compactohedral import interior_witness
 from .simplicial import SimplicialMap, cohomology, induced_cohomology_map
 from .tower import (
     Certificate,
@@ -177,6 +176,8 @@ def petkova_report(filtration, n: int, window: Optional[int] = None) -> SESRepor
     term vanishes and the middle term resolves to the top stage's
     cohomology.
     """
+    from .compactohedral import interior_witness  # only filtrations need interiority
+
     filtration = list(filtration)
     if not filtration:
         raise ValueError("the filtration needs at least one stage")

@@ -9,23 +9,27 @@ inputs produce byte-identical files and reports.
 
 Exit status: 0 for success, including Undetermined and FAIL verdicts;
 1 for input problems (unreadable file, malformed document, missing
-flag), with a message naming the file and the violation; 2 for
-mathematical precondition failures raised by the operations; 3 when
-one of the package's own exactness self-checks fails.
+flag, gallery sizes past their bound), with a message naming the file
+and the violation or the flag; 2 for mathematical precondition
+failures raised by the operations; 3 when one of the package's own
+exactness self-checks fails; 4 when the process runs out of memory.
+
+Every subcommand reads or builds complexes and groups, so ``abelian``
+and ``simplicial`` load with this module; the other modules load in
+the handlers and decoders that use them, so a command pays start-up
+only for what it runs.
 """
+
+from __future__ import annotations
 
 import argparse
 import json
 import re
 import sys
 from dataclasses import dataclass
-from fractions import Fraction
-from typing import List, Optional
+from typing import TYPE_CHECKING, List, Optional
 
 from .abelian import FGAbelianGroup
-from .assembly import cech_cohomology_report, petkova_report, steenrod_report
-from .compactohedral import VARIANTS, build_gallery, validate
-from .nerve import BallCover, PointSample, lebesgue_number, nerve
 from .simplicial import (
     SimplicialComplex,
     SimplicialMap,
@@ -37,7 +41,12 @@ from .simplicial import (
     pinched_telescope,
     simplex_key,
 )
-from .tower import Certificate, ColimResult, ComplexTower
+
+if TYPE_CHECKING:  # annotations only; each decoder imports what it builds
+    from fractions import Fraction
+
+    from .nerve import BallCover, PointSample
+    from .tower import Certificate, ComplexTower
 
 FORMAT_VERSION = "1"
 
@@ -112,6 +121,8 @@ def _encode_label(v):
 
 
 def _decode_rational(x, where: str) -> Fraction:
+    from fractions import Fraction
+
     if isinstance(x, int) and not isinstance(x, bool):
         return Fraction(x)
     # only the documented forms: Fraction alone also reads exponents, and
@@ -193,6 +204,8 @@ def _encode_group(g: FGAbelianGroup) -> dict:
 
 
 def _decode_certificate(payload, where: str) -> Optional[Certificate]:
+    from .tower import Certificate
+
     if payload is None:
         return None
     kind = _need(payload, "kind", where)
@@ -209,6 +222,8 @@ def _decode_certificate(payload, where: str) -> Optional[Certificate]:
 
 
 def _decode_complex_tower(payload, where: str) -> ComplexTower:
+    from .tower import ComplexTower
+
     levels = _items(payload, "levels", where, _decode_complex)
     bonds = []
     for i, pairs in enumerate(_as_list(_need(payload, "bonds", where), where)):
@@ -249,6 +264,8 @@ def _encode_complex_tower(t: ComplexTower) -> dict:
 
 
 def _decode_point_sample(payload, where: str) -> PointSample:
+    from .nerve import PointSample
+
     points = _items(
         payload, "points", where, lambda p, at: _decode_tuple(p, at, _decode_rational)
     )
@@ -264,6 +281,12 @@ def _decode_ball(e, where: str) -> tuple:
     if len(e) != 2:
         _fail(where, "expected a [center_index, radius] pair")
     return _as_int(e[0], where), _decode_rational(e[1], where)
+
+
+def _decode_cover(payload, where: str) -> BallCover:
+    from .nerve import BallCover
+
+    return _checked(where, BallCover, _items(payload, "elements", where, _decode_ball))
 
 
 # kind -> (decode(payload, where), encode(obj) -> payload)
@@ -290,9 +313,7 @@ _CODECS = {
         },
     ),
     "cover": (
-        lambda payload, where: _checked(
-            where, BallCover, _items(payload, "elements", where, _decode_ball)
-        ),
+        _decode_cover,
         lambda c: {"elements": [[center, str(radius)] for center, radius in c.elements]},
     ),
 }
@@ -416,6 +437,9 @@ def _ses_report(header: str, report, middle_name: str) -> Report:
 
 def _tower_report(kind: str, tower, n: int, window) -> Report:
     """The Steenrod or Čech report of a complex tower in dimension ``n``."""
+    from .assembly import cech_cohomology_report, steenrod_report
+    from .tower import ColimResult
+
     if kind == "steenrod":
         name = f"H~_{n}(X)" if n == 0 else f"H_{n}(X)"
         return _ses_report("steenrod", steenrod_report(tower, n, window), name)
@@ -504,6 +528,8 @@ def _cmd_telescope(args) -> Report:
 
 def _cmd_tower_report(args) -> Report:
     if args.report == "petkova":
+        from .assembly import petkova_report
+
         stages = _load(args.file, "filtration")
         report = petkova_report(stages, args.dim, args.window)
         return _ses_report("petkova", report, f"H^{args.dim}(X)")
@@ -512,6 +538,8 @@ def _cmd_tower_report(args) -> Report:
 
 
 def _cmd_validate(args) -> Report:
+    from .compactohedral import validate
+
     tower = _load(args.file, "complex_tower")
     report = validate(tower, args.variant)
     lines = [report.headline()]
@@ -544,6 +572,8 @@ def _load_sample_and_cover(args):
 
 
 def _cmd_nerve(args) -> Report:
+    from .nerve import nerve
+
     sample, cover = _load_sample_and_cover(args)
     k = nerve(cover, sample)
     group = homology(k, args.dim).group
@@ -558,6 +588,8 @@ def _cmd_nerve(args) -> Report:
 
 
 def _cmd_lebesgue(args) -> Report:
+    from .nerve import lebesgue_number
+
     value = lebesgue_number(*_load_sample_and_cover(args))
     return Report(
         [f"lebesgue number = {value}"],
@@ -574,13 +606,18 @@ _FAMILY_PARAMS = {
 
 
 def _cmd_gallery(args):
+    from .compactohedral import GalleryTooLarge, build_gallery
+
     params = {}
     for name in _FAMILY_PARAMS[args.family]:
         value = getattr(args, name)
         if value is None:
             raise InputProblem(f"gallery {args.family} needs --{name}")
         params[name] = value
-    tower = build_gallery(args.family, **params)
+    try:
+        tower = build_gallery(args.family, **params)
+    except GalleryTooLarge as e:
+        raise InputProblem(f"gallery {args.family}: --{e}")
     if args.report is None:
         return serialize("complex_tower", tower)
     if args.dim is None:
@@ -592,12 +629,30 @@ def _cmd_gallery(args):
 
 
 class _Parser(argparse.ArgumentParser):
+    # (flags, options) specs added when this parser first parses, so a
+    # command builds only its own arguments; ``options`` may be a function
+    # returning them, called then
+    pending = ()
+
     def error(self, message):
         raise InputProblem(message)
+
+    def parse_known_args(self, args=None, namespace=None):
+        for flags, options in self.pending:
+            self.add_argument(*flags, **(options() if callable(options) else options))
+        self.pending = ()
+        return super().parse_known_args(args, namespace)
+
+
+def _variant_options() -> dict:
+    from .compactohedral import VARIANTS  # the one list of variant names
+
+    return {"choices": VARIANTS, "default": "compactohedral"}
 
 
 # (name, help, handler, argument specs); each spec is the positional and
 # keyword arguments of one ``add_argument`` call, in help order
+_FORMAT = (("--format",), {"choices": ("text", "structured"), "default": "text"})
 _FILE = (("file",), {})
 _DIM = (("--dim",), {"type": int, "required": True})
 _REDUCED = (("--reduced",), {"action": "store_true"})
@@ -624,7 +679,7 @@ _COMMANDS = (
     )),
     ("validate", "check tower markings against an axiom family", _cmd_validate, (
         _FILE,
-        (("--variant",), {"choices": VARIANTS, "default": "compactohedral"}),
+        (("--variant",), _variant_options),
     )),
     ("nerve", "nerve of a ball cover over a point sample",
      _cmd_nerve, (_SAMPLE, _COVER, (("--dim",), {"type": int, "default": 1}))),
@@ -648,18 +703,16 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     for name, help_text, handler, specs in _COMMANDS:
         p = sub.add_parser(name, help=help_text)
-        for flags, options in specs:
-            p.add_argument(*flags, **options)
-        p.add_argument("--format", choices=("text", "structured"), default="text")
+        p.pending = (*specs, _FORMAT)
         p.set_defaults(handler=handler)
     return parser
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
         result = args.handler(args)
+        text = result if isinstance(result, str) else _emit(result, args.format)
     except SystemExit as e:
         return 0 if e.code in (0, None) else 1
     except InputProblem as e:
@@ -671,10 +724,10 @@ def main(argv: Optional[List[str]] = None) -> int:
     except AssertionError as e:
         print(f"internal self-check failed in {args.command}: {e}", file=sys.stderr)
         return 3
-    if isinstance(result, str):
-        sys.stdout.write(result)
-    else:
-        sys.stdout.write(_emit(result, args.format))
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
+        return 4
+    sys.stdout.write(text)
     return 0
 
 

@@ -17,10 +17,12 @@ same covers are contiguous, so the induced homology maps agree.
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import TYPE_CHECKING, Optional, Sequence
 
 from .simplicial import SimplicialComplex, SimplicialMap
-from .tower import ComplexTower
+
+if TYPE_CHECKING:  # only cech_tower builds a tower, and imports it there
+    from .tower import ComplexTower
 
 
 def _rational(value) -> Fraction:
@@ -163,7 +165,7 @@ def refinement_map(
 
 def cech_tower(
     sample: PointSample, schedule, fixed_cover: Optional[BallCover] = None
-) -> ComplexTower:
+) -> "ComplexTower":
     """Tower of nerves with balls shrinking around the marked points.
 
     Level ``i`` covers the sample by the fixed cover (the part of the
@@ -174,6 +176,8 @@ def cech_tower(
     carries no certificate: nothing about an unseen deeper stage is
     asserted.
     """
+    from .tower import ComplexTower
+
     radii = [_rational(r) for r in schedule]
     if not radii:
         raise ValueError("the schedule needs at least one radius")

@@ -200,7 +200,11 @@ def _factor_square_free(f):
 
 
 def charpoly(rows):
-    """det(x·I − A) of a square integer matrix, by Faddeev–LeVerrier."""
+    """det(x·I − A) of a square integer matrix, by Faddeev–LeVerrier.
+
+    >>> charpoly([[2, 1], [1, 1]])  # x² − 3x + 1
+    [1, -3, 1]
+    """
     n = len(rows)
     coeffs, m = [0] * n + [1], [[0] * n for _ in range(n)]
     for k in range(1, n + 1):
@@ -234,5 +238,11 @@ def factor(chi):
 
 
 def unit_part_degree(rows) -> int:
-    """Degree of the unit-constant part of a square integer matrix's characteristic polynomial."""
+    """Degree of the unit-constant part of a square integer matrix's characteristic polynomial.
+
+    >>> unit_part_degree([[2, 1], [1, 1]])  # x² − 3x + 1 is irreducible, f(0) = 1
+    2
+    >>> unit_part_degree([[2, 0], [0, 1]])  # (x − 2)(x − 1): only x − 1 counts
+    1
+    """
     return sum((len(f) - 1) * k for f, k in factor(charpoly(rows)) if abs(f[0]) == 1)

@@ -213,16 +213,6 @@ class ComplexTower:
                 raise ValueError(f"{name}[{i}] is not a subcomplex of level {i}")
         return marked
 
-    def truncate(self, depth: int) -> "ComplexTower":
-        if depth < 0 or depth >= len(self.levels):
-            raise ValueError("truncation depth out of range")
-        return ComplexTower(
-            self.levels[: depth + 1],
-            self.bonds[:depth],
-            None if self.marked_K is None else self.marked_K[: depth + 1],
-            None if self.marked_L is None else self.marked_L[: depth + 1],
-        )
-
     def __repr__(self) -> str:
         return f"<ComplexTower with {len(self.levels)} levels>"
 

@@ -8,6 +8,7 @@ import pathlib
 import random
 import subprocess
 import sys
+import time
 from fractions import Fraction
 
 import pytest
@@ -250,6 +251,44 @@ def test_gallery_value_constraint_exits_two():
     assert code == 2
 
 
+def test_oversized_gallery_exits_one_naming_the_flag_and_builds_nothing(monkeypatch):
+    import towertop.compactohedral as compactohedral
+
+    def no_levels(m):
+        raise AssertionError("a level was built")
+
+    monkeypatch.setattr(compactohedral, "_polygon", no_levels)
+    start = time.perf_counter()
+    code, out, err = run_cli(["gallery", "solenoid", "--p", "2", "--depth", "40"])
+    assert time.perf_counter() - start < 1
+    assert (code, out) == (1, "")
+    assert err.startswith("error: gallery solenoid: --depth 40 ") and err.count("\n") == 1
+    # the width is named when depth 1 is already past the bound
+    for argv, flag in (
+        (["solenoid", "--p", "10000000", "--depth", "1"], "--p"),
+        (["comb", "--teeth", "10000", "--depth", "2"], "--teeth"),
+        (["comb", "--teeth", "400", "--depth", "300"], "--depth"),
+        (["fence", "--segments", "10000", "--depth", "2"], "--segments"),
+        (["warsaw", "--depth", "10000"], "--depth"),
+    ):
+        code, out, err = run_cli(["gallery", *argv])
+        assert code == 1 and err.startswith(f"error: gallery {argv[0]}: {flag} "), err
+
+
+def test_gallery_vertex_count_matches_the_built_towers():
+    from towertop.compactohedral import _tower_vertices
+
+    for family, width, params in (
+        ("comb", 5, {"teeth": 5, "depth": 3}),
+        ("fence", 4, {"segments": 4, "depth": 2}),
+        ("solenoid", 3, {"p": 3, "depth": 3}),
+        ("warsaw", 0, {"depth": 4}),
+    ):
+        tower = build_gallery(family, **params)
+        built = sum(len(level.vertices) for level in tower.levels)
+        assert _tower_vertices(family, width, params["depth"]) == built, family
+
+
 def test_math_precondition_exits_two(tmp_path):
     code, out, err = run_cli(
         ["tower-report", path("dyadic.tower"), "--report", "steenrod", "--dim", "-1"]
@@ -370,6 +409,15 @@ def test_failed_factor_product_check_exits_three(monkeypatch):
         "internal self-check failed in gallery: "
         "factors do not multiply back to the characteristic polynomial\n",
     )
+
+
+def test_out_of_memory_exits_four_with_one_line(monkeypatch):
+    def exhausted(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr(IntegerMatrix, "__init__", exhausted)
+    code, out, err = run_cli(["homology", path("torus.complex"), "--dim", "1"])
+    assert (code, out, err) == (4, "", "error: out of memory\n")
 
 
 def test_fail_verdict_still_exits_zero(tmp_path):
@@ -551,3 +599,70 @@ def test_certified_periodic_report_imports_no_sympy():
         "note: right term: inverse limit of the dimension-1 homology tower\n"
         "note: dimension-1 tower: certified periodic (offset 0, period 1)\n"
     )
+
+
+# A later module-level import would silently bring back start-up cost
+# that these pin: every command pays for ``abelian`` and ``simplicial``
+# only, plus what its own handler imports.
+def _modules_after(script: str, *argv: str) -> set:
+    """Every module a fresh interpreter has loaded once ``script`` has run."""
+    script += "\nprint(' '.join(sys.modules))"
+    proc = subprocess.run(
+        [sys.executable, "-c", script, *argv], capture_output=True, text=True
+    )
+    assert proc.returncode == 0, proc.stderr
+    return set(proc.stdout.split())
+
+
+def _towertop(modules: set) -> set:
+    return {m[len("towertop."):] for m in modules if m.startswith("towertop.")}
+
+
+def test_importing_the_cli_loads_no_optional_module():
+    loaded = _modules_after("import sys\nimport towertop.cli")
+    assert _towertop(loaded) == {"abelian", "simplicial", "cli"}
+    optional = {"tower", "compactohedral", "assembly", "nerve", "polynomial"}
+    assert not loaded & ({f"towertop.{m}" for m in optional} | {"fractions"})
+
+
+_BASE = {"abelian", "simplicial", "cli"}
+_TOWER = _BASE | {"tower"}
+
+
+# argv on the sample documents -> the towertop modules the command loads
+_LOADS = [
+    (["homology", path("torus.complex"), "--dim", "1"], _BASE),
+    (["cohomology", path("torus.complex"), "--dim", "1"], _BASE),
+    (["induced", path("hex_to_tri.map"), "--dim", "1"], _BASE),
+    (["telescope", path("dyadic.tower"), "--dim", "1"], _TOWER),
+    (["pinch", path("dyadic.tower"), "--dim", "1"], _TOWER),
+    (["tower-report", path("dyadic.tower"), "--report", "cech", "--dim", "0"],
+     _TOWER | {"assembly"}),
+    # the dyadic H_1 images never repeat, so the limit factors a polynomial
+    (["tower-report", path("dyadic.tower"), "--report", "steenrod", "--dim", "1"],
+     _TOWER | {"assembly", "polynomial"}),
+    (["tower-report", path("triangle_filtration.filtration"), "--report", "petkova",
+      "--dim", "1"], _TOWER | {"assembly", "compactohedral"}),
+    (["validate", path("dyadic.tower")], _TOWER | {"compactohedral"}),
+    (["nerve", "--sample", path("diamond.sample"), "--cover", path("six_arcs.cover")],
+     _BASE | {"nerve"}),
+    (["lebesgue", "--sample", path("diamond.sample"), "--cover", path("six_arcs.cover")],
+     _BASE | {"nerve"}),
+    (["gallery", "warsaw", "--depth", "2"], _TOWER | {"compactohedral"}),
+    (["gallery", "warsaw", "--depth", "2", "--report", "cech", "--dim", "1"],
+     _TOWER | {"compactohedral", "assembly"}),
+    (["homology", "--help"], _BASE),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, modules", _LOADS, ids=[" ".join(pathlib.Path(a).name for a in argv) for argv, _ in _LOADS]
+)
+def test_each_subcommand_loads_only_its_modules(argv, modules):
+    script = (
+        "import contextlib, io, sys\n"
+        "from towertop.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    assert main(sys.argv[1:]) == 0\n"
+    )
+    assert _towertop(_modules_after(script, *argv)) == modules
