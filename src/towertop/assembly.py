@@ -151,16 +151,11 @@ def _filtration_tower(filtration, n: int) -> GroupTower:
     finite, so beyond the top the system is constant, and the padding
     lets a periodic certificate state that.
     """
-    results = [cohomology(k, n) for k in filtration]
-    levels = [r.group for r in results]
-    bonds = []
-    for j in range(len(filtration) - 1):
-        step = SimplicialMap.inclusion(filtration[j], filtration[j + 1])
-        bonds.append(
-            induced_cohomology_map(
-                step, n, source_h=results[j + 1], target_h=results[j]
-            )
-        )
+    levels = [cohomology(k, n).group for k in filtration]
+    bonds = [
+        induced_cohomology_map(SimplicialMap.inclusion(a, b), n)
+        for a, b in zip(filtration, filtration[1:])
+    ]
     top = len(filtration) - 1
     levels.extend([levels[top], levels[top]])
     bonds.extend([GroupHom.identity(levels[top]), GroupHom.identity(levels[top])])
@@ -187,9 +182,7 @@ def petkova_report(filtration, n: int, window: Optional[int] = None) -> SESRepor
     for j in range(len(filtration) - 1):
         if not filtration[j].is_subcomplex_of(filtration[j + 1]):
             missing = next(
-                s
-                for s in filtration[j].simplexes
-                if s not in filtration[j + 1].simplexes
+                s for s in filtration[j].ordered() if s not in filtration[j + 1].simplexes
             )
             raise ValueError(
                 f"stage {j} is not contained in stage {j + 1}: witness {missing!r}"

@@ -9,10 +9,11 @@ inputs produce byte-identical files and reports.
 
 Exit status: 0 for success, including Undetermined and FAIL verdicts;
 1 for input problems (unreadable file, malformed document, missing
-flag, gallery sizes past their bound), with a message naming the file
-and the violation or the flag; 2 for mathematical precondition
-failures raised by the operations; 3 when one of the package's own
-exactness self-checks fails; 4 when the process runs out of memory.
+flag, a gallery flag the request does not read, gallery sizes past
+their bound), with a message naming the file and the violation or the
+flag; 2 for mathematical precondition failures raised by the
+operations; 3 when one of the package's own exactness self-checks
+fails; 4 when the process runs out of memory.
 
 Every subcommand reads or builds complexes and groups, so ``abelian``
 and ``simplicial`` load with this module; the other modules load in
@@ -608,14 +609,18 @@ _FAMILY_PARAMS = {
 def _cmd_gallery(args):
     from .compactohedral import GalleryTooLarge, build_gallery
 
-    params = {}
-    for name in _FAMILY_PARAMS[args.family]:
-        value = getattr(args, name)
-        if value is None:
+    wanted = _FAMILY_PARAMS[args.family]
+    for name in wanted:
+        if getattr(args, name) is None:
             raise InputProblem(f"gallery {args.family} needs --{name}")
-        params[name] = value
+    given = [n for n in ("teeth", "segments", "p") if getattr(args, n) is not None]
+    unread = [f"--{n}" for n in given if n not in wanted]
+    if unread:
+        raise InputProblem(f"gallery {args.family} does not read {', '.join(unread)}")
+    if args.report is None and (args.dim is not None or args.window is not None):
+        raise InputProblem("gallery reads --dim and --window only with --report")
     try:
-        tower = build_gallery(args.family, **params)
+        tower = build_gallery(args.family, **{name: getattr(args, name) for name in wanted})
     except GalleryTooLarge as e:
         raise InputProblem(f"gallery {args.family}: --{e}")
     if args.report is None:

@@ -138,16 +138,8 @@ def nerve(cover: BallCover, sample: PointSample) -> SimplicialComplex:
     )
 
 
-def refinement_map(
-    fine: BallCover, coarse: BallCover, sample: PointSample
-) -> SimplicialMap:
-    """Containment projection from the fine nerve to the coarse nerve.
-
-    Each fine element goes to the least-index coarse element whose
-    sample-trace contains its own.  Whenever a witness point sees a
-    fine overlap, the same point sees the image overlap, so the vertex
-    map is simplicial on the witnessed nerves.
-    """
+def _containment(fine: BallCover, coarse: BallCover, sample: PointSample) -> dict:
+    """Vertex map sending each fine element to the least-index coarse element containing it."""
     _check_centers(sample, fine)
     _check_centers(sample, coarse)
     coarse_traces = [_trace(sample, coarse, j) for j in range(len(coarse.elements))]
@@ -160,6 +152,20 @@ def refinement_map(
                 f"fine element {e} is inside no coarse element over the sample"
             )
         vertex_map[e] = home
+    return vertex_map
+
+
+def refinement_map(
+    fine: BallCover, coarse: BallCover, sample: PointSample
+) -> SimplicialMap:
+    """Containment projection from the fine nerve to the coarse nerve.
+
+    Each fine element goes to the least-index coarse element whose
+    sample-trace contains its own.  Whenever a witness point sees a
+    fine overlap, the same point sees the image overlap, so the vertex
+    map is simplicial on the witnessed nerves.
+    """
+    vertex_map = _containment(fine, coarse, sample)  # rejects a bad pair before any nerve
     return SimplicialMap(nerve(fine, sample), nerve(coarse, sample), vertex_map)
 
 
@@ -171,10 +177,10 @@ def cech_tower(
     Level ``i`` covers the sample by the fixed cover (the part of the
     space away from the compactum, unchanged at every level) together
     with one ball of radius ``schedule[i]`` around each marked point.
-    Bonds are containment projections, which exist at every stage
-    because same-center balls nest as the radius falls.  The tower
-    carries no certificate: nothing about an unseen deeper stage is
-    asserted.
+    Bonds are containment projections between the level nerves
+    themselves, which exist at every stage because same-center balls
+    nest as the radius falls.  The tower carries no certificate:
+    nothing about an unseen deeper stage is asserted.
     """
     from .tower import ComplexTower
 
@@ -203,7 +209,7 @@ def cech_tower(
         covers.append(cover)
     levels = [nerve(c, sample) for c in covers]
     bonds = [
-        refinement_map(covers[i + 1], covers[i], sample)
+        SimplicialMap(levels[i + 1], levels[i], _containment(covers[i + 1], covers[i], sample))
         for i in range(len(covers) - 1)
     ]
     return ComplexTower(levels, bonds)

@@ -9,7 +9,8 @@ matrices and induced maps are deterministic.  The boundary of an edge
 Homology and cohomology are computed over the integers with cycle
 representatives attached: the group returned is presented on a basis
 of the cycle lattice, so induced maps can be solved exactly in those
-coordinates.
+coordinates.  A complex keeps each result, so reading it again, or
+an induced map between computed ends, factors nothing.
 
 Mapping cylinders use the order-complex prism construction over
 ordered simplexes; finite telescopes are unions of mapping cylinders
@@ -21,15 +22,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import combinations
+from types import MappingProxyType
 from typing import Dict, Iterable, Optional
 
-from .abelian import (
-    FGAbelianGroup,
-    GroupHom,
-    IntegerMatrix,
-    SmithDecomposition,
-    smith_normal_form,
-)
+from .abelian import FGAbelianGroup, GroupHom, IntegerMatrix, smith_normal_form
 
 
 def label_key(label):
@@ -61,6 +57,9 @@ def simplex_key(s: tuple) -> tuple:
 class SimplicialComplex:
     """Face-closed finite abstract simplicial complex.
 
+    It keeps what it derives: its simplexes per dimension, its vertices,
+    and each ``homology`` and ``cohomology`` result built on it.
+
     >>> k = SimplicialComplex.from_maximal([("a", "b"), ("b", "c")])
     >>> sorted(k.vertices)
     ['a', 'b', 'c']
@@ -68,12 +67,13 @@ class SimplicialComplex:
     1
     """
 
-    __slots__ = ("simplexes", "_by_dim", "_vertices")
+    __slots__ = ("simplexes", "_by_dim", "_vertices", "_results")
 
     def __init__(self, simplexes: Iterable[tuple]):
         self.simplexes = frozenset(sort_simplex(s) for s in simplexes)
         self._by_dim = None
         self._vertices = None
+        self._results = {}
 
     @classmethod
     def from_maximal(cls, maximal: Iterable[Iterable], extra_vertices: Iterable = ()) -> "SimplicialComplex":
@@ -194,9 +194,10 @@ class SimplicialMap:
         for v, w in self.vertex_map.items():
             if w not in target_vertices:
                 raise ValueError(f"image vertex {w!r} not in target")
-        for s in source.simplexes:
-            if self.image_simplex(s) not in target.simplexes:
-                raise ValueError(f"simplex {s!r} has non-simplex image")
+        if not all(self.image_simplex(s) in target.simplexes for s in source.simplexes):
+            # name the first offender in simplex order, whatever the hash seed
+            bad = next(s for s in source.ordered() if self.image_simplex(s) not in target.simplexes)
+            raise ValueError(f"simplex {bad!r} has non-simplex image")
 
     def image_simplex(self, s: Iterable) -> tuple:
         return sort_simplex({self.vertex_map[v] for v in s})
@@ -264,13 +265,15 @@ class HomologyResult:
     ``group`` is presented on a basis of the cycle lattice (the
     columns in ``cycle_columns``, coordinates over ``basis``); the
     j-th entry of ``representatives`` is the chain realizing the j-th
-    canonical generator, as a map simplex -> coefficient.  The cycle
-    basis is the trailing columns of V in ``outgoing_snf``, the Smith
+    canonical generator, as a read-only map simplex -> coefficient.
+    The cycle basis is the trailing columns of V in the Smith
     decomposition U * M * V = D of the outgoing map M (boundary,
     augmentation or transposed coboundary), each times its entry of
-    ``cycle_signs``, so ``cycle_coordinates`` reads V^-1 and factors
-    nothing; neither field takes part in equality or repr.  Results
-    come from ``homology`` and ``cohomology`` only.
+    ``cycle_signs``.  Of that decomposition only V^-1 is kept, in
+    ``vinv``, so ``cycle_coordinates`` factors nothing; neither field
+    takes part in equality or repr.  Results come from ``homology``
+    and ``cohomology`` only, which keep them on the complex, so one
+    result is shared by every caller that asks for it.
     """
 
     group: FGAbelianGroup
@@ -278,17 +281,17 @@ class HomologyResult:
     degree: int
     basis: tuple
     cycle_columns: tuple
-    outgoing_snf: SmithDecomposition = field(compare=False, repr=False)
+    vinv: IntegerMatrix = field(compare=False, repr=False)
     cycle_signs: tuple = field(compare=False, repr=False)
 
     def cycle_coordinates(self, chain) -> Optional[tuple]:
         """Coordinates of ``chain`` over ``cycle_columns``, or None for a non-cycle."""
-        return _cycle_coordinates(self.outgoing_snf, self.cycle_signs, chain)
+        return _cycle_coordinates(self.vinv, self.cycle_signs, chain)
 
 
-def _cycle_coordinates(snf: SmithDecomposition, signs, chain) -> Optional[tuple]:
+def _cycle_coordinates(vinv: IntegerMatrix, signs, chain) -> Optional[tuple]:
     # with y = V^-1 * chain, M * chain = U^-1 * D * y is zero iff y[:rank] is
-    y = snf.vinv.matvec(chain)
+    y = vinv.matvec(chain)
     rank = len(y) - len(signs)
     if any(y[:rank]):
         return None
@@ -304,7 +307,7 @@ def _quotient_of_cycles(outgoing: IntegerMatrix, image_cols, degree: int, basis)
         cycle_cols.append(tuple(signs[-1] * c for c in col))
     rel_rows = []
     for col in image_cols:
-        coords = _cycle_coordinates(snf, signs, col)
+        coords = _cycle_coordinates(snf.vinv, signs, col)
         if coords is None:
             raise AssertionError("boundary image is not a cycle; chain complex broken")
         rel_rows.append(coords)
@@ -315,52 +318,60 @@ def _quotient_of_cycles(outgoing: IntegerMatrix, image_cols, degree: int, basis)
         e = [0] * group.canonical_ngens
         e[j] = 1
         coeffs = kmat.matvec(group.from_canonical(e))
-        reps.append({s: c for s, c in zip(basis, coeffs) if c != 0})
+        reps.append(MappingProxyType({s: c for s, c in zip(basis, coeffs) if c != 0}))
     return HomologyResult(
         group=group,
         representatives=tuple(reps),
         degree=degree,
         basis=tuple(basis),
         cycle_columns=tuple(cycle_cols),
-        outgoing_snf=snf,
+        vinv=snf.vinv,
         cycle_signs=tuple(signs),
     )
 
 
 def homology(k: SimplicialComplex, n: int, reduced: bool = False) -> HomologyResult:
-    """Integral homology H_n with cycle representatives.
+    """Integral homology H_n with cycle representatives, kept on ``k``.
 
     ``reduced`` augments the complex in dimension 0 (and changes
-    nothing in higher dimensions).
+    nothing in higher dimensions).  The first call factors two
+    matrices, the outgoing map and the relations; a repeat returns
+    the same result.
 
     >>> circle = SimplicialComplex.from_maximal([(1, 2), (2, 3), (1, 3)])
     >>> homology(circle, 1).group.describe()
     'Z'
+    >>> homology(circle, 1) is homology(circle, 1)
+    True
     """
-    if n < 0:
-        return _quotient_of_cycles(IntegerMatrix([], ncols=0), [], n, ())
-    basis = k.n_simplexes(n)
-    if n == 0 and reduced and basis:
-        lower = augmentation_matrix(k)
-    else:
-        lower = boundary_matrix(k, n)
-    upper = boundary_matrix(k, n + 1)
-    return _quotient_of_cycles(lower, upper.columns(), n, basis)
+    return _kept(k, "homology", n, reduced and n == 0)
 
 
 def cohomology(k: SimplicialComplex, n: int) -> HomologyResult:
-    """Integral cohomology H^n with cocycle representatives.
+    """Integral cohomology H^n with cocycle representatives, kept on ``k``.
 
     >>> circle = SimplicialComplex.from_maximal([(1, 2), (2, 3), (1, 3)])
     >>> cohomology(circle, 1).group.describe()
     'Z'
     """
-    if n < 0:
-        return _quotient_of_cycles(IntegerMatrix([], ncols=0), [], n, ())
-    basis = k.n_simplexes(n)
-    outgoing = boundary_matrix(k, n + 1).transpose()
-    incoming = boundary_matrix(k, n).transpose()
-    return _quotient_of_cycles(outgoing, incoming.columns(), n, basis)
+    return _kept(k, "cohomology", n, False)
+
+
+def _kept(k: SimplicialComplex, kind: str, n: int, reduced: bool) -> HomologyResult:
+    """The ``kind`` result in dimension ``n`` that ``k`` keeps, built on the first read."""
+    key = (kind, n, reduced)
+    if key not in k._results:
+        basis = k.n_simplexes(n) if n >= 0 else ()
+        if n < 0:
+            outgoing, incoming = IntegerMatrix([], ncols=0), []
+        elif kind == "cohomology":
+            outgoing = boundary_matrix(k, n + 1).transpose()
+            incoming = boundary_matrix(k, n).transpose().columns()
+        else:
+            outgoing = augmentation_matrix(k) if reduced and basis else boundary_matrix(k, n)
+            incoming = boundary_matrix(k, n + 1).columns()
+        k._results[key] = _quotient_of_cycles(outgoing, incoming, n, basis)
+    return k._results[key]
 
 
 def chain_map_matrix(f: SimplicialMap, n: int) -> IntegerMatrix:
@@ -398,34 +409,28 @@ def chain_map_matrix(f: SimplicialMap, n: int) -> IntegerMatrix:
 
 
 def _induced_between(
-    source_h: HomologyResult, target_h: HomologyResult, chain_matrix: IntegerMatrix
+    source: HomologyResult, target: HomologyResult, chain_matrix: IntegerMatrix
 ) -> GroupHom:
     """Hom between quotient groups from a chain-level matrix.
 
     Each presentation generator of the source (a cycle basis column)
     is pushed through the chain map and written over the target cycle
-    basis by ``target_h.cycle_coordinates``, which reads the target's
-    kept decomposition and factors nothing; a chain with no
-    coordinates is a real failure of cycles to land on cycles.
+    basis by ``target.cycle_coordinates``, which reads the target's
+    kept V^-1 and factors nothing; a chain with no coordinates is a
+    real failure of cycles to land on cycles.
     """
     cols = []
-    for col in source_h.cycle_columns:
-        coords = target_h.cycle_coordinates(chain_matrix.matvec(col))
+    for col in source.cycle_columns:
+        coords = target.cycle_coordinates(chain_matrix.matvec(col))
         if coords is None:
             raise AssertionError("image of a cycle is not a cycle; induced map broken")
         cols.append(coords)
-    matrix = IntegerMatrix.from_columns(cols, nrows=target_h.group.ngens)
-    return GroupHom(source_h.group, target_h.group, matrix)
+    matrix = IntegerMatrix.from_columns(cols, nrows=target.group.ngens)
+    return GroupHom(source.group, target.group, matrix)
 
 
-def induced_map(
-    f: SimplicialMap,
-    n: int,
-    source_h: Optional[HomologyResult] = None,
-    target_h: Optional[HomologyResult] = None,
-    reduced: bool = False,
-) -> GroupHom:
-    """Induced map on H_n.  Precomputed ends may be passed to reuse them.
+def induced_map(f: SimplicialMap, n: int, reduced: bool = False) -> GroupHom:
+    """Induced map on H_n, between the homology results its ends keep.
 
     >>> hexagon = SimplicialComplex.from_maximal([(i, (i + 1) % 6) for i in range(6)])
     >>> triangle = SimplicialComplex.from_maximal([(0, 1), (1, 2), (0, 2)])
@@ -433,25 +438,16 @@ def induced_map(
     >>> induced_map(wrap, 1).canonical_matrix().rows in (((2,),), ((-2,),))
     True
     """
-    if source_h is None:
-        source_h = homology(f.source, n, reduced=reduced)
-    if target_h is None:
-        target_h = homology(f.target, n, reduced=reduced)
-    return _induced_between(source_h, target_h, chain_map_matrix(f, n))
+    return _induced_between(
+        homology(f.source, n, reduced), homology(f.target, n, reduced), chain_map_matrix(f, n)
+    )
 
 
-def induced_cohomology_map(
-    f: SimplicialMap,
-    n: int,
-    source_h: Optional[HomologyResult] = None,
-    target_h: Optional[HomologyResult] = None,
-) -> GroupHom:
+def induced_cohomology_map(f: SimplicialMap, n: int) -> GroupHom:
     """Contravariant induced map H^n(target) -> H^n(source)."""
-    if source_h is None:
-        source_h = cohomology(f.target, n)
-    if target_h is None:
-        target_h = cohomology(f.source, n)
-    return _induced_between(source_h, target_h, chain_map_matrix(f, n).transpose())
+    return _induced_between(
+        cohomology(f.target, n), cohomology(f.source, n), chain_map_matrix(f, n).transpose()
+    )
 
 
 # -- mapping cylinders and telescopes ----------------------------------

@@ -726,21 +726,13 @@ def homology_tower(
     tower: ComplexTower, n: int, reduced: bool = False
 ) -> GroupTower:
     """The induced tower of homology groups in dimension ``n``."""
-    results = [homology(k, n, reduced=reduced) for k in tower.levels]
-    homs = [
-        induced_map(f, n, source_h=results[i + 1], target_h=results[i], reduced=reduced)
-        for i, f in enumerate(tower.bonds)
-    ]
-    groups = [r.group for r in results]
+    groups = [homology(k, n, reduced=reduced).group for k in tower.levels]
+    homs = [induced_map(f, n, reduced=reduced) for f in tower.bonds]
     return _certified_sequence(GroupTower, getattr(tower, "certificate", None), groups, homs)
 
 
 def cohomology_system(tower: ComplexTower, n: int) -> DirectSystem:
     """The induced direct system of cohomology groups in dimension ``n``."""
-    results = [cohomology(k, n) for k in tower.levels]
-    homs = [
-        induced_cohomology_map(f, n, source_h=results[i], target_h=results[i + 1])
-        for i, f in enumerate(tower.bonds)
-    ]
-    groups = [r.group for r in results]
+    groups = [cohomology(k, n).group for k in tower.levels]
+    homs = [induced_cohomology_map(f, n) for f in tower.bonds]
     return _certified_sequence(DirectSystem, getattr(tower, "certificate", None), groups, homs)

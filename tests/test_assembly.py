@@ -1,10 +1,14 @@
 """Assembly reports: outer terms, middle resolution, filtration reports."""
 
+import pathlib
+
 from generators import constant_tower, hollow_triangle, polygon, projective_plane, torus_7
 
 from towertop.abelian import FGAbelianGroup
 from towertop.assembly import cech_cohomology_report, petkova_report, steenrod_report
-from towertop.compactohedral import build_gallery
+from towertop.cli import deserialize
+from towertop.compactohedral import build_gallery, fence_violation
+from towertop.nerve import PointSample, cech_tower
 from towertop.simplicial import (
     SimplicialComplex,
     SimplicialMap,
@@ -173,3 +177,46 @@ def test_rejected_window_factors_nothing(smith_calls):
             with pytest.raises(ValueError, match="window must be at least 1"):
                 report(tower, 1, window)
             assert smith_calls == []
+
+
+# -- kept results across a tower ------------------------------------------
+
+
+def test_gallery_reports_make_a_fixed_number_of_factorizations(smith_calls):
+    # Steenrod in dimensions 0 and 1, then Cech in 0 and 1, each on a fresh
+    # tower; warsaw's levels are one hexagon, whose results are factored once
+    expected = {
+        "warsaw": ({"depth": 6}, [22, 9, 10, 10]),
+        "solenoid": ({"p": 2, "depth": 4}, [41, 31, 16, 16]),
+        "comb": ({"teeth": 4, "depth": 2}, [18, 16, 10, 9]),
+        "fence": ({"segments": 4, "depth": 2}, [20, 14, 8, 8]),
+    }
+    for family, (params, counts) in expected.items():
+        seen = []
+        for report in (steenrod_report, cech_cohomology_report):
+            for n in (0, 1):
+                tower = build_gallery(family, **params)
+                del smith_calls[:]
+                report(tower, n)
+                seen.append(len(smith_calls))
+        assert seen == counts, family
+
+
+def test_every_built_tower_bonds_its_own_level_objects():
+    # a bond whose ends only equal its levels would factor their homology
+    # again instead of reading what the levels keep
+    sample = PointSample([(3, 0), (0, 3), (-3, 0), (0, -3)], range(4))
+    dyadic = pathlib.Path(__file__).resolve().parent.parent / "sample" / "dyadic.tower"
+    towers = [
+        build_gallery("comb", teeth=4, depth=2),
+        build_gallery("fence", segments=4, depth=2),
+        build_gallery("solenoid", p=2, depth=2),
+        build_gallery("warsaw", depth=2),
+        *(fence_violation(axiom, 4, 2) for axiom in ("C1", "C2", "C3")),
+        cech_tower(sample, [4, 3, 1]),
+        deserialize(dyadic.read_text())[1],
+    ]
+    for t in towers:
+        assert len(t.bonds) >= 2
+        for i, bond in enumerate(t.bonds):
+            assert bond.source is t.levels[i + 1] and bond.target is t.levels[i]

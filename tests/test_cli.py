@@ -246,6 +246,22 @@ def test_gallery_missing_parameter_exits_one():
     assert "--teeth" in err
 
 
+def test_gallery_flags_the_request_does_not_read_exit_one():
+    for argv, named in (
+        (["warsaw", "--p", "3", "--teeth", "9", "--depth", "2", "--window", "4"], "--teeth, --p"),
+        (["comb", "--teeth", "4", "--depth", "2", "--segments", "5"], "--segments"),
+        (["fence", "--segments", "4", "--depth", "2", "--p", "2"], "--p"),
+        (["solenoid", "--p", "2", "--depth", "2", "--teeth", "3", "--report", "cech"], "--teeth"),
+    ):
+        code, out, err = run_cli(["gallery", *argv])
+        assert (code, out) == (1, "")
+        assert err == f"error: gallery {argv[0]} does not read {named}\n"
+    for extra in (["--dim", "1"], ["--window", "2"], ["--dim", "0", "--window", "1"]):
+        code, out, err = run_cli(["gallery", "warsaw", "--depth", "2", *extra])
+        assert (code, out) == (1, "")
+        assert err == "error: gallery reads --dim and --window only with --report\n"
+
+
 def test_gallery_value_constraint_exits_two():
     code, out, err = run_cli(["gallery", "comb", "--teeth", "1", "--depth", "5"])
     assert code == 2

@@ -1,6 +1,9 @@
 from __future__ import annotations
 
+import os
 import random
+import subprocess
+import sys
 from itertools import combinations
 
 import pytest
@@ -108,6 +111,38 @@ def test_shared_order_matches_the_inline_sort(simplexes):
     bad = validate_complex(k)
     expected = inline_first_violation(k.simplexes)
     assert (None if bad is None else (bad.kind, bad.simplex)) == expected
+
+
+HASH_SEEDED_WITNESSES = (
+    (
+        "from towertop.simplicial import SimplicialComplex, SimplicialMap\n"
+        "source = SimplicialComplex.from_maximal([('c', 'd'), ('a', 'b')])\n"
+        "target = SimplicialComplex.from_maximal([], extra_vertices='abcd')\n"
+        "SimplicialMap(source, target, {v: v for v in 'abcd'})\n",
+        "ValueError: simplex ('a', 'b') has non-simplex image",
+    ),
+    (
+        "from towertop.assembly import petkova_report\n"
+        "from towertop.simplicial import SimplicialComplex\n"
+        "stages = [[('c', 'd'), ('a', 'b')], [('x', 'y')]]\n"
+        "petkova_report([SimplicialComplex.from_maximal(s) for s in stages], 0)\n",
+        "ValueError: stage 0 is not contained in stage 1: witness ('a',)",
+    ),
+)
+
+
+@pytest.mark.parametrize(
+    "script, message", HASH_SEEDED_WITNESSES, ids=("simplicial-map", "petkova-stage")
+)
+def test_error_witnesses_do_not_depend_on_the_hash_seed(script, message):
+    # frozenset iteration order follows the string hash seed; the witness
+    # named must be the first offender in simplex order under every seed
+    for seed in range(1, 6):
+        env = {**os.environ, "PYTHONHASHSEED": str(seed)}
+        proc = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True, env=env
+        )
+        assert proc.stderr.splitlines()[-1] == message, seed
 
 
 def test_edge_boundary_sign_convention():
@@ -221,26 +256,47 @@ def test_collapsed_simplexes_map_to_zero():
 def test_induced_map_between_computed_ends_factors_nothing(smith_calls):
     f = polygon_wrap(6, 3)
     for n in (-1, 0, 1, 2):
-        source_h, target_h = homology(f.source, n), homology(f.target, n)
-        co_source, co_target = cohomology(f.target, n), cohomology(f.source, n)
+        for reduced in (False, True):
+            homology(f.source, n, reduced), homology(f.target, n, reduced)
+        cohomology(f.target, n), cohomology(f.source, n)
         del smith_calls[:]
-        hom = induced_map(f, n, source_h=source_h, target_h=target_h)
-        co = induced_cohomology_map(f, n, source_h=co_source, target_h=co_target)
+        homs = [induced_map(f, n), induced_map(f, n, reduced=True), induced_cohomology_map(f, n)]
         assert smith_calls == []
-        assert hom.equal_hom(induced_map(f, n)) and co.equal_hom(induced_cohomology_map(f, n))
+        # a fresh copy of the map computes its ends anew and gets the same maps
+        cold = polygon_wrap(6, 3)
+        expected = [
+            induced_map(cold, n), induced_map(cold, n, reduced=True), induced_cohomology_map(cold, n)
+        ]
+        assert all(h.equal_hom(e) for h, e in zip(homs, expected))
+
+
+def test_kept_results_are_shared_and_read_only():
+    c = hollow_triangle()
+    for read in (lambda: homology(c, 1), lambda: cohomology(c, 1), lambda: homology(c, 0)):
+        h = read()
+        assert read() is h
+        rep = h.representatives[0]
+        with pytest.raises(TypeError):
+            rep[(1, 2)] = 7
+        with pytest.raises(TypeError):
+            del rep[next(iter(rep))]
 
 
 def quotient_cases(k, n):
-    """(result, outgoing map, incoming map) for H_n, reduced H_n and H^n of k."""
+    """(result, outgoing map, incoming map) for H_n, reduced H_n and H^n of k.
+
+    Each result is computed on its own copy of k, so none of them is a
+    result that k kept from an earlier case.
+    """
     if n == 0 and k.n_simplexes(0):
         reduced_outgoing = augmentation_matrix(k)
     else:
         reduced_outgoing = boundary_matrix(k, n)
     down, up = boundary_matrix(k, n), boundary_matrix(k, n + 1)
     return (
-        (homology(k, n), down, up),
-        (homology(k, n, reduced=True), reduced_outgoing, up),
-        (cohomology(k, n), up.transpose(), down.transpose()),
+        (homology(SimplicialComplex(k.simplexes), n), down, up),
+        (homology(SimplicialComplex(k.simplexes), n, reduced=True), reduced_outgoing, up),
+        (cohomology(SimplicialComplex(k.simplexes), n), up.transpose(), down.transpose()),
     )
 
 
@@ -275,6 +331,11 @@ def test_homology_factors_the_outgoing_map_and_the_relations_only(smith_calls):
             cases = quotient_cases(k, n)
             assert len(smith_calls) == 2 * len(cases)
             assert smith_calls[::2] == [outgoing for _, outgoing, _ in cases]
+            # a kept result is read again, and reduced H_n is H_n above dimension 0
+            first = homology(k, n, reduced=True)
+            del smith_calls[:]
+            assert homology(k, n, reduced=True) is first and smith_calls == []
+            assert (homology(k, n) is first) == (n > 0)
 
 
 def test_induced_functoriality_random():
