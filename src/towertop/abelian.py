@@ -19,9 +19,46 @@ mutual generator membership, never by comparing generator lists.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from operator import mul
 from typing import Iterable, Optional, Sequence
+
+
+class _Record:
+    """Base of the package's small records: value equality, hash and repr.
+
+    A record keeps its attributes in ``__slots__`` and names, in
+    ``_fields``, the ones that make up its value; its own ``__init__``
+    sets them with ``object.__setattr__``.  Records of one class are
+    equal when those values are, the hash is that of the values, and
+    the repr reads ``Name(field=value, ...)``.  Records are frozen:
+    assigning or deleting an attribute raises ``AttributeError``.  A
+    mutable record puts back ``object.__setattr__`` and
+    ``object.__delattr__`` and sets ``__hash__`` to None.
+    """
+
+    __slots__ = ()
+    _fields: tuple = ()
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __repr__(self) -> str:
+        shown = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({shown})"
 
 
 class IntegerMatrix:
@@ -158,8 +195,7 @@ class IntegerMatrix:
         return f"IntegerMatrix({[list(r) for r in self.rows]!r}, ncols={self.ncols})"
 
 
-@dataclass(frozen=True)
-class SmithDecomposition:
+class SmithDecomposition(_Record):
     """Result of ``smith_normal_form``: U * M * V = D.
 
     U and V are unimodular (built purely from elementary operations),
@@ -179,26 +215,36 @@ class SmithDecomposition:
     of V.  Only the matrix products underneath skip zero entries.
     """
 
-    matrix: IntegerMatrix
-    u: IntegerMatrix
-    uinv: IntegerMatrix
-    d: IntegerMatrix
-    v: IntegerMatrix
-    vinv: IntegerMatrix
+    __slots__ = _fields = ("matrix", "u", "uinv", "d", "v", "vinv")
 
-    def __post_init__(self):
-        m, n = self.matrix.nrows, self.matrix.ncols
-        for name, shape in (
-            ("u", (m, m)), ("uinv", (m, m)), ("d", (m, n)), ("v", (n, n)), ("vinv", (n, n))
+    def __init__(
+        self,
+        matrix: IntegerMatrix,
+        u: IntegerMatrix,
+        uinv: IntegerMatrix,
+        d: IntegerMatrix,
+        v: IntegerMatrix,
+        vinv: IntegerMatrix,
+    ):
+        setattr_ = object.__setattr__
+        setattr_(self, "matrix", matrix)
+        setattr_(self, "u", u)
+        setattr_(self, "uinv", uinv)
+        setattr_(self, "d", d)
+        setattr_(self, "v", v)
+        setattr_(self, "vinv", vinv)
+        m, n = matrix.nrows, matrix.ncols
+        for name, factor, shape in (
+            ("u", u, (m, m)), ("uinv", uinv, (m, m)), ("d", d, (m, n)),
+            ("v", v, (n, n)), ("vinv", vinv, (n, n)),
         ):
-            factor = getattr(self, name)
             if (factor.nrows, factor.ncols) != shape:
                 raise AssertionError(f"Smith factor {name} has the wrong shape")
-        if not _is_identity(self.v * self.vinv):
+        if not _is_identity(v * vinv):
             raise AssertionError("tracked inverse of V is wrong")
-        if self.u * self.matrix != self.d * self.vinv:
+        if u * matrix != d * vinv:
             raise AssertionError("Smith decomposition identity U*M*V = D failed")
-        if not _is_identity(self.u * self.uinv):
+        if not _is_identity(u * uinv):
             raise AssertionError("tracked inverse of U is wrong")
         diag = self.diagonal()
         for i, x in enumerate(diag):
@@ -210,9 +256,9 @@ class SmithDecomposition:
                     raise AssertionError("zero entry precedes nonzero on Smith diagonal")
                 if x != 0 and nxt % x != 0:
                     raise AssertionError("divisibility chain broken on Smith diagonal")
-        for i in range(self.d.nrows):
-            for j in range(self.d.ncols):
-                if i != j and self.d.rows[i][j] != 0:
+        for i, row in enumerate(d.rows):
+            for j, x in enumerate(row):
+                if i != j and x != 0:
                     raise AssertionError("off-diagonal entry in Smith form")
 
     def diagonal(self) -> list:

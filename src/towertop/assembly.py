@@ -22,10 +22,9 @@ they are padded with a constant certified tail; the derived limit
 then vanishes and the report resolves to the top stage exactly.
 """
 
-from dataclasses import dataclass
 from typing import Optional, Tuple, Union
 
-from .abelian import FGAbelianGroup, GroupHom
+from .abelian import FGAbelianGroup, GroupHom, _Record
 from .simplicial import SimplicialMap, cohomology, induced_cohomology_map
 from .tower import (
     Certificate,
@@ -44,8 +43,7 @@ from .tower import (
 )
 
 
-@dataclass(frozen=True)
-class SESReport:
+class SESReport(_Record):
     """One dimension's short exact sequence, outer terms first.
 
     ``left`` classifies the derived limit one dimension up; ``right``
@@ -54,20 +52,38 @@ class SESReport:
     "UncountableViaLeft" or "UnresolvedExtension".
     """
 
-    dimension: int
-    left: Lim1Class
-    right: Union[FGAbelianGroup, NotStable]
-    middle: Union[FGAbelianGroup, str]
-    provenance: Tuple[str, ...]
+    __slots__ = _fields = ("dimension", "left", "right", "middle", "provenance")
+
+    def __init__(
+        self,
+        dimension: int,
+        left: Lim1Class,
+        right: Union[FGAbelianGroup, NotStable],
+        middle: Union[FGAbelianGroup, str],
+        provenance: Tuple[str, ...],
+    ):
+        setattr_ = object.__setattr__
+        setattr_(self, "dimension", dimension)
+        setattr_(self, "left", left)
+        setattr_(self, "right", right)
+        setattr_(self, "middle", middle)
+        setattr_(self, "provenance", provenance)
 
 
-@dataclass(frozen=True)
-class CechReport:
+class CechReport(_Record):
     """Colimit of level cohomologies in one dimension."""
 
-    dimension: int
-    result: Union[ColimResult, NotFinitelyStable]
-    provenance: Tuple[str, ...]
+    __slots__ = _fields = ("dimension", "result", "provenance")
+
+    def __init__(
+        self,
+        dimension: int,
+        result: Union[ColimResult, NotFinitelyStable],
+        provenance: Tuple[str, ...],
+    ):
+        object.__setattr__(self, "dimension", dimension)
+        object.__setattr__(self, "result", result)
+        object.__setattr__(self, "provenance", provenance)
 
 
 def _certificate_note(label: str, certificate: Optional[Certificate]) -> str:

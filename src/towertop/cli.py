@@ -18,7 +18,9 @@ fails; 4 when the process runs out of memory.
 Every subcommand reads or builds complexes and groups, so ``abelian``
 and ``simplicial`` load with this module; the other modules load in
 the handlers and decoders that use them, so a command pays start-up
-only for what it runs.
+only for what it runs.  The records are hand-written slotted classes,
+so start-up imports neither ``dataclasses`` nor the ``inspect`` it
+pulls in, and compiles no generated methods.
 """
 
 from __future__ import annotations
@@ -27,10 +29,9 @@ import argparse
 import json
 import re
 import sys
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, List, Optional
 
-from .abelian import FGAbelianGroup
+from .abelian import FGAbelianGroup, _Record
 from .simplicial import (
     SimplicialComplex,
     SimplicialMap,
@@ -245,13 +246,23 @@ def _decode_complex_tower(payload, where: str) -> ComplexTower:
 
 
 def _encode_complex_tower(t: ComplexTower) -> dict:
+    # a constant tower repeats one level object and a marking often is
+    # the levels themselves: encode each distinct complex once, and let
+    # json print the shared dict wherever the complex appears
+    encoded = {}
+
+    def encode(k: SimplicialComplex) -> dict:
+        if id(k) not in encoded:
+            encoded[id(k)] = _encode_complex(k)
+        return encoded[id(k)]
+
     out = {
-        "levels": [_encode_complex(k) for k in t.levels],
+        "levels": [encode(k) for k in t.levels],
         "bonds": [_encode_vertex_map(b) for b in t.bonds],
     }
     for name in ("marked_K", "marked_L"):
         if getattr(t, name) is not None:
-            out[name] = [_encode_complex(k) for k in getattr(t, name)]
+            out[name] = [encode(k) for k in getattr(t, name)]
     c = t.certificate
     if c is not None:
         out["certificate"] = {
@@ -373,10 +384,15 @@ def _load(path: str, expected_kind: str):
 # -- reports ---------------------------------------------------------------
 
 
-@dataclass
-class Report:
-    lines: List[str]
-    data: dict
+class Report(_Record):
+    __slots__ = _fields = ("lines", "data")
+    __setattr__ = object.__setattr__
+    __delattr__ = object.__delattr__
+    __hash__ = None
+
+    def __init__(self, lines: List[str], data: dict):
+        self.lines = lines
+        self.data = data
 
 
 def _emit(report: Report, fmt: str) -> str:

@@ -32,9 +32,9 @@ noise (a C1 escape breaks C2 at the same spot) and so a report names
 exactly one broken axiom.
 """
 
-from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
+from .abelian import _Record
 from .simplicial import (
     SimplicialComplex,
     SimplicialMap,
@@ -85,20 +85,32 @@ def contained_in_interior(
 # -- reports -------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Violation:
-    axiom: str
-    level: int
-    witness: tuple
-    detail: str
+class Violation(_Record):
+    __slots__ = _fields = ("axiom", "level", "witness", "detail")
+
+    def __init__(self, axiom: str, level: int, witness: tuple, detail: str):
+        setattr_ = object.__setattr__
+        setattr_(self, "axiom", axiom)
+        setattr_(self, "level", level)
+        setattr_(self, "witness", witness)
+        setattr_(self, "detail", detail)
 
 
-@dataclass(frozen=True)
-class ValidationReport:
-    variant: str
-    verdict: str  # "PASS" | "FAIL"
-    axioms: Tuple[str, ...]
-    violations: Tuple[Violation, ...]
+class ValidationReport(_Record):
+    __slots__ = _fields = ("variant", "verdict", "axioms", "violations")
+
+    def __init__(
+        self,
+        variant: str,
+        verdict: str,  # "PASS" | "FAIL"
+        axioms: Tuple[str, ...],
+        violations: Tuple[Violation, ...],
+    ):
+        setattr_ = object.__setattr__
+        setattr_(self, "variant", variant)
+        setattr_(self, "verdict", verdict)
+        setattr_(self, "axioms", axioms)
+        setattr_(self, "violations", violations)
 
     @property
     def passed(self) -> bool:

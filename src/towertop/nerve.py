@@ -15,10 +15,10 @@ automatically simplicial, and any two such projections between the
 same covers are contiguous, so the induced homology maps agree.
 """
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import TYPE_CHECKING, Optional, Sequence
 
+from .abelian import _Record
 from .simplicial import SimplicialComplex, SimplicialMap
 
 if TYPE_CHECKING:  # only cech_tower builds a tower, and imports it there
@@ -31,16 +31,14 @@ def _rational(value) -> Fraction:
     return Fraction(value)
 
 
-@dataclass(frozen=True)
-class PointSample:
+class PointSample(_Record):
     """Finite point set with exact coordinates and a marked subset.
 
     The marked indices designate the points sampled from the compact
     part of the space; tower construction shrinks balls around them.
     """
 
-    points: tuple
-    compactum_mark: frozenset = frozenset()
+    __slots__ = _fields = ("points", "compactum_mark")
 
     def __init__(self, points, compactum_mark=()):
         pts = tuple(tuple(_rational(c) for c in p) for p in points)
@@ -56,11 +54,10 @@ class PointSample:
         object.__setattr__(self, "compactum_mark", mark)
 
 
-@dataclass(frozen=True)
-class BallCover:
+class BallCover(_Record):
     """Closed max-metric balls, each centered at a sample point index."""
 
-    elements: tuple
+    __slots__ = _fields = ("elements",)
 
     def __init__(self, elements):
         elems = []

@@ -20,12 +20,11 @@ telescope additionally cones off the deepest level copy.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from itertools import combinations
 from types import MappingProxyType
 from typing import Dict, Iterable, Optional
 
-from .abelian import FGAbelianGroup, GroupHom, IntegerMatrix, smith_normal_form
+from .abelian import FGAbelianGroup, GroupHom, IntegerMatrix, _Record, smith_normal_form
 
 
 def label_key(label):
@@ -147,10 +146,12 @@ class SimplicialComplex:
         return f"<SimplicialComplex: {len(self.vertices)} vertices, dim {self.dimension()}>"
 
 
-@dataclass(frozen=True)
-class ComplexViolation:
-    kind: str
-    simplex: tuple
+class ComplexViolation(_Record):
+    __slots__ = _fields = ("kind", "simplex")
+
+    def __init__(self, kind: str, simplex: tuple):
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "simplex", simplex)
 
 
 def validate_complex(k: SimplicialComplex) -> Optional[ComplexViolation]:
@@ -258,8 +259,7 @@ def augmentation_matrix(k: SimplicialComplex) -> IntegerMatrix:
     return IntegerMatrix([[1] * len(k.n_simplexes(0))], ncols=len(k.n_simplexes(0)))
 
 
-@dataclass(frozen=True)
-class HomologyResult:
+class HomologyResult(_Record):
     """Homology (or cohomology) group with generator representatives.
 
     ``group`` is presented on a basis of the cycle lattice (the
@@ -276,13 +276,27 @@ class HomologyResult:
     result is shared by every caller that asks for it.
     """
 
-    group: FGAbelianGroup
-    representatives: tuple
-    degree: int
-    basis: tuple
-    cycle_columns: tuple
-    vinv: IntegerMatrix = field(compare=False, repr=False)
-    cycle_signs: tuple = field(compare=False, repr=False)
+    _fields = ("group", "representatives", "degree", "basis", "cycle_columns")
+    __slots__ = _fields + ("vinv", "cycle_signs")
+
+    def __init__(
+        self,
+        group: FGAbelianGroup,
+        representatives: tuple,
+        degree: int,
+        basis: tuple,
+        cycle_columns: tuple,
+        vinv: IntegerMatrix,
+        cycle_signs: tuple,
+    ):
+        setattr_ = object.__setattr__
+        setattr_(self, "group", group)
+        setattr_(self, "representatives", representatives)
+        setattr_(self, "degree", degree)
+        setattr_(self, "basis", basis)
+        setattr_(self, "cycle_columns", cycle_columns)
+        setattr_(self, "vinv", vinv)
+        setattr_(self, "cycle_signs", cycle_signs)
 
     def cycle_coordinates(self, chain) -> Optional[tuple]:
         """Coordinates of ``chain`` over ``cycle_columns``, or None for a non-cycle."""
@@ -485,12 +499,18 @@ def mapping_cylinder(f: SimplicialMap):
     return cylinder, src, tgt
 
 
-@dataclass(frozen=True)
-class Telescope:
-    """Finite (or pinched) telescope of a complex tower with its level inclusions."""
+class Telescope(_Record):
+    """Finite (or pinched) telescope of a complex tower with its level inclusions.
 
-    complex: SimplicialComplex
-    level_embeddings: tuple  # SimplicialMap per level, index 0 = coarsest
+    ``level_embeddings`` holds one ``SimplicialMap`` per level, index 0
+    the coarsest.
+    """
+
+    __slots__ = _fields = ("complex", "level_embeddings")
+
+    def __init__(self, complex: SimplicialComplex, level_embeddings: tuple):
+        object.__setattr__(self, "complex", complex)
+        object.__setattr__(self, "level_embeddings", level_embeddings)
 
 
 def finite_telescope(tower, n: int) -> Telescope:

@@ -23,10 +23,10 @@ the k-fold composite, with entry 0 the full group.  A tower keeps each
 chain it builds, so ``ml_status``, ``lim1_class`` and ``stable_lim`` on
 one tower share the same subgroups and factor each of them once.  A
 ``NotStable`` holds the chains it was given and factors their entries
-only when its ``image_chains`` is read.
+only when its ``image_chains`` is read, and an ``MLStatus`` its chain
+until ``image_chain`` is read.
 """
 
-from dataclasses import dataclass, replace
 from typing import List, Optional, Tuple, Union
 
 from .abelian import (
@@ -34,6 +34,7 @@ from .abelian import (
     GroupHom,
     IntegerMatrix,
     Subgroup,
+    _Record,
 )
 from .simplicial import (
     cohomology,
@@ -43,8 +44,7 @@ from .simplicial import (
 )
 
 
-@dataclass(frozen=True)
-class Certificate:
+class Certificate(_Record):
     """Assertion that a tower's visible pattern continues forever.
 
     kind = "periodic": levels and bonds from ``offset`` on repeat with
@@ -59,19 +59,28 @@ class Certificate:
     when the first derived limit is uncountable.
     """
 
-    kind: str
-    offset: int = 0
-    period: int = 1
-    stable_core: Optional[FGAbelianGroup] = None
-    lim1_display: Optional[str] = None
+    __slots__ = _fields = ("kind", "offset", "period", "stable_core", "lim1_display")
 
-    def __post_init__(self):
-        if self.kind not in ("periodic", "shift_family"):
-            raise ValueError(f"unknown certificate kind: {self.kind!r}")
-        if self.offset < 0:
+    def __init__(
+        self,
+        kind: str,
+        offset: int = 0,
+        period: int = 1,
+        stable_core: Optional[FGAbelianGroup] = None,
+        lim1_display: Optional[str] = None,
+    ):
+        if kind not in ("periodic", "shift_family"):
+            raise ValueError(f"unknown certificate kind: {kind!r}")
+        if offset < 0:
             raise ValueError("certificate offset must be nonnegative")
-        if self.period < 1:
+        if period < 1:
             raise ValueError("certificate period must be positive")
+        setattr_ = object.__setattr__
+        setattr_(self, "kind", kind)
+        setattr_(self, "offset", offset)
+        setattr_(self, "period", period)
+        setattr_(self, "stable_core", stable_core)
+        setattr_(self, "lim1_display", lim1_display)
 
 
 def _checked_sequence(levels, bonds, forward: bool):
@@ -217,36 +226,56 @@ class ComplexTower:
         return f"<ComplexTower with {len(self.levels)} levels>"
 
 
-@dataclass
-class MLStatus:
+class MLStatus(_Record):
     """Image-chain analysis of one tower level.
 
     verdict is one of "Stabilized" (with the first stable index),
     "StrictlyDecreasing" (certified to keep falling forever), or
     "UndeterminedWithinWindow".  ``image_chain`` lists the isomorphism
-    types of the composite images, starting with the full group.
+    types of the composite images, starting with the full group.  The
+    status holds the chain of images ``ml_status`` observed and builds
+    those groups on first read, as ``NotStable`` does.
     """
 
-    verdict: str
-    index: Optional[int]
-    image_chain: List[FGAbelianGroup]
-    reason: str
+    __slots__ = ("verdict", "index", "reason", "_chain", "_image_chain")
+    _fields = ("verdict", "index", "image_chain", "reason")
+    __setattr__ = object.__setattr__
+    __delattr__ = object.__delattr__
+    __hash__ = None
+
+    def __init__(self, verdict: str, index: Optional[int], chain, reason: str):
+        self.verdict = verdict
+        self.index = index
+        self.reason = reason
+        self._chain = tuple(chain)
+        self._image_chain = None
+
+    @property
+    def image_chain(self) -> List[FGAbelianGroup]:
+        if self._image_chain is None:
+            self._image_chain = [s.as_group() for s in self._chain]
+        return self._image_chain
 
 
-@dataclass
-class Lim1Class:
+class Lim1Class(_Record):
     """Classification of the first derived limit of a tower.
 
     verdict is "Zero", "Uncountable", or "Undetermined"; ``display``
     optionally names the uncountable quotient.
     """
 
-    verdict: str
-    reason: str
-    display: Optional[str] = None
+    __slots__ = _fields = ("verdict", "reason", "display")
+    __setattr__ = object.__setattr__
+    __delattr__ = object.__delattr__
+    __hash__ = None
+
+    def __init__(self, verdict: str, reason: str, display: Optional[str] = None):
+        self.verdict = verdict
+        self.reason = reason
+        self.display = display
 
 
-class NotStable:
+class NotStable(_Record):
     """Outcome of ``stable_lim`` when no stable value is reachable.
 
     ``image_chains`` lists, per level looked at, the isomorphism types
@@ -255,6 +284,10 @@ class NotStable:
     """
 
     __slots__ = ("reason", "_chains", "_image_chains")
+    _fields = ("reason", "image_chains")
+    __setattr__ = object.__setattr__
+    __delattr__ = object.__delattr__
+    __hash__ = None
 
     def __init__(self, reason: str, chains):
         self.reason = reason
@@ -267,31 +300,31 @@ class NotStable:
             self._image_chains = _chain_invariants(self._chains)
         return self._image_chains
 
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.reason, self.image_chains) == (other.reason, other.image_chains)
 
-    __hash__ = None
-
-    def __repr__(self) -> str:
-        return f"NotStable(reason={self.reason!r}, image_chains={self.image_chains!r})"
-
-
-@dataclass
-class NotFinitelyStable:
+class NotFinitelyStable(_Record):
     """Outcome of ``colim_direct_system`` without finite stabilization."""
 
-    reason: str
-    level_invariants: tuple
-    certified: bool = False
+    __slots__ = _fields = ("reason", "level_invariants", "certified")
+    __setattr__ = object.__setattr__
+    __delattr__ = object.__delattr__
+    __hash__ = None
+
+    def __init__(self, reason: str, level_invariants: tuple, certified: bool = False):
+        self.reason = reason
+        self.level_invariants = level_invariants
+        self.certified = certified
 
 
-@dataclass
-class ColimResult:
-    group: FGAbelianGroup
-    index: int
-    note: str = ""
+class ColimResult(_Record):
+    __slots__ = _fields = ("group", "index", "note")
+    __setattr__ = object.__setattr__
+    __delattr__ = object.__delattr__
+    __hash__ = None
+
+    def __init__(self, group: FGAbelianGroup, index: int, note: str = ""):
+        self.group = group
+        self.index = index
+        self.note = note
 
 
 # -- image chains -------------------------------------------------------
@@ -470,8 +503,7 @@ def ml_status(tower: GroupTower, level: int, window: Optional[int] = None) -> ML
             f"window {window} exceeds the truncated tower: only {available} bonds below level {level}"
         )
     verdict, index, reason = _ml_verdict(tower, level, window)
-    groups = [s.as_group() for s in _image_chain(tower, level, window)]
-    return MLStatus(verdict, index, groups, reason)
+    return MLStatus(verdict, index, _image_chain(tower, level, window), reason)
 
 
 def lim1_class(tower: GroupTower, window: Optional[int] = None) -> Lim1Class:
@@ -711,9 +743,11 @@ def _certified_sequence(holder, cert, levels, bonds) -> _GroupSequence:
     """
     forms = []
     if cert is not None:
-        forms.append(replace(cert, kind="periodic", stable_core=None))
+        forms.append(Certificate("periodic", cert.offset, cert.period, None, cert.lim1_display))
         if cert.kind == "shift_family":
-            forms.append(replace(cert, period=1))
+            forms.append(
+                Certificate(cert.kind, cert.offset, 1, cert.stable_core, cert.lim1_display)
+            )
     for form in forms:
         try:
             return holder(levels, bonds, form)

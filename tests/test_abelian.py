@@ -2,7 +2,6 @@ from __future__ import annotations
 
 import hashlib
 import random
-from dataclasses import replace
 from math import gcd
 
 import pytest
@@ -13,6 +12,7 @@ from towertop.abelian import (
     FGAbelianGroup,
     GroupHom,
     IntegerMatrix,
+    SmithDecomposition,
     Subgroup,
     kernel_basis,
     smith_normal_form,
@@ -177,8 +177,10 @@ def test_tampered_decomposition_is_rejected(m, field, data):
     j = data.draw(st.integers(0, target.ncols - 1))
     rows = [list(r) for r in target.rows]
     rows[i][j] += data.draw(st.integers(-3, 3).filter(bool))
+    factors = {name: getattr(s, name) for name in ("matrix", "u", "uinv", "d", "v", "vinv")}
+    factors[field] = IntegerMatrix(rows, ncols=target.ncols)
     with pytest.raises(AssertionError):
-        replace(s, **{field: IntegerMatrix(rows, ncols=target.ncols)})
+        SmithDecomposition(**factors)
 
 
 def test_solve_and_kernel():

@@ -1,7 +1,6 @@
 """Document round trips, report golden strings, and exit-code routing."""
 
 import contextlib
-import dataclasses
 import io
 import json
 import pathlib
@@ -21,7 +20,7 @@ from generators import (
     torus_7,
 )
 from oracles import maximal_simplexes
-from towertop.abelian import FGAbelianGroup, IntegerMatrix
+from towertop.abelian import FGAbelianGroup, IntegerMatrix, SmithDecomposition
 from towertop.cli import InputProblem, deserialize, main, serialize
 from towertop.compactohedral import build_gallery, fence_violation
 from towertop.nerve import BallCover, PointSample
@@ -134,6 +133,24 @@ def test_encoded_maximal_simplexes_match_the_proper_subset_rule():
         maximal = [_untuple(s) for s in json.loads(serialize("complex", k))["payload"]["maximal"]]
         assert len(maximal) == len(set(maximal))
         assert set(maximal) == maximal_simplexes(k.simplexes)
+
+
+@pytest.mark.parametrize(
+    "name, params",
+    [("solenoid", {"p": 2, "depth": 8}), ("warsaw", {"depth": 6}), ("comb", {"teeth": 5, "depth": 3})],
+)
+def test_a_tower_document_encodes_each_distinct_complex_once(monkeypatch, name, params):
+    import towertop.cli as cli
+
+    t = build_gallery(name, **params)
+    complexes = [*t.levels, *(t.marked_K or ()), *(t.marked_L or ())]
+    calls = []
+    real = cli._encode_complex
+    monkeypatch.setattr(cli, "_encode_complex", lambda k: calls.append(k) or real(k))
+    payload = json.loads(serialize("complex_tower", t))["payload"]
+    assert len(calls) == len({id(k) for k in complexes}) < len(complexes)
+    encoded = payload["levels"] + payload.get("marked_K", []) + payload.get("marked_L", [])
+    assert encoded == [json.loads(serialize("complex", k))["payload"] for k in complexes]
 
 
 @pytest.mark.parametrize(
@@ -402,7 +419,7 @@ def test_failed_self_check_exits_three_with_one_line(monkeypatch):
     def off_by_one(matrix):
         s = real(matrix)
         d = IntegerMatrix([[x + 1 for x in r] for r in s.d.rows], ncols=s.d.ncols)
-        return dataclasses.replace(s, d=d)
+        return SmithDecomposition(s.matrix, s.u, s.uinv, d, s.v, s.vinv)
 
     monkeypatch.setattr(simplicial, "smith_normal_form", off_by_one)
     code, out, err = run_cli(["homology", path("torus.complex"), "--dim", "1"])
@@ -634,11 +651,16 @@ def _towertop(modules: set) -> set:
     return {m[len("towertop."):] for m in modules if m.startswith("towertop.")}
 
 
+# ``dataclasses`` imports ``inspect``, which pulls in ``ast``, ``dis`` and
+# ``tokenize``; records are hand-written so no command pays for them
+_SLOW_STDLIB = {"dataclasses", "inspect"}
+
+
 def test_importing_the_cli_loads_no_optional_module():
     loaded = _modules_after("import sys\nimport towertop.cli")
     assert _towertop(loaded) == {"abelian", "simplicial", "cli"}
     optional = {"tower", "compactohedral", "assembly", "nerve", "polynomial"}
-    assert not loaded & ({f"towertop.{m}" for m in optional} | {"fractions"})
+    assert not loaded & ({f"towertop.{m}" for m in optional} | {"fractions"} | _SLOW_STDLIB)
 
 
 _BASE = {"abelian", "simplicial", "cli"}
@@ -681,4 +703,6 @@ def test_each_subcommand_loads_only_its_modules(argv, modules):
         "with contextlib.redirect_stdout(io.StringIO()):\n"
         "    assert main(sys.argv[1:]) == 0\n"
     )
-    assert _towertop(_modules_after(script, *argv)) == modules
+    loaded = _modules_after(script, *argv)
+    assert _towertop(loaded) == modules
+    assert not loaded & _SLOW_STDLIB

@@ -1,0 +1,214 @@
+"""The package's small records: construction, equality, hashing, repr, freezing."""
+
+import pytest
+
+from towertop.abelian import FGAbelianGroup, GroupHom, IntegerMatrix, smith_normal_form
+from towertop.assembly import CechReport, SESReport
+from towertop.cli import Report
+from towertop.compactohedral import ValidationReport, Violation, build_gallery, validate
+from towertop.nerve import BallCover, PointSample
+from towertop.simplicial import (
+    ComplexViolation,
+    HomologyResult,
+    SimplicialComplex,
+    Telescope,
+    finite_telescope,
+    homology,
+)
+from towertop.tower import (
+    Certificate,
+    ColimResult,
+    GroupTower,
+    Lim1Class,
+    NotFinitelyStable,
+    NotStable,
+    ml_status,
+    stable_lim,
+)
+
+Z = FGAbelianGroup.free(1)
+ZR = "<FGAbelianGroup Z on 1 generators>"
+CIRCLE = SimplicialComplex.from_maximal([(1, 2), (2, 3), (1, 3)])
+TELESCOPE = finite_telescope(build_gallery("solenoid", p=2, depth=2), 1)
+
+
+def _doubling():
+    double = GroupHom(Z, Z, IntegerMatrix([[2]]))
+    return GroupTower([Z] * 3, [double] * 2)
+
+
+# class -> (a factory of equal records, their repr, frozen, hashable);
+# hashable is None for a frozen record whose hash reaches an unhashable field
+RECORDS = {
+    "SmithDecomposition": (
+        lambda: smith_normal_form(IntegerMatrix([[2, 4], [6, 8]])),
+        "SmithDecomposition(matrix=IntegerMatrix([[2, 4], [6, 8]], ncols=2),"
+        " u=IntegerMatrix([[1, 0], [3, -1]], ncols=2),"
+        " uinv=IntegerMatrix([[1, 0], [3, -1]], ncols=2),"
+        " d=IntegerMatrix([[2, 0], [0, 4]], ncols=2),"
+        " v=IntegerMatrix([[1, -2], [0, 1]], ncols=2),"
+        " vinv=IntegerMatrix([[1, 2], [0, 1]], ncols=2))",
+        True,
+        True,
+    ),
+    "ComplexViolation": (
+        lambda: ComplexViolation("missing face", (1, 2)),
+        "ComplexViolation(kind='missing face', simplex=(1, 2))",
+        True,
+        True,
+    ),
+    "HomologyResult": (
+        lambda: HomologyResult(Z, (), 1, (), (), IntegerMatrix([[1]]), (1,)),
+        f"HomologyResult(group={ZR}, representatives=(), degree=1, basis=(), cycle_columns=())",
+        True,
+        True,
+    ),
+    "Telescope": (
+        lambda: Telescope(TELESCOPE.complex, TELESCOPE.level_embeddings),
+        "Telescope(complex=<SimplicialComplex: 9 vertices, dim 2>,"
+        " level_embeddings=(<SimplicialMap on 3 vertices>, <SimplicialMap on 6 vertices>))",
+        True,
+        True,
+    ),
+    "Report": (
+        lambda: Report(["a"], {"k": 1}),
+        "Report(lines=['a'], data={'k': 1})",
+        False,
+        False,
+    ),
+    "Certificate": (
+        lambda: Certificate("shift_family", 1, 2, Z, "Q/Z"),
+        f"Certificate(kind='shift_family', offset=1, period=2, stable_core={ZR},"
+        " lim1_display='Q/Z')",
+        True,
+        True,
+    ),
+    "MLStatus": (
+        lambda: ml_status(_doubling(), 0),
+        f"MLStatus(verdict='UndeterminedWithinWindow', index=None, image_chain=[{ZR}, {ZR}, {ZR}],"
+        " reason='no repeated image within the window and no certificate to extend it')",
+        False,
+        False,
+    ),
+    "NotStable": (
+        lambda: stable_lim(_doubling()),
+        "NotStable(reason='image chain at level 0 does not repeat within the window',"
+        " image_chains=(((1, ()), (1, ()), (1, ())),))",
+        False,
+        False,
+    ),
+    "Lim1Class": (
+        lambda: Lim1Class("Zero", "r"),
+        "Lim1Class(verdict='Zero', reason='r', display=None)",
+        False,
+        False,
+    ),
+    "NotFinitelyStable": (
+        lambda: NotFinitelyStable("r", ((1, ()),)),
+        "NotFinitelyStable(reason='r', level_invariants=((1, ()),), certified=False)",
+        False,
+        False,
+    ),
+    "ColimResult": (
+        lambda: ColimResult(Z, 0),
+        f"ColimResult(group={ZR}, index=0, note='')",
+        False,
+        False,
+    ),
+    "SESReport": (
+        lambda: SESReport(1, Lim1Class("Zero", "r"), Z, "UnresolvedExtension", ("n",)),
+        f"SESReport(dimension=1, left=Lim1Class(verdict='Zero', reason='r', display=None),"
+        f" right={ZR}, middle='UnresolvedExtension', provenance=('n',))",
+        True,
+        None,
+    ),
+    "CechReport": (
+        lambda: CechReport(0, ColimResult(Z, 0, "x"), ("n",)),
+        f"CechReport(dimension=0, result=ColimResult(group={ZR}, index=0, note='x'),"
+        " provenance=('n',))",
+        True,
+        None,
+    ),
+    "Violation": (
+        lambda: Violation("C1", 1, (1,), "d"),
+        "Violation(axiom='C1', level=1, witness=(1,), detail='d')",
+        True,
+        True,
+    ),
+    "ValidationReport": (
+        lambda: validate(build_gallery("warsaw", depth=2)),
+        "ValidationReport(variant='compactohedral', verdict='PASS',"
+        " axioms=('C0', 'C1', 'C2', 'C3'), violations=())",
+        True,
+        True,
+    ),
+    "PointSample": (
+        lambda: PointSample([(0, "1/2"), (1, 2)], [0]),
+        "PointSample(points=((Fraction(0, 1), Fraction(1, 2)), (Fraction(1, 1), Fraction(2, 1))),"
+        " compactum_mark=frozenset({0}))",
+        True,
+        True,
+    ),
+    "BallCover": (
+        lambda: BallCover([(0, 1), (1, "3/2")]),
+        "BallCover(elements=((0, Fraction(1, 1)), (1, Fraction(3, 2))))",
+        True,
+        True,
+    ),
+}
+
+
+@pytest.mark.parametrize("name", RECORDS)
+def test_record_semantics(name):
+    make, text, frozen, hashable = RECORDS[name]
+    a, b = make(), make()
+    assert type(a).__name__ == name
+    assert repr(a) == text
+    assert a == b and not a != b
+    assert a != 0 and a.__eq__(0) is NotImplemented
+    first = type(a)._fields[0]
+    if frozen:
+        with pytest.raises(AttributeError):
+            setattr(a, first, getattr(a, first))
+        with pytest.raises(AttributeError):
+            delattr(a, first)
+    else:
+        setattr(a, first, getattr(b, first))
+    assert (type(a).__hash__ is None) == (hashable is False)
+    if hashable:
+        assert hash(a) == hash(b)
+    else:
+        with pytest.raises(TypeError, match="unhashable type"):
+            hash(a)
+
+
+def test_records_compare_by_their_values():
+    assert Lim1Class("Zero", "r") != Lim1Class("Zero", "r", "Q/Z")
+    assert Violation("C1", 1, (1,), "d") != Violation("C2", 1, (1,), "d")
+    assert Certificate("periodic") == Certificate("periodic", offset=0, period=1)
+    assert Certificate("periodic") != Certificate("periodic", period=2)
+    # the same values in another record class are not equal
+    assert ComplexViolation("k", (1,)) != Violation("k", (1,), None, None)
+
+
+def test_homology_results_compare_without_the_kept_factorization():
+    kept = HomologyResult(Z, (), 1, (), (), IntegerMatrix([[1]]), (1,))
+    other = HomologyResult(Z, (), 1, (), (), IntegerMatrix([[3]]), (-1,))
+    assert kept == other and hash(kept) == hash(other)
+    assert kept != HomologyResult(Z, (), 2, (), (), IntegerMatrix([[1]]), (1,))
+    h = homology(CIRCLE, 1)
+    assert "vinv" not in repr(h) and "cycle_signs" not in repr(h)
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (("loop",), "unknown certificate kind: 'loop'"),
+        (("periodic", -1), "certificate offset must be nonnegative"),
+        (("periodic", 0, 0), "certificate period must be positive"),
+    ],
+)
+def test_certificates_check_their_fields_on_construction(args, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        Certificate(*args)
+

@@ -638,10 +638,8 @@ def test_lim1_then_lim_on_one_tower_shares_factorizations(smith_calls):
     assert together == apart
 
 
-def test_dense_tower_analyses_make_a_fixed_number_of_factorizations(smith_calls):
-    # the analyses the benchmark's group towers run, on one fixed tower of
-    # five generators and four bonds: a count, not a clock, so a return of
-    # repeated factorizations fails here on any host
+def fixed_dense_sequences():
+    """One fixed tower of five generators and four bonds, with its direct system."""
     rng = random.Random(3)
     bonds = []
     while len(bonds) < 4:
@@ -649,7 +647,14 @@ def test_dense_tower_analyses_make_a_fixed_number_of_factorizations(smith_calls)
         if abs(bareiss_det(a)) >= 2:
             bonds.append(a)
     relations = [[rng.randint(-9, 9) for _ in range(5)] for _ in range(3)]
-    tower, system = dense_sequences((5, tower_relations(relations, bonds), bonds))
+    return dense_sequences((5, tower_relations(relations, bonds), bonds))
+
+
+def test_dense_tower_analyses_make_a_fixed_number_of_factorizations(smith_calls):
+    # the analyses the benchmark's group towers run, on one fixed tower of
+    # five generators and four bonds: a count, not a clock, so a return of
+    # repeated factorizations fails here on any host
+    tower, system = fixed_dense_sequences()
     del smith_calls[:]
     lim1, lim, colim = lim1_class(tower), tower_lim(tower), colim_direct_system(system)
     assert lim1.verdict == "Zero"
@@ -658,6 +663,23 @@ def test_dense_tower_analyses_make_a_fixed_number_of_factorizations(smith_calls)
     # the NotStable factors the images it shows only when they are read
     lim.image_chains
     assert len(smith_calls) == 29
+
+
+def test_ml_status_builds_its_image_groups_on_first_read(smith_calls):
+    tower, _ = fixed_dense_sequences()
+    del smith_calls[:]
+    status = ml_status(tower, 0)
+    # the verdict's own factorizations only: no image is turned into a group
+    assert len(smith_calls) == 2
+    # deeper analyses extend the tower's chains; the status still shows
+    # the images it observed, as a fresh tower's does
+    lim1_class(tower), tower_lim(tower), ml_status(tower, 1)
+    del smith_calls[:]
+    late = status.image_chain
+    assert len(smith_calls) == 7
+    fresh = ml_status(fixed_dense_sequences()[0], 0)
+    assert status == fresh
+    assert [g.invariants for g in late] == [g.invariants for g in fresh.image_chain] == [(2, ())] * 5
 
 
 def test_certified_analyses_make_a_fixed_number_of_factorizations(smith_calls):
