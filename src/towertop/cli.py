@@ -15,6 +15,9 @@ flag; 2 for mathematical precondition failures raised by the
 operations; 3 when one of the package's own exactness self-checks
 fails; 4 when the process runs out of memory.
 
+``gallery`` reads its family names, and the width flag each family
+needs, from the one table ``compactohedral.GALLERY``.
+
 Every subcommand reads or builds complexes and groups, so ``abelian``
 and ``simplicial`` load with this module; the other modules load in
 the handlers and decoders that use them, so a command pays start-up
@@ -212,6 +215,9 @@ def _decode_certificate(payload, where: str) -> Optional[Certificate]:
         return None
     kind = _need(payload, "kind", where)
     core = payload.get("stable_core")
+    display = payload.get("lim1_display")
+    if display is not None and not isinstance(display, str):
+        _fail(where, "lim1_display must be a string or null")
     return _checked(
         where,
         Certificate,
@@ -219,7 +225,7 @@ def _decode_certificate(payload, where: str) -> Optional[Certificate]:
         _as_int(payload.get("offset", 0), where),
         _as_int(payload.get("period", 1), where),
         None if core is None else _decode_group(core, f"{where}.stable_core"),
-        payload.get("lim1_display"),
+        display,
     )
 
 
@@ -614,23 +620,16 @@ def _cmd_lebesgue(args) -> Report:
     )
 
 
-_FAMILY_PARAMS = {
-    "comb": ("teeth", "depth"),
-    "fence": ("segments", "depth"),
-    "solenoid": ("p", "depth"),
-    "warsaw": ("depth",),
-}
-
-
 def _cmd_gallery(args):
-    from .compactohedral import GalleryTooLarge, build_gallery
+    from .compactohedral import GALLERY, GalleryTooLarge, build_gallery
 
-    wanted = _FAMILY_PARAMS[args.family]
+    width = GALLERY[args.family][0]  # the family's width parameter, or None
+    wanted = ("depth",) if width is None else (width, "depth")
     for name in wanted:
         if getattr(args, name) is None:
             raise InputProblem(f"gallery {args.family} needs --{name}")
-    given = [n for n in ("teeth", "segments", "p") if getattr(args, n) is not None]
-    unread = [f"--{n}" for n in given if n not in wanted]
+    widths = [row[0] for row in GALLERY.values() if row[0] is not None]
+    unread = [f"--{n}" for n in widths if n != width and getattr(args, n) is not None]
     if unread:
         raise InputProblem(f"gallery {args.family} does not read {', '.join(unread)}")
     if args.report is None and (args.dim is not None or args.window is not None):
@@ -671,6 +670,12 @@ def _variant_options() -> dict:
     return {"choices": VARIANTS, "default": "compactohedral"}
 
 
+def _family_options() -> dict:
+    from .compactohedral import GALLERY  # the one table of gallery families
+
+    return {"choices": tuple(GALLERY)}
+
+
 # (name, help, handler, argument specs); each spec is the positional and
 # keyword arguments of one ``add_argument`` call, in help order
 _FORMAT = (("--format",), {"choices": ("text", "structured"), "default": "text"})
@@ -707,7 +712,7 @@ _COMMANDS = (
     ("lebesgue", "exact Lebesgue number of a cover",
      _cmd_lebesgue, (_SAMPLE, _COVER)),
     ("gallery", "build a worked example tower", _cmd_gallery, (
-        (("family",), {"choices": tuple(_FAMILY_PARAMS)}),
+        (("family",), _family_options),
         (("--teeth",), {"type": int}),
         (("--segments",), {"type": int}),
         (("--depth",), {"type": int}),

@@ -30,6 +30,12 @@ first axiom that fails, every level where it does.  Later axioms are
 not evaluated, both because their failures are usually downstream
 noise (a C1 escape breaks C2 at the same spot) and so a report names
 exactly one broken axiom.
+
+The gallery of worked examples is one table, ``GALLERY``: a row per
+family gives its width parameter (or none), the least width at a
+depth, the vertices summed over its levels, and its builder.
+``build_gallery`` checks and builds every family along one path, and
+the command line reads its family names and flags from the same rows.
 """
 
 from typing import List, Optional, Tuple
@@ -279,11 +285,10 @@ def validate(tower: ComplexTower, variant: str = "compactohedral") -> Validation
         raise ValueError(f"unknown variant: {variant!r}")
     if tower.marked_K is None:
         raise ValueError("validation needs marked_K on every level")
-    needs_collar = variant in ("pre_compactohedral", "weakly_pre_compactohedral")
-    if needs_collar and tower.marked_L is None:
-        raise ValueError(f"{variant} needs marked_L on every level")
-
     axioms = _AXIOMS[variant]
+    # the primed checks are the ones that read the collar
+    if tower.marked_L is None and any(name.endswith("'") for name in axioms):
+        raise ValueError(f"{variant} needs marked_L on every level")
     for name in axioms:
         found = _CHECKS[name](tower)
         if found:
@@ -321,89 +326,50 @@ class GalleryTooLarge(ValueError):
     """A gallery parameter asks for more than ``MAX_GALLERY_VERTICES``; the message starts with its name."""
 
 
-def _tower_vertices(name: str, width: int, depth: int) -> int:
-    """Vertices summed over the levels ``build_gallery`` makes, or a count past the bound.
-
-    ``width`` is the comb's teeth, the fence's segments or the solenoid's
-    winding degree p.  A solenoid's level j is a 3·p^j-gon, summed only
-    until the bound is passed.
-    """
-    if name == "solenoid":
-        total = 0
-        for j in range(depth + 1):
-            total += 3 * width**j
-            if total > MAX_GALLERY_VERTICES:
-                break
-        return total
-    if name == "warsaw":
-        return 6 * (depth + 1)
-    # every tooth or segment is a path on 2·depth + 5 vertices; a comb adds its handle
-    return (depth + 1) * (width * (2 * depth + 5) + (name == "comb"))
+def _path_edges(prefix, ks, lo, hi):
+    """Edges of the path from height ``lo`` to ``hi`` on each strand k in ``ks``."""
+    return [((prefix, k, j), (prefix, k, j + 1)) for k in ks for j in range(lo, hi)]
 
 
-def _check_size(name: str, width_param: Optional[str], width: int, depth: int):
-    """Reject a tower past the bound, naming the width when depth 1 is already past it."""
-    for param, value, d in ((width_param, width, 1), ("depth", depth, depth)):
-        if param is not None and _tower_vertices(name, width, d) > MAX_GALLERY_VERTICES:
-            raise GalleryTooLarge(
-                f"{param} {value} gives a {name} tower of more than "
-                f"{MAX_GALLERY_VERTICES} vertices over its levels"
+def _rail(prefix, ks, j):
+    """Edges joining strand k to strand k + 1 at height ``j``, for each k in ``ks``."""
+    return [((prefix, k, j), (prefix, k + 1, j)) for k in ks]
+
+
+def _comb(teeth: int, depth: int) -> ComplexTower:
+    length = 2 * depth + 4
+    spine = _path_edges("c", range(1, teeth + 1), 0, length) + _rail("c", range(1, teeth), 0)
+    levels, marks = [], []
+    for i in range(depth + 1):
+        reach = depth + 1 - i
+        tips = [(("o",), ("c", teeth, length))] + _rail("c", range(i + 1, teeth), length)
+        levels.append(SimplicialComplex.from_maximal(spine + tips))
+        marks.append(
+            SimplicialComplex.from_maximal(
+                tips + _path_edges("c", range(i + 1, teeth + 1), length - reach, length)
             )
+        )
+    cert = Certificate("shift_family", stable_core=None, lim1_display="Prod(Z)/Sum(Z)")
+    return ComplexTower(levels, _inclusion_bonds(levels), marks, certificate=cert)
 
 
-def _path_edges(prefix, k, lo, hi):
-    return [((prefix, k, j), (prefix, k, j + 1)) for j in range(lo, hi)]
-
-
-def _comb_level(teeth: int, depth: int, i: int) -> SimplicialComplex:
+def _fence(segments: int, depth: int) -> ComplexTower:
     length = 2 * depth + 4
-    edges = []
-    for k in range(1, teeth + 1):
-        edges.extend(_path_edges("c", k, 0, length))
-    edges.extend([(("c", k, 0), ("c", k + 1, 0)) for k in range(1, teeth)])
-    edges.append((("o",), ("c", teeth, length)))
-    edges.extend(
-        [(("c", k, length), ("c", k + 1, length)) for k in range(i + 1, teeth)]
-    )
-    return SimplicialComplex.from_maximal(edges)
-
-
-def _comb_marking(teeth: int, depth: int, i: int) -> SimplicialComplex:
-    length = 2 * depth + 4
-    reach = depth + 1 - i
-    edges = [(("o",), ("c", teeth, length))]
-    edges.extend(
-        [(("c", k, length), ("c", k + 1, length)) for k in range(i + 1, teeth)]
-    )
-    for k in range(i + 1, teeth + 1):
-        edges.extend(_path_edges("c", k, length - reach, length))
-    return SimplicialComplex.from_maximal(edges)
-
-
-def _fence_level(segments: int, depth: int, i: int) -> SimplicialComplex:
-    length = 2 * depth + 4
-    edges = []
-    for k in range(1, segments + 1):
-        edges.extend(_path_edges("s", k, 0, length))
-    edges.extend([(("s", k, 0), ("s", k + 1, 0)) for k in range(i + 1, segments)])
-    edges.extend(
-        [(("s", k, length), ("s", k + 1, length)) for k in range(i + 1, segments)]
-    )
-    return SimplicialComplex.from_maximal(edges)
-
-
-def _fence_marking(segments: int, depth: int, i: int) -> SimplicialComplex:
-    length = 2 * depth + 4
-    reach = depth + 1 - i
-    edges = []
-    edges.extend([(("s", k, 0), ("s", k + 1, 0)) for k in range(i + 1, segments)])
-    edges.extend(
-        [(("s", k, length), ("s", k + 1, length)) for k in range(i + 1, segments)]
-    )
-    for k in range(i + 1, segments + 1):
-        edges.extend(_path_edges("s", k, 0, reach))
-        edges.extend(_path_edges("s", k, length - reach, length))
-    return SimplicialComplex.from_maximal(edges)
+    posts = _path_edges("s", range(1, segments + 1), 0, length)
+    levels, marks = [], []
+    for i in range(depth + 1):
+        reach = depth + 1 - i
+        kept = range(i + 1, segments + 1)
+        rails = _rail("s", kept[:-1], 0) + _rail("s", kept[:-1], length)
+        levels.append(SimplicialComplex.from_maximal(posts + rails))
+        marks.append(
+            SimplicialComplex.from_maximal(
+                rails
+                + _path_edges("s", kept, 0, reach)
+                + _path_edges("s", kept, length - reach, length)
+            )
+        )
+    return ComplexTower(levels, _inclusion_bonds(levels), marks)
 
 
 def _inclusion_bonds(levels) -> list:
@@ -416,6 +382,50 @@ def _polygon(m: int) -> SimplicialComplex:
     return SimplicialComplex.from_maximal(
         [(("v", a), ("v", (a + 1) % m)) for a in range(m)]
     )
+
+
+def _solenoid(p: int, depth: int) -> ComplexTower:
+    levels = [_polygon(3 * p**j) for j in range(depth + 1)]
+    bonds = []
+    for j in range(depth):
+        m = 3 * p**j
+        bonds.append(
+            SimplicialMap(levels[j + 1], levels[j], {("v", a): ("v", a % m) for a in range(m * p)})
+        )
+    return ComplexTower(levels, bonds, list(levels), certificate=Certificate("periodic"))
+
+
+def _warsaw(_width: int, depth: int) -> ComplexTower:
+    hexagon = _polygon(6)
+    levels = [hexagon] * (depth + 1)
+    bonds = [SimplicialMap.identity(hexagon)] * depth
+    return ComplexTower(levels, bonds, list(levels), certificate=Certificate("periodic"))
+
+
+# family -> (width parameter or None, least width at a depth, the error
+# below it, vertices summed over the levels at (width, depth), builder
+# (width, depth) -> tower).  Every tooth or segment is a path on
+# 2·depth + 5 vertices and a comb adds its handle.  A solenoid's level j
+# is a 3·p^j-gon, counted only to the depth whose level alone is past
+# the bound even at p = 2, so a huge depth costs nothing to count.
+GALLERY = {
+    "comb": (
+        "teeth", lambda depth: depth + 1, "comb needs at least depth + 1 teeth",
+        lambda teeth, depth: (depth + 1) * (teeth * (2 * depth + 5) + 1), _comb,
+    ),
+    "fence": (
+        "segments", lambda depth: depth + 1, "fence needs at least depth + 1 segments",
+        lambda segments, depth: (depth + 1) * segments * (2 * depth + 5), _fence,
+    ),
+    "solenoid": (
+        "p", lambda depth: 2, "winding degree must be at least 2",
+        lambda p, depth: sum(
+            3 * p**j for j in range(min(depth, MAX_GALLERY_VERTICES.bit_length()) + 1)
+        ),
+        _solenoid,
+    ),
+    "warsaw": (None, lambda depth: 0, None, lambda _, depth: 6 * (depth + 1), _warsaw),
+}
 
 
 def build_gallery(name: str, **params) -> ComplexTower:
@@ -438,67 +448,23 @@ def build_gallery(name: str, **params) -> ComplexTower:
     A request for more than ``MAX_GALLERY_VERTICES`` vertices over the
     levels raises ``GalleryTooLarge`` before any level is built.
     """
-    if name == "comb":
-        teeth, depth = int(params["teeth"]), int(params["depth"])
-        if depth < 1:
-            raise ValueError("depth must be at least 1")
-        if teeth < depth + 1:
-            raise ValueError("comb needs at least depth + 1 teeth")
-        _check_size(name, "teeth", teeth, depth)
-        levels = [_comb_level(teeth, depth, i) for i in range(depth + 1)]
-        marks = [_comb_marking(teeth, depth, i) for i in range(depth + 1)]
-        tower = ComplexTower(
-            levels,
-            _inclusion_bonds(levels),
-            marks,
-            certificate=Certificate(
-                "shift_family", stable_core=None, lim1_display="Prod(Z)/Sum(Z)"
-            ),
-        )
-        return implied_collars(tower)
-    if name == "fence":
-        segments, depth = int(params["segments"]), int(params["depth"])
-        if depth < 1:
-            raise ValueError("depth must be at least 1")
-        if segments < depth + 1:
-            raise ValueError("fence needs at least depth + 1 segments")
-        _check_size(name, "segments", segments, depth)
-        levels = [_fence_level(segments, depth, i) for i in range(depth + 1)]
-        marks = [_fence_marking(segments, depth, i) for i in range(depth + 1)]
-        tower = ComplexTower(levels, _inclusion_bonds(levels), marks)
-        return implied_collars(tower)
-    if name == "solenoid":
-        p, depth = int(params["p"]), int(params["depth"])
-        if depth < 1:
-            raise ValueError("depth must be at least 1")
-        if p < 2:
-            raise ValueError("winding degree must be at least 2")
-        _check_size(name, "p", p, depth)
-        levels = [_polygon(3 * p**j) for j in range(depth + 1)]
-        bonds = []
-        for j in range(depth):
-            m = 3 * p**j
-            fine = levels[j + 1]
-            bonds.append(
-                SimplicialMap(fine, levels[j], {("v", a): ("v", a % m) for a in range(3 * p ** (j + 1))})
+    if name not in GALLERY:
+        raise ValueError(f"unknown gallery family: {name!r}")
+    param, least, too_narrow, vertices, build = GALLERY[name]
+    width = 0 if param is None else int(params[param])
+    depth = int(params["depth"])
+    if depth < 1:
+        raise ValueError("depth must be at least 1")
+    if width < least(depth):
+        raise ValueError(too_narrow)
+    # the width is named when depth 1 is already past the bound
+    for flag, value, d in ((param, width, 1), ("depth", depth, depth)):
+        if flag is not None and vertices(width, d) > MAX_GALLERY_VERTICES:
+            raise GalleryTooLarge(
+                f"{flag} {value} gives a {name} tower of more than "
+                f"{MAX_GALLERY_VERTICES} vertices over its levels"
             )
-        tower = ComplexTower(
-            levels, bonds, list(levels), certificate=Certificate("periodic")
-        )
-        return implied_collars(tower)
-    if name == "warsaw":
-        depth = int(params["depth"])
-        if depth < 1:
-            raise ValueError("depth must be at least 1")
-        _check_size(name, None, 0, depth)
-        hexagon = _polygon(6)
-        levels = [hexagon] * (depth + 1)
-        bonds = [SimplicialMap.identity(hexagon)] * depth
-        tower = ComplexTower(
-            levels, bonds, list(levels), certificate=Certificate("periodic")
-        )
-        return implied_collars(tower)
-    raise ValueError(f"unknown gallery family: {name!r}")
+    return implied_collars(build(width, depth))
 
 
 def fence_violation(axiom: str, segments: int, depth: int) -> ComplexTower:
@@ -524,10 +490,8 @@ def fence_violation(axiom: str, segments: int, depth: int) -> ComplexTower:
         # stretch the level-2 marking to the level-1 reach: the margin
         # that keeps neighbors inside the preimage disappears
         reach = depth  # reach of level 1
-        extra = []
-        for k in range(3, segments + 1):
-            extra.extend(_path_edges("s", k, 0, reach))
-            extra.extend(_path_edges("s", k, length - reach, length))
+        kept = range(3, segments + 1)
+        extra = _path_edges("s", kept, 0, reach) + _path_edges("s", kept, length - reach, length)
         marks[2] = marks[2].union(SimplicialComplex.from_maximal(extra))
     elif axiom == "C3":
         mid = depth + 1

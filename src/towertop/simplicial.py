@@ -403,22 +403,9 @@ def chain_map_matrix(f: SimplicialMap, n: int) -> IntegerMatrix:
         if len(set(images)) != len(images):
             continue
         order = sorted(range(len(images)), key=lambda i: label_key(images[i]))
-        # parity of the sorting permutation
-        seen = [False] * len(order)
-        sign = 1
-        for start in range(len(order)):
-            if seen[start]:
-                continue
-            length = 0
-            i = start
-            while not seen[i]:
-                seen[i] = True
-                i = order[i]
-                length += 1
-            if length % 2 == 0:
-                sign = -sign
+        inversions = sum(a > b for i, a in enumerate(order) for b in order[i + 1 :])
         target_simplex = tuple(images[i] for i in order)
-        out[index[target_simplex]][j] += sign
+        out[index[target_simplex]][j] += (-1) ** inversions
     return IntegerMatrix(out, ncols=len(src))
 
 

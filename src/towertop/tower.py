@@ -762,11 +762,11 @@ def homology_tower(
     """The induced tower of homology groups in dimension ``n``."""
     groups = [homology(k, n, reduced=reduced).group for k in tower.levels]
     homs = [induced_map(f, n, reduced=reduced) for f in tower.bonds]
-    return _certified_sequence(GroupTower, getattr(tower, "certificate", None), groups, homs)
+    return _certified_sequence(GroupTower, tower.certificate, groups, homs)
 
 
 def cohomology_system(tower: ComplexTower, n: int) -> DirectSystem:
     """The induced direct system of cohomology groups in dimension ``n``."""
     groups = [cohomology(k, n).group for k in tower.levels]
     homs = [induced_cohomology_map(f, n) for f in tower.bonds]
-    return _certified_sequence(DirectSystem, getattr(tower, "certificate", None), groups, homs)
+    return _certified_sequence(DirectSystem, tower.certificate, groups, homs)

@@ -101,7 +101,9 @@ def random_simplicial_map(rng: random.Random, k: SimplicialComplex):
 
 
 class SimpleTower:
-    """Duck-typed complex tower: levels[0] coarsest, bonds[i]: i+1 -> i."""
+    """Duck-typed complex tower: levels[0] coarsest, bonds[i]: i+1 -> i, no certificate."""
+
+    certificate = None
 
     def __init__(self, levels, bonds):
         self.levels = list(levels)

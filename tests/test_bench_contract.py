@@ -55,3 +55,25 @@ def test_every_name_the_workloads_import_exists():
                 assert hasattr(module, node.attr), (module.__name__, node.attr)
                 checked += 1
     assert checked > 0
+
+
+def test_every_gallery_tower_the_workloads_build_is_accepted():
+    from towertop.compactohedral import build_gallery
+
+    tree = ast.parse((BENCH / "workloads.py").read_text(encoding="utf-8"))
+    jobs = next(
+        node for node in ast.walk(tree)
+        if isinstance(node, ast.FunctionDef) and node.name == "gallery_jobs"
+    )
+    towers = [
+        ast.literal_eval(node)
+        for node in ast.walk(jobs)
+        if isinstance(node, ast.Tuple)
+        and len(node.elts) == 2
+        and isinstance(node.elts[0], ast.Constant)
+        and isinstance(node.elts[1], ast.Dict)
+    ]
+    assert {family for family, _ in towers} == {"comb", "fence", "solenoid", "warsaw"}
+    for family, params in towers:
+        tower = build_gallery(family, **params)
+        assert len(tower.levels) == params["depth"] + 1, (family, params)

@@ -309,17 +309,23 @@ def test_oversized_gallery_exits_one_naming_the_flag_and_builds_nothing(monkeypa
 
 
 def test_gallery_vertex_count_matches_the_built_towers():
-    from towertop.compactohedral import _tower_vertices
+    from towertop.compactohedral import GALLERY
 
-    for family, width, params in (
-        ("comb", 5, {"teeth": 5, "depth": 3}),
-        ("fence", 4, {"segments": 4, "depth": 2}),
-        ("solenoid", 3, {"p": 3, "depth": 3}),
-        ("warsaw", 0, {"depth": 4}),
+    for family, params in (
+        ("comb", {"teeth": 2, "depth": 1}),
+        ("comb", {"teeth": 5, "depth": 3}),
+        ("fence", {"segments": 2, "depth": 1}),
+        ("fence", {"segments": 4, "depth": 2}),
+        ("solenoid", {"p": 2, "depth": 1}),
+        ("solenoid", {"p": 3, "depth": 3}),
+        ("warsaw", {"depth": 1}),
+        ("warsaw", {"depth": 4}),
     ):
+        width, _, _, vertices, _ = GALLERY[family]
         tower = build_gallery(family, **params)
         built = sum(len(level.vertices) for level in tower.levels)
-        assert _tower_vertices(family, width, params["depth"]) == built, family
+        assert vertices(params.get(width, 0), params["depth"]) == built, (family, params)
+    assert {"comb", "fence", "solenoid", "warsaw"} == set(GALLERY)
 
 
 def test_math_precondition_exits_two(tmp_path):
@@ -409,6 +415,26 @@ def test_exponent_rationals_exit_one_naming_the_field(tmp_path):
     signed = {"elements": [[0, "+3/2"], [1, "4/6"], [2, 5]]}
     text = json.dumps({"format_version": "1", "kind": "cover", "payload": signed})
     assert [r for _, r in deserialize(text)[1].elements] == [Fraction(3, 2), Fraction(2, 3), 5]
+
+
+def test_certificate_label_that_is_not_a_string_exits_one_naming_the_field(tmp_path):
+    doc = tmp_path / "labelled.tower"
+    envelope = json.loads(serialize("complex_tower", build_gallery("comb", teeth=4, depth=2)))
+    argv = ["tower-report", str(doc), "--report", "steenrod", "--dim", "0"]
+    for label in ({"x": [1, 2]}, ["Prod(Z)"], 7, True):
+        envelope["payload"]["certificate"]["lim1_display"] = label
+        doc.write_text(json.dumps(envelope))
+        for fmt in ("text", "structured"):
+            code, out, err = run_cli([*argv, "--format", fmt])
+            assert (code, out) == (1, "")
+            assert err == (
+                f"error: {doc}.payload.certificate: lim1_display must be a string or null\n"
+            )
+    for label, line in ((None, "lim1: Uncountable"), ("A", "lim1: Uncountable (label: A)")):
+        envelope["payload"]["certificate"]["lim1_display"] = label
+        doc.write_text(json.dumps(envelope))
+        code, out, err = run_cli(argv)
+        assert code == 0 and out.splitlines()[1] == line
 
 
 def test_failed_self_check_exits_three_with_one_line(monkeypatch):

@@ -1,8 +1,10 @@
 """Validator and gallery tests: interiority, axiom checks, violations."""
 
+import hashlib
 from unittest.mock import patch
 
 from oracles import inline_simplex_order
+from towertop.cli import serialize
 from towertop.compactohedral import (
     VARIANTS,
     build_gallery,
@@ -123,11 +125,46 @@ def test_collar_attachment_makes_collared_variants_pass():
     t = build_gallery("comb", teeth=5, depth=2)
     bare = ComplexTower(t.levels, t.bonds, t.marked_K, certificate=t.certificate)
     assert validate(bare, "compactohedral").passed
-    with pytest.raises(ValueError):
-        validate(bare, "pre_compactohedral")
+    assert validate(bare, "weakly_compactohedral").passed
+    for variant in ("pre_compactohedral", "weakly_pre_compactohedral"):
+        with pytest.raises(ValueError) as e:
+            validate(bare, variant)
+        assert str(e.value) == f"{variant} needs marked_L on every level"
     collared = implied_collars(bare)
     assert validate(collared, "pre_compactohedral").passed
     assert validate(collared, "weakly_pre_compactohedral").passed
+
+
+@pytest.mark.parametrize(
+    "name, params, digest",
+    [
+        ("comb", {"teeth": 2, "depth": 1},
+         "d24fe0e11e4c869b23d9349c60abafede3e73cca1f92a379a1d545c437d6d63e"),
+        ("comb", {"teeth": 5, "depth": 3},
+         "0cf0d81d4d88abde2c540df2ba8d83a23da80acf6a7d620012244c892ac41c56"),
+        ("comb", {"teeth": 9, "depth": 5},
+         "58d729cfd247ab7cffc47b9e331909edaad2b62458184573439f08c50292f9ae"),
+        ("fence", {"segments": 2, "depth": 1},
+         "b4c6d86e1df65da8adaed28477bf0e12786f0ed001c7bc8fe70a8e0f79a5138e"),
+        ("fence", {"segments": 5, "depth": 3},
+         "cd708c7d74168260b196841d95f0c946a9f3df85e318f9674ee2f74e4572088f"),
+        ("fence", {"segments": 7, "depth": 4},
+         "b5b2fab965b3839938e30e0832e84f394114bc91b20b643b490f2d95a4c95bc3"),
+        ("solenoid", {"p": 2, "depth": 1},
+         "7b805d1d6ff04eea9657e0ffc40eb11642b844383ce2e177afa8090ac4a7e397"),
+        ("solenoid", {"p": 2, "depth": 4},
+         "b5c3939816e53c1426724a9625c1351c23d755482ceebf04836d7395587ab477"),
+        ("solenoid", {"p": 3, "depth": 5},
+         "559d702aaabdc544a6b1942d06f48e52acccb90dc75a93ebe13bb84ac002ea75"),
+        ("warsaw", {"depth": 1},
+         "c1185b6058a4c0977a581c8ea0d1c119dc000b39eb0a76747b3c216d2f07952d"),
+        ("warsaw", {"depth": 5},
+         "83283dc42481c1e252c36c43c28fbf99a55508a62987ec6900670d9e775d8a45"),
+    ],
+)
+def test_gallery_towers_serialize_to_pinned_bytes(name, params, digest):
+    text = serialize("complex_tower", build_gallery(name, **params))
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 def test_gallery_parameter_validation():
