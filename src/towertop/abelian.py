@@ -24,20 +24,43 @@ from typing import Iterable, Optional, Sequence
 
 
 class _Record:
-    """Base of the package's small records: value equality, hash and repr.
+    """Base of the package's small records: construction, equality, hash and repr.
 
     A record keeps its attributes in ``__slots__`` and names, in
-    ``_fields``, the ones that make up its value; its own ``__init__``
-    sets them with ``object.__setattr__``.  Records of one class are
-    equal when those values are, the hash is that of the values, and
-    the repr reads ``Name(field=value, ...)``.  Records are frozen:
-    assigning or deleting an attribute raises ``AttributeError``.  A
-    mutable record puts back ``object.__setattr__`` and
-    ``object.__delattr__`` and sets ``__hash__`` to None.
+    ``_fields``, the ones that make up its value.  ``__init__`` binds
+    positional and keyword arguments to the slots in order, takes any
+    left over from the class's ``_defaults``, and raises ``TypeError``
+    on a missing, unknown, repeated or surplus argument; a record that
+    checks or converts its input does so in its own ``__init__`` and
+    calls this one.  Records of one class are equal when their values
+    are, the hash is that of the values, and the repr reads
+    ``Name(field=value, ...)``.  Records are frozen: assigning or
+    deleting an attribute raises ``AttributeError``.
+
+    >>> class Pair(_Record):
+    ...     __slots__ = _fields = ("left", "right")
+    ...     _defaults = {"right": 0}
+    >>> Pair(1, right=2), Pair(left=1)
+    (Pair(left=1, right=2), Pair(left=1, right=0))
     """
 
     __slots__ = ()
     _fields: tuple = ()
+    _defaults: dict = {}
+
+    def __init__(self, *args, **kwargs):
+        cls, names = type(self).__qualname__, type(self).__slots__
+        if len(args) > len(names):
+            raise TypeError(f"{cls}() takes {len(names)} arguments but {len(args)} were given")
+        for name in kwargs:
+            if name not in names[len(args) :]:
+                problem = "multiple values for" if name in names else "an unexpected keyword"
+                raise TypeError(f"{cls}() got {problem} argument {name!r}")
+        values = {**self._defaults, **dict(zip(names, args)), **kwargs}
+        for name in names:
+            if name not in values:
+                raise TypeError(f"{cls}() missing argument {name!r}")
+            object.__setattr__(self, name, values[name])
 
     def _values(self) -> tuple:
         return tuple(getattr(self, name) for name in self._fields)
@@ -226,13 +249,7 @@ class SmithDecomposition(_Record):
         v: IntegerMatrix,
         vinv: IntegerMatrix,
     ):
-        setattr_ = object.__setattr__
-        setattr_(self, "matrix", matrix)
-        setattr_(self, "u", u)
-        setattr_(self, "uinv", uinv)
-        setattr_(self, "d", d)
-        setattr_(self, "v", v)
-        setattr_(self, "vinv", vinv)
+        _Record.__init__(self, matrix, u, uinv, d, v, vinv)
         m, n = matrix.nrows, matrix.ncols
         for name, factor, shape in (
             ("u", u, (m, m)), ("uinv", uinv, (m, m)), ("d", d, (m, n)),

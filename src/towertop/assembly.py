@@ -22,13 +22,12 @@ they are padded with a constant certified tail; the derived limit
 then vanishes and the report resolves to the top stage exactly.
 """
 
-from typing import Optional, Tuple, Union
+from typing import Optional, Union
 
 from .abelian import FGAbelianGroup, GroupHom, _Record
 from .simplicial import SimplicialMap, cohomology, induced_cohomology_map
 from .tower import (
     Certificate,
-    ColimResult,
     ComplexTower,
     GroupTower,
     Lim1Class,
@@ -54,36 +53,11 @@ class SESReport(_Record):
 
     __slots__ = _fields = ("dimension", "left", "right", "middle", "provenance")
 
-    def __init__(
-        self,
-        dimension: int,
-        left: Lim1Class,
-        right: Union[FGAbelianGroup, NotStable],
-        middle: Union[FGAbelianGroup, str],
-        provenance: Tuple[str, ...],
-    ):
-        setattr_ = object.__setattr__
-        setattr_(self, "dimension", dimension)
-        setattr_(self, "left", left)
-        setattr_(self, "right", right)
-        setattr_(self, "middle", middle)
-        setattr_(self, "provenance", provenance)
-
 
 class CechReport(_Record):
-    """Colimit of level cohomologies in one dimension."""
+    """Colimit of level cohomologies in one dimension: ``ColimResult`` or ``NotFinitelyStable``."""
 
     __slots__ = _fields = ("dimension", "result", "provenance")
-
-    def __init__(
-        self,
-        dimension: int,
-        result: Union[ColimResult, NotFinitelyStable],
-        provenance: Tuple[str, ...],
-    ):
-        object.__setattr__(self, "dimension", dimension)
-        object.__setattr__(self, "result", result)
-        object.__setattr__(self, "provenance", provenance)
 
 
 def _certificate_note(label: str, certificate: Optional[Certificate]) -> str:

@@ -8,12 +8,12 @@ travel as integers or "p/q" strings.  Serialization sorts keys and simplexes, so
 inputs produce byte-identical files and reports.
 
 Exit status: 0 for success, including Undetermined and FAIL verdicts;
-1 for input problems (unreadable file, malformed document, missing
-flag, a gallery flag the request does not read, gallery sizes past
-their bound), with a message naming the file and the violation or the
-flag; 2 for mathematical precondition failures raised by the
-operations; 3 when one of the package's own exactness self-checks
-fails; 4 when the process runs out of memory.
+1 for input problems (unreadable file, malformed document, a vertex
+mapped twice, missing flag, a gallery flag the request does not read,
+gallery sizes past their bound), with a message naming the file and
+the violation or the flag; 2 for mathematical precondition failures
+raised by the operations; 3 when one of the package's own exactness
+self-checks fails; 4 when the process runs out of memory.
 
 ``gallery`` reads its family names, and the width flag each family
 needs, from the one table ``compactohedral.GALLERY``.
@@ -21,9 +21,10 @@ needs, from the one table ``compactohedral.GALLERY``.
 Every subcommand reads or builds complexes and groups, so ``abelian``
 and ``simplicial`` load with this module; the other modules load in
 the handlers and decoders that use them, so a command pays start-up
-only for what it runs.  The records are hand-written slotted classes,
-so start-up imports neither ``dataclasses`` nor the ``inspect`` it
-pulls in, and compiles no generated methods.
+only for what it runs.  The records are slotted classes whose one
+constructor, ``abelian._Record.__init__``, binds arguments to slots:
+start-up imports neither ``dataclasses`` nor the ``inspect`` it pulls
+in, and compiles no generated methods.
 """
 
 from __future__ import annotations
@@ -177,7 +178,10 @@ def _decode_vertex_map(pairs, where: str) -> dict:
         pair = _as_list(pair, spot)
         if len(pair) != 2:
             _fail(spot, "expected a [source, image] pair")
-        out[_decode_label(pair[0], spot)] = _decode_label(pair[1], spot)
+        v = _decode_label(pair[0], spot)
+        if v in out:
+            _fail(spot, f"vertex {v!r} is mapped twice")
+        out[v] = _decode_label(pair[1], spot)
     return out
 
 
@@ -392,13 +396,6 @@ def _load(path: str, expected_kind: str):
 
 class Report(_Record):
     __slots__ = _fields = ("lines", "data")
-    __setattr__ = object.__setattr__
-    __delattr__ = object.__delattr__
-    __hash__ = None
-
-    def __init__(self, lines: List[str], data: dict):
-        self.lines = lines
-        self.data = data
 
 
 def _emit(report: Report, fmt: str) -> str:

@@ -38,7 +38,7 @@ depth, the vertices summed over its levels, and its builder.
 the command line reads its family names and flags from the same rows.
 """
 
-from typing import List, Optional, Tuple
+from typing import List, Optional
 
 from .abelian import _Record
 from .simplicial import (
@@ -94,29 +94,10 @@ def contained_in_interior(
 class Violation(_Record):
     __slots__ = _fields = ("axiom", "level", "witness", "detail")
 
-    def __init__(self, axiom: str, level: int, witness: tuple, detail: str):
-        setattr_ = object.__setattr__
-        setattr_(self, "axiom", axiom)
-        setattr_(self, "level", level)
-        setattr_(self, "witness", witness)
-        setattr_(self, "detail", detail)
-
 
 class ValidationReport(_Record):
+    # verdict is "PASS" or "FAIL"
     __slots__ = _fields = ("variant", "verdict", "axioms", "violations")
-
-    def __init__(
-        self,
-        variant: str,
-        verdict: str,  # "PASS" | "FAIL"
-        axioms: Tuple[str, ...],
-        violations: Tuple[Violation, ...],
-    ):
-        setattr_ = object.__setattr__
-        setattr_(self, "variant", variant)
-        setattr_(self, "verdict", verdict)
-        setattr_(self, "axioms", axioms)
-        setattr_(self, "violations", violations)
 
     @property
     def passed(self) -> bool:
@@ -445,14 +426,24 @@ def build_gallery(name: str, **params) -> ComplexTower:
     warsaw(depth): a constant hexagon with identity bonds; the whole
     level is marked.  Certified periodic.
 
-    A request for more than ``MAX_GALLERY_VERTICES`` vertices over the
-    levels raises ``GalleryTooLarge`` before any level is built.
+    Each keyword the family reads must be given as an ``int``, and no
+    other.  A request for more than ``MAX_GALLERY_VERTICES`` vertices
+    over the levels raises ``GalleryTooLarge`` before any level is built.
     """
     if name not in GALLERY:
         raise ValueError(f"unknown gallery family: {name!r}")
     param, least, too_narrow, vertices, build = GALLERY[name]
-    width = 0 if param is None else int(params[param])
-    depth = int(params["depth"])
+    wanted = ("depth",) if param is None else (param, "depth")
+    for key in params:
+        if key not in wanted:
+            raise ValueError(f"{name} does not read the keyword {key!r}")
+    for key in wanted:
+        if key not in params:
+            raise ValueError(f"{name} needs the keyword {key!r}")
+        if isinstance(params[key], bool) or not isinstance(params[key], int):
+            raise ValueError(f"{key} must be an int, got {params[key]!r}")
+    width = 0 if param is None else params[param]
+    depth = params["depth"]
     if depth < 1:
         raise ValueError("depth must be at least 1")
     if width < least(depth):

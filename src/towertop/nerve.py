@@ -50,8 +50,7 @@ class PointSample(_Record):
         mark = frozenset(int(i) for i in compactum_mark)
         if any(i < 0 or i >= len(pts) for i in mark):
             raise ValueError("compactum mark indexes outside the sample")
-        object.__setattr__(self, "points", pts)
-        object.__setattr__(self, "compactum_mark", mark)
+        _Record.__init__(self, pts, mark)
 
 
 class BallCover(_Record):
@@ -69,7 +68,7 @@ class BallCover(_Record):
             if radius <= 0:
                 raise ValueError("radius must be positive")
             elems.append((center, radius))
-        object.__setattr__(self, "elements", tuple(elems))
+        _Record.__init__(self, tuple(elems))
 
 
 def distance(x: Sequence[Fraction], y: Sequence[Fraction]) -> Fraction:

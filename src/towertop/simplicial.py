@@ -149,10 +149,6 @@ class SimplicialComplex:
 class ComplexViolation(_Record):
     __slots__ = _fields = ("kind", "simplex")
 
-    def __init__(self, kind: str, simplex: tuple):
-        object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "simplex", simplex)
-
 
 def validate_complex(k: SimplicialComplex) -> Optional[ComplexViolation]:
     """None when face-closed and well-formed, else the first violation found.
@@ -278,25 +274,6 @@ class HomologyResult(_Record):
 
     _fields = ("group", "representatives", "degree", "basis", "cycle_columns")
     __slots__ = _fields + ("vinv", "cycle_signs")
-
-    def __init__(
-        self,
-        group: FGAbelianGroup,
-        representatives: tuple,
-        degree: int,
-        basis: tuple,
-        cycle_columns: tuple,
-        vinv: IntegerMatrix,
-        cycle_signs: tuple,
-    ):
-        setattr_ = object.__setattr__
-        setattr_(self, "group", group)
-        setattr_(self, "representatives", representatives)
-        setattr_(self, "degree", degree)
-        setattr_(self, "basis", basis)
-        setattr_(self, "cycle_columns", cycle_columns)
-        setattr_(self, "vinv", vinv)
-        setattr_(self, "cycle_signs", cycle_signs)
 
     def cycle_coordinates(self, chain) -> Optional[tuple]:
         """Coordinates of ``chain`` over ``cycle_columns``, or None for a non-cycle."""
@@ -494,10 +471,6 @@ class Telescope(_Record):
     """
 
     __slots__ = _fields = ("complex", "level_embeddings")
-
-    def __init__(self, complex: SimplicialComplex, level_embeddings: tuple):
-        object.__setattr__(self, "complex", complex)
-        object.__setattr__(self, "level_embeddings", level_embeddings)
 
 
 def finite_telescope(tower, n: int) -> Telescope:

@@ -24,7 +24,7 @@ chain it builds, so ``ml_status``, ``lim1_class`` and ``stable_lim`` on
 one tower share the same subgroups and factor each of them once.  A
 ``NotStable`` holds the chains it was given and factors their entries
 only when its ``image_chains`` is read, and an ``MLStatus`` its chain
-until ``image_chain`` is read.
+until ``image_chain`` is read; both are frozen but for that one cache.
 """
 
 from typing import List, Optional, Tuple, Union
@@ -60,27 +60,16 @@ class Certificate(_Record):
     """
 
     __slots__ = _fields = ("kind", "offset", "period", "stable_core", "lim1_display")
+    _defaults = {"offset": 0, "period": 1, "stable_core": None, "lim1_display": None}
 
-    def __init__(
-        self,
-        kind: str,
-        offset: int = 0,
-        period: int = 1,
-        stable_core: Optional[FGAbelianGroup] = None,
-        lim1_display: Optional[str] = None,
-    ):
-        if kind not in ("periodic", "shift_family"):
-            raise ValueError(f"unknown certificate kind: {kind!r}")
-        if offset < 0:
+    def __init__(self, *args, **kwargs):
+        _Record.__init__(self, *args, **kwargs)
+        if self.kind not in ("periodic", "shift_family"):
+            raise ValueError(f"unknown certificate kind: {self.kind!r}")
+        if self.offset < 0:
             raise ValueError("certificate offset must be nonnegative")
-        if period < 1:
+        if self.period < 1:
             raise ValueError("certificate period must be positive")
-        setattr_ = object.__setattr__
-        setattr_(self, "kind", kind)
-        setattr_(self, "offset", offset)
-        setattr_(self, "period", period)
-        setattr_(self, "stable_core", stable_core)
-        setattr_(self, "lim1_display", lim1_display)
 
 
 def _checked_sequence(levels, bonds, forward: bool):
@@ -234,26 +223,20 @@ class MLStatus(_Record):
     "UndeterminedWithinWindow".  ``image_chain`` lists the isomorphism
     types of the composite images, starting with the full group.  The
     status holds the chain of images ``ml_status`` observed and builds
-    those groups on first read, as ``NotStable`` does.
+    those groups on first read, its one write after construction, as
+    ``NotStable`` does.
     """
 
     __slots__ = ("verdict", "index", "reason", "_chain", "_image_chain")
     _fields = ("verdict", "index", "image_chain", "reason")
-    __setattr__ = object.__setattr__
-    __delattr__ = object.__delattr__
-    __hash__ = None
 
     def __init__(self, verdict: str, index: Optional[int], chain, reason: str):
-        self.verdict = verdict
-        self.index = index
-        self.reason = reason
-        self._chain = tuple(chain)
-        self._image_chain = None
+        _Record.__init__(self, verdict, index, reason, tuple(chain), None)
 
     @property
     def image_chain(self) -> List[FGAbelianGroup]:
         if self._image_chain is None:
-            self._image_chain = [s.as_group() for s in self._chain]
+            object.__setattr__(self, "_image_chain", [s.as_group() for s in self._chain])
         return self._image_chain
 
 
@@ -265,14 +248,7 @@ class Lim1Class(_Record):
     """
 
     __slots__ = _fields = ("verdict", "reason", "display")
-    __setattr__ = object.__setattr__
-    __delattr__ = object.__delattr__
-    __hash__ = None
-
-    def __init__(self, verdict: str, reason: str, display: Optional[str] = None):
-        self.verdict = verdict
-        self.reason = reason
-        self.display = display
+    _defaults = {"display": None}
 
 
 class NotStable(_Record):
@@ -280,24 +256,20 @@ class NotStable(_Record):
 
     ``image_chains`` lists, per level looked at, the isomorphism types
     of the images in its chain.  The outcome holds the chains
-    ``stable_lim`` observed and builds those types on first read.
+    ``stable_lim`` observed and builds those types on first read, its
+    one write after construction.
     """
 
     __slots__ = ("reason", "_chains", "_image_chains")
     _fields = ("reason", "image_chains")
-    __setattr__ = object.__setattr__
-    __delattr__ = object.__delattr__
-    __hash__ = None
 
     def __init__(self, reason: str, chains):
-        self.reason = reason
-        self._chains = tuple(chains)
-        self._image_chains = None
+        _Record.__init__(self, reason, tuple(chains), None)
 
     @property
     def image_chains(self) -> tuple:
         if self._image_chains is None:
-            self._image_chains = _chain_invariants(self._chains)
+            object.__setattr__(self, "_image_chains", _chain_invariants(self._chains))
         return self._image_chains
 
 
@@ -305,26 +277,12 @@ class NotFinitelyStable(_Record):
     """Outcome of ``colim_direct_system`` without finite stabilization."""
 
     __slots__ = _fields = ("reason", "level_invariants", "certified")
-    __setattr__ = object.__setattr__
-    __delattr__ = object.__delattr__
-    __hash__ = None
-
-    def __init__(self, reason: str, level_invariants: tuple, certified: bool = False):
-        self.reason = reason
-        self.level_invariants = level_invariants
-        self.certified = certified
+    _defaults = {"certified": False}
 
 
 class ColimResult(_Record):
     __slots__ = _fields = ("group", "index", "note")
-    __setattr__ = object.__setattr__
-    __delattr__ = object.__delattr__
-    __hash__ = None
-
-    def __init__(self, group: FGAbelianGroup, index: int, note: str = ""):
-        self.group = group
-        self.index = index
-        self.note = note
+    _defaults = {"note": ""}
 
 
 # -- image chains -------------------------------------------------------

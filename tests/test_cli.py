@@ -437,6 +437,24 @@ def test_certificate_label_that_is_not_a_string_exits_one_naming_the_field(tmp_p
         assert code == 0 and out.splitlines()[1] == line
 
 
+def test_vertex_mapped_twice_exits_one_naming_the_pair(tmp_path):
+    doc = tmp_path / "twice.map"
+    envelope = json.loads((SAMPLE / "hex_to_tri.map").read_text())
+    envelope["payload"]["vertex_map"].append([0, 1])
+    doc.write_text(json.dumps(envelope))
+    assert run_cli(["induced", str(doc), "--dim", "1"]) == (
+        1, "", f"error: {doc}.payload.vertex_map[6]: vertex 0 is mapped twice\n"
+    )
+    # the same image twice is still one vertex mapped twice
+    envelope = json.loads((SAMPLE / "dyadic.tower").read_text())
+    envelope["payload"]["bonds"][1].insert(1, [["v", 0], ["v", 0]])
+    doc = tmp_path / "twice.tower"
+    doc.write_text(json.dumps(envelope))
+    assert run_cli(["tower-report", str(doc), "--report", "steenrod", "--dim", "0"]) == (
+        1, "", f"error: {doc}.payload.bonds[1][1]: vertex ('v', 0) is mapped twice\n"
+    )
+
+
 def test_failed_self_check_exits_three_with_one_line(monkeypatch):
     import towertop.simplicial as simplicial
 
@@ -678,7 +696,7 @@ def _towertop(modules: set) -> set:
 
 
 # ``dataclasses`` imports ``inspect``, which pulls in ``ast``, ``dis`` and
-# ``tokenize``; records are hand-written so no command pays for them
+# ``tokenize``; records build on ``abelian._Record`` so no command pays for them
 _SLOW_STDLIB = {"dataclasses", "inspect"}
 
 

@@ -1,6 +1,7 @@
 """Validator and gallery tests: interiority, axiom checks, violations."""
 
 import hashlib
+import re
 from unittest.mock import patch
 
 from oracles import inline_simplex_order
@@ -178,6 +179,23 @@ def test_gallery_parameter_validation():
         build_gallery("nonsense", depth=1)
     with pytest.raises(ValueError):
         fence_violation("C0", 6, 3)
+
+
+@pytest.mark.parametrize(
+    "name, params, message",
+    [
+        ("comb", {"depth": 2}, "comb needs the keyword 'teeth'"),
+        ("warsaw", {}, "warsaw needs the keyword 'depth'"),
+        ("warsaw", {"depth": 2, "p": 3}, "warsaw does not read the keyword 'p'"),
+        ("comb", {"teeth": 4, "depth": 2, "segments": 4}, "comb does not read the keyword 'segments'"),
+        ("comb", {"teeth": "4", "depth": 2}, "teeth must be an int, got '4'"),
+        ("comb", {"teeth": 4, "depth": 2.7}, "depth must be an int, got 2.7"),
+        ("solenoid", {"p": True, "depth": 2}, "p must be an int, got True"),
+    ],
+)
+def test_gallery_rejects_missing_unread_and_non_integer_keywords(name, params, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        build_gallery(name, **params)
 
 
 def test_validation_requires_markings():

@@ -1,8 +1,14 @@
 """The package's small records: construction, equality, hashing, repr, freezing."""
 
+import importlib
+import pkgutil
+import re
+import sys
+
 import pytest
 
-from towertop.abelian import FGAbelianGroup, GroupHom, IntegerMatrix, smith_normal_form
+import towertop
+from towertop.abelian import FGAbelianGroup, GroupHom, IntegerMatrix, _Record, smith_normal_form
 from towertop.assembly import CechReport, SESReport
 from towertop.cli import Report
 from towertop.compactohedral import ValidationReport, Violation, build_gallery, validate
@@ -73,8 +79,8 @@ RECORDS = {
     "Report": (
         lambda: Report(["a"], {"k": 1}),
         "Report(lines=['a'], data={'k': 1})",
-        False,
-        False,
+        True,
+        None,
     ),
     "Certificate": (
         lambda: Certificate("shift_family", 1, 2, Z, "Q/Z"),
@@ -87,47 +93,47 @@ RECORDS = {
         lambda: ml_status(_doubling(), 0),
         f"MLStatus(verdict='UndeterminedWithinWindow', index=None, image_chain=[{ZR}, {ZR}, {ZR}],"
         " reason='no repeated image within the window and no certificate to extend it')",
-        False,
-        False,
+        True,
+        None,
     ),
     "NotStable": (
         lambda: stable_lim(_doubling()),
         "NotStable(reason='image chain at level 0 does not repeat within the window',"
         " image_chains=(((1, ()), (1, ()), (1, ())),))",
-        False,
-        False,
+        True,
+        True,
     ),
     "Lim1Class": (
         lambda: Lim1Class("Zero", "r"),
         "Lim1Class(verdict='Zero', reason='r', display=None)",
-        False,
-        False,
+        True,
+        True,
     ),
     "NotFinitelyStable": (
         lambda: NotFinitelyStable("r", ((1, ()),)),
         "NotFinitelyStable(reason='r', level_invariants=((1, ()),), certified=False)",
-        False,
-        False,
+        True,
+        True,
     ),
     "ColimResult": (
         lambda: ColimResult(Z, 0),
         f"ColimResult(group={ZR}, index=0, note='')",
-        False,
-        False,
+        True,
+        True,
     ),
     "SESReport": (
         lambda: SESReport(1, Lim1Class("Zero", "r"), Z, "UnresolvedExtension", ("n",)),
         f"SESReport(dimension=1, left=Lim1Class(verdict='Zero', reason='r', display=None),"
         f" right={ZR}, middle='UnresolvedExtension', provenance=('n',))",
         True,
-        None,
+        True,
     ),
     "CechReport": (
         lambda: CechReport(0, ColimResult(Z, 0, "x"), ("n",)),
         f"CechReport(dimension=0, result=ColimResult(group={ZR}, index=0, note='x'),"
         " provenance=('n',))",
         True,
-        None,
+        True,
     ),
     "Violation": (
         lambda: Violation("C1", 1, (1,), "d"),
@@ -156,6 +162,23 @@ RECORDS = {
         True,
     ),
 }
+
+
+def _package_records() -> set:
+    """Names of the records the package's modules define, every module imported."""
+    for module in pkgutil.iter_modules(towertop.__path__):
+        importlib.import_module(f"towertop.{module.name}")
+    # a class made in a doctest also subclasses _Record; only the ones a
+    # module holds by name are the package's
+    return {
+        cls.__name__
+        for cls in _Record.__subclasses__()
+        if getattr(sys.modules.get(cls.__module__), cls.__name__, None) is cls
+    }
+
+
+def test_every_record_has_a_row():
+    assert _package_records() == set(RECORDS)
 
 
 @pytest.mark.parametrize("name", RECORDS)
@@ -189,6 +212,31 @@ def test_records_compare_by_their_values():
     assert Certificate("periodic") != Certificate("periodic", period=2)
     # the same values in another record class are not equal
     assert ComplexViolation("k", (1,)) != Violation("k", (1,), None, None)
+
+
+def test_records_bind_positional_keyword_and_default_arguments():
+    full = Lim1Class("Uncountable", "r", "Q/Z")
+    assert full == Lim1Class("Uncountable", display="Q/Z", reason="r")
+    assert full == Lim1Class(verdict="Uncountable", reason="r", display="Q/Z")
+    assert Lim1Class("Zero", "r").display is None
+    assert NotFinitelyStable("r", ()).certified is False
+    assert ColimResult(Z, 0) == ColimResult(group=Z, index=0, note="")
+    assert Violation("C1", 1, (1,), "d").detail == "d"
+    assert Certificate(period=2, kind="periodic") == Certificate("periodic", 0, 2, None, None)
+
+
+@pytest.mark.parametrize(
+    "args, kwargs, message",
+    [
+        (("Zero",), {}, "Lim1Class() missing argument 'reason'"),
+        (("Zero", "r"), {"colour": 1}, "Lim1Class() got an unexpected keyword argument 'colour'"),
+        (("Zero", "r"), {"verdict": "Zero"}, "Lim1Class() got multiple values for argument 'verdict'"),
+        (("Zero", "r", None, 4), {}, "Lim1Class() takes 3 arguments but 4 were given"),
+    ],
+)
+def test_records_reject_a_missing_unknown_repeated_or_surplus_argument(args, kwargs, message):
+    with pytest.raises(TypeError, match=f"^{re.escape(message)}$"):
+        Lim1Class(*args, **kwargs)
 
 
 def test_homology_results_compare_without_the_kept_factorization():
