@@ -8,8 +8,8 @@ objects are
   solve/kernel/Smith routines, and
 * :class:`FGAbelianGroup`, a finitely generated abelian group carried
   around together with a presentation (generator count plus integer
-  relation rows) and the unimodular change of basis that brings the
-  relation matrix to Smith normal form.
+  relation rows) and the two maps between presentation and canonical
+  coordinates that the Smith normal form of the relation matrix gives.
 
 The Smith decomposition is the workhorse: solving integer linear
 systems, deciding membership in a sublattice, and canonicalizing
@@ -35,7 +35,10 @@ class _Record:
     calls this one.  Records of one class are equal when their values
     are, the hash is that of the values, and the repr reads
     ``Name(field=value, ...)``.  Records are frozen: assigning or
-    deleting an attribute raises ``AttributeError``.
+    deleting an attribute raises ``AttributeError``.  A record copies
+    and pickles as its class called on its slots in order, so a record
+    with its own ``__init__`` takes its slots in that order and checks
+    a copy as it checked the original.
 
     >>> class Pair(_Record):
     ...     __slots__ = _fields = ("left", "right")
@@ -78,6 +81,9 @@ class _Record:
 
     def __delattr__(self, name):
         raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, name) for name in self.__slots__)
 
     def __repr__(self) -> str:
         shown = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
@@ -500,9 +506,10 @@ class FGAbelianGroup:
     ``relations``.  Canonical form (free rank plus invariant-factor
     torsion list, each factor at least 2 and dividing the next) is
     computed once from the Smith normal form of the transposed
-    relation matrix, and the unimodular change of basis is kept so
-    elements can be moved between presentation coordinates and
-    canonical coordinates exactly.
+    relation matrix.  Of that factorization the group keeps only the
+    rows of U and the columns of U^-1 that carry a canonical
+    coordinate, so elements move between presentation coordinates and
+    canonical coordinates exactly, one product each way.
 
     Canonical coordinates list the free positions first, then the
     torsion positions in divisibility order.
@@ -514,15 +521,7 @@ class FGAbelianGroup:
     'Z + Z/2'
     """
 
-    __slots__ = (
-        "ngens",
-        "relations",
-        "free_rank",
-        "torsion",
-        "_snf",
-        "_free_positions",
-        "_torsion_positions",
-    )
+    __slots__ = ("ngens", "relations", "free_rank", "torsion", "_to", "_from")
 
     def __init__(self, ngens: int, relations: Optional[IntegerMatrix] = None):
         if ngens < 0:
@@ -533,16 +532,21 @@ class FGAbelianGroup:
             raise ValueError("relation width must equal generator count")
         self.ngens = ngens
         self.relations = relations
-        # columns of relations^T are the relation vectors
-        self._snf = smith_normal_form(relations.transpose())
-        diag = self._snf.diagonal()
-        rank = self._snf.rank
-        torsion_positions = [i for i in range(rank) if diag[i] > 1]
-        free_positions = list(range(rank, ngens))
-        self.free_rank = len(free_positions)
-        self.torsion = tuple(diag[i] for i in torsion_positions)
-        self._free_positions = tuple(free_positions)
-        self._torsion_positions = tuple(torsion_positions)
+        # columns of relations^T are the relation vectors.  With U * R^T
+        # * V = D, row i of U gives coordinate i: free from the rank on, of
+        # torsion diag[i] below it when diag[i] > 1.  The divisibility
+        # chain puts the units first, so torsion runs from ``first`` to the
+        # rank; U's rows and U^-1's columns from there on are kept, free
+        # ones first.
+        snf = smith_normal_form(relations.transpose())
+        rank = snf.rank
+        self.torsion = tuple(t for t in snf.invariant_factors if t > 1)
+        self.free_rank = ngens - rank
+        first = rank - len(self.torsion)
+        self._to = IntegerMatrix._derived(snf.u.rows[rank:] + snf.u.rows[first:rank], ngens)
+        self._from = IntegerMatrix._derived(
+            tuple(row[rank:] + row[first:rank] for row in snf.uinv.rows), ngens - first
+        )
 
     # -- constructors -------------------------------------------------
 
@@ -588,21 +592,15 @@ class FGAbelianGroup:
         """Canonical coordinates of an element given in presentation coordinates."""
         if len(x) != self.ngens:
             raise ValueError("element length must equal generator count")
-        y = self._snf.u.matvec(x)
-        free = [y[i] for i in self._free_positions]
-        tors = [y[i] % t for i, t in zip(self._torsion_positions, self.torsion)]
-        return tuple(free + tors)
+        y = self._to.matvec(x)
+        f = self.free_rank
+        return y[:f] + tuple(c % t for c, t in zip(y[f:], self.torsion))
 
     def from_canonical(self, y: Sequence[int]) -> tuple:
         """One presentation-coordinate representative of canonical coordinates."""
         if len(y) != self.canonical_ngens:
             raise ValueError("canonical length mismatch")
-        lifted = [0] * self.ngens
-        for k, i in enumerate(self._free_positions):
-            lifted[i] = y[k]
-        for k, i in enumerate(self._torsion_positions):
-            lifted[i] = y[self.free_rank + k]
-        return self._snf.uinv.matvec(lifted)
+        return self._from.matvec(y)
 
     def reduce_canonical(self, y: Sequence[int]) -> tuple:
         """Normalize raw canonical coordinates (torsion entries mod invariant)."""

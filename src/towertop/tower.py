@@ -22,9 +22,10 @@ composite bonds from deeper and deeper stages: entry k is the image of
 the k-fold composite, with entry 0 the full group.  A tower keeps each
 chain it builds, so ``ml_status``, ``lim1_class`` and ``stable_lim`` on
 one tower share the same subgroups and factor each of them once.  A
-``NotStable`` holds the chains it was given and factors their entries
-only when its ``image_chains`` is read, and an ``MLStatus`` its chain
-until ``image_chain`` is read; both are frozen but for that one cache.
+``NotStable`` holds the chains it was given and an ``MLStatus`` its
+chain; each reads the isomorphism types through those subgroups,
+which keep them, so nothing is factored until they are read and
+nothing twice.
 """
 
 from typing import List, Optional, Tuple, Union
@@ -222,22 +223,19 @@ class MLStatus(_Record):
     "StrictlyDecreasing" (certified to keep falling forever), or
     "UndeterminedWithinWindow".  ``image_chain`` lists the isomorphism
     types of the composite images, starting with the full group.  The
-    status holds the chain of images ``ml_status`` observed and builds
-    those groups on first read, its one write after construction, as
-    ``NotStable`` does.
+    status holds the chain of images ``ml_status`` observed and reads
+    those groups through it, as ``NotStable`` does.
     """
 
-    __slots__ = ("verdict", "index", "reason", "_chain", "_image_chain")
+    __slots__ = ("verdict", "index", "_chain", "reason")
     _fields = ("verdict", "index", "image_chain", "reason")
 
     def __init__(self, verdict: str, index: Optional[int], chain, reason: str):
-        _Record.__init__(self, verdict, index, reason, tuple(chain), None)
+        _Record.__init__(self, verdict, index, tuple(chain), reason)
 
     @property
     def image_chain(self) -> List[FGAbelianGroup]:
-        if self._image_chain is None:
-            object.__setattr__(self, "_image_chain", [s.as_group() for s in self._chain])
-        return self._image_chain
+        return [s.as_group() for s in self._chain]
 
 
 class Lim1Class(_Record):
@@ -256,21 +254,18 @@ class NotStable(_Record):
 
     ``image_chains`` lists, per level looked at, the isomorphism types
     of the images in its chain.  The outcome holds the chains
-    ``stable_lim`` observed and builds those types on first read, its
-    one write after construction.
+    ``stable_lim`` observed and reads those types through them.
     """
 
-    __slots__ = ("reason", "_chains", "_image_chains")
+    __slots__ = ("reason", "_chains")
     _fields = ("reason", "image_chains")
 
     def __init__(self, reason: str, chains):
-        _Record.__init__(self, reason, tuple(chains), None)
+        _Record.__init__(self, reason, tuple(chains))
 
     @property
     def image_chains(self) -> tuple:
-        if self._image_chains is None:
-            object.__setattr__(self, "_image_chains", _chain_invariants(self._chains))
-        return self._image_chains
+        return tuple(tuple(s.as_group().invariants for s in subs) for subs in self._chains)
 
 
 class NotFinitelyStable(_Record):
@@ -517,11 +512,6 @@ def _restricted_hom(bond: GroupHom, fine: Subgroup, coarse: Subgroup) -> Optiona
         coarse.as_group(),
         IntegerMatrix.from_columns(cols, nrows=len(coarse.generators)),
     )
-
-
-def _chain_invariants(chains) -> tuple:
-    """Invariants of every image in the given chains, as ``NotStable`` shows them."""
-    return tuple(tuple(s.as_group().invariants for s in subs) for subs in chains)
 
 
 def stable_lim(

@@ -1,9 +1,9 @@
 """Independent oracles used to cross-check the exact linear algebra.
 
 Apart from ``refactored_cycle_coordinates``,
-``stacked_kernel_subgroup`` and ``inline_simplex_order`` (which takes
-only the label order), nothing in here imports the package under
-test.  The routines are deliberately different algorithms
+``stacked_kernel_subgroup``, ``full_decomposition_coordinates`` and
+``inline_simplex_order`` (which takes only the label order), nothing in
+here imports the package under test.  The routines are deliberately different algorithms
 from the ones being checked: fraction-free (Bareiss) elimination for
 ranks and determinants, and gcd-of-minors determinantal divisors for
 invariant factors.  They are exponential or cubic in places, meant for
@@ -200,6 +200,36 @@ def stacked_kernel_subgroup(hom):
     n = hom.source.canonical_ngens
     gens = [tuple(col[:n]) for col in kernel_basis(smith_normal_form(stacked))]
     return Subgroup(hom.source, gens + hom.source.canonical_relation_columns())
+
+
+def full_decomposition_coordinates(relations):
+    """Canonical coordinate maps of a presentation from a whole fresh factorization.
+
+    The reference for ``FGAbelianGroup.to_canonical`` and
+    ``from_canonical``, which keep only the rows of U and the columns of
+    U^-1 they read: here relations^T gets a Smith decomposition of its
+    own, every position is looked up in the diagonal (free from the rank
+    on, torsion below it where the entry exceeds 1), and U and U^-1
+    multiply in full.  Returns the pair (to_canonical, from_canonical).
+    """
+    from towertop.abelian import smith_normal_form
+
+    snf = smith_normal_form(relations.transpose())
+    diag, rank, ngens = snf.diagonal(), snf.rank, relations.ncols
+    torsion_positions = [i for i in range(rank) if diag[i] > 1]
+    positions = list(range(rank, ngens)) + torsion_positions
+
+    def to_canonical(x):
+        y = dense_matvec(snf.u.rows, x)
+        return tuple(y[i] % diag[i] if i < rank else y[i] for i in positions)
+
+    def from_canonical(c):
+        lifted = [0] * ngens
+        for k, i in enumerate(positions):
+            lifted[i] = c[k]
+        return tuple(dense_matvec(snf.uinv.rows, lifted))
+
+    return to_canonical, from_canonical
 
 
 def inline_simplex_order(simplexes) -> list:

@@ -25,6 +25,7 @@ from oracles import (
     dense_matvec,
     dense_product,
     determinantal_invariant_factors,
+    full_decomposition_coordinates,
     stacked_kernel_subgroup,
 )
 
@@ -439,9 +440,9 @@ def presented_groups(draw):
 
 
 @st.composite
-def canonical_homs(draw):
+def canonical_homs(draw, groups=presented_groups()):
     """A well-defined hom, drawn column by column in canonical coordinates."""
-    source, target = draw(presented_groups()), draw(presented_groups())
+    source, target = draw(groups), draw(groups)
     cols = []
     for order in [0] * source.free_rank + list(source.torsion):
         if draw(st.integers(0, 3)) == 0:
@@ -464,3 +465,56 @@ def test_kernel_matches_stacked_matrix_kernel(f):
     assert ker.is_subset_of(ref) and ref.is_subset_of(ker)
     for g in ker.generators:
         assert f.target.canonical_is_zero(f.apply_canonical(g))
+
+
+
+@st.composite
+def relation_groups(draw):
+    """A group on up to 5 generators, in one of the shapes presentations take.
+
+    Canonical shapes from ``from_invariants``; no relations; zero rows
+    among the relations; more relations than generators; and heavy
+    torsion, whose entries share factors of 2 and 3.
+    """
+    n = draw(st.integers(0, 5))
+    shape = draw(st.sampled_from(("invariants", "no relations", "zero rows", "tall", "torsion")))
+    if shape == "invariants":
+        free = draw(st.integers(0, n))
+        torsion = [draw(st.sampled_from((2, 3, 4)))] if free < n else []
+        while len(torsion) < n - free:
+            torsion.append(torsion[-1] * draw(st.sampled_from((1, 2, 3))))
+        return FGAbelianGroup.from_invariants(free, torsion)
+    if shape == "torsion":
+        entries = st.sampled_from((0, 2, -2, 4, 6, -6, 8, 12, -12, 18))
+    else:
+        entries = st.integers(-6, 6)
+    row = st.lists(entries, min_size=n, max_size=n)
+    if shape == "zero rows":
+        row = st.one_of(st.just([0] * n), row)
+    count = {"no relations": 0, "tall": draw(st.integers(n + 1, n + 3))}.get(shape)
+    if count is None:
+        count = draw(st.integers(1, n + 1))
+    return FGAbelianGroup(n, IntegerMatrix(draw(st.lists(row, min_size=count, max_size=count)), ncols=n))
+
+
+@given(relation_groups(), st.data())
+def test_coordinate_maps_match_the_full_decomposition(g, data):
+    to_ref, from_ref = full_decomposition_coordinates(g.relations)
+    assert not any(isinstance(getattr(g, name), SmithDecomposition) for name in g.__slots__)
+    x = data.draw(st.lists(st.integers(-20, 20), min_size=g.ngens, max_size=g.ngens))
+    assert g.to_canonical(x) == to_ref(x)
+    y = data.draw(st.lists(st.integers(-20, 20), min_size=g.canonical_ngens, max_size=g.canonical_ngens))
+    assert g.from_canonical(y) == from_ref(y)
+    assert g.to_canonical(g.from_canonical(y)) == g.reduce_canonical(y)
+
+
+@given(canonical_homs(relation_groups()))
+def test_canonical_matrix_matches_the_full_decomposition(f):
+    _, from_source = full_decomposition_coordinates(f.source.relations)
+    to_target, _ = full_decomposition_coordinates(f.target.relations)
+    n = f.source.canonical_ngens
+    cols = [
+        to_target(dense_matvec(f.matrix.rows, from_source([int(i == j) for i in range(n)])))
+        for j in range(n)
+    ]
+    assert f.canonical_matrix() == IntegerMatrix.from_columns(cols, nrows=f.target.canonical_ngens)

@@ -1,6 +1,10 @@
 """The package's small records: construction, equality, hashing, repr, freezing."""
 
+import ast
+import copy
 import importlib
+import pathlib
+import pickle
 import pkgutil
 import re
 import sys
@@ -8,7 +12,14 @@ import sys
 import pytest
 
 import towertop
-from towertop.abelian import FGAbelianGroup, GroupHom, IntegerMatrix, _Record, smith_normal_form
+from towertop.abelian import (
+    FGAbelianGroup,
+    GroupHom,
+    IntegerMatrix,
+    SmithDecomposition,
+    _Record,
+    smith_normal_form,
+)
 from towertop.assembly import CechReport, SESReport
 from towertop.cli import Report
 from towertop.compactohedral import ValidationReport, Violation, build_gallery, validate
@@ -203,6 +214,61 @@ def test_record_semantics(name):
     else:
         with pytest.raises(TypeError, match="unhashable type"):
             hash(a)
+
+
+@pytest.mark.parametrize("name", RECORDS)
+def test_records_copy_and_pickle_to_equal_records(name):
+    record = RECORDS[name][0]()
+    assert copy.copy(record) == record
+    restored = pickle.loads(pickle.dumps(record))
+    assert type(restored) is type(record) and repr(restored) == repr(record)
+    if name != "Telescope":  # a telescope's simplicial maps compare by identity
+        assert restored == record
+
+
+def test_homology_results_copy_but_their_read_only_representatives_do_not_pickle():
+    h = homology(CIRCLE, 1)
+    assert copy.copy(h) == h
+    with pytest.raises(TypeError, match="mappingproxy"):
+        pickle.dumps(h)
+
+
+class _ForgedSmith:
+    """Pickles as a Smith decomposition whose U is one entry off."""
+
+    def __reduce__(self):
+        s = smith_normal_form(IntegerMatrix([[2, 4], [6, 8]]))
+        u = IntegerMatrix([[1, 0], [3, 0]])
+        return SmithDecomposition, (s.matrix, u, s.uinv, s.d, s.v, s.vinv)
+
+
+def test_unpickling_a_smith_decomposition_verifies_it():
+    with pytest.raises(AssertionError):
+        pickle.loads(pickle.dumps(_ForgedSmith()))
+
+
+def test_only_the_record_constructor_assigns_past_the_frozen_setattr():
+    def scopes(node, scope):
+        """Enclosing class and function names of every ``object.__setattr__`` under node."""
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+                yield from scopes(child, scope + (child.name,))
+                continue
+            if (
+                isinstance(child, ast.Attribute)
+                and child.attr == "__setattr__"
+                and isinstance(child.value, ast.Name)
+                and child.value.id == "object"
+            ):
+                yield ".".join(scope)
+            yield from scopes(child, scope)
+
+    found = [
+        (path.name, scope)
+        for path in sorted(pathlib.Path(towertop.__file__).parent.glob("*.py"))
+        for scope in scopes(ast.parse(path.read_text(encoding="utf-8")), ())
+    ]
+    assert found == [("abelian.py", "_Record.__init__")]
 
 
 def test_records_compare_by_their_values():

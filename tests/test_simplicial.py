@@ -1,9 +1,11 @@
 from __future__ import annotations
 
+import gc
 import os
 import random
 import subprocess
 import sys
+import tracemalloc
 from itertools import combinations
 
 import pytest
@@ -456,6 +458,23 @@ def test_pinched_constant_circle_tower_is_disc():
     pinched = pinched_telescope(tower, 1)
     assert homology(pinched.complex, 1).group.is_trivial()
     assert homology(pinched.complex, 0, reduced=True).group.is_trivial()
+
+
+def test_reduced_h0_of_a_200_gon_keeps_under_a_megabyte_and_a_half():
+    # the result's group is trivial on 199 cycle generators: a group that
+    # kept its whole relation factorization (two 199 x 199 and two
+    # 200 x 200 transforms) would hold about 2.8 MB here
+    k = polygon(200)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        assert homology(k, 0, reduced=True).group.is_trivial()
+        gc.collect()
+        kept = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert kept < 1.5 * 2**20
 
 
 def test_unimodular_transforms_on_boundary_matrices():
