@@ -620,13 +620,12 @@ def _cmd_lebesgue(args) -> Report:
 def _cmd_gallery(args):
     from .compactohedral import GALLERY, GalleryTooLarge, build_gallery
 
-    width = GALLERY[args.family][0]  # the family's width parameter, or None
-    wanted = ("depth",) if width is None else (width, "depth")
+    wanted = GALLERY[args.family][1]  # the keywords the family reads
     for name in wanted:
         if getattr(args, name) is None:
             raise InputProblem(f"gallery {args.family} needs --{name}")
     widths = [row[0] for row in GALLERY.values() if row[0] is not None]
-    unread = [f"--{n}" for n in widths if n != width and getattr(args, n) is not None]
+    unread = [f"--{n}" for n in widths if n not in wanted and getattr(args, n) is not None]
     if unread:
         raise InputProblem(f"gallery {args.family} does not read {', '.join(unread)}")
     if args.report is None and (args.dim is not None or args.window is not None):

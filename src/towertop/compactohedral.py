@@ -32,8 +32,9 @@ noise (a C1 escape breaks C2 at the same spot) and so a report names
 exactly one broken axiom.
 
 The gallery of worked examples is one table, ``GALLERY``: a row per
-family gives its width parameter (or none), the least width at a
-depth, the vertices summed over its levels, and its builder.
+family gives its width parameter (or none), the keywords it reads,
+the least width at a depth, the vertices summed over its levels, and
+its builder.
 ``build_gallery`` checks and builds every family along one path, and
 the command line reads its family names and flags from the same rows.
 """
@@ -383,29 +384,36 @@ def _warsaw(_width: int, depth: int) -> ComplexTower:
     return ComplexTower(levels, bonds, list(levels), certificate=Certificate("periodic"))
 
 
-# family -> (width parameter or None, least width at a depth, the error
-# below it, vertices summed over the levels at (width, depth), builder
-# (width, depth) -> tower).  Every tooth or segment is a path on
-# 2·depth + 5 vertices and a comb adds its handle.  A solenoid's level j
-# is a 3·p^j-gon, counted only to the depth whose level alone is past
-# the bound even at p = 2, so a huge depth costs nothing to count.
+# family -> (width parameter or None, the keywords the family reads,
+# least width at a depth, the error below it, vertices summed over the
+# levels at (width, depth), builder (width, depth) -> tower).  Every
+# tooth or segment is a path on 2·depth + 5 vertices and a comb adds its
+# handle.  A solenoid's level j is a 3·p^j-gon, counted only to the
+# depth whose level alone is past the bound even at p = 2, so a huge
+# depth costs nothing to count.
 GALLERY = {
     "comb": (
-        "teeth", lambda depth: depth + 1, "comb needs at least depth + 1 teeth",
+        "teeth", ("teeth", "depth"),
+        lambda depth: depth + 1, "comb needs at least depth + 1 teeth",
         lambda teeth, depth: (depth + 1) * (teeth * (2 * depth + 5) + 1), _comb,
     ),
     "fence": (
-        "segments", lambda depth: depth + 1, "fence needs at least depth + 1 segments",
+        "segments", ("segments", "depth"),
+        lambda depth: depth + 1, "fence needs at least depth + 1 segments",
         lambda segments, depth: (depth + 1) * segments * (2 * depth + 5), _fence,
     ),
     "solenoid": (
-        "p", lambda depth: 2, "winding degree must be at least 2",
+        "p", ("p", "depth"),
+        lambda depth: 2, "winding degree must be at least 2",
         lambda p, depth: sum(
             3 * p**j for j in range(min(depth, MAX_GALLERY_VERTICES.bit_length()) + 1)
         ),
         _solenoid,
     ),
-    "warsaw": (None, lambda depth: 0, None, lambda _, depth: 6 * (depth + 1), _warsaw),
+    "warsaw": (
+        None, ("depth",),
+        lambda depth: 0, None, lambda _, depth: 6 * (depth + 1), _warsaw,
+    ),
 }
 
 
@@ -432,8 +440,7 @@ def build_gallery(name: str, **params) -> ComplexTower:
     """
     if name not in GALLERY:
         raise ValueError(f"unknown gallery family: {name!r}")
-    param, least, too_narrow, vertices, build = GALLERY[name]
-    wanted = ("depth",) if param is None else (param, "depth")
+    param, wanted, least, too_narrow, vertices, build = GALLERY[name]
     for key in params:
         if key not in wanted:
             raise ValueError(f"{name} does not read the keyword {key!r}")

@@ -4,7 +4,11 @@ Everything here is exact: points have rational coordinates, distances
 use the max metric, and balls are closed.  Intersections are
 sample-witnessed — a collection of balls counts as overlapping exactly
 when some sample point lies in all of them — so every question about a
-cover is decidable by finite enumeration.
+cover is decidable by finite enumeration.  Each cover's distances are
+measured once, into one table of every sample point's distance to each
+element's center; the Lebesgue number reads depths from it, and the
+nerve, the containment projection and the tower's coverage check read
+the membership list built from it.
 
 A nerve has one vertex per cover element (kept even when the element
 captures no sample point) and a simplex for every witnessed overlap.
@@ -76,19 +80,19 @@ def distance(x: Sequence[Fraction], y: Sequence[Fraction]) -> Fraction:
     return max(abs(a - b) for a, b in zip(x, y))
 
 
-def _check_centers(sample: PointSample, cover: BallCover):
+def _distances(sample: PointSample, cover: BallCover) -> list:
+    """Each sample point's distances to the element centers, in element order."""
     for center, _ in cover.elements:
         if center >= len(sample.points):
             raise ValueError(f"ball center {center} indexes outside the sample")
+    centers = [sample.points[center] for center, _ in cover.elements]
+    return [[distance(p, c) for c in centers] for p in sample.points]
 
 
-def _trace(sample: PointSample, cover: BallCover, index: int) -> frozenset:
-    """Indices of the sample points inside one cover element."""
-    center, radius = cover.elements[index]
-    c = sample.points[center]
-    return frozenset(
-        i for i, p in enumerate(sample.points) if distance(p, c) <= radius
-    )
+def _members(sample: PointSample, cover: BallCover) -> list:
+    """Each sample point's containing elements, as a tuple of element indices."""
+    table = _distances(sample, cover)
+    return [tuple(e for e, d in enumerate(row) if d <= cover.elements[e][1]) for row in table]
 
 
 def lebesgue_number(sample: PointSample, cover: BallCover) -> Fraction:
@@ -98,19 +102,21 @@ def lebesgue_number(sample: PointSample, cover: BallCover) -> Fraction:
     returned λ is the smallest of the best depths, and zero signals a
     point sitting exactly on its only covering element's boundary.
     """
-    _check_centers(sample, cover)
+    table = _distances(sample, cover)
     if not cover.elements:
         raise ValueError("the cover has no elements")
     worst: Optional[Fraction] = None
-    for i, p in enumerate(sample.points):
-        best = max(
-            radius - distance(p, sample.points[center])
-            for center, radius in cover.elements
-        )
+    for i, row in enumerate(table):
+        best = max(r - d for d, (_, r) in zip(row, cover.elements))
         if best < 0:
             raise ValueError(f"the cover misses sample point {i}")
         worst = best if worst is None else min(worst, best)
     return worst
+
+
+def _nerve(cover: BallCover, members: list) -> SimplicialComplex:
+    witnessed = [touching for touching in members if touching]
+    return SimplicialComplex.from_maximal(witnessed, extra_vertices=range(len(cover.elements)))
 
 
 def nerve(cover: BallCover, sample: PointSample) -> SimplicialComplex:
@@ -119,35 +125,23 @@ def nerve(cover: BallCover, sample: PointSample) -> SimplicialComplex:
     Vertices are the element indices, all of them; an element whose
     ball captures no sample point contributes an isolated vertex.
     """
-    _check_centers(sample, cover)
-    witnessed = []
-    for i, p in enumerate(sample.points):
-        touching = tuple(
-            e
-            for e, (center, radius) in enumerate(cover.elements)
-            if distance(p, sample.points[center]) <= radius
-        )
-        if touching:
-            witnessed.append(touching)
-    return SimplicialComplex.from_maximal(
-        witnessed, extra_vertices=range(len(cover.elements))
-    )
+    return _nerve(cover, _members(sample, cover))
 
 
-def _containment(fine: BallCover, coarse: BallCover, sample: PointSample) -> dict:
-    """Vertex map sending each fine element to the least-index coarse element containing it."""
-    _check_centers(sample, fine)
-    _check_centers(sample, coarse)
-    coarse_traces = [_trace(sample, coarse, j) for j in range(len(coarse.elements))]
+def _containment(fine: BallCover, fine_members, coarse: BallCover, coarse_members) -> dict:
+    """Vertex map sending each fine element to the least-index coarse element containing it.
+
+    A coarse element contains a fine one when it holds every sample point the fine one holds.
+    """
+    homes = [set(range(len(coarse.elements))) for _ in fine.elements]
+    for touching, around in zip(fine_members, coarse_members):
+        for e in touching:
+            homes[e].intersection_update(around)
     vertex_map = {}
-    for e in range(len(fine.elements)):
-        t = _trace(sample, fine, e)
-        home = next((j for j, ct in enumerate(coarse_traces) if t <= ct), None)
-        if home is None:
-            raise ValueError(
-                f"fine element {e} is inside no coarse element over the sample"
-            )
-        vertex_map[e] = home
+    for e, home in enumerate(homes):
+        if not home:
+            raise ValueError(f"fine element {e} is inside no coarse element over the sample")
+        vertex_map[e] = min(home)
     return vertex_map
 
 
@@ -161,8 +155,9 @@ def refinement_map(
     fine overlap, the same point sees the image overlap, so the vertex
     map is simplicial on the witnessed nerves.
     """
-    vertex_map = _containment(fine, coarse, sample)  # rejects a bad pair before any nerve
-    return SimplicialMap(nerve(fine, sample), nerve(coarse, sample), vertex_map)
+    fine_seen, coarse_seen = ((c, _members(sample, c)) for c in (fine, coarse))
+    vertex_map = _containment(*fine_seen, *coarse_seen)  # rejects a bad pair before any nerve
+    return SimplicialMap(_nerve(*fine_seen), _nerve(*coarse_seen), vertex_map)
 
 
 def cech_tower(
@@ -192,20 +187,16 @@ def cech_tower(
     fixed = list(fixed_cover.elements) if fixed_cover is not None else []
     marked = sorted(sample.compactum_mark)
 
-    covers = []
+    stages = []  # (cover, members) per stage
     for stage, r in enumerate(radii):
         cover = BallCover(fixed + [(p, r) for p in marked])
-        _check_centers(sample, cover)
-        for i, p in enumerate(sample.points):
-            if all(
-                distance(p, sample.points[center]) > radius
-                for center, radius in cover.elements
-            ):
+        stages.append((cover, _members(sample, cover)))
+        for i, touching in enumerate(stages[-1][1]):
+            if not touching:
                 raise ValueError(f"stage {stage} fails to cover sample point {i}")
-        covers.append(cover)
-    levels = [nerve(c, sample) for c in covers]
+    levels = [_nerve(*s) for s in stages]
     bonds = [
-        SimplicialMap(levels[i + 1], levels[i], _containment(covers[i + 1], covers[i], sample))
-        for i in range(len(covers) - 1)
+        SimplicialMap(levels[i + 1], levels[i], _containment(*stages[i + 1], *stages[i]))
+        for i in range(len(stages) - 1)
     ]
     return ComplexTower(levels, bonds)

@@ -10,12 +10,16 @@ Homology and cohomology are computed over the integers with cycle
 representatives attached: the group returned is presented on a basis
 of the cycle lattice, so induced maps can be solved exactly in those
 coordinates.  A complex keeps each result, so reading it again, or
-an induced map between computed ends, factors nothing.
+an induced map between computed ends, factors nothing; a copy or a
+pickle carries only the simplexes and starts cold.
 
-Mapping cylinders use the order-complex prism construction over
-ordered simplexes; finite telescopes are unions of mapping cylinders
-of consecutive bonds glued along level copies, and the pinched
-telescope additionally cones off the deepest level copy.
+Telescopes use the order-complex prism construction over ordered
+simplexes.  One cell list holds level 0 and the prisms over the first
+bonds, glued along the level copies they share, and one closure turns
+it into a complex with an embedding per level copy.  The finite
+telescope is exactly that; the pinched telescope adds a cone over the
+deepest level copy before the closure; and a mapping cylinder is the
+one-bond telescope of its target and source.
 """
 
 from __future__ import annotations
@@ -142,6 +146,10 @@ class SimplicialComplex:
     def __hash__(self) -> int:
         return hash(self.simplexes)
 
+    def __reduce__(self):
+        # only the simplexes travel: a copy or an unpickled complex derives the rest anew
+        return type(self), (self.simplexes,)
+
     def __repr__(self) -> str:
         return f"<SimplicialComplex: {len(self.vertices)} vertices, dim {self.dimension()}>"
 
@@ -218,6 +226,16 @@ class SimplicialMap:
         if not sub.is_subcomplex_of(ambient):
             raise ValueError("not a subcomplex")
         return cls(sub, ambient, {v: v for v in sub.vertices})
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, SimplicialMap) and (
+            self.source == other.source
+            and self.target == other.target
+            and self.vertex_map == other.vertex_map
+        )
+
+    def __hash__(self) -> int:
+        return hash((self.source, self.target, frozenset(self.vertex_map.items())))
 
     def __repr__(self) -> str:
         return f"<SimplicialMap on {len(self.source.vertices)} vertices>"
@@ -357,10 +375,10 @@ def _kept(k: SimplicialComplex, kind: str, n: int, reduced: bool) -> HomologyRes
             outgoing, incoming = IntegerMatrix([], ncols=0), []
         elif kind == "cohomology":
             outgoing = boundary_matrix(k, n + 1).transpose()
-            incoming = boundary_matrix(k, n).transpose().columns()
+            incoming = boundary_matrix(k, n).rows
         else:
             outgoing = augmentation_matrix(k) if reduced and basis else boundary_matrix(k, n)
-            incoming = boundary_matrix(k, n + 1).columns()
+            incoming = boundary_matrix(k, n + 1).transpose().rows
         k._results[key] = _quotient_of_cycles(outgoing, incoming, n, basis)
     return k._results[key]
 
@@ -431,36 +449,49 @@ def induced_cohomology_map(f: SimplicialMap, n: int) -> GroupHom:
 # -- mapping cylinders and telescopes ----------------------------------
 
 
-def _prism_cells(f: SimplicialMap, source_tag, target_tag):
-    """Cells of the mapping cylinder: target simplexes plus prisms.
+def _telescope_cells(levels, bonds, n: int) -> list:
+    """Cells of the telescope through level ``n``: level 0 and the prisms of bonds 0..n-1.
 
-    For an ordered source simplex (v_0 < ... < v_k) the prism over it
-    is triangulated by the cells {f(v_0)..f(v_i)} u {v_i..v_k}; vertex
-    labels are (target_tag, w) and (source_tag, v).
+    Level i's copy is labeled (i, v).  For an ordered simplex
+    (v_0 < ... < v_k) of level i + 1 the prism over it is triangulated
+    by the cells {f(v_0)..f(v_j)} u {v_j..v_k}, f the bond i; the cell
+    at j = 0 contains the simplex's own copy, so every level copy is covered.
     """
-    cells = []
-    for s in f.target.simplexes:
-        cells.append(tuple((target_tag, w) for w in s))
-    for s in f.source.simplexes:
-        for i in range(len(s)):
-            bottom = {(target_tag, f.vertex_map[v]) for v in s[: i + 1]}
-            top = {(source_tag, v) for v in s[i:]}
-            cells.append(tuple(bottom | top))
+    if not 0 <= n < len(levels):
+        raise ValueError("telescope depth outside the truncation")
+    cells = [tuple((0, v) for v in s) for s in levels[0].simplexes]
+    for i, f in enumerate(bonds[:n]):
+        for s in f.source.simplexes:
+            for j in range(len(s)):
+                bottom = {(i, f.vertex_map[v]) for v in s[: j + 1]}
+                cells.append(tuple(bottom | {(i + 1, v) for v in s[j:]}))
     return cells
+
+
+def _telescope(levels, cells, n: int) -> "Telescope":
+    """Close ``cells`` once and embed the copies of levels 0..n in the result."""
+    tele = SimplicialComplex.from_maximal(cells)
+    embeddings = tuple(
+        SimplicialMap(levels[i], tele, {v: (i, v) for v in levels[i].vertices})
+        for i in range(n + 1)
+    )
+    return Telescope(complex=tele, level_embeddings=embeddings)
 
 
 def mapping_cylinder(f: SimplicialMap):
     """Simplicial mapping cylinder of f with both end inclusions.
 
+    It is the one-bond telescope of the levels (f.target, f.source):
+    target vertices are labeled (0, w) and source vertices (1, v).
     Returns (cylinder, source_embedding, target_embedding).  The
     target inclusion is a homology isomorphism and the source
     inclusion realizes f through it; both facts are consequences of
     the prism triangulation and are exercised by the test suite.
     """
-    cylinder = SimplicialComplex.from_maximal(_prism_cells(f, 1, 0))
-    src = SimplicialMap(f.source, cylinder, {v: (1, v) for v in f.source.vertices})
-    tgt = SimplicialMap(f.target, cylinder, {v: (0, v) for v in f.target.vertices})
-    return cylinder, src, tgt
+    levels = (f.target, f.source)
+    tele = _telescope(levels, _telescope_cells(levels, (f,), 1), 1)
+    target_embedding, source_embedding = tele.level_embeddings
+    return tele.complex, source_embedding, target_embedding
 
 
 class Telescope(_Record):
@@ -482,18 +513,7 @@ def finite_telescope(tower, n: int) -> Telescope:
     homology equals that of the coarsest complex.
     """
     levels = list(tower.levels)
-    bonds = list(tower.bonds)
-    if not 0 <= n < len(levels):
-        raise ValueError("telescope depth outside the truncation")
-    cells = [tuple((0, v) for v in s) for s in levels[0].simplexes]
-    for i in range(n):
-        cells.extend(_prism_cells(bonds[i], i + 1, i))
-    tele = SimplicialComplex.from_maximal(cells)
-    embeddings = tuple(
-        SimplicialMap(levels[i], tele, {v: (i, v) for v in levels[i].vertices})
-        for i in range(n + 1)
-    )
-    return Telescope(complex=tele, level_embeddings=embeddings)
+    return _telescope(levels, _telescope_cells(levels, list(tower.bonds), n), n)
 
 
 def pinched_telescope(tower, n: int) -> Telescope:
@@ -501,18 +521,12 @@ def pinched_telescope(tower, n: int) -> Telescope:
 
     Models collapsing the fiber end of the telescope to a point; for a
     tower of circles with degree-p bonds the pinched telescope at
-    level n has H_1 of order p**n.
+    level n has H_1 of order p**n.  The cone's cells join the
+    telescope's before the one closure.
     """
-    tele = finite_telescope(tower, n)
+    levels = list(tower.levels)
+    cells = _telescope_cells(levels, list(tower.bonds), n)
     apex = (n + 1, "apex")
-    cells = [tuple(s) for s in tele.complex.simplexes]
-    deepest = tower.levels[n]
-    emb = tele.level_embeddings[n]
     cells.append((apex,))
-    for s in deepest.simplexes:
-        cells.append(emb.image_simplex(s) + (apex,))
-    pinched = SimplicialComplex.from_maximal(cells)
-    embeddings = tuple(
-        SimplicialMap(m.source, pinched, dict(m.vertex_map)) for m in tele.level_embeddings
-    )
-    return Telescope(complex=pinched, level_embeddings=embeddings)
+    cells.extend(tuple((n, v) for v in s) + (apex,) for s in levels[n].simplexes)
+    return _telescope(levels, cells, n)

@@ -119,3 +119,13 @@ def circle_power_tower(p: int, depth: int) -> SimpleTower:
 
 def constant_tower(k: SimplicialComplex, depth: int) -> SimpleTower:
     return SimpleTower([k] * depth, [SimplicialMap.identity(k)] * (depth - 1))
+
+
+def random_tower(rng: random.Random, depth: int) -> SimpleTower:
+    """``depth`` levels: a random finest complex, each coarser level a random map's target."""
+    levels = [random_complex(rng, max_vertices=5, max_cells=4, max_card=3)]
+    bonds = []
+    for _ in range(depth - 1):
+        bonds.insert(0, random_simplicial_map(rng, levels[0]))
+        levels.insert(0, bonds[0].target)
+    return SimpleTower(levels, bonds)

@@ -1,13 +1,15 @@
 """Independent oracles used to cross-check the exact linear algebra.
 
 Apart from ``refactored_cycle_coordinates``,
-``stacked_kernel_subgroup``, ``full_decomposition_coordinates`` and
-``inline_simplex_order`` (which takes only the label order), nothing in
-here imports the package under test.  The routines are deliberately different algorithms
-from the ones being checked: fraction-free (Bareiss) elimination for
-ranks and determinants, and gcd-of-minors determinantal divisors for
-invariant factors.  They are exponential or cubic in places, meant for
-small matrices only.
+``stacked_kernel_subgroup``, ``full_decomposition_coordinates``,
+``inline_simplex_order`` (which takes only the label order) and the
+two-closure telescopes, nothing in here imports the package under test.
+The routines are deliberately different algorithms from the ones being
+checked: fraction-free (Bareiss) elimination for ranks and determinants,
+gcd-of-minors determinantal divisors for invariant factors, and nerves,
+Lebesgue numbers and containment projections read off every subset of a
+cover.  They are exponential or cubic in places, meant for small inputs
+only.
 """
 
 from __future__ import annotations
@@ -252,3 +254,138 @@ def maximal_simplexes(simplexes) -> set:
     under faces.  Quadratic in the number of simplexes.
     """
     return {s for s in simplexes if not any(set(s) < set(t) for t in simplexes)}
+
+
+# -- telescopes, closed twice ------------------------------------------------
+
+
+def _cylinder_cells(f, source_tag, target_tag):
+    """Target simplexes plus the prisms {f(v_0)..f(v_i)} u {v_i..v_k} over source simplexes."""
+    cells = [tuple((target_tag, w) for w in s) for s in f.target.simplexes]
+    for s in f.source.simplexes:
+        for i in range(len(s)):
+            bottom = {(target_tag, f.vertex_map[v]) for v in s[: i + 1]}
+            top = {(source_tag, v) for v in s[i:]}
+            cells.append(tuple(bottom | top))
+    return cells
+
+
+def two_closure_telescope(tower, n: int, pinch: bool = False):
+    """The telescope through level ``n`` as the union of closed mapping cylinders.
+
+    The reference for ``finite_telescope`` and ``pinched_telescope``,
+    which close one cell list once: here every bond contributes its
+    whole cylinder, target simplexes included, and a pinch closes the
+    finished telescope a second time with a cone over the deepest copy
+    and embeds every level again.  Returns (complex, embeddings).
+    """
+    from towertop.simplicial import SimplicialComplex, SimplicialMap
+
+    levels, bonds = list(tower.levels), list(tower.bonds)
+    if not 0 <= n < len(levels):
+        raise ValueError("telescope depth outside the truncation")
+    cells = [tuple((0, v) for v in s) for s in levels[0].simplexes]
+    for i in range(n):
+        cells.extend(_cylinder_cells(bonds[i], i + 1, i))
+    tele = SimplicialComplex.from_maximal(cells)
+    embeddings = [
+        SimplicialMap(levels[i], tele, {v: (i, v) for v in levels[i].vertices})
+        for i in range(n + 1)
+    ]
+    if pinch:
+        apex = (n + 1, "apex")
+        cone = [embeddings[n].image_simplex(s) + (apex,) for s in levels[n].simplexes]
+        tele = SimplicialComplex.from_maximal(list(tele.simplexes) + [(apex,)] + cone)
+        embeddings = [SimplicialMap(m.source, tele, m.vertex_map) for m in embeddings]
+    return tele, embeddings
+
+
+def cylinder_by_hand(f):
+    """Mapping cylinder of ``f`` closed from its own cells: (cylinder, source, target)."""
+    from towertop.simplicial import SimplicialComplex, SimplicialMap
+
+    cylinder = SimplicialComplex.from_maximal(_cylinder_cells(f, 1, 0))
+    src = SimplicialMap(f.source, cylinder, {v: (1, v) for v in f.source.vertices})
+    tgt = SimplicialMap(f.target, cylinder, {v: (0, v) for v in f.target.vertices})
+    return cylinder, src, tgt
+
+
+# -- covers by brute force -----------------------------------------------------
+
+
+def _max_distance(p, q):
+    return max(abs(a - b) for a, b in zip(p, q))
+
+
+def _check_cover(points, elements):
+    for center, _ in elements:
+        if center >= len(points):
+            raise ValueError(f"ball center {center} indexes outside the sample")
+
+
+def _inside(points, element) -> frozenset:
+    center, radius = element
+    return frozenset(i for i, p in enumerate(points) if _max_distance(p, points[center]) <= radius)
+
+
+def brute_nerve(points, elements) -> frozenset:
+    """Every nonempty set of element indices some sample point lies in, plus each singleton."""
+    _check_cover(points, elements)
+    traces = [_inside(points, e) for e in elements]
+    out = {(e,) for e in range(len(elements))}
+    for size in range(2, len(elements) + 1):
+        for chosen in combinations(range(len(elements)), size):
+            if frozenset.intersection(*(traces[e] for e in chosen)):
+                out.add(chosen)
+    return frozenset(out)
+
+
+def brute_lebesgue(points, elements):
+    """The largest candidate depth that every sample point reaches in some element.
+
+    Candidates are the depths r - d(p, c) over every point and element;
+    the answer is checked point by point against each of them.
+    """
+    _check_cover(points, elements)
+    if not elements:
+        raise ValueError("the cover has no elements")
+    depths = [[r - _max_distance(p, points[c]) for c, r in elements] for p in points]
+    for i, row in enumerate(depths):
+        if all(d < 0 for d in row):
+            raise ValueError(f"the cover misses sample point {i}")
+    candidates = sorted({d for row in depths for d in row}, reverse=True)
+    return next(lam for lam in candidates if all(any(d >= lam for d in row) for row in depths))
+
+
+def brute_containment(points, fine, coarse) -> dict:
+    """Each fine element to the least-index coarse element whose trace holds its own."""
+    _check_cover(points, fine)
+    _check_cover(points, coarse)
+    coarse_traces = [_inside(points, e) for e in coarse]
+    out = {}
+    for e, element in enumerate(fine):
+        trace = _inside(points, element)
+        homes = [j for j, t in enumerate(coarse_traces) if trace <= t]
+        if not homes:
+            raise ValueError(f"fine element {e} is inside no coarse element over the sample")
+        out[e] = homes[0]
+    return out
+
+
+def brute_cech_tower(points, marked, radii, fixed=()):
+    """Level simplex sets and bond vertex maps of the nerve tower shrinking around ``marked``.
+
+    ``radii`` must be a strictly decreasing list of positive radii and
+    ``marked`` a nonempty set of point indices.
+    """
+    covers = []
+    for stage, r in enumerate(radii):
+        cover = list(fixed) + [(p, r) for p in sorted(marked)]
+        _check_cover(points, cover)
+        for i in range(len(points)):
+            if not any(i in _inside(points, e) for e in cover):
+                raise ValueError(f"stage {stage} fails to cover sample point {i}")
+        covers.append(cover)
+    levels = [brute_nerve(points, c) for c in covers]
+    bonds = [brute_containment(points, covers[i + 1], covers[i]) for i in range(len(covers) - 1)]
+    return levels, bonds

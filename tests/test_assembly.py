@@ -179,6 +179,12 @@ def test_rejected_window_factors_nothing(smith_calls):
             assert smith_calls == []
 
 
+def test_cech_report_in_a_negative_dimension_factors_nothing(smith_calls):
+    with pytest.raises(ValueError, match="^dimension must be nonnegative$"):
+        cech_cohomology_report(build_gallery("warsaw", depth=2), -1)
+    assert smith_calls == []
+
+
 # -- kept results across a tower ------------------------------------------
 
 

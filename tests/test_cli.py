@@ -321,7 +321,7 @@ def test_gallery_vertex_count_matches_the_built_towers():
         ("warsaw", {"depth": 1}),
         ("warsaw", {"depth": 4}),
     ):
-        width, _, _, vertices, _ = GALLERY[family]
+        width, _, _, _, vertices, _ = GALLERY[family]
         tower = build_gallery(family, **params)
         built = sum(len(level.vertices) for level in tower.levels)
         assert vertices(params.get(width, 0), params["depth"]) == built, (family, params)
@@ -453,6 +453,28 @@ def test_vertex_mapped_twice_exits_one_naming_the_pair(tmp_path):
     assert run_cli(["tower-report", str(doc), "--report", "steenrod", "--dim", "0"]) == (
         1, "", f"error: {doc}.payload.bonds[1][1]: vertex ('v', 0) is mapped twice\n"
     )
+
+
+def test_malformed_pairs_and_surplus_bonds_exit_one_naming_the_spot(tmp_path):
+    envelope = json.loads((SAMPLE / "hex_to_tri.map").read_text())
+    envelope["payload"]["vertex_map"][2] = [2]
+    doc = tmp_path / "short.map"
+    doc.write_text(json.dumps(envelope))
+    assert run_cli(["induced", str(doc), "--dim", "1"]) == (
+        1, "", f"error: {doc}.payload.vertex_map[2]: expected a [source, image] pair\n"
+    )
+    envelope = json.loads((SAMPLE / "dyadic.tower").read_text())
+    envelope["payload"]["bonds"].append(envelope["payload"]["bonds"][-1])
+    doc = tmp_path / "surplus.tower"
+    doc.write_text(json.dumps(envelope))
+    assert run_cli(["tower-report", str(doc), "--report", "steenrod", "--dim", "0"]) == (
+        1, "", f"error: {doc}.payload: more bonds than adjacent level pairs\n"
+    )
+
+
+def test_gallery_report_without_a_dimension_exits_one():
+    code, out, err = run_cli(["gallery", "warsaw", "--depth", "2", "--report", "cech"])
+    assert (code, out, err) == (1, "", "error: --report needs --dim\n")
 
 
 def test_failed_self_check_exits_three_with_one_line(monkeypatch):

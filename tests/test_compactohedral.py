@@ -319,3 +319,28 @@ def test_marking_break_fails_everywhere():
     t = fence_violation("C1", 6, 3)
     for variant in VARIANTS:
         assert validate(t, variant).failed_axiom() == "C1"
+
+
+def test_a_level_missing_a_face_fails_c0():
+    # a triangle without its edge (2, 3): the identity still carries
+    # every simplex to one, so only the validator catches it
+    level = SimplicialComplex([(1,), (2,), (3,), (1, 2), (1, 3), (1, 2, 3)])
+    report = validate(ComplexTower([level], [], [level]))
+    assert report.headline() == "FAIL (C0)"
+    assert report.violations[0].witness == (1, 2, 3)
+    assert report.violations[0].detail == "missing face"
+
+
+def test_a_marking_outside_its_collar_fails_c2_prime():
+    edge = cl([("a", "b")])
+    tower = ComplexTower([edge], [], [edge], [cl([], extra=["a"])])
+    report = validate(tower, "weakly_pre_compactohedral")
+    assert report.headline() == "FAIL (C2')"
+    assert [(v.level, v.witness, v.detail) for v in report.violations] == [
+        (0, ("b",), "marking not contained in the collar")
+    ]
+
+
+def test_a_passing_weak_variant_lists_its_axioms():
+    report = validate(build_gallery("warsaw", depth=2), "weakly_compactohedral")
+    assert report.headline() == "PASS (C0,C1,C3)"

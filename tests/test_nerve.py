@@ -3,6 +3,12 @@
 import random
 from fractions import Fraction
 
+import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+
+import towertop.nerve
+from oracles import brute_cech_tower, brute_containment, brute_lebesgue, brute_nerve
 from towertop.nerve import (
     BallCover,
     PointSample,
@@ -14,8 +20,6 @@ from towertop.nerve import (
 )
 from towertop.simplicial import homology, induced_map
 from towertop.tower import homology_tower
-
-import pytest
 
 
 def diamond_sample():
@@ -37,6 +41,10 @@ def three_arcs():
 
 def six_arcs():
     return BallCover([(11, 1), (1, 1), (3, 1), (5, 1), (7, 1), (9, 1)])
+
+
+def two_arcs():
+    return BallCover([(0, 4), (6, 4)])
 
 
 # -- nerves ---------------------------------------------------------------
@@ -264,3 +272,113 @@ def test_exactness_guards():
         BallCover([(0, -1)])
     with pytest.raises(ValueError, match="outside the sample"):
         nerve(BallCover([(5, 1)]), PointSample([(0, 0)]))
+
+
+def test_lebesgue_of_an_empty_cover_raises():
+    with pytest.raises(ValueError, match="^the cover has no elements$"):
+        lebesgue_number(PointSample([(0, 0)]), BallCover([]))
+    # a center outside the sample is named first
+    with pytest.raises(ValueError, match="^ball center 2 indexes outside the sample$"):
+        lebesgue_number(PointSample([(0, 0)]), BallCover([(2, 1)]))
+
+
+# -- each distance once ------------------------------------------------------
+
+
+@pytest.fixture
+def distances(monkeypatch):
+    """The number of point-to-center distances the test computes."""
+    calls = []
+    real = towertop.nerve.distance
+
+    def counting(x, y):
+        calls.append(None)
+        return real(x, y)
+
+    monkeypatch.setattr(towertop.nerve, "distance", counting)
+    return calls
+
+
+def test_each_cover_measures_each_distance_once(distances):
+    s = diamond_sample()
+    # three stages of twelve balls over twelve points
+    t = cech_tower(s, [3, 2, 1])
+    assert len(distances) == 3 * 12 * 12 and len(t.levels) == 3
+    del distances[:]
+    # three and two elements over twelve points, whichever nerve or map reads them
+    assert refinement_map(three_arcs(), two_arcs(), s).vertex_map == {0: 0, 1: 1, 2: 1}
+    assert len(distances) == (3 + 2) * 12
+    for question in (lambda: nerve(three_arcs(), s), lambda: lebesgue_number(s, three_arcs())):
+        del distances[:]
+        question()
+        assert len(distances) == 3 * 12
+
+
+# -- against brute force -----------------------------------------------------
+
+
+def outcome(question):
+    """The answer, or the message of the ValueError raised instead."""
+    try:
+        return "answer", question()
+    except ValueError as e:
+        return "error", str(e)
+
+
+_RADII = st.fractions(min_value=Fraction(1, 3), max_value=5, max_denominator=3)
+
+
+@st.composite
+def sample_points(draw):
+    dim = draw(st.integers(1, 2))
+    coordinate = st.fractions(min_value=-4, max_value=4, max_denominator=3)
+    return draw(st.lists(st.tuples(*[coordinate] * dim), min_size=1, max_size=6))
+
+
+def covers(count: int):
+    """Up to four balls; a center may be one past the last sample point."""
+    return st.lists(st.tuples(st.integers(0, count), _RADII), max_size=4)
+
+
+@given(st.data())
+def test_nerve_and_lebesgue_match_brute_force(data):
+    points = data.draw(sample_points())
+    elements = data.draw(covers(len(points)))
+    s, cover = PointSample(points), BallCover(elements)
+    assert outcome(lambda: nerve(cover, s).simplexes) == outcome(
+        lambda: brute_nerve(s.points, cover.elements)
+    )
+    assert outcome(lambda: lebesgue_number(s, cover)) == outcome(
+        lambda: brute_lebesgue(s.points, cover.elements)
+    )
+
+
+@given(st.data())
+def test_refinement_maps_match_brute_force(data):
+    s = PointSample(data.draw(sample_points()))
+    coarse = BallCover(data.draw(covers(len(s.points))))
+    # a random fine cover, and the coarse one with every radius halved
+    for fine in (
+        BallCover(data.draw(covers(len(s.points)))),
+        BallCover([(c, r / 2) for c, r in coarse.elements]),
+    ):
+        assert outcome(lambda: refinement_map(fine, coarse, s).vertex_map) == outcome(
+            lambda: brute_containment(s.points, fine.elements, coarse.elements)
+        )
+
+
+@given(st.data())
+def test_cech_towers_match_brute_force(data):
+    points = data.draw(sample_points())
+    marked = data.draw(st.sets(st.integers(0, len(points) - 1), min_size=1))
+    radii = sorted(data.draw(st.sets(_RADII, min_size=1, max_size=3)), reverse=True)
+    fixed = data.draw(st.none() | covers(len(points)).map(BallCover))
+    s = PointSample(points, marked)
+
+    def tower():
+        t = cech_tower(s, radii, fixed)
+        return [k.simplexes for k in t.levels], [b.vertex_map for b in t.bonds]
+
+    assert outcome(tower) == outcome(
+        lambda: brute_cech_tower(s.points, marked, radii, fixed.elements if fixed else ())
+    )

@@ -28,6 +28,7 @@ from towertop.simplicial import (
     ComplexViolation,
     HomologyResult,
     SimplicialComplex,
+    SimplicialMap,
     Telescope,
     finite_telescope,
     homology,
@@ -222,8 +223,7 @@ def test_records_copy_and_pickle_to_equal_records(name):
     assert copy.copy(record) == record
     restored = pickle.loads(pickle.dumps(record))
     assert type(restored) is type(record) and repr(restored) == repr(record)
-    if name != "Telescope":  # a telescope's simplicial maps compare by identity
-        assert restored == record
+    assert restored == record
 
 
 def test_homology_results_copy_but_their_read_only_representatives_do_not_pickle():
@@ -231,6 +231,20 @@ def test_homology_results_copy_but_their_read_only_representatives_do_not_pickle
     assert copy.copy(h) == h
     with pytest.raises(TypeError, match="mappingproxy"):
         pickle.dumps(h)
+
+
+def test_equal_identity_maps_compare_and_hash_equal():
+    assert SimplicialMap.identity(CIRCLE) == SimplicialMap.identity(CIRCLE)
+    assert hash(SimplicialMap.identity(CIRCLE)) == hash(SimplicialMap.identity(CIRCLE))
+
+
+def test_a_complex_pickles_after_homology_and_starts_cold():
+    k = SimplicialComplex.from_maximal([(1, 2), (2, 3), (1, 3)])
+    group = homology(k, 1).group
+    restored = pickle.loads(pickle.dumps(k))
+    assert restored == k and restored._results == {}
+    assert homology(restored, 1).group == group
+    assert copy.copy(k)._results == {}
 
 
 class _ForgedSmith:

@@ -40,6 +40,7 @@ from generators import (
     projective_plane,
     random_complex,
     random_simplicial_map,
+    random_tower,
     tetra_sphere,
     torus_7,
 )
@@ -47,12 +48,14 @@ from oracles import (
     bareiss_det,
     bareiss_rank,
     betti_from_boundaries,
+    cylinder_by_hand,
     dense_matvec,
     determinantal_invariant_factors,
     inline_simplex_order,
     minor_gcd,
     mod_p_rank,
     refactored_cycle_coordinates,
+    two_closure_telescope,
 )
 
 
@@ -458,6 +461,91 @@ def test_pinched_constant_circle_tower_is_disc():
     pinched = pinched_telescope(tower, 1)
     assert homology(pinched.complex, 1).group.is_trivial()
     assert homology(pinched.complex, 0, reduced=True).group.is_trivial()
+
+
+@pytest.fixture
+def constructions(monkeypatch):
+    """How many closures (``from_maximal`` calls) and simplicial maps the test builds."""
+    counts = {"closures": 0, "maps": 0}
+    close, init = SimplicialComplex.from_maximal.__func__, SimplicialMap.__init__
+
+    def counting_close(cls, *args, **kwargs):
+        counts["closures"] += 1
+        return close(cls, *args, **kwargs)
+
+    def counting_init(self, *args):
+        counts["maps"] += 1
+        init(self, *args)
+
+    monkeypatch.setattr(SimplicialComplex, "from_maximal", classmethod(counting_close))
+    monkeypatch.setattr(SimplicialMap, "__init__", counting_init)
+    return counts
+
+
+@pytest.mark.parametrize("n", [0, 1, 3])
+def test_each_telescope_closes_its_cells_once(constructions, n):
+    tower = circle_power_tower(2, 4)
+    for build, maps in ((finite_telescope, n + 1), (pinched_telescope, n + 1)):
+        constructions.update(closures=0, maps=0)
+        build(tower, n)
+        assert constructions == {"closures": 1, "maps": maps}, build.__name__
+    constructions.update(closures=0, maps=0)
+    mapping_cylinder(tower.bonds[0])
+    assert constructions == {"closures": 1, "maps": 2}
+
+
+@given(st.randoms(use_true_random=False), st.integers(1, 4), st.booleans())
+def test_telescopes_match_the_union_of_closed_cylinders(rng, depth, pinch):
+    tower = random_tower(rng, depth)
+    build = pinched_telescope if pinch else finite_telescope
+    for n in range(depth):
+        tele = build(tower, n)
+        reference, embeddings = two_closure_telescope(tower, n, pinch)
+        assert tele.complex.simplexes == reference.simplexes
+        assert [m.vertex_map for m in tele.level_embeddings] == [m.vertex_map for m in embeddings]
+        assert tele.level_embeddings == tuple(embeddings)
+    for n in (-1, depth):
+        with pytest.raises(ValueError, match="^telescope depth outside the truncation$"):
+            build(tower, n)
+        with pytest.raises(ValueError, match="^telescope depth outside the truncation$"):
+            two_closure_telescope(tower, n, pinch)
+
+
+def test_pinching_an_empty_level_leaves_the_apex():
+    tower = SimpleTower([SimplicialComplex.empty()], [])
+    pinched = pinched_telescope(tower, 0).complex
+    assert pinched.simplexes == two_closure_telescope(tower, 0, True)[0].simplexes
+    assert pinched.simplexes == {((1, "apex"),)}
+
+
+@given(st.randoms(use_true_random=False))
+def test_mapping_cylinder_is_the_cylinder_closed_by_hand(rng):
+    f = random_simplicial_map(rng, random_complex(rng, max_vertices=5, max_cells=5, max_card=3))
+    cylinder, src, tgt = mapping_cylinder(f)
+    reference, ref_src, ref_tgt = cylinder_by_hand(f)
+    assert cylinder.simplexes == reference.simplexes
+    assert (src.vertex_map, tgt.vertex_map) == (ref_src.vertex_map, ref_tgt.vertex_map)
+    assert (src, tgt) == (ref_src, ref_tgt)
+
+
+def test_simplicial_maps_compare_by_their_ends_and_vertex_map():
+    circle = hollow_triangle()
+    same = SimplicialComplex.from_maximal([(1, 2), (2, 3), (1, 3)])
+    assert SimplicialMap.identity(circle) == SimplicialMap.identity(circle)
+    assert SimplicialMap.identity(circle) == SimplicialMap.identity(same)
+    assert hash(SimplicialMap.identity(circle)) == hash(SimplicialMap.identity(same))
+    rotation = SimplicialMap(circle, circle, {1: 2, 2: 3, 3: 1})
+    assert rotation != SimplicialMap.identity(circle)
+    wider = circle.union(SimplicialComplex.from_maximal([(3, 4)]))
+    assert SimplicialMap.inclusion(circle, wider) != SimplicialMap.identity(circle)
+    assert SimplicialMap.identity(circle) != circle
+    assert len({SimplicialMap.identity(circle), SimplicialMap.identity(same), rotation}) == 2
+
+
+def test_simplicial_map_rejects_an_image_outside_the_target():
+    point = SimplicialComplex.from_maximal([], extra_vertices=[0])
+    with pytest.raises(ValueError, match="^image vertex 9 not in target$"):
+        SimplicialMap(point, point, {0: 9})
 
 
 def test_reduced_h0_of_a_200_gon_keeps_under_a_megabyte_and_a_half():

@@ -693,3 +693,38 @@ def test_certified_analyses_make_a_fixed_number_of_factorizations(smith_calls):
         lim1_class(tower), tower_lim(tower)
         counts[name] = len(smith_calls)
     assert counts == expected
+
+
+@pytest.mark.parametrize("cls, name", [(GroupTower, "tower"), (DirectSystem, "direct system")])
+def test_sequences_reject_missing_levels_bonds_and_periods(cls, name):
+    with pytest.raises(ValueError, match=f"^a {name} needs at least one level$"):
+        cls([], [])
+    pairs = f"^a {name} needs exactly one bond per adjacent pair of levels$"
+    with pytest.raises(ValueError, match=pairs):
+        cls([Z, Z], [])
+    with pytest.raises(ValueError, match="^periodic certificate needs one full period of levels$"):
+        cls([Z, Z], [GroupHom.identity(Z)], Certificate("periodic", offset=1))
+    double, triple = hom(Z, Z, [[2]]), hom(Z, Z, [[3]])
+    differ = "^certificate contradicted: bonds 0 and 1 differ canonically$"
+    with pytest.raises(ValueError, match=differ):
+        cls([Z] * 4, [double, triple, double], Certificate("periodic"))
+
+
+def test_periodic_bond_that_kills_a_summand_is_undetermined():
+    # the images fall from Z^2 to Z and stay there, but the certified
+    # period map is neither eventually repeating nor injective
+    squash = hom(Z2, Z2, [[2, 0], [0, 0]])
+    t = GroupTower([Z2] * 3, [squash] * 2, Certificate("periodic"))
+    status = ml_status(t, 0)
+    assert status.verdict == "UndeterminedWithinWindow" and status.index is None
+    assert status.reason == "certified pattern does not settle the chain at this level"
+
+
+def test_shift_family_past_a_non_injective_first_bond_reads_the_window():
+    # bond 0 is zero, so the certificate's strict descent does not reach
+    # level 0; the window alone decides there
+    bonds = [hom(Z, Z, [[0]]), hom(Z, Z, [[2]]), hom(Z, Z, [[2]])]
+    t = GroupTower([Z] * 4, bonds, Certificate("shift_family", offset=1))
+    assert (ml_status(t, 0).verdict, ml_status(t, 0).index) == ("Stabilized", 1)
+    assert ml_status(t, 0, 1).verdict == "UndeterminedWithinWindow"
+    assert ml_status(t, 0, 1).reason == "certified pattern does not settle the chain at this level"
