@@ -171,7 +171,8 @@ def _encode_complex(k: SimplicialComplex) -> dict:
     }
 
 
-def _decode_vertex_map(pairs, where: str) -> dict:
+def _decode_vertex_map(pairs, where: str, source: SimplicialComplex) -> dict:
+    known = set(source.vertices)
     out = {}
     for i, pair in enumerate(_as_list(pairs, where)):
         spot = f"{where}[{i}]"
@@ -181,6 +182,8 @@ def _decode_vertex_map(pairs, where: str) -> dict:
         v = _decode_label(pair[0], spot)
         if v in out:
             _fail(spot, f"vertex {v!r} is mapped twice")
+        if v not in known:
+            _fail(spot, f"vertex {v!r} is mapped but not in the source")
         out[v] = _decode_label(pair[1], spot)
     return out
 
@@ -195,7 +198,7 @@ def _encode_vertex_map(f: SimplicialMap) -> list:
 def _decode_map(payload, where: str) -> SimplicialMap:
     source = _decode_complex(_need(payload, "source", where), f"{where}.source")
     target = _decode_complex(_need(payload, "target", where), f"{where}.target")
-    vm = _decode_vertex_map(_need(payload, "vertex_map", where), f"{where}.vertex_map")
+    vm = _decode_vertex_map(_need(payload, "vertex_map", where), f"{where}.vertex_map", source)
     return _checked(where, SimplicialMap, source, target, vm)
 
 
@@ -242,7 +245,7 @@ def _decode_complex_tower(payload, where: str) -> ComplexTower:
         spot = f"{where}.bonds[{i}]"
         if i + 1 >= len(levels):
             _fail(where, "more bonds than adjacent level pairs")
-        vm = _decode_vertex_map(pairs, spot)
+        vm = _decode_vertex_map(pairs, spot, levels[i + 1])
         bonds.append(_checked(spot, SimplicialMap, levels[i + 1], levels[i], vm))
     marks = {
         name: _items(payload, name, where, _decode_complex)

@@ -3,8 +3,9 @@
 Complexes are stored as face-closed sets of sorted vertex tuples.
 Vertex labels may be integers, strings, or nested tuples of those;
 a single total order on labels fixes every orientation, so boundary
-matrices and induced maps are deterministic.  The boundary of an edge
-(a, b) with a < b is b - a.
+matrices and induced maps are deterministic.  A complex keys its
+labels once, when it is built, and orders by the ranks it keeps.  The
+boundary of an edge (a, b) with a < b is b - a.
 
 Homology and cohomology are computed over the integers with cycle
 representatives attached: the group returned is presented on a basis
@@ -24,7 +25,8 @@ one-bond telescope of its target and source.
 
 from __future__ import annotations
 
-from itertools import combinations
+from itertools import chain, combinations, compress, filterfalse
+from operator import neg
 from types import MappingProxyType
 from typing import Dict, Iterable, Optional
 
@@ -57,11 +59,35 @@ def simplex_key(s: tuple) -> tuple:
     return (len(s), tuple(label_key(v) for v in s))
 
 
+def _plain(label) -> bool:
+    """Whether ``label`` is an int, a str or a tuple of such labels, each of exactly that type."""
+    kind = type(label)
+    return kind is int or kind is str or (kind is tuple and all(map(_plain, label)))
+
+
+def _vertex_ranks(labels) -> dict:
+    """Each distinct label of ``labels`` mapped to its position in ``label_key`` order.
+
+    Every label is checked before a set merges equal ones: True == 1 and
+    (0, True) == (0, 1), so a bool met after its int would otherwise go
+    unseen.  ``label_key`` raises for a label of no supported type and
+    runs once per distinct label.
+    """
+    labels = list(labels)
+    for label in filterfalse(_plain, labels):
+        label_key(label)
+    return {v: i for i, v in enumerate(sorted(set(labels), key=label_key))}
+
+
 class SimplicialComplex:
     """Face-closed finite abstract simplicial complex.
 
-    It keeps what it derives: its simplexes per dimension, its vertices,
-    and each ``homology`` and ``cohomology`` result built on it.
+    It keys its labels once: construction ranks every vertex in
+    ``label_key`` order, and the simplexes, the vertices and the
+    simplexes per dimension are sorted by those ranks, which is the
+    ``simplex_key`` order.  It keeps what it derives: its simplexes per
+    dimension, its vertices, and each ``homology`` and ``cohomology``
+    result built on it.
 
     >>> k = SimplicialComplex.from_maximal([("a", "b"), ("b", "c")])
     >>> sorted(k.vertices)
@@ -70,10 +96,23 @@ class SimplicialComplex:
     1
     """
 
-    __slots__ = ("simplexes", "_by_dim", "_vertices", "_results")
+    __slots__ = ("simplexes", "_rank", "_by_dim", "_vertices", "_results")
 
     def __init__(self, simplexes: Iterable[tuple]):
-        self.simplexes = frozenset(sort_simplex(s) for s in simplexes)
+        simplexes = [tuple(s) for s in simplexes]
+        rank = _vertex_ranks(chain.from_iterable(simplexes))
+        self._hold(frozenset(tuple(sorted(s, key=rank.__getitem__)) for s in simplexes), rank)
+
+    @classmethod
+    def _of_sorted(cls, simplexes: frozenset, rank: dict) -> "SimplicialComplex":
+        """The complex on ``simplexes``, each sorted by ``rank``, which ranks all their labels."""
+        k = cls.__new__(cls)
+        k._hold(simplexes, rank)
+        return k
+
+    def _hold(self, simplexes: frozenset, rank: dict) -> None:
+        self.simplexes = simplexes
+        self._rank = rank
         self._by_dim = None
         self._vertices = None
         self._results = {}
@@ -81,16 +120,17 @@ class SimplicialComplex:
     @classmethod
     def from_maximal(cls, maximal: Iterable[Iterable], extra_vertices: Iterable = ()) -> "SimplicialComplex":
         """Close the given simplexes under faces; singletons added for extras."""
-        closed = set()
+        maximal = [tuple(s) for s in maximal]
+        extras = [(v,) for v in extra_vertices]
+        if not all(maximal):
+            raise ValueError("empty simplex")
+        rank = _vertex_ranks(chain.from_iterable(maximal + extras))
+        closed = set(extras)
         for s in maximal:
-            s = sort_simplex(set(s))
-            if not s:
-                raise ValueError("empty simplex")
+            s = tuple(sorted(set(s), key=rank.__getitem__))
             for size in range(1, len(s) + 1):
                 closed.update(combinations(s, size))
-        for v in extra_vertices:
-            closed.add((v,))
-        return cls(closed)
+        return cls._of_sorted(frozenset(closed), rank)
 
     @classmethod
     def empty(cls) -> "SimplicialComplex":
@@ -99,8 +139,8 @@ class SimplicialComplex:
     @property
     def vertices(self) -> tuple:
         if self._vertices is None:
-            vs = {s[0] for s in self.simplexes if len(s) == 1}
-            self._vertices = tuple(sorted(vs, key=label_key))
+            vs = [s[0] for s in self.simplexes if len(s) == 1]
+            self._vertices = tuple(sorted(vs, key=self._rank.__getitem__))
         return self._vertices
 
     def n_simplexes(self, n: int) -> list:
@@ -108,8 +148,9 @@ class SimplicialComplex:
             by_dim: Dict[int, list] = {}
             for s in self.simplexes:
                 by_dim.setdefault(len(s) - 1, []).append(s)
+            rank = self._rank.__getitem__
             for lst in by_dim.values():
-                lst.sort(key=simplex_key)
+                lst.sort(key=lambda s: tuple(map(rank, s)))
             self._by_dim = by_dim
         return list(self._by_dim.get(n, []))
 
@@ -135,10 +176,14 @@ class SimplicialComplex:
 
     def full_subcomplex(self, vertex_subset: Iterable) -> "SimplicialComplex":
         allowed = set(vertex_subset)
-        return SimplicialComplex(s for s in self.simplexes if set(s) <= allowed)
+        return SimplicialComplex._of_sorted(
+            frozenset(s for s in self.simplexes if allowed.issuperset(s)), self._rank
+        )
 
     def union(self, other: "SimplicialComplex") -> "SimplicialComplex":
-        return SimplicialComplex(self.simplexes | other.simplexes)
+        return SimplicialComplex._of_sorted(
+            self.simplexes | other.simplexes, _vertex_ranks(self._rank.keys() | other._rank.keys())
+        )
 
     def __eq__(self, other) -> bool:
         return isinstance(other, SimplicialComplex) and self.simplexes == other.simplexes
@@ -181,9 +226,10 @@ def validate_complex(k: SimplicialComplex) -> Optional[ComplexViolation]:
 class SimplicialMap:
     """Vertex map between complexes that carries simplexes to simplexes.
 
-    Verified on construction: every source vertex is mapped, every
-    image vertex exists in the target, and the image of each source
-    simplex (with repeats collapsed) is a target simplex.
+    Verified on construction: every source vertex is mapped and no
+    other vertex is, every image vertex exists in the target, and the
+    image of each source simplex (with repeats collapsed) is a target
+    simplex.
     """
 
     __slots__ = ("source", "target", "vertex_map")
@@ -195,6 +241,10 @@ class SimplicialMap:
         missing = [v for v in source.vertices if v not in self.vertex_map]
         if missing:
             raise ValueError(f"unmapped source vertices: {missing[:3]!r}")
+        if len(self.vertex_map) > len(source.vertices):
+            known = set(source.vertices)
+            stray = min((v for v in self.vertex_map if v not in known), key=label_key)
+            raise ValueError(f"vertex {stray!r} is mapped but not in the source")
         target_vertices = set(target.vertices)
         for v, w in self.vertex_map.items():
             if w not in target_vertices:
@@ -205,7 +255,7 @@ class SimplicialMap:
             raise ValueError(f"simplex {bad!r} has non-simplex image")
 
     def image_simplex(self, s: Iterable) -> tuple:
-        return sort_simplex({self.vertex_map[v] for v in s})
+        return tuple(sorted({self.vertex_map[v] for v in s}, key=self.target._rank.__getitem__))
 
     def compose(self, inner: "SimplicialMap") -> "SimplicialMap":
         """self o inner."""
@@ -243,7 +293,10 @@ class SimplicialMap:
 
 def preimage_subcomplex(f: SimplicialMap, sub: SimplicialComplex) -> SimplicialComplex:
     """Simplexes of the source whose image lies in ``sub``."""
-    return SimplicialComplex(s for s in f.source.simplexes if f.image_simplex(s) in sub.simplexes)
+    return SimplicialComplex._of_sorted(
+        frozenset(s for s in f.source.simplexes if f.image_simplex(s) in sub.simplexes),
+        f.source._rank,
+    )
 
 
 # -- boundary matrices and homology -----------------------------------
@@ -283,50 +336,74 @@ class HomologyResult(_Record):
     The cycle basis is the trailing columns of V in the Smith
     decomposition U * M * V = D of the outgoing map M (boundary,
     augmentation or transposed coboundary), each times its entry of
-    ``cycle_signs``.  Of that decomposition only V^-1 is kept, in
-    ``vinv``, so ``cycle_coordinates`` factors nothing; neither field
+    ``cycle_signs``.  Of that decomposition only V^-1 is kept, by
+    columns in ``vinv_columns`` (column j as the (row, entry) pairs of
+    its nonzero entries), so ``cycle_coordinates`` factors nothing and
+    reads one column per nonzero entry of the chain; neither field
     takes part in equality or repr.  Results come from ``homology``
     and ``cohomology`` only, which keep them on the complex, so one
     result is shared by every caller that asks for it.
     """
 
     _fields = ("group", "representatives", "degree", "basis", "cycle_columns")
-    __slots__ = _fields + ("vinv", "cycle_signs")
+    __slots__ = _fields + ("vinv_columns", "cycle_signs")
 
     def cycle_coordinates(self, chain) -> Optional[tuple]:
         """Coordinates of ``chain`` over ``cycle_columns``, or None for a non-cycle."""
-        return _cycle_coordinates(self.vinv, self.cycle_signs, chain)
+        return _cycle_coordinates(self.vinv_columns, self.cycle_signs, chain)
 
 
-def _cycle_coordinates(vinv: IntegerMatrix, signs, chain) -> Optional[tuple]:
-    # with y = V^-1 * chain, M * chain = U^-1 * D * y is zero iff y[:rank] is
-    y = vinv.matvec(chain)
-    rank = len(y) - len(signs)
-    if any(y[:rank]):
-        return None
-    return tuple(s * c for s, c in zip(signs, y[rank:]))
+def _cycle_coordinates(vinv_columns, signs, chain) -> Optional[tuple]:
+    # y = V^-1 * chain sums V^-1's columns at the chain's nonzero entries,
+    # sparse as they are; M * chain = U^-1 * D * y is zero iff y[:rank] is
+    if len(chain) != len(vinv_columns):
+        raise ValueError("vector length mismatch")
+    y: Dict[int, int] = {}
+    for j in compress(range(len(chain)), chain):
+        c = chain[j]
+        for i, a in vinv_columns[j]:
+            y[i] = y.get(i, 0) + c * a
+    rank = len(vinv_columns) - len(signs)
+    coords = [0] * len(signs)
+    for i, c in y.items():
+        if i >= rank:
+            coords[i - rank] = signs[i - rank] * c
+        elif c:
+            return None
+    return tuple(coords)
+
+
+def _sparse_columns(m: IntegerMatrix) -> tuple:
+    """The columns of ``m``, each as the (row, entry) pairs of its nonzero entries."""
+    columns = [[] for _ in range(m.ncols)]
+    for i, row in enumerate(m.rows):
+        for j in compress(range(m.ncols), row):
+            columns[j].append((i, row[j]))
+    return tuple(map(tuple, columns))
 
 
 def _quotient_of_cycles(outgoing: IntegerMatrix, image_cols, degree: int, basis):
     snf = smith_normal_form(outgoing)
+    vinv_columns = _sparse_columns(snf.vinv)
     cycle_cols, signs = [], []
-    for j in range(snf.rank, outgoing.ncols):
-        col = snf.v.column(j)
-        signs.append(-1 if next(c for c in col if c) < 0 else 1)
-        cycle_cols.append(tuple(signs[-1] * c for c in col))
+    for col in list(zip(*snf.v.rows))[snf.rank :]:
+        signs.append(-1 if next(filter(None, col)) < 0 else 1)
+        cycle_cols.append(col if signs[-1] == 1 else tuple(map(neg, col)))
     rel_rows = []
     for col in image_cols:
-        coords = _cycle_coordinates(snf.vinv, signs, col)
+        coords = _cycle_coordinates(vinv_columns, signs, col)
         if coords is None:
             raise AssertionError("boundary image is not a cycle; chain complex broken")
         rel_rows.append(coords)
     group = FGAbelianGroup(len(cycle_cols), IntegerMatrix(rel_rows, ncols=len(cycle_cols)))
-    kmat = IntegerMatrix.from_columns(cycle_cols, nrows=outgoing.ncols)
     reps = []
     for j in range(group.canonical_ngens):
         e = [0] * group.canonical_ngens
         e[j] = 1
-        coeffs = kmat.matvec(group.from_canonical(e))
+        coeffs = [0] * outgoing.ncols
+        for g, col in zip(group.from_canonical(e), cycle_cols):
+            if g:
+                coeffs = [c + g * x for c, x in zip(coeffs, col)]
         reps.append(MappingProxyType({s: c for s, c in zip(basis, coeffs) if c != 0}))
     return HomologyResult(
         group=group,
@@ -334,7 +411,7 @@ def _quotient_of_cycles(outgoing: IntegerMatrix, image_cols, degree: int, basis)
         degree=degree,
         basis=tuple(basis),
         cycle_columns=tuple(cycle_cols),
-        vinv=snf.vinv,
+        vinv_columns=vinv_columns,
         cycle_signs=tuple(signs),
     )
 
@@ -391,15 +468,16 @@ def chain_map_matrix(f: SimplicialMap, n: int) -> IntegerMatrix:
     """
     src = f.source.n_simplexes(n)
     tgt = f.target.n_simplexes(n)
+    rank = f.target._rank
     index = {s: i for i, s in enumerate(tgt)}
     out = [[0] * len(src) for _ in tgt]
     for j, s in enumerate(src):
         images = [f.vertex_map[v] for v in s]
-        if len(set(images)) != len(images):
+        ranks = [rank[w] for w in images]
+        if len(set(ranks)) != len(ranks):
             continue
-        order = sorted(range(len(images)), key=lambda i: label_key(images[i]))
-        inversions = sum(a > b for i, a in enumerate(order) for b in order[i + 1 :])
-        target_simplex = tuple(images[i] for i in order)
+        inversions = sum(a > b for i, a in enumerate(ranks) for b in ranks[i + 1 :])
+        target_simplex = tuple(sorted(images, key=rank.__getitem__))
         out[index[target_simplex]][j] += (-1) ** inversions
     return IntegerMatrix(out, ncols=len(src))
 
@@ -412,8 +490,8 @@ def _induced_between(
     Each presentation generator of the source (a cycle basis column)
     is pushed through the chain map and written over the target cycle
     basis by ``target.cycle_coordinates``, which reads the target's
-    kept V^-1 and factors nothing; a chain with no coordinates is a
-    real failure of cycles to land on cycles.
+    kept columns of V^-1 and factors nothing; a chain with no
+    coordinates is a real failure of cycles to land on cycles.
     """
     cols = []
     for col in source.cycle_columns:

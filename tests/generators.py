@@ -56,6 +56,17 @@ def torus_7() -> SimplicialComplex:
     return SimplicialComplex.from_maximal(faces)
 
 
+def grid_torus(side: int) -> SimplicialComplex:
+    """The side x side grid on a torus, each square cut along its diagonal; vertices (i, j)."""
+    faces = []
+    for i in range(side):
+        for j in range(side):
+            a, b = (i, j), ((i + 1) % side, j)
+            c, d = (i, (j + 1) % side), ((i + 1) % side, (j + 1) % side)
+            faces += [(a, b, d), (a, c, d)]
+    return SimplicialComplex.from_maximal(faces)
+
+
 def disjoint_points(k: int) -> SimplicialComplex:
     return SimplicialComplex.from_maximal([], extra_vertices=list(range(k)))
 

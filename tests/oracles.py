@@ -1,8 +1,9 @@
 """Independent oracles used to cross-check the exact linear algebra.
 
 Apart from ``refactored_cycle_coordinates``,
-``stacked_kernel_subgroup``, ``full_decomposition_coordinates``,
-``inline_simplex_order`` (which takes only the label order) and the
+``dense_cycle_coordinates``, ``stacked_kernel_subgroup``,
+``full_decomposition_coordinates``, ``inline_simplex_order`` and
+``inline_chain_map_rows`` (which take only the label order) and the
 two-closure telescopes, nothing in here imports the package under test.
 The routines are deliberately different algorithms from the ones being
 checked: fraction-free (Bareiss) elimination for ranks and determinants,
@@ -184,6 +185,34 @@ def refactored_cycle_coordinates(cycle_columns, chain):
     return solve(smith_normal_form(cycles), chain)
 
 
+def dense_cycle_coordinates(outgoing, cycle_columns):
+    """Cycle coordinates read off a fresh factorization of ``outgoing``, one row sum at a time.
+
+    The reference for ``HomologyResult.cycle_coordinates``, which keeps
+    V^-1 by its sparse columns and adds one column per nonzero entry of
+    the chain: here the outgoing map M gets its Smith decomposition
+    U * M * V = D again, y = V^-1 * chain is the dense product, the
+    chain is a cycle exactly when y is zero above the rank, and each
+    coordinate takes the sign that turns V's column into the cycle
+    column.  Returns the map chain -> coordinates (None off the cycles).
+    """
+    from towertop.abelian import smith_normal_form
+
+    snf = smith_normal_form(outgoing)
+    rank = snf.rank
+    signs = [
+        1 if snf.v.column(rank + t) == tuple(col) else -1 for t, col in enumerate(cycle_columns)
+    ]
+
+    def coordinates(chain):
+        y = dense_matvec(snf.vinv.rows, chain)
+        if any(y[:rank]):
+            return None
+        return tuple(s * c for s, c in zip(signs, y[rank:]))
+
+    return coordinates
+
+
 def stacked_kernel_subgroup(hom):
     """Kernel of ``hom`` from a factorization of its own stacked matrix.
 
@@ -244,6 +273,31 @@ def inline_simplex_order(simplexes) -> list:
     from towertop.simplicial import label_key
 
     return sorted(simplexes, key=lambda s: (len(s), tuple(label_key(v) for v in s)))
+
+
+def inline_chain_map_rows(source_simplexes, target_simplexes, vertex_map, n: int) -> tuple:
+    """Rows of the chain map C_n(source) -> C_n(target), every order read from ``label_key``.
+
+    The reference for ``chain_map_matrix``, which orders by the vertex
+    ranks each complex keeps instead: both bases in the inline simplex
+    order, a simplex whose image repeats a vertex maps to zero, and
+    otherwise the sign is the parity of the permutation that sorts the
+    image vertices by their keys.
+    """
+    from towertop.simplicial import label_key
+
+    src = [s for s in inline_simplex_order(source_simplexes) if len(s) == n + 1]
+    tgt = [t for t in inline_simplex_order(target_simplexes) if len(t) == n + 1]
+    index = {t: i for i, t in enumerate(tgt)}
+    rows = [[0] * len(src) for _ in tgt]
+    for j, s in enumerate(src):
+        images = [vertex_map[v] for v in s]
+        if len(set(images)) < len(images):
+            continue
+        order = sorted(range(len(images)), key=lambda i: label_key(images[i]))
+        inversions = sum(a > b for i, a in enumerate(order) for b in order[i + 1 :])
+        rows[index[tuple(images[i] for i in order)]][j] += (-1) ** inversions
+    return tuple(map(tuple, rows))
 
 
 def maximal_simplexes(simplexes) -> set:

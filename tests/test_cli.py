@@ -455,6 +455,25 @@ def test_vertex_mapped_twice_exits_one_naming_the_pair(tmp_path):
     )
 
 
+def test_stray_vertex_map_entry_exits_one_naming_the_pair(tmp_path):
+    doc = tmp_path / "stray.map"
+    envelope = json.loads((SAMPLE / "hex_to_tri.map").read_text())
+    envelope["payload"]["vertex_map"].append([99, 0])
+    doc.write_text(json.dumps(envelope))
+    assert run_cli(["induced", str(doc), "--dim", "1"]) == (
+        1, "", f"error: {doc}.payload.vertex_map[6]: vertex 99 is mapped but not in the source\n"
+    )
+    envelope = json.loads((SAMPLE / "dyadic.tower").read_text())
+    envelope["payload"]["bonds"][1].insert(2, [["w", 0], ["v", 0]])
+    doc = tmp_path / "stray.tower"
+    doc.write_text(json.dumps(envelope))
+    assert run_cli(["tower-report", str(doc), "--report", "steenrod", "--dim", "0"]) == (
+        1,
+        "",
+        f"error: {doc}.payload.bonds[1][2]: vertex ('w', 0) is mapped but not in the source\n",
+    )
+
+
 def test_malformed_pairs_and_surplus_bonds_exit_one_naming_the_spot(tmp_path):
     envelope = json.loads((SAMPLE / "hex_to_tri.map").read_text())
     envelope["payload"]["vertex_map"][2] = [2]

@@ -1,8 +1,10 @@
 from __future__ import annotations
 
 import gc
+import hashlib
 import os
 import random
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -12,6 +14,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import towertop.simplicial as simplicial
 from towertop.simplicial import (
     SimplicialComplex,
     SimplicialMap,
@@ -23,9 +26,12 @@ from towertop.simplicial import (
     homology,
     induced_cohomology_map,
     induced_map,
+    label_key,
     mapping_cylinder,
     pinched_telescope,
+    preimage_subcomplex,
     simplex_key,
+    sort_simplex,
     validate_complex,
 )
 
@@ -34,6 +40,7 @@ from generators import (
     circle_power_tower,
     constant_tower,
     disjoint_points,
+    grid_torus,
     hollow_triangle,
     polygon,
     polygon_wrap,
@@ -49,8 +56,10 @@ from oracles import (
     bareiss_rank,
     betti_from_boundaries,
     cylinder_by_hand,
+    dense_cycle_coordinates,
     dense_matvec,
     determinantal_invariant_factors,
+    inline_chain_map_rows,
     inline_simplex_order,
     minor_gcd,
     mod_p_rank,
@@ -305,28 +314,82 @@ def quotient_cases(k, n):
     )
 
 
+def check_cycle_coordinates(h, outgoing, incoming, rng, refactored):
+    """``h.cycle_coordinates`` against the dense V^-1 row read on every chain tried.
+
+    The chains are the incoming boundaries, the cycle basis and five
+    random chains; the first ``refactored`` incoming boundaries (all of
+    them for None, and then the random non-cycles too) are also solved
+    against a refactored cycle matrix.
+    """
+    cycles = h.cycle_columns
+    dense = dense_cycle_coordinates(outgoing, cycles)
+    for col in incoming.columns()[:refactored]:
+        assert h.cycle_coordinates(col) == refactored_cycle_coordinates(cycles, col)
+    for col in incoming.columns():
+        coords = h.cycle_coordinates(col)
+        assert coords is not None and coords == dense(col)
+    for j, col in enumerate(cycles):
+        unit = tuple(int(i == j) for i in range(len(cycles)))
+        assert h.cycle_coordinates(col) == unit
+    for _ in range(5):
+        chain = [rng.randint(-3, 3) for _ in h.basis]
+        coords = h.cycle_coordinates(chain)
+        assert coords == dense(chain)
+        assert (coords is None) == any(dense_matvec(outgoing.rows, chain))
+        if coords is None and refactored is None:
+            assert refactored_cycle_coordinates(cycles, chain) is None
+    for wrong in (len(h.basis) + 1, len(h.basis) - 1):
+        if wrong >= 0:
+            with pytest.raises(ValueError, match="^vector length mismatch$"):
+                h.cycle_coordinates([1] * wrong)
+
+
 def test_cycle_coordinates_match_refactored_cycle_matrix():
     rng = random.Random(606)
     for _ in range(30):
         k = random_complex(rng, max_vertices=5, max_cells=4, max_card=3)
         for n in range(-1, k.dimension() + 2):
             for h, outgoing, incoming in quotient_cases(k, n):
-                cycles = h.cycle_columns
-                for col in incoming.columns():
-                    coords = h.cycle_coordinates(col)
-                    assert coords is not None
-                    assert coords == refactored_cycle_coordinates(cycles, col)
-                for j, col in enumerate(cycles):
-                    unit = tuple(int(i == j) for i in range(len(cycles)))
-                    assert h.cycle_coordinates(col) == unit
-                for _ in range(5):
-                    chain = [rng.randint(-3, 3) for _ in h.basis]
-                    if any(dense_matvec(outgoing.rows, chain)):
-                        assert h.cycle_coordinates(chain) is None
-                        assert refactored_cycle_coordinates(cycles, chain) is None
+                check_cycle_coordinates(h, outgoing, incoming, rng, None)
                 torsion = [d for d in determinantal_invariant_factors(incoming.rows) if d > 1]
                 betti = betti_from_boundaries(outgoing.rows, incoming.rows, len(h.basis))
                 assert h.group.invariants == (betti, tuple(torsion))
+    # larger sparse matrices: a grid torus and a depth-2 solenoid telescope,
+    # which deformation retracts to its coarsest circle
+    telescope = finite_telescope(circle_power_tower(2, 3), 2).complex
+    for k, betti_numbers in ((grid_torus(6), (1, 2, 1)), (telescope, (1, 1, 0))):
+        for n in range(-1, k.dimension() + 2):
+            for h, outgoing, incoming in quotient_cases(k, n):
+                check_cycle_coordinates(h, outgoing, incoming, rng, 2)
+            expected = betti_numbers[n] if 0 <= n < len(betti_numbers) else 0
+            assert homology(k, n).group.invariants == (expected, ())
+
+
+def smith_digest(matrices) -> tuple:
+    """(count, sha256 over every matrix's rows and width in order) of Smith inputs."""
+    digest = hashlib.sha256()
+    for m in matrices:
+        digest.update(repr((m.rows, m.ncols)).encode())
+    return len(matrices), digest.hexdigest()
+
+
+def test_torus_h1_and_comb_steenrod_h0_factor_the_pinned_matrices(smith_calls):
+    # the column read of V^-1 changes no factorization: these are the very
+    # matrices, in order, that the dense row read gave Smith
+    from towertop.assembly import steenrod_report
+    from towertop.compactohedral import build_gallery
+
+    homology(grid_torus(6), 1)
+    assert [(m.nrows, m.ncols) for m in smith_calls] == [(36, 108), (73, 72)]
+    assert smith_digest(smith_calls) == (
+        2, "aff56c92417c276cac410dc942edbd01594845712ba5aec451c012d29be6ab02"
+    )
+    del smith_calls[:]
+    steenrod_report(build_gallery("comb", teeth=4, depth=2), 0)
+    assert smith_digest(smith_calls) == (
+        18, "0a02085031ee97accb08f054ddaa7dbb1af63c7fdc0426017febade795844816"
+    )
 
 
 def test_homology_factors_the_outgoing_map_and_the_relations_only(smith_calls):
@@ -546,6 +609,108 @@ def test_simplicial_map_rejects_an_image_outside_the_target():
     point = SimplicialComplex.from_maximal([], extra_vertices=[0])
     with pytest.raises(ValueError, match="^image vertex 9 not in target$"):
         SimplicialMap(point, point, {0: 9})
+
+
+def test_simplicial_map_rejects_entries_outside_its_source():
+    wrap = {v: v % 3 for v in range(6)}
+    # the first stray in label order is named: ints come before strings
+    for strays in ({"z": 0, 99: 1}, {99: 1, "z": 0}):
+        with pytest.raises(ValueError, match="^vertex 99 is mapped but not in the source$"):
+            SimplicialMap(polygon(6), polygon(3), {**wrap, **strays})
+    with pytest.raises(ValueError, match="^vertex 'z' is mapped but not in the source$"):
+        SimplicialMap(polygon(6), polygon(3), {**wrap, "z": 0})
+
+
+@pytest.mark.parametrize(
+    "bad, twin, message",
+    [
+        (True, 1, "boolean vertex labels are not supported"),
+        (1.0, 1, "unsupported vertex label type: float"),
+        (None, 0, "unsupported vertex label type: NoneType"),
+        ((0, True), (0, 1), "boolean vertex labels are not supported"),
+    ],
+    ids=("bool", "float", "none", "nested-bool"),
+)
+def test_every_label_is_checked_before_equal_labels_merge(bad, twin, message):
+    # True == 1 == 1.0 and (0, True) == (0, 1): a set would keep the twin
+    # met first and drop the bad label without a word
+    builds = (
+        lambda: SimplicialComplex([(twin,), (bad,)]),
+        lambda: SimplicialComplex([(bad,), (twin,)]),
+        lambda: SimplicialComplex.from_maximal([(twin, bad)]),
+        lambda: SimplicialComplex.from_maximal([(twin, 2)], extra_vertices=[bad]),
+        lambda: SimplicialComplex.from_maximal([], extra_vertices=[twin, bad]),
+    )
+    for build in builds:
+        with pytest.raises(TypeError, match=f"^{re.escape(message)}$"):
+            build()
+
+
+def test_building_a_complex_keys_each_vertex_once(monkeypatch):
+    calls = []
+    depth = [0]
+    real = simplicial.label_key
+
+    def counting(label):
+        # label_key recurses through the module name: count only the outer call
+        if depth[0] == 0:
+            calls.append(label)
+        depth[0] += 1
+        try:
+            return real(label)
+        finally:
+            depth[0] -= 1
+
+    torus = grid_torus(6)
+    tower = circle_power_tower(2, 3)
+    edge = SimplicialComplex.from_maximal([((9, 9), (0, 0))])
+    monkeypatch.setattr(simplicial, "label_key", counting)
+    builds = (
+        lambda: grid_torus(6),
+        lambda: SimplicialComplex(torus.simplexes),
+        lambda: finite_telescope(tower, 2).complex,
+        lambda: pinched_telescope(tower, 2).complex,
+        lambda: torus.union(edge),
+    )
+    for build in builds:
+        del calls[:]
+        k = build()
+        assert 0 < len(calls) <= len(k.vertices)
+    # a subcomplex and a preimage read the ranks their ambient complex keeps
+    del calls[:]
+    torus.full_subcomplex(v for v in torus.vertices if v[0] < 3)
+    preimage_subcomplex(SimplicialMap.identity(torus), torus)
+    assert calls == []
+
+
+@st.composite
+def mixed_label_maps(draw) -> SimplicialMap:
+    """A simplicial map on mixed labels; the target closes the images of the source's cells."""
+    cells = draw(st.lists(st.lists(LABELS, min_size=1, max_size=4), max_size=5))
+    extras = draw(st.lists(LABELS, max_size=2))
+    source = SimplicialComplex.from_maximal(cells, extra_vertices=extras)
+    images = draw(st.lists(LABELS, min_size=1, max_size=5))
+    vertex_map = {v: draw(st.sampled_from(images)) for v in source.vertices}
+    target = SimplicialComplex.from_maximal(
+        [{vertex_map[v] for v in s} for s in cells],
+        extra_vertices=[vertex_map[v] for v in extras] + draw(st.lists(LABELS, max_size=2)),
+    )
+    return SimplicialMap(source, target, vertex_map)
+
+
+@given(mixed_label_maps())
+def test_rank_order_matches_the_label_key_order(f):
+    for k in (f.source, f.target):
+        inline = inline_simplex_order(k.simplexes)
+        assert k.ordered() == inline
+        assert all(s == sort_simplex(s) for s in k.simplexes)
+        for n in range(-1, k.dimension() + 2):
+            assert k.n_simplexes(n) == [s for s in inline if len(s) == n + 1]
+    for s in f.source.simplexes:
+        assert f.image_simplex(s) == sort_simplex({f.vertex_map[v] for v in s})
+    for n in range(f.source.dimension() + 1):
+        expected = inline_chain_map_rows(f.source.simplexes, f.target.simplexes, f.vertex_map, n)
+        assert chain_map_matrix(f, n).rows == expected
 
 
 def test_reduced_h0_of_a_200_gon_keeps_under_a_megabyte_and_a_half():
