@@ -120,6 +120,8 @@ class IntegerMatrix:
             if ncols is None:
                 raise ValueError("ncols required for a matrix with no rows")
             self.ncols = int(ncols)
+            if self.ncols < 0:
+                raise ValueError("matrix sizes must be nonnegative")
 
     @classmethod
     def _derived(cls, rows: tuple, ncols: int) -> "IntegerMatrix":
@@ -143,6 +145,8 @@ class IntegerMatrix:
 
     @classmethod
     def zeros(cls, m: int, n: int) -> "IntegerMatrix":
+        if m < 0:
+            raise ValueError("matrix sizes must be nonnegative")
         return cls([[0] * n for _ in range(m)], ncols=n)
 
     @classmethod
@@ -159,6 +163,8 @@ class IntegerMatrix:
             if nrows is None:
                 raise ValueError("nrows required for a matrix with no columns")
             m = nrows
+            if m < 0:
+                raise ValueError("matrix sizes must be nonnegative")
         return cls([[cols[j][i] for j in range(len(cols))] for i in range(m)], ncols=len(cols))
 
     def column(self, j: int) -> tuple:
@@ -509,7 +515,9 @@ class FGAbelianGroup:
     relation matrix.  Of that factorization the group keeps only the
     rows of U and the columns of U^-1 that carry a canonical
     coordinate, so elements move between presentation coordinates and
-    canonical coordinates exactly, one product each way.
+    canonical coordinates exactly, one product each way.  The columns
+    of U^-1 are ``lifts``: column j is the canonical generator j in
+    presentation coordinates.
 
     Canonical coordinates list the free positions first, then the
     torsion positions in divisibility order.
@@ -521,7 +529,7 @@ class FGAbelianGroup:
     'Z + Z/2'
     """
 
-    __slots__ = ("ngens", "relations", "free_rank", "torsion", "_to", "_from")
+    __slots__ = ("ngens", "relations", "free_rank", "torsion", "_to", "lifts")
 
     def __init__(self, ngens: int, relations: Optional[IntegerMatrix] = None):
         if ngens < 0:
@@ -544,7 +552,7 @@ class FGAbelianGroup:
         self.free_rank = ngens - rank
         first = rank - len(self.torsion)
         self._to = IntegerMatrix._derived(snf.u.rows[rank:] + snf.u.rows[first:rank], ngens)
-        self._from = IntegerMatrix._derived(
+        self.lifts = IntegerMatrix._derived(
             tuple(row[rank:] + row[first:rank] for row in snf.uinv.rows), ngens - first
         )
 
@@ -561,6 +569,8 @@ class FGAbelianGroup:
     @classmethod
     def from_invariants(cls, free_rank: int, torsion: Sequence[int] = ()) -> "FGAbelianGroup":
         """Group in canonical shape: free generators first, then torsion."""
+        if free_rank < 0:
+            raise ValueError("free rank must be nonnegative")
         torsion = [int(t) for t in torsion]
         for i, t in enumerate(torsion):
             if t < 2:
@@ -600,7 +610,7 @@ class FGAbelianGroup:
         """One presentation-coordinate representative of canonical coordinates."""
         if len(y) != self.canonical_ngens:
             raise ValueError("canonical length mismatch")
-        return self._from.matvec(y)
+        return self.lifts.matvec(y)
 
     def reduce_canonical(self, y: Sequence[int]) -> tuple:
         """Normalize raw canonical coordinates (torsion entries mod invariant)."""
@@ -610,11 +620,14 @@ class FGAbelianGroup:
         tors = [y[self.free_rank + k] % t for k, t in enumerate(self.torsion)]
         return tuple(free + tors)
 
+    def _reduced(self, matrix: IntegerMatrix) -> IntegerMatrix:
+        """``matrix``, whose columns are canonical coordinates, with its torsion rows reduced."""
+        f = self.free_rank
+        torsion = tuple(tuple(c % t for c in row) for row, t in zip(matrix.rows[f:], self.torsion))
+        return IntegerMatrix._derived(matrix.rows[:f] + torsion, matrix.ncols)
+
     def canonical_is_zero(self, y: Sequence[int]) -> bool:
         return all(c == 0 for c in self.reduce_canonical(y))
-
-    def element_is_zero(self, x: Sequence[int]) -> bool:
-        return all(c == 0 for c in self.to_canonical(x))
 
     def canonical_relation_columns(self) -> list:
         """Columns spanning the relation lattice in canonical coordinates."""
@@ -666,6 +679,10 @@ class GroupHom:
     target relation lattice); this is a real check, not an assumption,
     because chain-level inputs arrive in presentation coordinates.
 
+    Coordinates change by whole-matrix products, torsion rows reduced:
+    the check is the target's coordinate map times ``matrix`` times the
+    transposed source relations, which must vanish, and the canonical
+    matrix is that map times ``matrix`` times the source's ``lifts``.
     The canonical matrix, the kernel and the image are computed on
     first use and kept, so repeated injectivity and surjectivity tests
     on one hom factor each matrix once.
@@ -682,9 +699,10 @@ class GroupHom:
         self._canonical = None
         self._kernel = None
         self._image = None
-        for row in source.relations.rows:
-            image = matrix.matvec(row)
-            if not target.element_is_zero(image):
+        relations = source.relations
+        if relations.rows:
+            images = target._to * matrix * relations.transpose()
+            if not target._reduced(images).is_zero():
                 raise ValueError("matrix does not carry source relations into target relations")
 
     @classmethod
@@ -702,22 +720,15 @@ class GroupHom:
         """Hom given by a matrix in canonical coordinates on both sides."""
         if canonical.ncols != source.canonical_ngens or canonical.nrows != target.canonical_ngens:
             raise ValueError("canonical matrix shape mismatch")
-        cols = []
-        for j in range(source.ngens):
-            y = source.to_canonical(tuple(1 if i == j else 0 for i in range(source.ngens)))
-            cols.append(target.from_canonical(target.reduce_canonical(canonical.matvec(y))))
-        return cls(source, target, IntegerMatrix.from_columns(cols, nrows=target.ngens))
+        # column j of the reduced source._to is source generator j in canonical coordinates
+        images = target._reduced(canonical * source._reduced(source._to))
+        return cls(source, target, target.lifts * images)
 
     def canonical_matrix(self) -> IntegerMatrix:
         """Matrix in canonical coordinates (torsion rows reduced mod invariant)."""
         if self._canonical is None:
-            cols = []
-            for j in range(self.source.canonical_ngens):
-                e = [0] * self.source.canonical_ngens
-                e[j] = 1
-                x = self.source.from_canonical(e)
-                cols.append(self.target.to_canonical(self.matrix.matvec(x)))
-            self._canonical = IntegerMatrix.from_columns(cols, nrows=self.target.canonical_ngens)
+            target = self.target
+            self._canonical = target._reduced(target._to * self.matrix * self.source.lifts)
         return self._canonical
 
     def apply_canonical(self, y: Sequence[int]) -> tuple:
@@ -731,10 +742,7 @@ class GroupHom:
 
     def image_subgroup(self) -> "Subgroup":
         if self._image is None:
-            gens = [
-                self.apply_canonical(e) for e in self.source.canonical_generators()
-            ]
-            self._image = Subgroup(self.target, gens)
+            self._image = Subgroup(self.target, self.canonical_matrix().transpose().rows)
         return self._image
 
     def kernel_subgroup(self) -> "Subgroup":
@@ -860,7 +868,8 @@ class Subgroup:
     def image_under(self, hom: GroupHom) -> "Subgroup":
         if hom.source != self.group:
             raise ValueError("hom source does not match subgroup ambient group")
-        return Subgroup(hom.target, [hom.apply_canonical(g) for g in self.generators])
+        gens = IntegerMatrix._derived(self.generators, self.group.canonical_ngens)
+        return Subgroup(hom.target, (gens * hom.canonical_matrix().transpose()).rows)
 
     def as_group(self) -> FGAbelianGroup:
         """The subgroup itself as an abstract group (canonicalized)."""

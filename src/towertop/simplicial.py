@@ -333,6 +333,8 @@ class HomologyResult(_Record):
     columns in ``cycle_columns``, coordinates over ``basis``); the
     j-th entry of ``representatives`` is the chain realizing the j-th
     canonical generator, as a read-only map simplex -> coefficient.
+    All of them are one product: the transposed ``group.lifts`` times
+    the matrix whose rows are the cycle columns.
     The cycle basis is the trailing columns of V in the Smith
     decomposition U * M * V = D of the outgoing map M (boundary,
     augmentation or transposed coboundary), each times its entry of
@@ -389,25 +391,17 @@ def _quotient_of_cycles(outgoing: IntegerMatrix, image_cols, degree: int, basis)
     for col in list(zip(*snf.v.rows))[snf.rank :]:
         signs.append(-1 if next(filter(None, col)) < 0 else 1)
         cycle_cols.append(col if signs[-1] == 1 else tuple(map(neg, col)))
-    rel_rows = []
-    for col in image_cols:
-        coords = _cycle_coordinates(vinv_columns, signs, col)
-        if coords is None:
-            raise AssertionError("boundary image is not a cycle; chain complex broken")
-        rel_rows.append(coords)
-    group = FGAbelianGroup(len(cycle_cols), IntegerMatrix(rel_rows, ncols=len(cycle_cols)))
-    reps = []
-    for j in range(group.canonical_ngens):
-        e = [0] * group.canonical_ngens
-        e[j] = 1
-        coeffs = [0] * outgoing.ncols
-        for g, col in zip(group.from_canonical(e), cycle_cols):
-            if g:
-                coeffs = [c + g * x for c, x in zip(coeffs, col)]
-        reps.append(MappingProxyType({s: c for s, c in zip(basis, coeffs) if c != 0}))
+    rel_rows = tuple(_cycle_coordinates(vinv_columns, signs, col) for col in image_cols)
+    if None in rel_rows:
+        raise AssertionError("boundary image is not a cycle; chain complex broken")
+    group = FGAbelianGroup(len(cycle_cols), IntegerMatrix._derived(rel_rows, len(cycle_cols)))
+    cycles = IntegerMatrix._derived(tuple(cycle_cols), outgoing.ncols)
+    reps = (group.lifts.transpose() * cycles).rows
     return HomologyResult(
         group=group,
-        representatives=tuple(reps),
+        representatives=tuple(
+            MappingProxyType({s: c for s, c in zip(basis, rep) if c}) for rep in reps
+        ),
         degree=degree,
         basis=tuple(basis),
         cycle_columns=tuple(cycle_cols),
@@ -483,23 +477,23 @@ def chain_map_matrix(f: SimplicialMap, n: int) -> IntegerMatrix:
 
 
 def _induced_between(
-    source: HomologyResult, target: HomologyResult, chain_matrix: IntegerMatrix
+    source: HomologyResult, target: HomologyResult, chain_rows: IntegerMatrix
 ) -> GroupHom:
-    """Hom between quotient groups from a chain-level matrix.
+    """Hom between quotient groups from a chain-level map given by its transpose.
 
-    Each presentation generator of the source (a cycle basis column)
-    is pushed through the chain map and written over the target cycle
-    basis by ``target.cycle_coordinates``, which reads the target's
-    kept columns of V^-1 and factors nothing; a chain with no
-    coordinates is a real failure of cycles to land on cycles.
+    ``chain_rows`` has one row per source chain basis element, its
+    image in the target chain basis.  One product, the source cycle
+    basis (a row per presentation generator) times ``chain_rows``,
+    pushes every cycle at once; each image row is written over the
+    target cycle basis by ``target.cycle_coordinates``, which reads
+    the target's kept columns of V^-1 and factors nothing.  An image
+    with no coordinates is a real failure of cycles to land on cycles.
     """
-    cols = []
-    for col in source.cycle_columns:
-        coords = target.cycle_coordinates(chain_matrix.matvec(col))
-        if coords is None:
-            raise AssertionError("image of a cycle is not a cycle; induced map broken")
-        cols.append(coords)
-    matrix = IntegerMatrix.from_columns(cols, nrows=target.group.ngens)
+    cycles = IntegerMatrix._derived(source.cycle_columns, len(source.basis))
+    cols = tuple(map(target.cycle_coordinates, (cycles * chain_rows).rows))
+    if None in cols:
+        raise AssertionError("image of a cycle is not a cycle; induced map broken")
+    matrix = IntegerMatrix._derived(cols, target.group.ngens).transpose()
     return GroupHom(source.group, target.group, matrix)
 
 
@@ -513,14 +507,16 @@ def induced_map(f: SimplicialMap, n: int, reduced: bool = False) -> GroupHom:
     True
     """
     return _induced_between(
-        homology(f.source, n, reduced), homology(f.target, n, reduced), chain_map_matrix(f, n)
+        homology(f.source, n, reduced),
+        homology(f.target, n, reduced),
+        chain_map_matrix(f, n).transpose(),
     )
 
 
 def induced_cohomology_map(f: SimplicialMap, n: int) -> GroupHom:
     """Contravariant induced map H^n(target) -> H^n(source)."""
     return _induced_between(
-        cohomology(f.target, n), cohomology(f.source, n), chain_map_matrix(f, n).transpose()
+        cohomology(f.target, n), cohomology(f.source, n), chain_map_matrix(f, n)
     )
 
 

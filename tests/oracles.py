@@ -263,6 +263,88 @@ def full_decomposition_coordinates(relations):
     return to_canonical, from_canonical
 
 
+# -- coordinate changes one vector at a time ---------------------------------
+
+
+def _unit(n: int, j: int) -> tuple:
+    return tuple(int(i == j) for i in range(n))
+
+
+def columnwise_canonical_matrix(hom) -> list:
+    """Columns of ``hom``'s canonical matrix, one canonical unit vector at a time.
+
+    The reference for ``GroupHom.canonical_matrix``, which multiplies
+    whole matrices instead: here each source canonical generator is
+    lifted by ``from_canonical``, pushed through the hom's matrix by a
+    textbook matrix-vector product and read back by ``to_canonical``.
+    """
+    source, target = hom.source, hom.target
+    n = source.canonical_ngens
+    lifts = [source.from_canonical(_unit(n, j)) for j in range(n)]
+    return [target.to_canonical(dense_matvec(hom.matrix.rows, x)) for x in lifts]
+
+
+def columnwise_from_canonical(source, target, canonical) -> list:
+    """Columns of the presentation matrix of a canonical-coordinate hom, one generator at a time.
+
+    The reference for ``GroupHom.from_canonical_matrix``: each source
+    presentation generator is read in canonical coordinates, pushed
+    through ``canonical``, reduced and lifted back to the target's
+    presentation.
+    """
+    coordinates = [source.to_canonical(_unit(source.ngens, j)) for j in range(source.ngens)]
+    return [
+        target.from_canonical(target.reduce_canonical(dense_matvec(canonical.rows, y)))
+        for y in coordinates
+    ]
+
+
+def relationwise_well_defined(source, target, matrix) -> bool:
+    """Whether ``matrix`` carries every source relation, one at a time, to zero in ``target``.
+
+    The reference for ``GroupHom``'s construction check, which tests all
+    relations with one product.
+    """
+    return not any(
+        any(target.to_canonical(dense_matvec(matrix.rows, r))) for r in source.relations.rows
+    )
+
+
+def axpy_representatives(group, cycle_columns, basis) -> list:
+    """Each canonical generator of ``group`` as a chain, summed one cycle column at a time.
+
+    The reference for the representatives of a homology result, which
+    come from one product of the lifts with the cycle rows: here the
+    lift of every canonical generator scales and adds the cycle columns
+    in turn.  Returns one map simplex -> nonzero coefficient per
+    generator.
+    """
+    reps = []
+    for j in range(group.canonical_ngens):
+        coeffs = [0] * len(basis)
+        for g, col in zip(group.from_canonical(_unit(group.canonical_ngens, j)), cycle_columns):
+            coeffs = [c + g * x for c, x in zip(coeffs, col)]
+        reps.append({s: c for s, c in zip(basis, coeffs) if c})
+    return reps
+
+
+def matvec_induced_columns(source, target, chain_matrix) -> list:
+    """Columns of an induced hom's matrix, one source cycle pushed at a time.
+
+    The reference for ``simplicial._induced_between``, which pushes all
+    cycles with one product: here each source cycle column goes through
+    the chain map ``chain_matrix`` (one row per target chain basis
+    element) by a textbook matrix-vector product and is written over
+    the target's cycle basis.
+    """
+    cols = []
+    for col in source.cycle_columns:
+        coords = target.cycle_coordinates(dense_matvec(chain_matrix, col))
+        assert coords is not None, "image of a cycle is not a cycle"
+        cols.append(coords)
+    return cols
+
+
 def inline_simplex_order(simplexes) -> list:
     """Simplexes sorted by size, then by their labels' keys in turn.
 

@@ -22,10 +22,13 @@ from towertop.abelian import (
 from oracles import (
     bareiss_det,
     bareiss_rank,
+    columnwise_canonical_matrix,
+    columnwise_from_canonical,
     dense_matvec,
     dense_product,
     determinantal_invariant_factors,
     full_decomposition_coordinates,
+    relationwise_well_defined,
     stacked_kernel_subgroup,
 )
 
@@ -253,6 +256,29 @@ def test_from_invariants_checks_chain():
         FGAbelianGroup.from_invariants(0, (4, 2))
     with pytest.raises(ValueError):
         FGAbelianGroup.from_invariants(0, (1,))
+
+
+@pytest.mark.parametrize("torsion", [(), (2,), (2, 4)])
+def test_from_invariants_rejects_a_negative_free_rank(torsion):
+    # (2,) once raised IndexError and (2, 4) was read as Z/2
+    with pytest.raises(ValueError, match="^free rank must be nonnegative$"):
+        FGAbelianGroup.from_invariants(-1, torsion)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: IntegerMatrix([], ncols=-3),
+        lambda: IntegerMatrix.identity(-2),
+        lambda: IntegerMatrix.from_columns([], nrows=-1),
+        lambda: IntegerMatrix.zeros(-1, 2),
+        lambda: IntegerMatrix.zeros(0, -1),
+    ],
+    ids=["no rows", "identity", "no columns", "zeros rows", "zeros columns"],
+)
+def test_negative_matrix_sizes_are_rejected(build):
+    with pytest.raises(ValueError, match="nonnegative"):
+        build()
 
 
 def test_canonical_roundtrip_random():
@@ -508,7 +534,10 @@ def test_coordinate_maps_match_the_full_decomposition(g, data):
     assert g.to_canonical(g.from_canonical(y)) == g.reduce_canonical(y)
 
 
-@given(canonical_homs(relation_groups()))
+HOMS = st.one_of(canonical_homs(), canonical_homs(relation_groups()))
+
+
+@given(HOMS)
 def test_canonical_matrix_matches_the_full_decomposition(f):
     _, from_source = full_decomposition_coordinates(f.source.relations)
     to_target, _ = full_decomposition_coordinates(f.target.relations)
@@ -518,3 +547,50 @@ def test_canonical_matrix_matches_the_full_decomposition(f):
         for j in range(n)
     ]
     assert f.canonical_matrix() == IntegerMatrix.from_columns(cols, nrows=f.target.canonical_ngens)
+    assert f.canonical_matrix().columns() == columnwise_canonical_matrix(f)
+
+
+# -- whole-matrix coordinate changes against their per-vector references --
+
+
+@given(HOMS, st.data())
+def test_from_canonical_matrix_matches_the_columnwise_reference(f, data):
+    # unreduced torsion entries too: the product reduces them as the reference does
+    invariants = [0] * f.target.free_rank + list(f.target.torsion)
+    rows = [
+        [c + t * data.draw(st.integers(-2, 2)) for c in row]
+        for row, t in zip(f.canonical_matrix().rows, invariants)
+    ]
+    canonical = IntegerMatrix(rows, ncols=f.source.canonical_ngens)
+    g = GroupHom.from_canonical_matrix(f.source, f.target, canonical)
+    assert g.matrix.columns() == columnwise_from_canonical(f.source, f.target, canonical)
+    assert g.matrix.nrows == f.target.ngens
+    assert g.canonical_matrix() == f.canonical_matrix()
+
+
+@given(HOMS, st.data())
+def test_well_definedness_check_rejects_exactly_what_the_reference_rejects(f, data):
+    # a well-defined matrix, perturbed or not, so both verdicts come up
+    rows = [list(row) for row in f.matrix.rows]
+    for row in rows:
+        for j in range(len(row)):
+            if data.draw(st.integers(0, 3)) == 0:
+                row[j] += data.draw(st.integers(-2, 2))
+    matrix = IntegerMatrix(rows, ncols=f.source.ngens)
+    if relationwise_well_defined(f.source, f.target, matrix):
+        assert GroupHom(f.source, f.target, matrix).matrix is matrix
+    else:
+        with pytest.raises(ValueError, match="does not carry source relations"):
+            GroupHom(f.source, f.target, matrix)
+
+
+@given(HOMS, st.data())
+def test_image_subgroups_match_per_generator_pushes(f, data):
+    units = f.source.canonical_generators()
+    pushed = Subgroup(f.target, [f.apply_canonical(e) for e in units])
+    assert f.image_subgroup().generators == pushed.generators
+    n = f.source.canonical_ngens
+    vector = st.lists(st.integers(-5, 5), min_size=n, max_size=n)
+    sub = Subgroup(f.source, data.draw(st.lists(vector, max_size=3)))
+    expected = Subgroup(f.target, [f.apply_canonical(g) for g in sub.generators])
+    assert sub.image_under(f).generators == expected.generators

@@ -437,6 +437,26 @@ def test_certificate_label_that_is_not_a_string_exits_one_naming_the_field(tmp_p
         assert code == 0 and out.splitlines()[1] == line
 
 
+def test_negative_free_rank_in_a_stable_core_exits_one_naming_the_field(tmp_path):
+    # torsion [2] once ended in an IndexError traceback, [2, 4] in a report on Z/2
+    doc = tmp_path / "negative.tower"
+    envelope = json.loads((SAMPLE / "dyadic.tower").read_text())
+    for torsion in ([2], [2, 4]):
+        envelope["payload"]["certificate"]["stable_core"] = {"free_rank": -1, "torsion": torsion}
+        doc.write_text(json.dumps(envelope))
+        proc = subprocess.run(
+            [sys.executable, "-m", "towertop.cli", "tower-report", str(doc),
+             "--report", "steenrod", "--dim", "1"],
+            capture_output=True,
+            text=True,
+        )
+        assert (proc.returncode, proc.stdout) == (1, "")
+        assert proc.stderr == (
+            f"error: {doc}.payload.certificate.stable_core: free rank must be nonnegative\n"
+        )
+        assert "Traceback" not in proc.stderr
+
+
 def test_vertex_mapped_twice_exits_one_naming_the_pair(tmp_path):
     doc = tmp_path / "twice.map"
     envelope = json.loads((SAMPLE / "hex_to_tri.map").read_text())

@@ -15,6 +15,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import towertop.simplicial as simplicial
+from towertop.abelian import IntegerMatrix
+from towertop.cli import deserialize
 from towertop.simplicial import (
     SimplicialComplex,
     SimplicialMap,
@@ -52,6 +54,7 @@ from generators import (
     torus_7,
 )
 from oracles import (
+    axpy_representatives,
     bareiss_det,
     bareiss_rank,
     betti_from_boundaries,
@@ -61,6 +64,7 @@ from oracles import (
     determinantal_invariant_factors,
     inline_chain_map_rows,
     inline_simplex_order,
+    matvec_induced_columns,
     minor_gcd,
     mod_p_rank,
     refactored_cycle_coordinates,
@@ -738,3 +742,56 @@ def test_unimodular_transforms_on_boundary_matrices():
     s = smith_normal_form(boundary_matrix(t, 2))
     assert abs(bareiss_det(s.u.rows)) == 1
     assert abs(bareiss_det(s.v.rows)) == 1
+
+
+# -- induced maps and representatives as whole-matrix products --------------
+
+
+@st.composite
+def chain_maps(draw) -> SimplicialMap:
+    """A mixed-label map, a seeded collapse of a complex with homology, or a polygon wrap."""
+    kind = draw(st.sampled_from(("mixed", "collapse", "wrap")))
+    if kind == "mixed":
+        return draw(mixed_label_maps())
+    if kind == "wrap":
+        return polygon_wrap(3 * draw(st.integers(1, 3)), 3)
+    k = draw(st.sampled_from((projective_plane, torus_7, hollow_triangle)))()
+    return random_simplicial_map(random.Random(draw(st.integers(0, 2**16))), k)
+
+
+@given(chain_maps())
+def test_induced_maps_and_representatives_match_the_per_vector_references(f):
+    for n in range(-1, max(f.source.dimension(), f.target.dimension()) + 2):
+        chain = chain_map_matrix(f, n)
+        for reduced in (False, True):
+            ends = homology(f.source, n, reduced), homology(f.target, n, reduced)
+            induced = induced_map(f, n, reduced).matrix
+            assert induced.columns() == matvec_induced_columns(*ends, chain.rows)
+            assert induced.nrows == ends[1].group.ngens
+        ends = cohomology(f.target, n), cohomology(f.source, n)
+        induced = induced_cohomology_map(f, n).matrix
+        assert induced.columns() == matvec_induced_columns(*ends, chain.transpose().rows)
+        assert induced.nrows == ends[1].group.ngens
+        for k in (f.source, f.target):
+            for h in (homology(k, n), homology(k, n, reduced=True), cohomology(k, n)):
+                expected = axpy_representatives(h.group, h.cycle_columns, h.basis)
+                assert [dict(rep) for rep in h.representatives] == expected
+
+
+def test_induced_maps_and_canonical_matrices_make_no_matvec_calls(monkeypatch):
+    sample = os.path.join(os.path.dirname(__file__), "..", "sample", "hex_to_tri.map")
+    with open(sample) as handle:
+        _, f = deserialize(handle.read())
+    calls = []
+    real = IntegerMatrix.matvec
+
+    def counting(self, x):
+        calls.append(x)
+        return real(self, x)
+
+    monkeypatch.setattr(IntegerMatrix, "matvec", counting)
+    for n in range(-1, 3):
+        for hom in (induced_map(f, n), induced_map(f, n, True), induced_cohomology_map(f, n)):
+            hom.canonical_matrix()
+    assert calls == []
+    assert induced_map(f, 1).canonical_matrix().rows == ((1,),)
