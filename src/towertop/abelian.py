@@ -19,6 +19,7 @@ mutual generator membership, never by comparing generator lists.
 
 from __future__ import annotations
 
+from itertools import compress, islice
 from operator import mul
 from typing import Iterable, Optional, Sequence
 
@@ -182,19 +183,11 @@ class IntegerMatrix:
         if self.ncols != other.nrows:
             raise ValueError("shape mismatch in matrix product")
         # boundary matrices and near-identity transforms are mostly zeros:
-        # accumulate row k of ``other`` only for nonzero a = self[i][k],
-        # and walk only that row's nonzero entries
+        # each product row reads only the nonzero entries of both factors
+        terms = _row_terms(other.rows)
         n = other.ncols
-        terms = [[(j, b) for j, b in enumerate(row) if b] for row in other.rows]
-        out = []
-        for row in self.rows:
-            acc = [0] * n
-            for a, row_terms in zip(row, terms):
-                if a:
-                    for j, b in row_terms:
-                        acc[j] += a * b
-            out.append(tuple(acc))
-        return IntegerMatrix._derived(tuple(out), n)
+        rows = tuple(tuple(_product_row(row, terms, n)) for row in self.rows)
+        return IntegerMatrix._derived(rows, n)
 
     def matvec(self, x: Sequence[int]) -> tuple:
         if len(x) != self.ncols:
@@ -244,10 +237,13 @@ class SmithDecomposition(_Record):
     the diagonal, sign and divisibility conditions on D.  V is square,
     so its one-sided inverse is two-sided, and U * M = D * V^-1 holds
     exactly when U * M * V = D does: multiply either on the right by V
-    or by V^-1.  It is the cheaper identity to check: the product skips
-    D's zero entries, so D * V^-1 scales at most min(m, n) rows of
-    V^-1, while U * M * V multiplies the grown entries of U * M by those
-    of V.  Only the matrix products underneath skip zero entries.
+    or by V^-1.  Every identity is checked one product row at a time
+    and no product matrix is kept: row i of V * V^-1 and of U * U^-1
+    must be the unit row e_i, and row i of U * M must be d_ii times
+    row i of V^-1 (the zero row from row min(m, n) on), which is row
+    i of D * V^-1 for a diagonal D; D's off-diagonal entries are
+    checked to be zero last.  A product row reads only the nonzero
+    entries of its two factors.
     """
 
     __slots__ = _fields = ("matrix", "u", "uinv", "d", "v", "vinv")
@@ -269,13 +265,17 @@ class SmithDecomposition(_Record):
         ):
             if (factor.nrows, factor.ncols) != shape:
                 raise AssertionError(f"Smith factor {name} has the wrong shape")
-        if not _is_identity(v * vinv):
+        if not _rows_are_units(v.rows, _row_terms(vinv.rows), n):
             raise AssertionError("tracked inverse of V is wrong")
-        if u * matrix != d * vinv:
-            raise AssertionError("Smith decomposition identity U*M*V = D failed")
-        if not _is_identity(u * uinv):
-            raise AssertionError("tracked inverse of U is wrong")
         diag = self.diagonal()
+        terms = _row_terms(matrix.rows)
+        for i, row in enumerate(u.rows):
+            got = _product_row(row, terms, n)
+            di = diag[i] if i < len(diag) else 0
+            if (got != [di * x for x in vinv.rows[i]]) if di else any(got):
+                raise AssertionError("Smith decomposition identity U*M*V = D failed")
+        if not _rows_are_units(u.rows, _row_terms(uinv.rows), m):
+            raise AssertionError("tracked inverse of U is wrong")
         for i, x in enumerate(diag):
             if x < 0:
                 raise AssertionError("negative entry on Smith diagonal")
@@ -286,8 +286,8 @@ class SmithDecomposition(_Record):
                 if x != 0 and nxt % x != 0:
                     raise AssertionError("divisibility chain broken on Smith diagonal")
         for i, row in enumerate(d.rows):
-            for j, x in enumerate(row):
-                if i != j and x != 0:
+            for j in compress(range(n), row):
+                if i != j:
                     raise AssertionError("off-diagonal entry in Smith form")
 
     def diagonal(self) -> list:
@@ -302,12 +302,38 @@ class SmithDecomposition(_Record):
         return tuple(x for x in self.diagonal() if x != 0)
 
 
-def _is_identity(matrix: IntegerMatrix) -> bool:
-    """Whether ``matrix`` is square with ones on the diagonal and zeros elsewhere."""
-    return matrix.ncols == matrix.nrows and all(
-        row[i] == 1 and not any(row[:i]) and not any(row[i + 1 :])
-        for i, row in enumerate(matrix.rows)
-    )
+def _row_terms(rows) -> list:
+    """Each row's nonzero entries as (column, entry) pairs."""
+    return [[(j, row[j]) for j in compress(range(len(row)), row)] for row in rows]
+
+
+def _product_row(row, terms, width: int) -> list:
+    """``row`` times the matrix whose rows have the nonzero entries ``terms``."""
+    acc = [0] * width
+    for a, row_terms in compress(zip(row, terms), row):
+        for j, b in row_terms:
+            acc[j] += a * b
+    return acc
+
+
+def _rows_are_units(rows, terms, width: int) -> bool:
+    """Whether row i of ``rows`` times the matrix of ``terms`` is the unit row e_i, for every i."""
+    for i, row in enumerate(rows):
+        acc = _product_row(row, terms, width)
+        if acc[i] != 1:
+            return False
+        acc[i] = 0
+        if any(acc):
+            return False
+    return True
+
+
+def _identity_lists(n: int) -> list:
+    """The n x n identity matrix as a list of n lists."""
+    rows = [[0] * n for _ in range(n)]
+    for i, row in enumerate(rows):
+        row[i] = 1
+    return rows
 
 
 def _balanced_quotient(x: int, p: int) -> int:
@@ -329,6 +355,18 @@ def smith_normal_form(matrix: IntegerMatrix) -> SmithDecomposition:
     on boundary matrices, whose pivots are nearly all units, they stay
     at 1-2 bits.
 
+    The working matrix is kept by rows, U and V^-1 by rows and U^-1
+    and V by columns, so a row operation on the matrix is a row
+    operation on U and a column operation on U^-1, a column operation
+    on the matrix is a column operation on V and a row operation on
+    V^-1, and each of them adds a multiple of one list to another or
+    swaps two lists.  Every update runs only over the nonzero entries
+    of the list it adds, and a reduction pass against pivot t visits
+    only the rows with a nonzero in column t and the columns with a
+    nonzero in row t: adding q * 0 changes nothing, so these are the
+    operations of a dense elimination in the same order, minus the
+    no-ops, with the same results.
+
     >>> s = smith_normal_form(IntegerMatrix([[2, 4], [6, 8]]))
     >>> s.invariant_factors
     (2, 4)
@@ -338,57 +376,56 @@ def smith_normal_form(matrix: IntegerMatrix) -> SmithDecomposition:
     """
     m, n = matrix.nrows, matrix.ncols
     a = [list(row) for row in matrix.rows]
-    u = [[1 if i == j else 0 for j in range(m)] for i in range(m)]
-    uinv = [[1 if i == j else 0 for j in range(m)] for i in range(m)]
-    v = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-    vinv = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+    u, uinv = _identity_lists(m), _identity_lists(m)  # uinv by columns
+    v, vinv = _identity_lists(n), _identity_lists(n)  # v by columns
 
     def swap_rows(i, k):
         a[i], a[k] = a[k], a[i]
         u[i], u[k] = u[k], u[i]
-        for row in uinv:  # column swap on the inverse
-            row[i], row[k] = row[k], row[i]
-
-    # the column updates below touch only rows whose entry in the
-    # source column is nonzero: adding q * 0 changes nothing, so these
-    # are the same operations in the same order, minus the no-ops
+        uinv[i], uinv[k] = uinv[k], uinv[i]
 
     def add_row(i, k, q):
         # row_i += q * row_k on a and u; col_k -= q * col_i on uinv
-        a[i] = [x + q * y for x, y in zip(a[i], a[k])]
-        u[i] = [x + q * y for x, y in zip(u[i], u[k])]
-        for row in uinv:
-            if row[i]:
-                row[k] -= q * row[i]
+        dst, src = a[i], a[k]
+        for j in compress(range(n), src):
+            dst[j] += q * src[j]
+        dst, src = u[i], u[k]
+        for j in compress(range(m), src):
+            dst[j] += q * src[j]
+        dst, src = uinv[k], uinv[i]
+        for j in compress(range(m), src):
+            dst[j] -= q * src[j]
 
     def swap_cols(j, k):
         for row in a:
             row[j], row[k] = row[k], row[j]
-        for row in v:
-            row[j], row[k] = row[k], row[j]
+        v[j], v[k] = v[k], v[j]
         vinv[j], vinv[k] = vinv[k], vinv[j]
 
-    def add_col(j, k, q):
-        # col_j += q * col_k on a and v; row_k -= q * row_j on vinv
-        for row in a:
-            if row[k]:
-                row[j] += q * row[k]
-        for row in v:
-            if row[k]:
-                row[j] += q * row[k]
-        vinv[k] = [x - q * y for x, y in zip(vinv[k], vinv[j])]
+    def add_col(j, k, q, rows):
+        # col_j += q * col_k on a (``rows``: those with a nonzero in col_k)
+        # and on v; row_k -= q * row_j on vinv
+        for row in rows:
+            row[j] += q * row[k]
+        dst, src = v[j], v[k]
+        for i in compress(range(n), src):
+            dst[i] += q * src[i]
+        dst, src = vinv[k], vinv[j]
+        for i in compress(range(n), src):
+            dst[i] -= q * src[i]
 
     def min_entry(t):
         # first entry of least absolute value in row-major order; a unit
         # is already that minimum, so the scan stops at the first one
-        best = None
+        best, least = None, 0
         for i in range(t, m):
-            for j in range(t, n):
-                x = a[i][j]
-                if x != 0 and (best is None or abs(x) < abs(a[best[0]][best[1]])):
-                    if x == 1 or x == -1:
-                        return (i, j)
-                    best = (i, j)
+            row = a[i]
+            for j in compress(range(t, n), islice(row, t, None)):
+                x = abs(row[j])
+                if x == 1:
+                    return (i, j)
+                if best is None or x < least:
+                    best, least = (i, j), x
         return best
 
     def move_pivot(t, spot):
@@ -404,34 +441,36 @@ def smith_normal_form(matrix: IntegerMatrix) -> SmithDecomposition:
             break
         move_pivot(t, spot)
         while True:
-            # one pass of balanced remainders against a fixed pivot
+            # one pass of balanced remainders against a fixed pivot.  The
+            # row pass keeps the rows left with a residue in column t; the
+            # column pass leaves column t as it is, so those and row t are
+            # the rows it updates (the rows above t are clear in column t)
+            p, pivot_row = a[t][t], a[t]
+            rows = [pivot_row]
             for i in range(t + 1, m):
-                if a[i][t] != 0:
-                    add_row(i, t, -_balanced_quotient(a[i][t], a[t][t]))
-            for j in range(t + 1, n):
-                if a[t][j] != 0:
-                    add_col(j, t, -_balanced_quotient(a[t][j], a[t][t]))
+                if a[i][t]:
+                    add_row(i, t, -_balanced_quotient(a[i][t], p))
+                    if a[i][t]:
+                        rows.append(a[i])
+            for j in compress(range(t + 1, n), islice(pivot_row, t + 1, None)):
+                add_col(j, t, -_balanced_quotient(pivot_row[j], p), rows)
             # a unit pivot leaves no residue and divides every entry, so
             # the rescan and the divisibility search below would both
             # come up empty
-            if a[t][t] == 1 or a[t][t] == -1:
+            if p == 1 or p == -1:
                 break
             # any leftover residue is at most half the pivot, so the
             # trailing block now holds a strictly smaller entry iff the
             # pass was incomplete; chase it and the pivot keeps halving
             spot = min_entry(t)
-            if abs(a[spot[0]][spot[1]]) < abs(a[t][t]):
+            if abs(a[spot[0]][spot[1]]) < abs(p):
                 move_pivot(t, spot)
                 continue
             # column and row are clear; enforce the divisibility chain
-            offender = None
-            for i in range(t + 1, m):
-                for j in range(t + 1, n):
-                    if a[i][j] % a[t][t] != 0:
-                        offender = i
-                        break
-                if offender is not None:
-                    break
+            offender = next(
+                (i for i in range(t + 1, m) if any(x % p for x in islice(a[i], t + 1, None))),
+                None,
+            )
             if offender is None:
                 break
             add_row(t, offender, 1)
@@ -441,19 +480,21 @@ def smith_normal_form(matrix: IntegerMatrix) -> SmithDecomposition:
         if a[i][i] < 0:
             a[i] = [-x for x in a[i]]
             u[i] = [-x for x in u[i]]
-            for row in uinv:
-                row[i] = -row[i]
+            uinv[i] = [-x for x in uinv[i]]
 
-    def done(rows, width):
+    def by_rows(rows, width):
         return IntegerMatrix._derived(tuple(map(tuple, rows)), width)
+
+    def by_columns(columns, width):
+        return IntegerMatrix._derived(tuple(zip(*columns)), width)
 
     return SmithDecomposition(
         matrix=matrix,
-        u=done(u, m),
-        uinv=done(uinv, m),
-        d=done(a, n),
-        v=done(v, n),
-        vinv=done(vinv, n),
+        u=by_rows(u, m),
+        uinv=by_columns(uinv, m),
+        d=by_rows(a, n),
+        v=by_columns(v, n),
+        vinv=by_rows(vinv, n),
     )
 
 
@@ -799,7 +840,8 @@ class Subgroup:
 
     Membership, containment and equality are decided exactly by
     SNF-based solving against the generators together with the ambient
-    relation lattice.
+    relation lattice; containment and fullness test all generators at
+    once, with one product by the solver's U.
     """
 
     __slots__ = ("group", "generators", "_snf", "_as_group")
@@ -851,10 +893,28 @@ class Subgroup:
             return None
         return tuple(sol[:k])
 
+    def _contains_all(self, columns: IntegerMatrix) -> bool:
+        """Whether every column of ``columns`` (canonical coordinates) is a member.
+
+        The batched form of ``contains``: one product U * columns, then
+        every row i of it must vanish where d_i is zero and be divisible
+        by d_i elsewhere, which is the diagonal test on each column.
+        """
+        snf = self._solver()
+        diag = snf.diagonal()
+        for i, row in enumerate((snf.u * columns).rows):
+            di = diag[i] if i < len(diag) else 0
+            if (any(x % di for x in row)) if di else any(row):
+                return False
+        return True
+
     def is_subset_of(self, other: "Subgroup") -> bool:
         if self.group is not other.group and self.group != other.group:
             raise ValueError("subgroups live in different groups")
-        return all(other.contains(g) for g in self.generators)
+        if not self.generators:
+            return True
+        gens = IntegerMatrix._derived(self.generators, self.group.canonical_ngens)
+        return other._contains_all(gens.transpose())
 
     def equals(self, other: "Subgroup") -> bool:
         return self.is_subset_of(other) and other.is_subset_of(self)
@@ -863,7 +923,8 @@ class Subgroup:
         return not self.generators
 
     def is_full(self) -> bool:
-        return all(self.contains(e) for e in self.group.canonical_generators())
+        n = self.group.canonical_ngens
+        return n == 0 or self._contains_all(IntegerMatrix.identity(n))
 
     def image_under(self, hom: GroupHom) -> "Subgroup":
         if hom.source != self.group:

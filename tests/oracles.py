@@ -36,6 +36,135 @@ def dense_matvec(a_rows, x):
     return [sum(int(r[t]) * int(x[t]) for t in range(len(x))) for r in a_rows]
 
 
+def dense_smith_normal_form(rows, ncols: int):
+    """Smith normal form by dense elimination: the rows of U, U^-1, D, V, V^-1.
+
+    The reference for ``smith_normal_form``, which performs the same
+    elementary operations in the same order but stores U^-1 and V by
+    columns and touches only nonzero entries: here every matrix is
+    stored by rows and every row and column operation walks every
+    entry.  Pivots are the first entry of least absolute value in
+    row-major order, remainders are balanced, a row that breaks the
+    divisibility chain is added to the pivot row, and negative
+    diagonal entries are flipped last, so the factors must agree entry
+    for entry.  ``ncols`` is the width, needed when there are no rows.
+    """
+    a = [list(map(int, r)) for r in rows]
+    m, n = len(a), ncols
+    assert all(len(r) == n for r in a)
+    u = [[int(i == j) for j in range(m)] for i in range(m)]
+    uinv = [[int(i == j) for j in range(m)] for i in range(m)]
+    v = [[int(i == j) for j in range(n)] for i in range(n)]
+    vinv = [[int(i == j) for j in range(n)] for i in range(n)]
+
+    def quotient(x, p):
+        q, r = divmod(x, p)
+        return q + 1 if 2 * abs(r) > abs(p) else q
+
+    def swap_rows(i, k):
+        for mat in (a, u):
+            mat[i], mat[k] = mat[k], mat[i]
+        for row in uinv:
+            row[i], row[k] = row[k], row[i]
+
+    def add_row(i, k, q):
+        for mat in (a, u):
+            mat[i] = [x + q * y for x, y in zip(mat[i], mat[k])]
+        for row in uinv:
+            row[k] -= q * row[i]
+
+    def swap_cols(j, k):
+        for mat in (a, v):
+            for row in mat:
+                row[j], row[k] = row[k], row[j]
+        vinv[j], vinv[k] = vinv[k], vinv[j]
+
+    def add_col(j, k, q):
+        for mat in (a, v):
+            for row in mat:
+                row[j] += q * row[k]
+        vinv[k] = [x - q * y for x, y in zip(vinv[k], vinv[j])]
+
+    def min_entry(t):
+        best = None
+        for i in range(t, m):
+            for j in range(t, n):
+                if a[i][j] != 0 and (best is None or abs(a[i][j]) < abs(a[best[0]][best[1]])):
+                    best = (i, j)
+        return best
+
+    def move_pivot(t, spot):
+        if spot[0] != t:
+            swap_rows(t, spot[0])
+        if spot[1] != t:
+            swap_cols(t, spot[1])
+
+    t = 0
+    while t < min(m, n):
+        spot = min_entry(t)
+        if spot is None:
+            break
+        move_pivot(t, spot)
+        while True:
+            for i in range(t + 1, m):
+                if a[i][t] != 0:
+                    add_row(i, t, -quotient(a[i][t], a[t][t]))
+            for j in range(t + 1, n):
+                if a[t][j] != 0:
+                    add_col(j, t, -quotient(a[t][j], a[t][t]))
+            spot = min_entry(t)
+            if spot is not None and abs(a[spot[0]][spot[1]]) < abs(a[t][t]):
+                move_pivot(t, spot)
+                continue
+            offender = next(
+                (i for i in range(t + 1, m) for j in range(t + 1, n) if a[i][j] % a[t][t]), None
+            )
+            if offender is None:
+                break
+            add_row(t, offender, 1)
+        t += 1
+
+    for i in range(min(m, n)):
+        if a[i][i] < 0:
+            a[i] = [-x for x in a[i]]
+            u[i] = [-x for x in u[i]]
+            for row in uinv:
+                row[i] = -row[i]
+    return u, uinv, a, v, vinv
+
+
+def dense_decomposition_holds(matrix, u, uinv, d, v, vinv, ncols: int) -> bool:
+    """Whether the row lists form a Smith decomposition of ``matrix``, by dense products.
+
+    The reference for ``SmithDecomposition``'s construction check,
+    which compares product rows one at a time and reads only nonzero
+    entries: here the shapes are compared, V * V^-1, U * M * V and
+    U * U^-1 are multiplied out in full, and D must be diagonal with
+    nonnegative entries, zeros trailing and each entry dividing the
+    next.  ``ncols`` is the width of ``matrix``.
+    """
+    m, n = len(matrix), ncols
+    for factor, (height, width) in (
+        (u, (m, m)), (uinv, (m, m)), (d, (m, n)), (v, (n, n)), (vinv, (n, n)),
+    ):
+        if len(factor) != height or any(len(row) != width for row in factor):
+            return False
+
+    def identity(k):
+        return [[int(i == j) for j in range(k)] for i in range(k)]
+
+    if dense_product(v, vinv, n) != identity(n) or dense_product(u, uinv, m) != identity(m):
+        return False
+    if dense_product(dense_product(u, matrix, n), v, n) != [list(row) for row in d]:
+        return False
+    if any(d[i][j] for i in range(m) for j in range(n) if i != j):
+        return False
+    diag = [d[i][i] for i in range(min(m, n))]
+    return all(x >= 0 for x in diag) and all(
+        (nxt == 0) if x == 0 else nxt % x == 0 for x, nxt in zip(diag, diag[1:])
+    )
+
+
 def bareiss_rank(rows) -> int:
     """Rank over the integers by fraction-free elimination."""
     a = [list(map(int, r)) for r in rows]

@@ -19,13 +19,18 @@ from towertop.abelian import (
     solve,
 )
 
+from towertop.simplicial import boundary_matrix
+
+from generators import grid_torus, random_complex
 from oracles import (
     bareiss_det,
     bareiss_rank,
     columnwise_canonical_matrix,
     columnwise_from_canonical,
+    dense_decomposition_holds,
     dense_matvec,
     dense_product,
+    dense_smith_normal_form,
     determinantal_invariant_factors,
     full_decomposition_coordinates,
     relationwise_well_defined,
@@ -35,19 +40,27 @@ from oracles import (
 # mostly zeros and units, like boundary matrices and near-identity transforms
 ENTRIES = st.one_of(st.just(0), st.sampled_from((1, -1)), st.integers(-9, 9))
 DIMS = st.integers(0, 6)
+# nearly all zeros, like boundary matrices; and no zeros, with entries of
+# the size the transforms of dense torsion towers grow to
+SPARSE = st.sampled_from((0, 0, 0, 0, 0, 1, -1))
+DENSE = st.integers(-(2**80), 2**80).filter(bool)
 
 
 @st.composite
-def matrices(draw, nrows=DIMS, ncols=DIMS):
+def matrices(draw, nrows=DIMS, ncols=DIMS, entries=ENTRIES):
     m, n = draw(nrows), draw(ncols)
-    row = st.lists(ENTRIES, min_size=n, max_size=n)
+    row = st.lists(entries, min_size=n, max_size=n)
     return IntegerMatrix(draw(st.lists(row, min_size=m, max_size=m)), ncols=n)
 
 
 @st.composite
 def products(draw):
     m, k, n = draw(DIMS), draw(DIMS), draw(DIMS)
-    return draw(matrices(st.just(m), st.just(k))), draw(matrices(st.just(k), st.just(n)))
+    entries = draw(st.sampled_from((ENTRIES, SPARSE, DENSE)))
+    return (
+        draw(matrices(st.just(m), st.just(k), entries)),
+        draw(matrices(st.just(k), st.just(n), entries)),
+    )
 
 
 @st.composite
@@ -185,6 +198,104 @@ def test_tampered_decomposition_is_rejected(m, field, data):
     factors[field] = IntegerMatrix(rows, ncols=target.ncols)
     with pytest.raises(AssertionError):
         SmithDecomposition(**factors)
+
+
+# -- the sparse elimination and its row-by-row check against dense references --
+
+FACTORS = ("u", "uinv", "d", "v", "vinv")
+FIELDS = ("matrix",) + FACTORS
+
+
+def assert_matches_the_dense_elimination(m):
+    s = smith_normal_form(m)
+    h, w = m.nrows, m.ncols
+    shapes = ((h, h), (h, h), (h, w), (w, w), (w, w))
+    factors = [getattr(s, name) for name in FACTORS]
+    got = [(f.nrows, f.ncols, [list(r) for r in f.rows]) for f in factors]
+    want = dense_smith_normal_form(m.rows, w)
+    assert got == [shape + (rows,) for shape, rows in zip(shapes, want)]
+
+
+def complex_matrices(k):
+    """Every boundary matrix of ``k`` and its transpose, the coboundary that cohomology factors."""
+    for n in range(k.dimension() + 2):
+        d = boundary_matrix(k, n)
+        yield d
+        yield d.transpose()
+
+
+@given(
+    st.one_of(
+        matrices(),
+        matrices(st.integers(0, 12), st.integers(0, 12), SPARSE),
+        matrices(entries=st.integers(-9, 9)),
+    )
+)
+@example(IntegerMatrix([], ncols=0))
+@example(IntegerMatrix([], ncols=4))
+@example(IntegerMatrix([[], [], []], ncols=0))
+def test_smith_matches_the_dense_elimination(m):
+    assert_matches_the_dense_elimination(m)
+
+
+@given(st.randoms(use_true_random=False))
+def test_smith_matches_the_dense_elimination_on_complexes(rng):
+    for m in complex_matrices(random_complex(rng, max_vertices=9, max_cells=12, max_card=5)):
+        assert_matches_the_dense_elimination(m)
+
+
+def test_smith_matches_the_dense_elimination_on_a_grid_torus():
+    t = grid_torus(6)
+    d1, d2 = boundary_matrix(t, 1), boundary_matrix(t, 2)
+    for m in (d1, d2, d2.transpose()):
+        assert_matches_the_dense_elimination(m)
+
+
+@given(st.randoms(use_true_random=False), st.data())
+def test_tampered_sparse_decomposition_is_rejected_exactly_when_the_dense_check_fails(rng, data):
+    k = random_complex(rng, max_vertices=7, max_cells=8)
+    m = boundary_matrix(k, data.draw(st.integers(1, max(1, k.dimension()))))
+    if data.draw(st.booleans()):
+        m = m.transpose()
+    s = smith_normal_form(m)
+    nonempty = [name for name in FIELDS if getattr(s, name).nrows and getattr(s, name).ncols]
+    field = data.draw(st.sampled_from(nonempty))
+    target = getattr(s, field)
+    # one entry, zero or not (D's off-diagonal zeros among them): a zero
+    # made nonzero is what a reader of nonzero entries alone could miss
+    zero = data.draw(st.booleans())
+    cells = [(i, j) for i in range(target.nrows) for j in range(target.ncols)]
+    pool = [(i, j) for i, j in cells if (target.rows[i][j] == 0) == zero] or cells
+    i, j = data.draw(st.sampled_from(pool))
+    rows = [list(r) for r in target.rows]
+    rows[i][j] += data.draw(st.integers(-3, 3))  # 0 leaves the decomposition whole
+    factors = {name: getattr(s, name) for name in FIELDS}
+    factors[field] = IntegerMatrix(rows, ncols=target.ncols)
+    if dense_decomposition_holds(*(factors[f].rows for f in FIELDS), m.ncols):
+        SmithDecomposition(**factors)
+    else:
+        with pytest.raises(AssertionError):
+            SmithDecomposition(**factors)
+
+
+@pytest.mark.parametrize("transpose", [False, True])
+def test_every_one_entry_tamper_of_a_boundary_decomposition_is_rejected(transpose):
+    # 9 x 27 and 27 x 9: in the tall one, the rows of U * M from the
+    # ninth on must be zero, and only they see a tamper in M's rows
+    # that no pivot reads
+    m = boundary_matrix(grid_torus(3), 1)
+    m = m.transpose() if transpose else m
+    s = smith_normal_form(m)
+    for field in FIELDS:
+        target = getattr(s, field)
+        for i in range(target.nrows):
+            for j in range(target.ncols):
+                rows = list(target.rows)
+                rows[i] = rows[i][:j] + (rows[i][j] + 1,) + rows[i][j + 1 :]
+                factors = {name: getattr(s, name) for name in FIELDS}
+                factors[field] = IntegerMatrix(rows, ncols=target.ncols)
+                with pytest.raises(AssertionError):
+                    SmithDecomposition(**factors)
 
 
 def test_solve_and_kernel():
@@ -374,6 +485,21 @@ def test_subgroup_equality_by_mutual_membership():
     assert not a.is_subset_of(c)
 
 
+def test_subgroup_comparisons_make_no_matvec_calls(monkeypatch):
+    # every generator is decided by one product with the solver's U
+    calls = []
+    real = IntegerMatrix.matvec
+    monkeypatch.setattr(IntegerMatrix, "matvec", lambda self, x: calls.append(x) or real(self, x))
+    g = FGAbelianGroup.from_invariants(1, (2, 4))
+    a = Subgroup(g, [(2, 0, 0), (0, 1, 2)])
+    b = Subgroup(g, [(4, 0, 0), (0, 1, 2), (0, 0, 2)])
+    c = Subgroup(g, [(4, 0, 0), (0, 0, 2)])
+    assert [a.is_subset_of(b), b.is_subset_of(a), c.is_subset_of(b)] == [False, False, True]
+    assert not a.equals(b) and b.equals(b)
+    assert (a.is_full(), Subgroup(g, [(1, 0, 0), (3, 1, 0), (0, 0, 3)]).is_full()) == (False, True)
+    assert calls == []
+
+
 def test_subgroup_of_torsion_group():
     z8 = FGAbelianGroup.from_invariants(0, (8,))
     s = Subgroup(z8, [(2,)])
@@ -492,6 +618,20 @@ def test_kernel_matches_stacked_matrix_kernel(f):
     for g in ker.generators:
         assert f.target.canonical_is_zero(f.apply_canonical(g))
 
+
+
+@given(presented_groups(), st.data())
+def test_batched_membership_matches_per_generator_contains(g, data):
+    n = g.canonical_ngens
+    vectors = st.lists(st.lists(st.integers(-6, 6), min_size=n, max_size=n), max_size=3)
+    a = Subgroup(g, data.draw(vectors))
+    extra = list(a.generators) if data.draw(st.booleans()) else []
+    b = Subgroup(g, data.draw(vectors) + extra)
+    a_in_b = all(b.contains(x) for x in a.generators)
+    b_in_a = all(a.contains(x) for x in b.generators)
+    assert (a.is_subset_of(b), b.is_subset_of(a), a.equals(b)) == (a_in_b, b_in_a, a_in_b and b_in_a)
+    for sub in (a, b):
+        assert sub.is_full() == all(sub.contains(e) for e in g.canonical_generators())
 
 
 @st.composite
