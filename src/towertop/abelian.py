@@ -5,16 +5,17 @@ precision; no floating point enters any code path.  The two central
 objects are
 
 * :class:`IntegerMatrix`, an immutable integer matrix with exact
-  solve/kernel/Smith routines, and
+  Smith and Hermite routines, and
 * :class:`FGAbelianGroup`, a finitely generated abelian group carried
   around together with a presentation (generator count plus integer
   relation rows) and the two maps between presentation and canonical
   coordinates that the Smith normal form of the relation matrix gives.
 
-The Smith decomposition is the workhorse: solving integer linear
-systems, deciding membership in a sublattice, and canonicalizing
-presentations all reduce to it.  Subgroup equality is decided by
-mutual generator membership, never by comparing generator lists.
+The Smith decomposition canonicalizes presentations and, in
+``simplicial``, computes homology.  A subgroup is a lattice in
+canonical coordinates, and its Hermite normal form, which is unique,
+decides membership, containment and equality, writes an element over
+the generators and gives the relations among them.
 """
 
 from __future__ import annotations
@@ -498,52 +499,201 @@ def smith_normal_form(matrix: IntegerMatrix) -> SmithDecomposition:
     )
 
 
-def solve(snf: SmithDecomposition, b: Sequence[int]):
-    """One integer solution x of snf.matrix * x = b, or None when unsolvable.
+class HermiteForm(_Record):
+    """Result of ``hermite_normal_form``: a lattice's Hermite normal form and its transform.
 
-    The diagonal step ``_diagonal_solution`` decides solvability and
-    gives w with D * w = U * b; the solution is x = V * w.  Membership
-    tests (``Subgroup.contains``) take the diagonal step alone.
+    The rows of ``matrix`` span a lattice.  ``form`` is its row Hermite
+    normal form: nonzero rows whose pivots (first nonzero entries) are
+    positive and lie strictly further right in each row, with every
+    entry above a pivot in [0, pivot); ``pivots`` lists their columns.
+    A lattice has exactly one such form, so two lattices are equal
+    exactly when their forms are.  Row i of ``transform`` writes form
+    row i as a combination of the rows of ``matrix``; the rows of
+    ``kernel`` are the combinations that the elimination turned into
+    zero rows.  Stacked, ``transform`` over ``kernel`` is the
+    elimination's unimodular transform.
 
-    >>> solve(smith_normal_form(IntegerMatrix([[2, 0], [0, 3]])), (4, 9))
-    (2, 3)
-    >>> solve(smith_normal_form(IntegerMatrix([[2]])), (3,)) is None
-    True
+    Construction checks the shapes, that every form row equals its
+    recorded combination (so the form's lattice lies in the input's),
+    that the form has the Hermite shape, and that every row of
+    ``matrix`` reduces to zero against the form (so the input's lattice
+    lies in the form's).  ``checked_kernel`` checks the kernel where it
+    is read.  Every check raises ``AssertionError`` itself, so none
+    rests on an ``assert`` statement.
     """
-    w = _diagonal_solution(snf, b)
-    return None if w is None else snf.v.matvec(w)
 
+    __slots__ = _fields = ("matrix", "form", "pivots", "transform", "kernel")
 
-def _diagonal_solution(snf: SmithDecomposition, b: Sequence[int]):
-    """The w with D * w = U * b, or None when it is not integral.
+    def __init__(
+        self,
+        matrix: IntegerMatrix,
+        form: IntegerMatrix,
+        pivots: tuple,
+        transform: IntegerMatrix,
+        kernel: IntegerMatrix,
+    ):
+        _Record.__init__(self, matrix, form, tuple(pivots), transform, kernel)
+        m, n, r = matrix.nrows, matrix.ncols, form.nrows
+        for name, factor, shape in (
+            ("form", form, (r, n)),
+            ("transform", transform, (r, m)),
+            ("kernel", kernel, (m - r, m)),
+        ):
+            if (factor.nrows, factor.ncols) != shape:
+                raise AssertionError(f"Hermite {name} has the wrong shape")
+        if len(self.pivots) != r:
+            raise AssertionError("Hermite form needs one pivot per row")
+        terms = _row_terms(matrix.rows)
+        for row, combination in zip(form.rows, transform.rows):
+            if _product_row(combination, terms, n) != list(row):
+                raise AssertionError("Hermite row differs from its recorded combination")
+        last = -1
+        for i, (p, row) in enumerate(zip(self.pivots, form.rows)):
+            if not last < p < n or row[p] <= 0 or any(islice(row, p)):
+                raise AssertionError("Hermite form has a misplaced or negative pivot")
+            if any(not 0 <= above[p] < row[p] for above in form.rows[:i]):
+                raise AssertionError("Hermite form has an unreduced entry above a pivot")
+            last = p
+        if any(self.divide(row) is None for row in matrix.rows):
+            raise AssertionError("an input row lies outside the lattice of its Hermite form")
 
-    snf.matrix * x = b has an integer solution exactly when this w
-    exists, and x = V * w is then one; callers that need only
-    solvability stop here and never multiply by V.
-    """
-    c = snf.u.matvec(b)
-    diag = snf.diagonal()
-    w = [0] * snf.matrix.ncols
-    for i, ci in enumerate(c):
-        di = diag[i] if i < len(diag) else 0
-        if di == 0:
-            if ci != 0:
+    def divide(self, v: Sequence[int]) -> Optional[list]:
+        """The coefficients q with q * form = v, or None when v is outside the lattice.
+
+        Each form row in turn clears its pivot entry of v, which must be
+        a multiple of the pivot and have only zeros between it and the
+        previous pivot; a row changes no entry left of its pivot.
+        """
+        v = list(v)
+        q = []
+        start = 0
+        for p, row in zip(self.pivots, self.form.rows):
+            if any(islice(v, start, p)):
                 return None
-        else:
-            if ci % di != 0:
+            c, rest = divmod(v[p], row[p])
+            if rest:
                 return None
-            w[i] = ci // di
-    return w
+            if c:
+                for j in compress(range(p, len(v)), islice(row, p, None)):
+                    v[j] -= c * row[j]
+            q.append(c)
+            start = p + 1
+        return None if any(islice(v, start, None)) else q
+
+    def combination(self, v: Sequence[int]) -> Optional[list]:
+        """One x with x * matrix = v, or None when v is outside the lattice."""
+        q = self.divide(v)
+        if q is None:
+            return None
+        x = [0] * self.matrix.nrows
+        for c, row in compress(zip(q, self.transform.rows), q):
+            for j in compress(range(len(row)), row):
+                x[j] += c * row[j]
+        return x
+
+    def checked_kernel(self) -> IntegerMatrix:
+        """``kernel``, once it is checked to be a saturated basis of the vanishing combinations.
+
+        Every kernel row times ``matrix`` must vanish, and ``transform``
+        stacked over ``kernel`` must have determinant 1 or -1.  Then a
+        vanishing combination z is w times that stack for an integer w;
+        w is zero on the form rows, which are independent, so z is a
+        combination of the kernel rows, which as rows of a unimodular
+        matrix span a saturated lattice.
+        """
+        terms = _row_terms(self.matrix.rows)
+        n = self.matrix.ncols
+        if any(any(_product_row(row, terms, n)) for row in self.kernel.rows):
+            raise AssertionError("a Hermite kernel row does not vanish")
+        if abs(_determinant(self.transform.rows + self.kernel.rows)) != 1:
+            raise AssertionError("Hermite transform is not unimodular")
+        return self.kernel
 
 
-def kernel_basis(snf: SmithDecomposition) -> list:
-    """Columns forming a basis of the integer kernel of ``snf.matrix``.
+def _determinant(rows) -> int:
+    """Determinant of a square integer matrix by fraction-free (Bareiss) elimination."""
+    a = [list(row) for row in rows]
+    n = len(a)
+    sign, previous = 1, 1
+    for k in range(n):
+        spot = next((i for i in range(k, n) if a[i][k]), None)
+        if spot is None:
+            return 0
+        if spot != k:
+            a[k], a[spot] = a[spot], a[k]
+            sign = -sign
+        top = a[k]
+        p = top[k]
+        for row in a[k + 1 :]:
+            f = row[k]
+            for j in range(k + 1, n):
+                row[j] = (p * row[j] - f * top[j]) // previous
+        previous = p
+    return sign * previous
 
-    The basis spans the kernel as a direct summand of the domain
-    lattice (it consists of columns of the unimodular V), so solving
-    in terms of it is exact.
+
+def hermite_normal_form(matrix: IntegerMatrix) -> HermiteForm:
+    """Row Hermite normal form of the lattice that the rows of ``matrix`` span.
+
+    Columns are cleared left to right.  Below the pivots found so far,
+    the rows with a nonzero entry in the column are reduced against the
+    one of least absolute value with balanced remainders until one row
+    is left, which becomes the next pivot row, made positive; the rows
+    above it are then reduced into [0, pivot) in that column.  Every row
+    operation is repeated on a transform that starts as the identity.
+
+    >>> h = hermite_normal_form(IntegerMatrix([[2, 4], [6, 8], [0, 3]]))
+    >>> h.form.rows
+    ((2, 0), (0, 1))
+    >>> h.divide((2, 3)), h.divide((1, 0))
+    ([1, 3], None)
     """
-    return [snf.v.column(j) for j in range(snf.rank, snf.matrix.ncols)]
+    m, n = matrix.nrows, matrix.ncols
+    a = [list(row) for row in matrix.rows]
+    t = _identity_lists(m)
+    pivots = []
+
+    def add_row(i, k, q):
+        # row_i += q * row_k on a and t
+        dst, src = a[i], a[k]
+        for j in compress(range(n), src):
+            dst[j] += q * src[j]
+        dst, src = t[i], t[k]
+        for j in compress(range(m), src):
+            dst[j] += q * src[j]
+
+    top = 0  # rows above ``top`` hold the pivots found so far
+    for c in range(n):
+        if top == m:
+            break
+        live = [i for i in range(top, m) if a[i][c]]
+        if not live:
+            continue
+        while len(live) > 1:
+            # balanced residues are at most half the least entry, so it halves every pass
+            k = min(live, key=lambda i: abs(a[i][c]))
+            p = a[k][c]
+            for i in live:
+                if i != k:
+                    add_row(i, k, -_balanced_quotient(a[i][c], p))
+            live = [i for i in live if a[i][c]]
+        k = live[0]
+        a[top], a[k], t[top], t[k] = a[k], a[top], t[k], t[top]
+        if a[top][c] < 0:
+            a[top] = [-x for x in a[top]]
+            t[top] = [-x for x in t[top]]
+        p = a[top][c]
+        for i in range(top):
+            q = a[i][c] // p
+            if q:
+                add_row(i, top, -q)
+        pivots.append(c)
+        top += 1
+
+    def rows(lists, width):
+        return IntegerMatrix._derived(tuple(map(tuple, lists)), width)
+
+    return HermiteForm(matrix, rows(a[:top], n), pivots, rows(t[:top], m), rows(t[top:], m))
 
 
 class FGAbelianGroup:
@@ -639,20 +789,6 @@ class FGAbelianGroup:
     def is_trivial(self) -> bool:
         return self.canonical_ngens == 0
 
-    def to_canonical(self, x: Sequence[int]) -> tuple:
-        """Canonical coordinates of an element given in presentation coordinates."""
-        if len(x) != self.ngens:
-            raise ValueError("element length must equal generator count")
-        y = self._to.matvec(x)
-        f = self.free_rank
-        return y[:f] + tuple(c % t for c, t in zip(y[f:], self.torsion))
-
-    def from_canonical(self, y: Sequence[int]) -> tuple:
-        """One presentation-coordinate representative of canonical coordinates."""
-        if len(y) != self.canonical_ngens:
-            raise ValueError("canonical length mismatch")
-        return self.lifts.matvec(y)
-
     def reduce_canonical(self, y: Sequence[int]) -> tuple:
         """Normalize raw canonical coordinates (torsion entries mod invariant)."""
         if len(y) != self.canonical_ngens:
@@ -666,9 +802,6 @@ class FGAbelianGroup:
         f = self.free_rank
         torsion = tuple(tuple(c % t for c in row) for row, t in zip(matrix.rows[f:], self.torsion))
         return IntegerMatrix._derived(matrix.rows[:f] + torsion, matrix.ncols)
-
-    def canonical_is_zero(self, y: Sequence[int]) -> bool:
-        return all(c == 0 for c in self.reduce_canonical(y))
 
     def canonical_relation_columns(self) -> list:
         """Columns spanning the relation lattice in canonical coordinates."""
@@ -726,7 +859,7 @@ class GroupHom:
     matrix is that map times ``matrix`` times the source's ``lifts``.
     The canonical matrix, the kernel and the image are computed on
     first use and kept, so repeated injectivity and surjectivity tests
-    on one hom factor each matrix once.
+    on one hom reduce the image's lattice once.
     """
 
     __slots__ = ("source", "target", "matrix", "_canonical", "_kernel", "_image")
@@ -772,9 +905,6 @@ class GroupHom:
             self._canonical = target._reduced(target._to * self.matrix * self.source.lifts)
         return self._canonical
 
-    def apply_canonical(self, y: Sequence[int]) -> tuple:
-        return self.target.reduce_canonical(self.canonical_matrix().matvec(y))
-
     def compose(self, inner: "GroupHom") -> "GroupHom":
         """self o inner; requires inner.target to be the same presentation."""
         if inner.target != self.source:
@@ -790,13 +920,13 @@ class GroupHom:
         """Kernel as a subgroup of the source (canonical coordinates).
 
         The image subgroup's generators are the nonzero canonical
-        columns in order, so its solver factors [those columns | target
-        relation columns], and the first parts of that matrix's kernel
-        columns are the relations among the nonzero columns modulo the
-        target relations.  Scattered back to their column positions,
-        together with a unit vector for every zero column and the
-        source torsion relations, they generate the kernel: no matrix
-        is factored beyond the image's own.
+        columns in order, so its Hermite form reduces [those columns |
+        target relation columns] as rows, and the first parts of the
+        kernel rows it records are the relations among the nonzero
+        columns modulo the target relations.  Scattered back to their
+        column positions, together with a unit vector for every zero
+        column and the source torsion relations, they generate the
+        kernel: no lattice is reduced beyond the image's own.
         """
         if self._kernel is None:
             n = self.source.canonical_ngens
@@ -804,9 +934,9 @@ class GroupHom:
             nonzero = [j for j in range(n) if any(columns[j])]
             gens = [tuple(int(i == j) for i in range(n)) for j in range(n) if not any(columns[j])]
             if nonzero:
-                for col in kernel_basis(self.image_subgroup()._solver()):
+                for row in self.image_subgroup()._hermite_form().checked_kernel().rows:
                     g = [0] * n
-                    for j, c in zip(nonzero, col):
+                    for j, c in zip(nonzero, row):
                         g[j] = c
                     gens.append(g)
             # source torsion relations are kernel members as well
@@ -823,14 +953,6 @@ class GroupHom:
     def is_isomorphism(self) -> bool:
         return self.is_injective() and self.is_surjective()
 
-    def equal_hom(self, other: "GroupHom") -> bool:
-        """Same map on elements (sources and targets presented identically)."""
-        return (
-            self.source == other.source
-            and self.target == other.target
-            and self.canonical_matrix() == other.canonical_matrix()
-        )
-
     def __repr__(self) -> str:
         return f"<GroupHom {self.source.describe()} -> {self.target.describe()}>"
 
@@ -838,13 +960,18 @@ class GroupHom:
 class Subgroup:
     """Subgroup of an FGAbelianGroup given by canonical-coordinate generators.
 
-    Membership, containment and equality are decided exactly by
-    SNF-based solving against the generators together with the ambient
-    relation lattice; containment and fullness test all generators at
-    once, with one product by the solver's U.
+    A subgroup is the lattice that its generators and the ambient
+    relation vectors span in canonical coordinates, and it keeps that
+    lattice's ``HermiteForm``, built on first use.  The form is unique,
+    so equality compares two forms; membership and containment reduce
+    each vector against it; the subgroup is full when the form is the
+    identity; ``coordinates`` reads a reduced vector's combination; and
+    ``as_group`` reads the relations among the generators off the
+    checked kernel rows.  No Smith decomposition is made here beyond
+    the one ``as_group``'s own group makes of those relations.
     """
 
-    __slots__ = ("group", "generators", "_snf", "_as_group")
+    __slots__ = ("group", "generators", "_hermite", "_as_group")
 
     def __init__(self, group: FGAbelianGroup, generators: Iterable[Sequence[int]]):
         self.group = group
@@ -854,7 +981,7 @@ class Subgroup:
             if any(red):
                 gens.append(red)
         self.generators = tuple(gens)
-        self._snf = None
+        self._hermite = None
         self._as_group = None
 
     @classmethod
@@ -865,18 +992,21 @@ class Subgroup:
     def trivial(cls, group: FGAbelianGroup) -> "Subgroup":
         return cls(group, [])
 
-    def _solver(self):
-        if self._snf is None:
-            n = self.group.canonical_ngens
-            cols = list(self.generators) + self.group.canonical_relation_columns()
-            self._snf = smith_normal_form(IntegerMatrix.from_columns(cols, nrows=n))
-        return self._snf
+    def _hermite_form(self) -> HermiteForm:
+        """Hermite form of the generators followed by the relation vectors, as rows."""
+        if self._hermite is None:
+            group = self.group
+            rows = self.generators + tuple(group.canonical_relation_columns())
+            self._hermite = hermite_normal_form(IntegerMatrix._derived(rows, group.canonical_ngens))
+        return self._hermite
+
+    def _check_same_group(self, other: "Subgroup") -> None:
+        if self.group is not other.group and self.group != other.group:
+            raise ValueError("subgroups live in different groups")
 
     def contains(self, y: Sequence[int]) -> bool:
         y = self.group.reduce_canonical(y)
-        if not any(y):
-            return True
-        return _diagonal_solution(self._solver(), y) is not None
+        return not any(y) or self._hermite_form().divide(y) is not None
 
     def coordinates(self, y: Sequence[int]):
         """Express an element over this subgroup's generators, or None.
@@ -887,44 +1017,30 @@ class Subgroup:
         y = self.group.reduce_canonical(y)
         k = len(self.generators)
         if not any(y):
-            return tuple([0] * k)
-        sol = solve(self._solver(), y)
-        if sol is None:
-            return None
-        return tuple(sol[:k])
-
-    def _contains_all(self, columns: IntegerMatrix) -> bool:
-        """Whether every column of ``columns`` (canonical coordinates) is a member.
-
-        The batched form of ``contains``: one product U * columns, then
-        every row i of it must vanish where d_i is zero and be divisible
-        by d_i elsewhere, which is the diagonal test on each column.
-        """
-        snf = self._solver()
-        diag = snf.diagonal()
-        for i, row in enumerate((snf.u * columns).rows):
-            di = diag[i] if i < len(diag) else 0
-            if (any(x % di for x in row)) if di else any(row):
-                return False
-        return True
+            return (0,) * k
+        x = self._hermite_form().combination(y)
+        return None if x is None else tuple(x[:k])
 
     def is_subset_of(self, other: "Subgroup") -> bool:
-        if self.group is not other.group and self.group != other.group:
-            raise ValueError("subgroups live in different groups")
+        self._check_same_group(other)
         if not self.generators:
             return True
-        gens = IntegerMatrix._derived(self.generators, self.group.canonical_ngens)
-        return other._contains_all(gens.transpose())
+        form = other._hermite_form()
+        return all(form.divide(g) is not None for g in self.generators)
 
     def equals(self, other: "Subgroup") -> bool:
-        return self.is_subset_of(other) and other.is_subset_of(self)
+        self._check_same_group(other)
+        return self._hermite_form().form == other._hermite_form().form
 
     def is_trivial(self) -> bool:
         return not self.generators
 
     def is_full(self) -> bool:
+        # n pivots in n columns sit on the diagonal; pivots of 1 leave
+        # nothing above them, so the form is the identity
         n = self.group.canonical_ngens
-        return n == 0 or self._contains_all(IntegerMatrix.identity(n))
+        rows = self._hermite_form().form.rows if n else ()
+        return len(rows) == n and all(row[i] == 1 for i, row in enumerate(rows))
 
     def image_under(self, hom: GroupHom) -> "Subgroup":
         if hom.source != self.group:
@@ -936,8 +1052,8 @@ class Subgroup:
         """The subgroup itself as an abstract group (canonicalized)."""
         if self._as_group is None:
             k = len(self.generators)
-            rows = [tuple(col[:k]) for col in kernel_basis(self._solver())]
-            self._as_group = FGAbelianGroup(k, IntegerMatrix(rows, ncols=k))
+            rows = tuple(row[:k] for row in self._hermite_form().checked_kernel().rows)
+            self._as_group = FGAbelianGroup(k, IntegerMatrix._derived(rows, k))
         return self._as_group
 
     def __repr__(self) -> str:

@@ -10,10 +10,12 @@ inputs produce byte-identical files and reports.
 Exit status: 0 for success, including Undetermined and FAIL verdicts;
 1 for input problems (unreadable file, malformed document, a vertex
 mapped twice, missing flag, a gallery flag the request does not read,
-gallery sizes past their bound), with a message naming the file and
-the violation or the flag; 2 for mathematical precondition failures
-raised by the operations; 3 when one of the package's own exactness
-self-checks fails; 4 when the process runs out of memory.
+gallery sizes past their bound, a complex or nerve that may close to
+more than ``simplicial.MAX_SIMPLEXES`` faces), with a message naming
+the file and the violation or the flag; 2 for mathematical
+precondition failures raised by the operations; 3 when one of the
+package's own exactness self-checks fails; 4 when the process runs out
+of memory.
 
 ``gallery`` reads its family names, and the width flag each family
 needs, from the one table ``compactohedral.GALLERY``.
@@ -39,6 +41,8 @@ from .abelian import FGAbelianGroup, _Record
 from .simplicial import (
     SimplicialComplex,
     SimplicialMap,
+    TooManySimplexes,
+    check_face_budget,
     cohomology,
     finite_telescope,
     homology,
@@ -156,6 +160,10 @@ def _decode_complex(payload, where: str) -> SimplicialComplex:
         _decode_label(v, f"{where}.extra_vertices")
         for v in _as_list(payload.get("extra_vertices", []), where)
     ]
+    try:
+        check_face_budget(maximal)
+    except TooManySimplexes as e:
+        _fail(f"{where}.maximal", f"these simplexes {e}")
     return _checked(where, SimplicialComplex.from_maximal, maximal, extras)
 
 
@@ -598,7 +606,10 @@ def _cmd_nerve(args) -> Report:
     from .nerve import nerve
 
     sample, cover = _load_sample_and_cover(args)
-    k = nerve(cover, sample)
+    try:
+        k = nerve(cover, sample)
+    except TooManySimplexes as e:
+        raise InputProblem(f"{args.cover}.payload.elements: their nerve over {args.sample} {e}")
     group = homology(k, args.dim).group
     data = {
         "command": "nerve",

@@ -23,7 +23,7 @@ from fractions import Fraction
 from typing import TYPE_CHECKING, Optional, Sequence
 
 from .abelian import _Record
-from .simplicial import SimplicialComplex, SimplicialMap
+from .simplicial import SimplicialComplex, SimplicialMap, check_face_budget
 
 if TYPE_CHECKING:  # only cech_tower builds a tower, and imports it there
     from .tower import ComplexTower
@@ -116,6 +116,7 @@ def lebesgue_number(sample: PointSample, cover: BallCover) -> Fraction:
 
 def _nerve(cover: BallCover, members: list) -> SimplicialComplex:
     witnessed = [touching for touching in members if touching]
+    check_face_budget(witnessed)
     return SimplicialComplex.from_maximal(witnessed, extra_vertices=range(len(cover.elements)))
 
 
@@ -123,7 +124,10 @@ def nerve(cover: BallCover, sample: PointSample) -> SimplicialComplex:
     """Sample-witnessed nerve: a simplex per overlap seen by some point.
 
     Vertices are the element indices, all of them; an element whose
-    ball captures no sample point contributes an isolated vertex.
+    ball captures no sample point contributes an isolated vertex.  A
+    nerve whose witnessed overlaps may close to more than
+    ``simplicial.MAX_SIMPLEXES`` faces raises ``TooManySimplexes``
+    before any face is built.
     """
     return _nerve(cover, _members(sample, cover))
 

@@ -79,6 +79,37 @@ def _vertex_ranks(labels) -> dict:
     return {v: i for i, v in enumerate(sorted(set(labels), key=label_key))}
 
 
+# Most faces that a complex document or a nerve may close to.  The
+# closure of an n-vertex simplex has 2^n - 1 faces: on a 2-core x86 host
+# `homology --dim 0` of one such document took 0.34 s and 28 MB at
+# n = 16 (65 535 faces) and 5.0 s and 239 MB at n = 20.  Gallery towers
+# and their telescopes are bounded by their own vertex cap.
+MAX_SIMPLEXES = 100_000
+
+
+class TooManySimplexes(ValueError):
+    """Closing some simplexes under faces may give more than ``MAX_SIMPLEXES`` faces."""
+
+
+def check_face_budget(simplexes: Iterable[Iterable]) -> None:
+    """Raise ``TooManySimplexes`` unless closing ``simplexes`` stays within ``MAX_SIMPLEXES``.
+
+    The closure has at most the sum of 2^|s| - 1 faces over the distinct
+    vertex sets s, so the bound reads each simplex once and closes
+    nothing.
+
+    >>> check_face_budget([range(17)])
+    Traceback (most recent call last):
+    ...
+    towertop.simplicial.TooManySimplexes: may close to more than 100000 faces
+    """
+    total = 0
+    for s in set(map(frozenset, simplexes)):
+        total += (1 << min(len(s), MAX_SIMPLEXES.bit_length())) - 1
+        if total > MAX_SIMPLEXES:
+            raise TooManySimplexes(f"may close to more than {MAX_SIMPLEXES} faces")
+
+
 class SimplicialComplex:
     """Face-closed finite abstract simplicial complex.
 

@@ -21,7 +21,8 @@ The image chain at a level is the descending sequence of images of the
 composite bonds from deeper and deeper stages: entry k is the image of
 the k-fold composite, with entry 0 the full group.  A tower keeps each
 chain it builds, so ``ml_status``, ``lim1_class`` and ``stable_lim`` on
-one tower share the same subgroups and factor each of them once.  A
+one tower share the same subgroups and reduce each of them to its
+Hermite form once; comparing two images compares their forms.  A
 ``NotStable`` holds the chains it was given and an ``MLStatus`` its
 chain; each reads the isomorphism types through those subgroups,
 which keep them, so nothing is factored until they are read and
@@ -155,7 +156,7 @@ class GroupTower(_GroupSequence):
     deepest entry are kept once built (see ``_image_chain``), and so is
     a periodic certificate's period map with its stable image (see
     ``_kept_period_image``), so analyses of one tower share their
-    subgroups and the factorizations those subgroups keep.
+    subgroups and the Hermite forms and groups those subgroups keep.
     """
 
     __slots__ = ("_chains", "_composites", "_period_images")
@@ -301,7 +302,7 @@ def _image_chain(tower: GroupTower, level: int, depth: int) -> List[Subgroup]:
         tower._composites[level] = comp
         image = comp.image_subgroup()
         # an image on the very same generators is the same subgroup:
-        # keep the earlier object and the factorizations it holds
+        # keep the earlier object and the Hermite form and group it holds
         chain.append(chain[-1] if image.generators == chain[-1].generators else image)
     return chain[: depth + 1]
 
@@ -500,10 +501,17 @@ def lim1_class(tower: GroupTower, window: Optional[int] = None) -> Lim1Class:
 
 
 def _restricted_hom(bond: GroupHom, fine: Subgroup, coarse: Subgroup) -> Optional[GroupHom]:
-    """The bond between two stable images, presented on their generators."""
+    """The bond between two stable images, presented on their generators.
+
+    One product carries every generator of ``fine`` through the bond's
+    canonical matrix; each image column is then written over the
+    generators of ``coarse`` against its Hermite form.
+    """
+    gens = IntegerMatrix._derived(fine.generators, fine.group.canonical_ngens)
+    images = bond.canonical_matrix() * gens.transpose()
     cols = []
-    for g in fine.generators:
-        c = coarse.coordinates(bond.apply_canonical(g))
+    for y in images.columns():
+        c = coarse.coordinates(y)
         if c is None:
             return None
         cols.append(c)

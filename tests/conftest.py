@@ -29,3 +29,17 @@ def smith_calls(monkeypatch):
     for module in (towertop.abelian, towertop.simplicial):
         monkeypatch.setattr(module, "smith_normal_form", counting)
     return calls
+
+
+@pytest.fixture
+def echelon_forms(monkeypatch):
+    """The matrices given to ``hermite_normal_form`` while the test runs, in order."""
+    calls = []
+    real = towertop.abelian.hermite_normal_form
+
+    def counting(matrix):
+        calls.append(matrix)
+        return real(matrix)
+
+    monkeypatch.setattr(towertop.abelian, "hermite_normal_form", counting)
+    return calls

@@ -1,10 +1,11 @@
 """Independent oracles used to cross-check the exact linear algebra.
 
 Apart from ``refactored_cycle_coordinates``,
-``dense_cycle_coordinates``, ``stacked_kernel_subgroup``,
-``full_decomposition_coordinates``, ``inline_simplex_order`` and
-``inline_chain_map_rows`` (which take only the label order) and the
-two-closure telescopes, nothing in here imports the package under test.
+``dense_cycle_coordinates``, the Smith-based subgroup routines,
+``stacked_kernel_subgroup``, ``full_decomposition_coordinates``,
+``inline_simplex_order`` and ``inline_chain_map_rows`` (which take only
+the label order) and the two-closure telescopes, nothing in here
+imports the package under test.
 The routines are deliberately different algorithms from the ones being
 checked: fraction-free (Bareiss) elimination for ranks and determinants,
 gcd-of-minors determinantal divisors for invariant factors, and nerves,
@@ -308,10 +309,10 @@ def refactored_cycle_coordinates(cycle_columns, chain):
     against it.  The columns are independent, so a solution is the unique
     coordinate vector; None when the chain is outside their span.
     """
-    from towertop.abelian import IntegerMatrix, smith_normal_form, solve
+    from towertop.abelian import IntegerMatrix, smith_normal_form
 
     cycles = IntegerMatrix.from_columns(cycle_columns, nrows=len(chain))
-    return solve(smith_normal_form(cycles), chain)
+    return smith_solve(smith_normal_form(cycles), chain)
 
 
 def dense_cycle_coordinates(outgoing, cycle_columns):
@@ -342,35 +343,138 @@ def dense_cycle_coordinates(outgoing, cycle_columns):
     return coordinates
 
 
+# -- subgroups by Smith decomposition -----------------------------------------
+#
+# The package decides subgroup questions with a Hermite normal form.  These
+# routines decide them the earlier way, through a Smith decomposition
+# U * M * V = D of M = [generators | relation columns]: M x = b is solvable
+# exactly when D w = U b is, and then x = V w; V's columns from the rank on
+# are a basis of M's integer kernel.
+
+
+def _smith_diagonal_solution(snf, b):
+    """The w with D * w = U * b, or None when it is not integral."""
+    c = dense_matvec(snf.u.rows, b)
+    diag = snf.diagonal()
+    w = [0] * snf.matrix.ncols
+    for i, ci in enumerate(c):
+        di = diag[i] if i < len(diag) else 0
+        if di == 0:
+            if ci != 0:
+                return None
+        else:
+            if ci % di != 0:
+                return None
+            w[i] = ci // di
+    return w
+
+
+def smith_solve(snf, b):
+    """One integer solution x of snf.matrix * x = b, or None when unsolvable."""
+    w = _smith_diagonal_solution(snf, b)
+    return None if w is None else tuple(dense_matvec(snf.v.rows, w))
+
+
+def smith_kernel_basis(snf) -> list:
+    """V's columns from the rank on: a basis of the integer kernel of ``snf.matrix``."""
+    return [snf.v.column(j) for j in range(snf.rank, snf.matrix.ncols)]
+
+
+def smith_subgroup_solver(sub):
+    """Smith decomposition of [generators | relation columns] of a subgroup."""
+    from towertop.abelian import IntegerMatrix, smith_normal_form
+
+    cols = list(sub.generators) + sub.group.canonical_relation_columns()
+    return smith_normal_form(IntegerMatrix.from_columns(cols, nrows=sub.group.canonical_ngens))
+
+
+def smith_contains(sub, y) -> bool:
+    """Whether canonical coordinates ``y`` lie in the subgroup ``sub``."""
+    y = sub.group.reduce_canonical(y)
+    return not any(y) or _smith_diagonal_solution(smith_subgroup_solver(sub), y) is not None
+
+
+def smith_coordinates(sub, y):
+    """``y`` over the subgroup's generators, solved through its Smith decomposition, or None."""
+    y = sub.group.reduce_canonical(y)
+    k = len(sub.generators)
+    if not any(y):
+        return (0,) * k
+    x = smith_solve(smith_subgroup_solver(sub), y)
+    return None if x is None else tuple(x[:k])
+
+
+def smith_is_subset(a, b) -> bool:
+    """Whether every generator of ``a`` lies in ``b``."""
+    return all(smith_contains(b, g) for g in a.generators)
+
+
+def smith_is_full(sub) -> bool:
+    """Whether every canonical generator lies in ``sub``."""
+    return all(smith_contains(sub, e) for e in sub.group.canonical_generators())
+
+
+def smith_as_group_invariants(sub) -> tuple:
+    """Invariants of ``sub`` presented on its generators, the relations read off V."""
+    from towertop.abelian import FGAbelianGroup, IntegerMatrix
+
+    k = len(sub.generators)
+    rows = [col[:k] for col in smith_kernel_basis(smith_subgroup_solver(sub))]
+    return FGAbelianGroup(k, IntegerMatrix(rows, ncols=k)).invariants
+
+
+def smith_kernel_subgroup(hom):
+    """Kernel of ``hom`` read off the Smith decomposition of its image's solver.
+
+    The image subgroup's generators are the nonzero canonical columns;
+    the first parts of its solver's kernel columns, scattered back to
+    those positions, with a unit vector per zero column and the source
+    torsion relations, generate the kernel.
+    """
+    from towertop.abelian import Subgroup
+
+    n = hom.source.canonical_ngens
+    columns = hom.canonical_matrix().columns()
+    nonzero = [j for j in range(n) if any(columns[j])]
+    gens = [_unit(n, j) for j in range(n) if not any(columns[j])]
+    if nonzero:
+        for col in smith_kernel_basis(smith_subgroup_solver(hom.image_subgroup())):
+            g = [0] * n
+            for j, c in zip(nonzero, col):
+                g[j] = c
+            gens.append(g)
+    return Subgroup(hom.source, gens + hom.source.canonical_relation_columns())
+
+
 def stacked_kernel_subgroup(hom):
     """Kernel of ``hom`` from a factorization of its own stacked matrix.
 
     The reference for ``GroupHom.kernel_subgroup``, which reads the
-    kernel off the factorization its image subgroup keeps instead: here
+    kernel off the Hermite form its image subgroup keeps instead: here
     [canonical matrix | target relation columns] gets a Smith
     decomposition of its own, the kernel columns cut to their first
     part are kernel members, and so are the source's torsion relations.
     """
-    from towertop.abelian import IntegerMatrix, Subgroup, kernel_basis, smith_normal_form
+    from towertop.abelian import IntegerMatrix, Subgroup, smith_normal_form
 
     rel_cols = hom.target.canonical_relation_columns()
     stacked = hom.canonical_matrix().hstack(
         IntegerMatrix.from_columns(rel_cols, nrows=hom.target.canonical_ngens)
     )
     n = hom.source.canonical_ngens
-    gens = [tuple(col[:n]) for col in kernel_basis(smith_normal_form(stacked))]
+    gens = [tuple(col[:n]) for col in smith_kernel_basis(smith_normal_form(stacked))]
     return Subgroup(hom.source, gens + hom.source.canonical_relation_columns())
 
 
 def full_decomposition_coordinates(relations):
     """Canonical coordinate maps of a presentation from a whole fresh factorization.
 
-    The reference for ``FGAbelianGroup.to_canonical`` and
-    ``from_canonical``, which keep only the rows of U and the columns of
-    U^-1 they read: here relations^T gets a Smith decomposition of its
-    own, every position is looked up in the diagonal (free from the rank
-    on, torsion below it where the entry exceeds 1), and U and U^-1
-    multiply in full.  Returns the pair (to_canonical, from_canonical).
+    The reference for the coordinate maps of ``FGAbelianGroup``, which
+    keeps only the rows of U and the columns of U^-1 they read (and
+    which ``to_canonical`` and ``from_canonical`` below apply): here
+    relations^T gets a Smith decomposition of its own, every position is
+    looked up in the diagonal (free from the rank on, torsion below it
+    where the entry exceeds 1), and U and U^-1 multiply in full.  Returns the pair (to_canonical, from_canonical).
     """
     from towertop.abelian import smith_normal_form
 
@@ -399,6 +503,40 @@ def _unit(n: int, j: int) -> tuple:
     return tuple(int(i == j) for i in range(n))
 
 
+def to_canonical(group, x) -> tuple:
+    """Canonical coordinates of presentation vector ``x``, one textbook product.
+
+    Reads the rows of U that ``group`` keeps, which its homs multiply as
+    a whole matrix, and reduces the torsion entries.
+    """
+    assert len(x) == group.ngens, "element length must equal generator count"
+    y = dense_matvec(group._to.rows, x)
+    f = group.free_rank
+    return tuple(y[:f]) + tuple(c % t for c, t in zip(y[f:], group.torsion))
+
+
+def from_canonical(group, y) -> tuple:
+    """One presentation vector of canonical coordinates ``y``: the group's lifts times y."""
+    assert len(y) == group.canonical_ngens, "canonical length mismatch"
+    return tuple(dense_matvec(group.lifts.rows, y))
+
+
+def canonical_is_zero(group, y) -> bool:
+    """Whether canonical coordinates ``y`` name the zero element."""
+    return not any(group.reduce_canonical(y))
+
+
+def apply_canonical(hom, y) -> tuple:
+    """Image under ``hom`` of canonical coordinates ``y``, one textbook product, reduced."""
+    return hom.target.reduce_canonical(dense_matvec(hom.canonical_matrix().rows, y))
+
+
+def equal_hom(f, g) -> bool:
+    """Whether two homs between identically presented groups agree on elements."""
+    same_ends = f.source == g.source and f.target == g.target
+    return same_ends and f.canonical_matrix() == g.canonical_matrix()
+
+
 def columnwise_canonical_matrix(hom) -> list:
     """Columns of ``hom``'s canonical matrix, one canonical unit vector at a time.
 
@@ -409,8 +547,8 @@ def columnwise_canonical_matrix(hom) -> list:
     """
     source, target = hom.source, hom.target
     n = source.canonical_ngens
-    lifts = [source.from_canonical(_unit(n, j)) for j in range(n)]
-    return [target.to_canonical(dense_matvec(hom.matrix.rows, x)) for x in lifts]
+    lifts = [from_canonical(source, _unit(n, j)) for j in range(n)]
+    return [to_canonical(target, dense_matvec(hom.matrix.rows, x)) for x in lifts]
 
 
 def columnwise_from_canonical(source, target, canonical) -> list:
@@ -421,9 +559,9 @@ def columnwise_from_canonical(source, target, canonical) -> list:
     through ``canonical``, reduced and lifted back to the target's
     presentation.
     """
-    coordinates = [source.to_canonical(_unit(source.ngens, j)) for j in range(source.ngens)]
+    coordinates = [to_canonical(source, _unit(source.ngens, j)) for j in range(source.ngens)]
     return [
-        target.from_canonical(target.reduce_canonical(dense_matvec(canonical.rows, y)))
+        from_canonical(target, target.reduce_canonical(dense_matvec(canonical.rows, y)))
         for y in coordinates
     ]
 
@@ -435,7 +573,7 @@ def relationwise_well_defined(source, target, matrix) -> bool:
     relations with one product.
     """
     return not any(
-        any(target.to_canonical(dense_matvec(matrix.rows, r))) for r in source.relations.rows
+        any(to_canonical(target, dense_matvec(matrix.rows, r))) for r in source.relations.rows
     )
 
 
@@ -451,7 +589,7 @@ def axpy_representatives(group, cycle_columns, basis) -> list:
     reps = []
     for j in range(group.canonical_ngens):
         coeffs = [0] * len(basis)
-        for g, col in zip(group.from_canonical(_unit(group.canonical_ngens, j)), cycle_columns):
+        for g, col in zip(from_canonical(group, _unit(group.canonical_ngens, j)), cycle_columns):
             coeffs = [c + g * x for c, x in zip(coeffs, col)]
         reps.append({s: c for s, c in zip(basis, coeffs) if c})
     return reps

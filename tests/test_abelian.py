@@ -13,18 +13,20 @@ from towertop.abelian import (
     GroupHom,
     IntegerMatrix,
     SmithDecomposition,
+    HermiteForm,
     Subgroup,
-    kernel_basis,
+    hermite_normal_form,
     smith_normal_form,
-    solve,
 )
 
 from towertop.simplicial import boundary_matrix
 
 from generators import grid_torus, random_complex
 from oracles import (
+    apply_canonical,
     bareiss_det,
     bareiss_rank,
+    canonical_is_zero,
     columnwise_canonical_matrix,
     columnwise_from_canonical,
     dense_decomposition_holds,
@@ -32,9 +34,20 @@ from oracles import (
     dense_product,
     dense_smith_normal_form,
     determinantal_invariant_factors,
+    equal_hom,
+    from_canonical,
     full_decomposition_coordinates,
     relationwise_well_defined,
+    smith_as_group_invariants,
+    smith_contains,
+    smith_coordinates,
+    smith_is_full,
+    smith_is_subset,
+    smith_kernel_basis,
+    smith_kernel_subgroup,
+    smith_solve,
     stacked_kernel_subgroup,
+    to_canonical,
 )
 
 # mostly zeros and units, like boundary matrices and near-identity transforms
@@ -300,9 +313,9 @@ def test_every_one_entry_tamper_of_a_boundary_decomposition_is_rejected(transpos
 
 def test_solve_and_kernel():
     m = IntegerMatrix([[2, 0], [0, 3]])
-    assert solve(smith_normal_form(m), (4, 9)) == (2, 3)
-    assert solve(smith_normal_form(m), (1, 0)) is None
-    k = kernel_basis(smith_normal_form(IntegerMatrix([[1, 1, 1]])))
+    assert smith_solve(smith_normal_form(m), (4, 9)) == (2, 3)
+    assert smith_solve(smith_normal_form(m), (1, 0)) is None
+    k = smith_kernel_basis(smith_normal_form(IntegerMatrix([[1, 1, 1]])))
     assert len(k) == 2
     for col in k:
         assert sum(col) == 0
@@ -316,7 +329,7 @@ def test_solve_random_consistency():
             continue
         x = tuple(rng.randint(-4, 4) for _ in range(m.ncols))
         b = m.matvec(x)
-        got = solve(smith_normal_form(m), b)
+        got = smith_solve(smith_normal_form(m), b)
         assert got is not None
         assert m.matvec(got) == b
 
@@ -325,7 +338,7 @@ def test_kernel_random_spans_kernel():
     rng = random.Random(8)
     for _ in range(100):
         m = random_matrix(rng, max_dim=5, bound=5)
-        cols = kernel_basis(smith_normal_form(m))
+        cols = smith_kernel_basis(smith_normal_form(m))
         for c in cols:
             assert all(v == 0 for v in m.matvec(c))
         assert len(cols) == m.ncols - bareiss_rank(m.rows)
@@ -345,8 +358,7 @@ def test_contains_agrees_with_solve():
         sub = Subgroup(g, gens)
         for _ in range(5):
             y = g.reduce_canonical(tuple(rng.randint(-6, 6) for _ in range(n)))
-            expected = not any(y) or solve(sub._solver(), y) is not None
-            assert sub.contains(y) == expected
+            assert sub.contains(y) == smith_contains(sub, y)
 
 
 def test_canonicalize_presentation():
@@ -402,9 +414,9 @@ def test_canonical_roundtrip_random():
         )
         for _ in range(5):
             x = tuple(rng.randint(-6, 6) for _ in range(n))
-            y = g.to_canonical(x)
+            y = to_canonical(g, x)
             # the lift represents the same element
-            assert g.to_canonical(g.from_canonical(y)) == y
+            assert to_canonical(g, from_canonical(g, y)) == y
             # torsion entries are normalized
             assert y == g.reduce_canonical(y)
 
@@ -423,7 +435,7 @@ def test_hom_composition_on_torsion():
     three = GroupHom(z6, z6, IntegerMatrix([[3]]))
     two = GroupHom(z6, z6, IntegerMatrix([[2]]))
     composite = two.compose(three)  # x -> 6x = 0
-    assert composite.equal_hom(GroupHom.zero(z6, z6))
+    assert equal_hom(composite, GroupHom.zero(z6, z6))
 
 
 def test_hom_canonical_matrix_quotient():
@@ -452,27 +464,30 @@ def test_kernel_image_subgroups():
     assert ker.as_group().invariants == (1, ())
 
 
-def test_kernel_and_image_are_factored_once(smith_calls):
+def test_kernel_and_image_are_factored_once(smith_calls, echelon_forms):
     src = FGAbelianGroup.free(3)
     tgt = FGAbelianGroup.from_invariants(1, (6,))
     f = GroupHom(src, tgt, IntegerMatrix([[1, 2, 3], [2, 4, 0]]))
+    del smith_calls[:], echelon_forms[:]
     ker, img = f.kernel_subgroup(), f.image_subgroup()
     assert f.kernel_subgroup() is ker and f.image_subgroup() is img
     assert not f.is_injective() and not f.is_surjective()
-    first = len(smith_calls)
+    # the kernel is read off the image's one Hermite form
+    assert (len(smith_calls), len(echelon_forms)) == (0, 1)
     for _ in range(3):
         assert not f.is_injective() and not f.is_surjective() and not f.is_isomorphism()
-    assert len(smith_calls) == first
+    assert (len(smith_calls), len(echelon_forms)) == (0, 1)
 
 
-def test_injectivity_after_surjectivity_factors_nothing(smith_calls):
+def test_injectivity_after_surjectivity_factors_nothing(smith_calls, echelon_forms):
     src = FGAbelianGroup.free(3)
     tgt = FGAbelianGroup.from_invariants(1, (6,))
     f = GroupHom(src, tgt, IntegerMatrix([[1, 2, 3], [2, 4, 0]]))
     assert not f.image_subgroup().is_full()
-    del smith_calls[:]
+    assert len(echelon_forms) == 1
+    del smith_calls[:], echelon_forms[:]
     assert not f.is_injective()
-    assert smith_calls == []
+    assert smith_calls == [] and echelon_forms == []
 
 
 def test_subgroup_equality_by_mutual_membership():
@@ -486,7 +501,7 @@ def test_subgroup_equality_by_mutual_membership():
 
 
 def test_subgroup_comparisons_make_no_matvec_calls(monkeypatch):
-    # every generator is decided by one product with the solver's U
+    # every generator is reduced against a Hermite form, row by row
     calls = []
     real = IntegerMatrix.matvec
     monkeypatch.setattr(IntegerMatrix, "matvec", lambda self, x: calls.append(x) or real(self, x))
@@ -557,9 +572,9 @@ def test_random_homs_compose_associatively():
         h = random_hom(rng, c, d)
         left = h.compose(g.compose(f))
         right = h.compose(g).compose(f)
-        assert left.equal_hom(right)
+        assert equal_hom(left, right)
         ident = GroupHom.identity(b)
-        assert ident.compose(f).equal_hom(f)
+        assert equal_hom(ident.compose(f), f)
 
 
 def test_random_hom_kernel_image_consistency():
@@ -570,10 +585,10 @@ def test_random_hom_kernel_image_consistency():
         f = random_hom(rng, a, b)
         ker = f.kernel_subgroup()
         for gen in ker.generators:
-            assert b.canonical_is_zero(f.apply_canonical(gen))
+            assert canonical_is_zero(b, apply_canonical(f, gen))
         img = f.image_subgroup()
         for e in a.canonical_generators():
-            assert img.contains(f.apply_canonical(e))
+            assert img.contains(apply_canonical(f, e))
 
 
 @st.composite
@@ -616,7 +631,7 @@ def test_kernel_matches_stacked_matrix_kernel(f):
     assert ker.is_trivial() == ref.is_trivial()
     assert ker.is_subset_of(ref) and ref.is_subset_of(ker)
     for g in ker.generators:
-        assert f.target.canonical_is_zero(f.apply_canonical(g))
+        assert canonical_is_zero(f.target, apply_canonical(f, g))
 
 
 
@@ -668,10 +683,10 @@ def test_coordinate_maps_match_the_full_decomposition(g, data):
     to_ref, from_ref = full_decomposition_coordinates(g.relations)
     assert not any(isinstance(getattr(g, name), SmithDecomposition) for name in g.__slots__)
     x = data.draw(st.lists(st.integers(-20, 20), min_size=g.ngens, max_size=g.ngens))
-    assert g.to_canonical(x) == to_ref(x)
+    assert to_canonical(g, x) == to_ref(x)
     y = data.draw(st.lists(st.integers(-20, 20), min_size=g.canonical_ngens, max_size=g.canonical_ngens))
-    assert g.from_canonical(y) == from_ref(y)
-    assert g.to_canonical(g.from_canonical(y)) == g.reduce_canonical(y)
+    assert from_canonical(g, y) == from_ref(y)
+    assert to_canonical(g, from_canonical(g, y)) == g.reduce_canonical(y)
 
 
 HOMS = st.one_of(canonical_homs(), canonical_homs(relation_groups()))
@@ -727,10 +742,140 @@ def test_well_definedness_check_rejects_exactly_what_the_reference_rejects(f, da
 @given(HOMS, st.data())
 def test_image_subgroups_match_per_generator_pushes(f, data):
     units = f.source.canonical_generators()
-    pushed = Subgroup(f.target, [f.apply_canonical(e) for e in units])
+    pushed = Subgroup(f.target, [apply_canonical(f, e) for e in units])
     assert f.image_subgroup().generators == pushed.generators
     n = f.source.canonical_ngens
     vector = st.lists(st.integers(-5, 5), min_size=n, max_size=n)
     sub = Subgroup(f.source, data.draw(st.lists(vector, max_size=3)))
-    expected = Subgroup(f.target, [f.apply_canonical(g) for g in sub.generators])
+    expected = Subgroup(f.target, [apply_canonical(f, g) for g in sub.generators])
     assert sub.image_under(f).generators == expected.generators
+
+
+# -- subgroups by Hermite form against the Smith-based oracle --
+
+
+@st.composite
+def related_subgroups(draw):
+    """A group from ``relation_groups`` and two subgroups of it that may share generators.
+
+    Generators are drawn with heavy torsion (entries sharing factors of
+    2 and 3) and made dependent: sums and multiples of earlier ones, and
+    some of one subgroup's generators repeated in the other.
+    """
+    g = draw(relation_groups())
+    n = g.canonical_ngens
+    entry = st.one_of(st.integers(-6, 6), st.sampled_from((0, 2, -4, 6, 12, -18)))
+
+    def generators():
+        gens = draw(st.lists(st.lists(entry, min_size=n, max_size=n), max_size=3))
+        for _ in range(draw(st.integers(0, 2))):
+            if gens:
+                a, b = draw(st.sampled_from(gens)), draw(st.sampled_from(gens))
+                k = draw(st.integers(-3, 3))
+                gens.append([x + k * y for x, y in zip(a, b)])
+        return gens
+
+    first = generators()
+    shared = draw(st.lists(st.sampled_from(first), max_size=2)) if first else []
+    return g, Subgroup(g, first), Subgroup(g, generators() + shared)
+
+
+@given(related_subgroups(), st.data())
+def test_hermite_subgroups_match_the_smith_oracle(case, data):
+    g, a, b = case
+    assert a.is_subset_of(b) == smith_is_subset(a, b)
+    assert b.is_subset_of(a) == smith_is_subset(b, a)
+    assert a.equals(b) == (smith_is_subset(a, b) and smith_is_subset(b, a))
+    n = g.canonical_ngens
+    for sub in (a, b):
+        assert sub.is_full() == smith_is_full(sub)
+        assert sub.as_group().invariants == smith_as_group_invariants(sub)
+        candidates = [data.draw(st.lists(st.integers(-9, 9), min_size=n, max_size=n))]
+        candidates += [[2 * x for x in gen] for gen in sub.generators]
+        for y in candidates:
+            got, ref = sub.coordinates(y), smith_coordinates(sub, y)
+            assert (got is None) == (ref is None) == (not smith_contains(sub, y))
+            assert sub.contains(y) == smith_contains(sub, y)
+            if got is not None:
+                # a coordinate vector writes y over the generators
+                gens = IntegerMatrix._derived(sub.generators, n).transpose()
+                assert g.reduce_canonical(dense_matvec(gens.rows, got)) == g.reduce_canonical(y)
+
+
+@given(HOMS)
+def test_hermite_kernels_match_the_smith_oracle(f):
+    ker, ref = f.kernel_subgroup(), smith_kernel_subgroup(f)
+    assert smith_is_subset(ker, ref) and smith_is_subset(ref, ker)
+    assert ker.as_group().invariants == smith_as_group_invariants(ref)
+    for g in ker.generators:
+        assert canonical_is_zero(f.target, apply_canonical(f, g))
+
+
+def tampered(record, field, i, j, delta=1):
+    """``record``'s fields, with entry (i, j) of ``field`` moved by ``delta``."""
+    target = getattr(record, field)
+    rows = [list(row) for row in target.rows]
+    rows[i][j] += delta
+    fields = {name: getattr(record, name) for name in record._fields}
+    fields[field] = IntegerMatrix(rows, ncols=target.ncols)
+    return fields
+
+
+def test_every_one_entry_tamper_of_a_kept_hermite_form_is_rejected():
+    # torsion and dependent generators: a form with zero rows and a kernel
+    g = FGAbelianGroup.from_invariants(2, (2, 12))
+    sub = Subgroup(g, [(2, 4, 1, 6), (4, 8, 0, 3), (0, 6, 1, 9), (6, 18, 1, 0)])
+    h = sub._hermite_form()
+    assert h.kernel.nrows and h.form.nrows and h.checked_kernel() is h.kernel
+    # no input row is zero, so every tampered transform or kernel entry moves a product
+    assert all(any(row) for row in h.matrix.rows)
+    for field in ("form", "transform", "kernel"):
+        target = getattr(h, field)
+        for i in range(target.nrows):
+            for j in range(target.ncols):
+                with pytest.raises(AssertionError):
+                    HermiteForm(**tampered(h, field, i, j)).checked_kernel()
+    fields = {name: getattr(h, name) for name in h._fields}
+    for i in range(len(h.pivots)):
+        for delta in (-1, 1):
+            pivots = list(h.pivots)
+            pivots[i] += delta
+            with pytest.raises(AssertionError, match="pivot"):
+                HermiteForm(**{**fields, "pivots": pivots})
+
+
+def test_hermite_checks_catch_what_a_consistent_tamper_leaves():
+    h = hermite_normal_form(IntegerMatrix([[2, 4, 1], [4, 8, 0], [6, 0, 3], [0, 0, 5]]))
+    fields = {name: getattr(h, name) for name in h._fields}
+    # a negated pivot row with its negated combination: not Hermite shape
+    flipped = dict(fields)
+    flipped["form"] = IntegerMatrix([[-x for x in h.form.rows[0]], *h.form.rows[1:]])
+    flipped["transform"] = IntegerMatrix([[-x for x in h.transform.rows[0]], *h.transform.rows[1:]])
+    with pytest.raises(AssertionError, match="pivot"):
+        HermiteForm(**flipped)
+    # a form row dropped with its combination: an input row no longer reduces
+    dropped = dict(fields)
+    dropped["form"] = IntegerMatrix(h.form.rows[:-1], ncols=h.form.ncols)
+    dropped["pivots"] = h.pivots[:-1]
+    dropped["transform"] = IntegerMatrix(h.transform.rows[:-1], ncols=h.transform.ncols)
+    dropped["kernel"] = IntegerMatrix(h.kernel.rows + (h.transform.rows[-1],), ncols=h.kernel.ncols)
+    with pytest.raises(AssertionError, match="outside the lattice"):
+        HermiteForm(**dropped)
+    # a doubled kernel row still vanishes, but no longer spans a saturated kernel
+    doubled = dict(fields)
+    doubled["kernel"] = IntegerMatrix([[2 * x for x in h.kernel.rows[0]], *h.kernel.rows[1:]])
+    with pytest.raises(AssertionError, match="unimodular"):
+        HermiteForm(**doubled).checked_kernel()
+
+
+def test_subgroups_factor_nothing(smith_calls):
+    # membership, containment, equality, fullness, coordinates and kernels
+    # all read Hermite forms; only a group built from a subgroup factors
+    g = FGAbelianGroup.from_invariants(1, (2, 4))
+    a, b = Subgroup(g, [(2, 0, 0), (0, 1, 2)]), Subgroup(g, [(4, 0, 0), (0, 1, 2), (0, 0, 2)])
+    f = GroupHom.from_canonical_matrix(g, g, IntegerMatrix([[2, 0, 0], [0, 1, 0], [0, 0, 2]]))
+    del smith_calls[:]
+    a.equals(b), a.is_subset_of(b), a.is_full(), a.contains((2, 1, 2)), a.coordinates((4, 0, 0))
+    f.kernel_subgroup(), f.is_isomorphism()
+    assert smith_calls == []
+    assert a.as_group().invariants == (1, (2,)) and len(smith_calls) == 1

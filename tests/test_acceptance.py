@@ -15,7 +15,7 @@ from generators import (
     random_simplicial_map,
     torus_7,
 )
-from oracles import bareiss_det, bareiss_rank
+from oracles import bareiss_det, bareiss_rank, equal_hom
 from towertop.abelian import (
     FGAbelianGroup,
     GroupHom,
@@ -177,7 +177,7 @@ def test_homology_invariant_sweep():
         for n in (0, 1):
             direct = induced_map(gf, n)
             composed = induced_map(g, n).compose(induced_map(f, n))
-            assert direct.equal_hom(composed)
+            assert equal_hom(direct, composed)
     assert time.perf_counter() - t0 < 60.0
 
 
@@ -310,4 +310,4 @@ def test_structural_laws_cover_the_infinite_statements():
     g = polygon_wrap(12, 6)
     direct = induced_map(f.compose(g), 1)
     composed = induced_map(f, 1).compose(induced_map(g, 1))
-    assert direct.equal_hom(composed)
+    assert equal_hom(direct, composed)

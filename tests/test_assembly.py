@@ -188,23 +188,24 @@ def test_cech_report_in_a_negative_dimension_factors_nothing(smith_calls):
 # -- kept results across a tower ------------------------------------------
 
 
-def test_gallery_reports_make_a_fixed_number_of_factorizations(smith_calls):
+def test_gallery_reports_make_a_fixed_number_of_factorizations(smith_calls, echelon_forms):
     # Steenrod in dimensions 0 and 1, then Cech in 0 and 1, each on a fresh
-    # tower; warsaw's levels are one hexagon, whose results are factored once
+    # tower; warsaw's levels are one hexagon, whose results are factored
+    # once.  Each report's (Smith calls, Hermite forms)
     expected = {
-        "warsaw": ({"depth": 6}, [22, 9, 10, 10]),
-        "solenoid": ({"p": 2, "depth": 4}, [41, 31, 16, 16]),
-        "comb": ({"teeth": 4, "depth": 2}, [18, 16, 10, 9]),
-        "fence": ({"segments": 4, "depth": 2}, [20, 14, 8, 8]),
+        "warsaw": ({"depth": 6}, [(7, 16), (7, 16), (3, 7), (3, 7)]),
+        "solenoid": ({"p": 2, "depth": 4}, [(23, 23), (24, 17), (11, 5), (11, 5)]),
+        "comb": ({"teeth": 4, "depth": 2}, [(14, 7), (14, 8), (7, 3), (7, 2)]),
+        "fence": ({"segments": 4, "depth": 2}, [(14, 8), (12, 5), (6, 2), (6, 2)]),
     }
     for family, (params, counts) in expected.items():
         seen = []
         for report in (steenrod_report, cech_cohomology_report):
             for n in (0, 1):
                 tower = build_gallery(family, **params)
-                del smith_calls[:]
+                del smith_calls[:], echelon_forms[:]
                 report(tower, n)
-                seen.append(len(smith_calls))
+                seen.append((len(smith_calls), len(echelon_forms)))
         assert seen == counts, family
 
 

@@ -24,7 +24,7 @@ from towertop.abelian import FGAbelianGroup, IntegerMatrix, SmithDecomposition
 from towertop.cli import InputProblem, deserialize, main, serialize
 from towertop.compactohedral import build_gallery, fence_violation
 from towertop.nerve import BallCover, PointSample
-from towertop.simplicial import SimplicialMap
+from towertop.simplicial import MAX_SIMPLEXES, SimplicialComplex, SimplicialMap
 from towertop.tower import Certificate, ComplexTower
 
 SAMPLE = pathlib.Path(__file__).resolve().parent.parent / "sample"
@@ -455,6 +455,55 @@ def test_negative_free_rank_in_a_stable_core_exits_one_naming_the_field(tmp_path
             f"error: {doc}.payload.certificate.stable_core: free rank must be nonnegative\n"
         )
         assert "Traceback" not in proc.stderr
+
+
+def _envelope_file(path, kind, payload):
+    path.write_text(json.dumps({"format_version": "1", "kind": kind, "payload": payload}))
+    return str(path)
+
+
+def test_a_25_vertex_simplex_document_exits_one_at_once(tmp_path, monkeypatch):
+    # its closure would have 2^25 - 1 faces; n = 20 once took 5 s and 239 MB
+    def no_closure(*args, **kwargs):
+        raise AssertionError("a complex was closed")
+
+    monkeypatch.setattr(SimplicialComplex, "from_maximal", no_closure)
+    doc = _envelope_file(tmp_path / "simplex.complex", "complex", {"maximal": [list(range(25))]})
+    start = time.perf_counter()
+    code, out, err = run_cli(["homology", doc, "--dim", "0"])
+    assert time.perf_counter() - start < 1
+    assert (code, out) == (1, "")
+    assert err == (
+        f"error: {doc}.payload.maximal: these simplexes may close to more than "
+        f"{MAX_SIMPLEXES} faces\n"
+    )
+
+
+def test_the_face_budget_counts_distinct_vertex_sets(tmp_path):
+    # 2^16 - 1 faces fit; a repeated vertex or a repeated simplex adds none
+    doc = _envelope_file(
+        tmp_path / "sixteen.complex",
+        "complex",
+        {"maximal": [list(range(16)) + [0], list(range(15, -1, -1)), [0, 1]]},
+    )
+    assert run_cli(["homology", doc, "--dim", "0"]) == (0, "H_0 = Z\n", "")
+    two = {"maximal": [list(range(16)), list(range(1, 17))]}
+    doc = _envelope_file(tmp_path / "two.complex", "complex", two)
+    code, _, err = run_cli(["homology", doc, "--dim", "0"])
+    assert code == 1 and err.startswith(f"error: {doc}.payload.maximal: ")
+
+
+def test_a_nerve_past_the_face_budget_exits_one_naming_the_cover(tmp_path):
+    sample = _envelope_file(tmp_path / "two.sample", "point_sample", {"points": [[0, 0], [1, 0]]})
+    cover = _envelope_file(tmp_path / "balls.cover", "cover", {"elements": [[0, 5]] * 25})
+    start = time.perf_counter()
+    code, out, err = run_cli(["nerve", "--sample", sample, "--cover", cover])
+    assert time.perf_counter() - start < 1
+    assert (code, out) == (1, "")
+    assert err == (
+        f"error: {cover}.payload.elements: their nerve over {sample} may close to more than "
+        f"{MAX_SIMPLEXES} faces\n"
+    )
 
 
 def test_vertex_mapped_twice_exits_one_naming_the_pair(tmp_path):

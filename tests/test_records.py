@@ -15,9 +15,11 @@ import towertop
 from towertop.abelian import (
     FGAbelianGroup,
     GroupHom,
+    HermiteForm,
     IntegerMatrix,
     SmithDecomposition,
     _Record,
+    hermite_normal_form,
     smith_normal_form,
 )
 from towertop.assembly import CechReport, SESReport
@@ -66,6 +68,16 @@ RECORDS = {
         " d=IntegerMatrix([[2, 0], [0, 4]], ncols=2),"
         " v=IntegerMatrix([[1, -2], [0, 1]], ncols=2),"
         " vinv=IntegerMatrix([[1, 2], [0, 1]], ncols=2))",
+        True,
+        True,
+    ),
+    "HermiteForm": (
+        lambda: hermite_normal_form(IntegerMatrix([[2, 4], [3, 6]])),
+        "HermiteForm(matrix=IntegerMatrix([[2, 4], [3, 6]], ncols=2),"
+        " form=IntegerMatrix([[1, 2]], ncols=2),"
+        " pivots=(0,),"
+        " transform=IntegerMatrix([[-1, 1]], ncols=2),"
+        " kernel=IntegerMatrix([[3, -2]], ncols=2))",
         True,
         True,
     ),
@@ -259,6 +271,19 @@ class _ForgedSmith:
 def test_unpickling_a_smith_decomposition_verifies_it():
     with pytest.raises(AssertionError):
         pickle.loads(pickle.dumps(_ForgedSmith()))
+
+
+class _ForgedHermite:
+    """Pickles as a Hermite form whose one row is one entry off its recorded combination."""
+
+    def __reduce__(self):
+        h = hermite_normal_form(IntegerMatrix([[2, 4], [3, 6]]))
+        return HermiteForm, (h.matrix, IntegerMatrix([[1, 3]]), h.pivots, h.transform, h.kernel)
+
+
+def test_unpickling_a_hermite_form_verifies_it():
+    with pytest.raises(AssertionError):
+        pickle.loads(pickle.dumps(_ForgedHermite()))
 
 
 def test_only_the_record_constructor_assigns_past_the_frozen_setattr():

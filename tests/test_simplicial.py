@@ -62,6 +62,7 @@ from oracles import (
     dense_cycle_coordinates,
     dense_matvec,
     determinantal_invariant_factors,
+    equal_hom,
     inline_chain_map_rows,
     inline_simplex_order,
     matvec_induced_columns,
@@ -285,7 +286,7 @@ def test_induced_map_between_computed_ends_factors_nothing(smith_calls):
         expected = [
             induced_map(cold, n), induced_map(cold, n, reduced=True), induced_cohomology_map(cold, n)
         ]
-        assert all(h.equal_hom(e) for h, e in zip(homs, expected))
+        assert all(equal_hom(h, e) for h, e in zip(homs, expected))
 
 
 def test_kept_results_are_shared_and_read_only():
@@ -390,9 +391,11 @@ def test_torus_h1_and_comb_steenrod_h0_factor_the_pinned_matrices(smith_calls):
         2, "aff56c92417c276cac410dc942edbd01594845712ba5aec451c012d29be6ab02"
     )
     del smith_calls[:]
+    # the level homologies and the groups their images are read as; the
+    # image comparisons go through Hermite forms and factor nothing
     steenrod_report(build_gallery("comb", teeth=4, depth=2), 0)
     assert smith_digest(smith_calls) == (
-        18, "0a02085031ee97accb08f054ddaa7dbb1af63c7fdc0426017febade795844816"
+        14, "d5e906755b0caa77c7182a5d7cf47c383e9d6c24cf6c9c9392862a8a0650202d"
     )
 
 
@@ -421,7 +424,7 @@ def test_induced_functoriality_random():
         for n in range(0, 2):
             left = induced_map(gf, n)
             right = induced_map(g, n).compose(induced_map(f, n))
-            assert left.equal_hom(right)
+            assert equal_hom(left, right)
         done += 1
 
 
@@ -443,7 +446,7 @@ def test_contravariant_cohomology_functoriality():
         for n in range(0, 2):
             left = induced_cohomology_map(gf, n)
             right = induced_cohomology_map(f, n).compose(induced_cohomology_map(g, n))
-            assert left.equal_hom(right)
+            assert equal_hom(left, right)
         done += 1
 
 
@@ -458,7 +461,7 @@ def test_mapping_cylinder_degree_two():
     for n in range(0, 2):
         left = induced_map(src, n)
         right = induced_map(tgt, n).compose(induced_map(f, n))
-        assert left.equal_hom(right)
+        assert equal_hom(left, right)
 
 
 def test_mapping_cylinder_random_maps():
@@ -473,7 +476,7 @@ def test_mapping_cylinder_random_maps():
             assert induced_map(tgt, n).is_isomorphism()
             left = induced_map(src, n)
             right = induced_map(tgt, n).compose(induced_map(f, n))
-            assert left.equal_hom(right)
+            assert equal_hom(left, right)
         done += 1
 
 
@@ -493,7 +496,7 @@ def test_telescope_deep_level_realizes_composite_bond():
     composite = induced_map(tower.bonds[0], 1).compose(induced_map(tower.bonds[1], 1))
     left = induced_map(tele.level_embeddings[2], 1)
     right = induced_map(tele.level_embeddings[0], 1).compose(composite)
-    assert left.equal_hom(right)
+    assert equal_hom(left, right)
 
 
 def test_telescope_depth_zero_is_level_copy():

@@ -621,7 +621,7 @@ def test_read_and_unread_not_stable_compare_equal():
     assert unread == read
 
 
-def test_lim1_then_lim_on_one_tower_shares_factorizations(smith_calls):
+def test_lim1_then_lim_on_one_tower_shares_factorizations(smith_calls, echelon_forms):
     bonds = [
         [[2, 1, 0], [-1, 3, 2], [0, 1, -2]],
         [[1, -2, 3], [2, 0, 1], [-3, 1, 1]],
@@ -629,12 +629,15 @@ def test_lim1_then_lim_on_one_tower_shares_factorizations(smith_calls):
     ]
     data = (3, tower_relations([[4, -7, 2], [0, 6, 9]], bonds), bonds)
     (first, _), (second, _), (shared, _) = [dense_sequences(data) for _ in range(3)]
-    del smith_calls[:]
+    del smith_calls[:], echelon_forms[:]
     apart = lim1_class(first), tower_lim(second)
-    separate = len(smith_calls)
-    del smith_calls[:]
+    separate = len(smith_calls), len(echelon_forms)
+    del smith_calls[:], echelon_forms[:]
     together = lim1_class(shared), tower_lim(shared)
-    assert len(smith_calls) < separate
+    # the image chains are compared by Hermite forms, which the shared
+    # tower builds once; no group is factored either way
+    assert (len(smith_calls), len(echelon_forms)) == (0, 9)
+    assert separate == (0, 16)
     assert together == apart
 
 
@@ -650,48 +653,52 @@ def fixed_dense_sequences():
     return dense_sequences((5, tower_relations(relations, bonds), bonds))
 
 
-def test_dense_tower_analyses_make_a_fixed_number_of_factorizations(smith_calls):
+def test_dense_tower_analyses_make_a_fixed_number_of_factorizations(smith_calls, echelon_forms):
     # the analyses the benchmark's group towers run, on one fixed tower of
     # five generators and four bonds: a count, not a clock, so a return of
     # repeated factorizations fails here on any host
     tower, system = fixed_dense_sequences()
-    del smith_calls[:]
+    del smith_calls[:], echelon_forms[:]
     lim1, lim, colim = lim1_class(tower), tower_lim(tower), colim_direct_system(system)
     assert lim1.verdict == "Zero"
     assert isinstance(lim, NotStable) and isinstance(colim, NotFinitelyStable)
-    assert len(smith_calls) == 11
+    assert (len(smith_calls), len(echelon_forms)) == (2, 9)
     # the NotStable factors the images it shows only when they are read
     lim.image_chains
-    assert len(smith_calls) == 29
+    assert (len(smith_calls), len(echelon_forms)) == (14, 15)
 
 
-def test_ml_status_builds_its_image_groups_on_first_read(smith_calls):
+def test_ml_status_builds_its_image_groups_on_first_read(smith_calls, echelon_forms):
     tower, _ = fixed_dense_sequences()
-    del smith_calls[:]
+    del smith_calls[:], echelon_forms[:]
     status = ml_status(tower, 0)
-    # the verdict's own factorizations only: no image is turned into a group
-    assert len(smith_calls) == 2
+    # the verdict's own Hermite forms only: no image is turned into a group
+    assert (len(smith_calls), len(echelon_forms)) == (0, 2)
     # deeper analyses extend the tower's chains; the status still shows
     # the images it observed, as a fresh tower's does
     lim1_class(tower), tower_lim(tower), ml_status(tower, 1)
-    del smith_calls[:]
+    del smith_calls[:], echelon_forms[:]
     late = status.image_chain
-    assert len(smith_calls) == 7
+    assert (len(smith_calls), len(echelon_forms)) == (4, 3)
     fresh = ml_status(fixed_dense_sequences()[0], 0)
     assert status == fresh
     assert [g.invariants for g in late] == [g.invariants for g in fresh.image_chain] == [(2, ())] * 5
 
 
-def test_certified_analyses_make_a_fixed_number_of_factorizations(smith_calls):
+def test_certified_analyses_make_a_fixed_number_of_factorizations(smith_calls, echelon_forms):
     # a periodic tower's period map and its stable image are built once per
-    # place in the period and shared by every level and by tower_lim
-    expected = {"doubling": 14, "diag": 16, "period-two": 20, "rank-drop": 12, "torsion": 8}
+    # place in the period and shared by every level and by tower_lim;
+    # (Smith calls, Hermite forms) per fixture
+    expected = {
+        "doubling": (3, 14), "diag": (3, 16), "period-two": (3, 19), "rank-drop": (2, 13),
+        "torsion": (2, 6),
+    }
     counts = {}
     for name in expected:
         tower, _ = certified_fixture(name)
-        del smith_calls[:]
+        del smith_calls[:], echelon_forms[:]
         lim1_class(tower), tower_lim(tower)
-        counts[name] = len(smith_calls)
+        counts[name] = (len(smith_calls), len(echelon_forms))
     assert counts == expected
 
 
