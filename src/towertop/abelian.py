@@ -1042,12 +1042,6 @@ class Subgroup:
         rows = self._hermite_form().form.rows if n else ()
         return len(rows) == n and all(row[i] == 1 for i, row in enumerate(rows))
 
-    def image_under(self, hom: GroupHom) -> "Subgroup":
-        if hom.source != self.group:
-            raise ValueError("hom source does not match subgroup ambient group")
-        gens = IntegerMatrix._derived(self.generators, self.group.canonical_ngens)
-        return Subgroup(hom.target, (gens * hom.canonical_matrix().transpose()).rows)
-
     def as_group(self) -> FGAbelianGroup:
         """The subgroup itself as an abstract group (canonicalized)."""
         if self._as_group is None:

@@ -349,7 +349,7 @@ def boundary_matrix(k: SimplicialComplex, n: int) -> IntegerMatrix:
             face = s[:i] + s[i + 1 :]
             if face:
                 out[index[face]][j] += (-1) ** i
-    return IntegerMatrix(out, ncols=len(cols))
+    return IntegerMatrix._derived(tuple(map(tuple, out)), len(cols))
 
 
 def augmentation_matrix(k: SimplicialComplex) -> IntegerMatrix:
@@ -504,7 +504,7 @@ def chain_map_matrix(f: SimplicialMap, n: int) -> IntegerMatrix:
         inversions = sum(a > b for i, a in enumerate(ranks) for b in ranks[i + 1 :])
         target_simplex = tuple(sorted(images, key=rank.__getitem__))
         out[index[target_simplex]][j] += (-1) ** inversions
-    return IntegerMatrix(out, ncols=len(src))
+    return IntegerMatrix._derived(tuple(map(tuple, out)), len(src))
 
 
 def _induced_between(

@@ -19,17 +19,24 @@ the truncation.
 
 The image chain at a level is the descending sequence of images of the
 composite bonds from deeper and deeper stages: entry k is the image of
-the k-fold composite, with entry 0 the full group.  A tower keeps each
-chain it builds, so ``ml_status``, ``lim1_class`` and ``stable_lim`` on
-one tower share the same subgroups and reduce each of them to its
-Hermite form once; comparing two images compares their forms.  A
+the k-fold composite, with entry 0 the full group.  Composites are
+never built as homs: a composite's canonical matrix is the product of
+its factors' canonical matrices with the target's torsion rows reduced
+(each factor carries its source's relations into its target's), so
+image chains, period powers and carry-downs multiply canonical
+matrices, and every product is checked where it is made
+(``_composed``).  A tower keeps each chain it builds, so
+``ml_status``, ``lim1_class`` and ``stable_lim`` on one tower share
+the same subgroups and reduce each of them to its Hermite form once;
+comparing two images compares their forms.  A
 ``NotStable`` holds the chains it was given and an ``MLStatus`` its
 chain; each reads the isomorphism types through those subgroups,
 which keep them, so nothing is factored until they are read and
 nothing twice.
 """
 
-from typing import List, Optional, Tuple, Union
+from itertools import islice
+from typing import Iterator, List, Optional, Tuple, Union
 
 from .abelian import (
     FGAbelianGroup,
@@ -152,9 +159,10 @@ class _GroupSequence:
 class GroupTower(_GroupSequence):
     """Inverse sequence of finitely generated abelian groups.
 
-    Each level's image chain and the composite of bonds behind its
-    deepest entry are kept once built (see ``_image_chain``), and so is
-    a periodic certificate's period map with its stable image (see
+    Each level's image chain and, in ``_composites``, the canonical
+    matrix of the composite of bonds behind its deepest entry are kept
+    once built (see ``_image_chain``), and so is a periodic
+    certificate's period map with its stable image (see
     ``_kept_period_image``), so analyses of one tower share their
     subgroups and the Hermite forms and groups those subgroups keep.
     """
@@ -284,6 +292,28 @@ class ColimResult(_Record):
 # -- image chains -------------------------------------------------------
 
 
+def _composed(
+    target: FGAbelianGroup, outer: IntegerMatrix, inner: IntegerMatrix, source: FGAbelianGroup
+) -> IntegerMatrix:
+    """Canonical matrix of a composite from the canonical matrices of its two factors.
+
+    ``inner`` maps ``source`` into a middle group and ``outer`` maps
+    that group into ``target``; the composite's canonical matrix is
+    their product with the target's torsion rows reduced.  The product
+    is checked to carry the source's relations into the target's: each
+    torsion column times its order must have zero free entries and
+    torsion entries divisible by the target's invariants.  A failure
+    raises AssertionError (not ``assert``, so the check survives -O).
+    """
+    product = target._reduced(outer * inner)
+    f = target.free_rank
+    for j, order in enumerate(source.torsion, source.free_rank):
+        column = [row[j] * order for row in product.rows]
+        if any(column[:f]) or any(c % t for c, t in zip(column[f:], target.torsion)):
+            raise AssertionError("composite does not carry source relations into target relations")
+    return product
+
+
 def _image_chain(tower: GroupTower, level: int, depth: int) -> List[Subgroup]:
     """Images in levels[level] of the composites of 0..depth bonds below it.
 
@@ -291,16 +321,23 @@ def _image_chain(tower: GroupTower, level: int, depth: int) -> List[Subgroup]:
     built; a shorter window gets a prefix of the same subgroups.  The
     prefix is a new list, so a ``NotStable`` holding it reads the chain
     as it was observed however far later calls extend the tower's.
+    Entry 1 is the first bond's own image; each deeper composite is the
+    kept canonical matrix times the next bond's (``_composed``), and
+    its image is spanned by the columns of that matrix.
     """
     chain = tower._chains[level]
+    group = tower.levels[level]
     if chain is None:
-        chain = tower._chains[level] = [Subgroup.full(tower.levels[level])]
+        chain = tower._chains[level] = [Subgroup.full(group)]
     while len(chain) <= depth:
         k = len(chain) - 1
         b = tower.bonds[level + k]
-        comp = b if k == 0 else tower._composites[level].compose(b)
-        tower._composites[level] = comp
-        image = comp.image_subgroup()
+        if k == 0:
+            running, image = b.canonical_matrix(), b.image_subgroup()
+        else:
+            running = _composed(group, tower._composites[level], b.canonical_matrix(), b.source)
+            image = Subgroup(group, running.transpose().rows)
+        tower._composites[level] = running
         # an image on the very same generators is the same subgroup:
         # keep the earlier object and the Hermite form and group it holds
         chain.append(chain[-1] if image.generators == chain[-1].generators else image)
@@ -335,22 +372,35 @@ def _period_endo(seq: _GroupSequence, cert: Certificate, base: int) -> GroupHom:
     return GroupHom(model, model, prod)
 
 
+def _power_images(endo: GroupHom) -> Iterator[Subgroup]:
+    """Images of ``endo``, ``endo``², … in turn, each power made only when asked for.
+
+    The first is the endomorphism's own image; each further power is
+    its canonical matrix times the previous power's (``_composed``).
+    """
+    group = endo.source
+    step = power = endo.canonical_matrix()
+    yield endo.image_subgroup()
+    while True:
+        power = _composed(group, step, power, group)
+        yield Subgroup(group, power.transpose().rows)
+
+
 def _stable_endo_image(endo: GroupHom) -> Tuple[Subgroup, bool]:
     """The last image of iterated ``endo`` and whether it repeated.
 
     An image chain of a single endomorphism cannot pause and then drop
     (a repeat propagates forever), so a repeated image is the limit;
     absence of a repeat within the iteration bound rules one out, and
-    the image returned is then that of the deepest power computed.
+    the image returned is then that of the deepest power computed.  The
+    powers are products of canonical matrices (``_power_images``), made
+    one at a time until the chain repeats or the bound is reached.
     """
     prev = Subgroup.full(endo.source)
-    power = endo
-    for _ in range(_iteration_bound(endo.source)):
-        cur = power.image_subgroup()
+    for cur in islice(_power_images(endo), _iteration_bound(endo.source)):
         if cur.equals(prev):
             return prev, True
         prev = cur
-        power = endo.compose(power)
     return prev, False
 
 
@@ -371,18 +421,24 @@ def _kept_period_image(tower: GroupTower, base: int) -> Tuple[GroupHom, Subgroup
 
 
 def _periodic_stable_image(tower: GroupTower, level: int, cert: Certificate) -> Optional[Subgroup]:
-    """Certified eventual image at ``level``, or None when images keep falling."""
+    """Certified eventual image at ``level``, or None when images keep falling.
+
+    The stable image of the period map at ``base`` (the first level of
+    the pattern at or below ``level``) is carried down to ``level`` by
+    the canonical matrix of the bonds between them (``_composed``).
+    """
     base = max(level, cert.offset)
     _, stable, repeated = _kept_period_image(tower, base)
     if not repeated:
         return None
-    carried = Subgroup(tower.levels[base], stable.generators)
+    group = tower.levels[level]
     if base == level:
-        return carried
-    down = tower.bonds[level]
-    for j in range(level + 1, base):
-        down = down.compose(tower.bonds[j])
-    return carried.image_under(down)
+        return Subgroup(group, stable.generators)
+    down = tower.bonds[level].canonical_matrix()
+    for b in tower.bonds[level + 1 : base]:
+        down = _composed(group, down, b.canonical_matrix(), b.source)
+    gens = IntegerMatrix._derived(stable.generators, down.ncols)
+    return Subgroup(group, (gens * down.transpose()).rows)
 
 
 def _ml_verdict(tower: GroupTower, level: int, window: int) -> Tuple[str, Optional[int], str]:

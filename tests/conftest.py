@@ -32,6 +32,26 @@ def smith_calls(monkeypatch):
 
 
 @pytest.fixture
+def hom_calls(monkeypatch):
+    """One name per ``GroupHom`` construction (``"GroupHom"``) or ``compose`` call while the test runs."""
+    calls = []
+    hom = towertop.abelian.GroupHom
+    real_init, real_compose = hom.__init__, hom.compose
+
+    def counting_init(self, *args, **kwargs):
+        calls.append("GroupHom")
+        real_init(self, *args, **kwargs)
+
+    def counting_compose(self, inner):
+        calls.append("compose")
+        return real_compose(self, inner)
+
+    monkeypatch.setattr(hom, "__init__", counting_init)
+    monkeypatch.setattr(hom, "compose", counting_compose)
+    return calls
+
+
+@pytest.fixture
 def echelon_forms(monkeypatch):
     """The matrices given to ``hermite_normal_form`` while the test runs, in order."""
     calls = []

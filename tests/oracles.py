@@ -1,7 +1,9 @@
 """Independent oracles used to cross-check the exact linear algebra.
 
 Apart from ``refactored_cycle_coordinates``,
-``dense_cycle_coordinates``, the Smith-based subgroup routines,
+``dense_cycle_coordinates``, the Smith-based subgroup routines, the
+composite-hom image routines (``image_under`` and the ``composed_*``
+references for tower analyses),
 ``stacked_kernel_subgroup``, ``full_decomposition_coordinates``,
 ``inline_simplex_order`` and ``inline_chain_map_rows`` (which take only
 the label order) and the two-closure telescopes, nothing in here
@@ -535,6 +537,59 @@ def equal_hom(f, g) -> bool:
     """Whether two homs between identically presented groups agree on elements."""
     same_ends = f.source == g.source and f.target == g.target
     return same_ends and f.canonical_matrix() == g.canonical_matrix()
+
+
+def image_under(sub, hom):
+    """The image of subgroup ``sub`` under ``hom``: its generator rows times the
+    transposed canonical matrix of ``hom``, one product."""
+    from towertop.abelian import IntegerMatrix, Subgroup
+
+    assert hom.source == sub.group, "hom source does not match subgroup ambient group"
+    gens = IntegerMatrix._derived(sub.generators, sub.group.canonical_ngens)
+    return Subgroup(hom.target, (gens * hom.canonical_matrix().transpose()).rows)
+
+
+def composed_image_chain(tower, level: int, depth: int) -> list:
+    """Generator tuples of the images of 0..depth bonds below ``level``, by composite homs.
+
+    The reference for ``tower._image_chain``: each composite is a
+    ``GroupHom`` that ``compose`` builds from the bonds' presentation
+    matrices, so its constructor checks it, and each image is read off
+    the composite's own canonical matrix.
+    """
+    from towertop.abelian import Subgroup
+
+    chain = [Subgroup.full(tower.levels[level]).generators]
+    composite = None
+    for bond in tower.bonds[level : level + depth]:
+        composite = bond if composite is None else composite.compose(bond)
+        chain.append(composite.image_subgroup().generators)
+    return chain
+
+
+def composed_endo_images(endo, count: int) -> list:
+    """Generator tuples of the images of ``endo``, ``endo``², …, ``endo``^count, by composite homs.
+
+    The reference for ``tower._power_images``: each power is
+    ``endo.compose`` of the previous one.
+    """
+    images, power = [], endo
+    for _ in range(count):
+        images.append(power.image_subgroup().generators)
+        power = endo.compose(power)
+    return images
+
+
+def composed_carry_down(tower, level: int, base: int, sub):
+    """The image in ``level`` of a subgroup of level ``base`` under the bonds between them.
+
+    The reference for the carry-down in ``tower._periodic_stable_image``:
+    the bonds ``compose`` into one hom, which ``image_under`` applies.
+    """
+    down = tower.bonds[level]
+    for bond in tower.bonds[level + 1 : base]:
+        down = down.compose(bond)
+    return image_under(sub, down)
 
 
 def columnwise_canonical_matrix(hom) -> list:

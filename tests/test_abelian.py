@@ -37,6 +37,7 @@ from oracles import (
     equal_hom,
     from_canonical,
     full_decomposition_coordinates,
+    image_under,
     relationwise_well_defined,
     smith_as_group_invariants,
     smith_contains,
@@ -748,7 +749,7 @@ def test_image_subgroups_match_per_generator_pushes(f, data):
     vector = st.lists(st.integers(-5, 5), min_size=n, max_size=n)
     sub = Subgroup(f.source, data.draw(st.lists(vector, max_size=3)))
     expected = Subgroup(f.target, [apply_canonical(f, g) for g in sub.generators])
-    assert sub.image_under(f).generators == expected.generators
+    assert image_under(sub, f).generators == expected.generators
 
 
 # -- subgroups by Hermite form against the Smith-based oracle --

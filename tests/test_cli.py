@@ -602,7 +602,9 @@ def test_out_of_memory_exits_four_with_one_line(monkeypatch):
     def exhausted(*args, **kwargs):
         raise MemoryError
 
+    # package-built matrices skip the public constructor: both ways fail
     monkeypatch.setattr(IntegerMatrix, "__init__", exhausted)
+    monkeypatch.setattr(IntegerMatrix, "_derived", exhausted)
     code, out, err = run_cli(["homology", path("torus.complex"), "--dim", "1"])
     assert (code, out, err) == (4, "", "error: out of memory\n")
 

@@ -720,6 +720,37 @@ def test_rank_order_matches_the_label_key_order(f):
         assert chain_map_matrix(f, n).rows == expected
 
 
+def coerced(matrix):
+    """``matrix`` rebuilt through the public constructor, which coerces every entry."""
+    return IntegerMatrix([list(row) for row in matrix.rows], ncols=matrix.ncols)
+
+
+def is_tuple_of_int_rows(matrix) -> bool:
+    rows = matrix.rows
+    return type(rows) is tuple and all(type(r) is tuple and all(type(x) is int for x in r) for r in rows)
+
+
+def test_boundary_matrices_equal_the_coercing_construction():
+    # boundary matrices skip the public constructor's coercion; their
+    # rows must be what it would have built
+    rng = random.Random(4321)
+    for _ in range(40):
+        k = random_complex(rng)
+        for n in range(k.dimension() + 2):
+            m = boundary_matrix(k, n)
+            assert is_tuple_of_int_rows(m) and m == coerced(m)
+            assert m.nrows == len(k.n_simplexes(n - 1)) and m.ncols == len(k.n_simplexes(n))
+
+
+@given(mixed_label_maps())
+def test_chain_map_matrices_equal_the_coercing_construction(f):
+    for n in range(f.source.dimension() + 2):
+        m = chain_map_matrix(f, n)
+        expected = inline_chain_map_rows(f.source.simplexes, f.target.simplexes, f.vertex_map, n)
+        assert is_tuple_of_int_rows(m) and m == coerced(m)
+        assert m == IntegerMatrix(expected, ncols=len(f.source.n_simplexes(n)))
+
+
 def test_reduced_h0_of_a_200_gon_keeps_under_a_megabyte_and_a_half():
     # the result's group is trivial on 199 cycle generators: a group that
     # kept its whole relation factorization (two 199 x 199 and two

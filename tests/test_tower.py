@@ -1,6 +1,8 @@
 """Tower analysis: image chains, derived-limit class, exact limits."""
 
 import random
+from itertools import islice
+from math import gcd
 
 import pytest
 from hypothesis import assume, given, settings
@@ -9,6 +11,12 @@ from hypothesis import strategies as st
 from towertop.abelian import FGAbelianGroup, GroupHom, IntegerMatrix, Subgroup
 from towertop.polynomial import charpoly, factor, unit_part_degree
 from towertop.tower import (
+    _image_chain,
+    _iteration_bound,
+    _kept_period_image,
+    _period_endo,
+    _periodic_stable_image,
+    _power_images,
     Certificate,
     ColimResult,
     ComplexTower,
@@ -29,7 +37,7 @@ from towertop.tower import (
 )
 
 from generators import circle_power_tower, constant_tower, hollow_triangle
-from oracles import bareiss_det
+from oracles import bareiss_det, composed_carry_down, composed_endo_images, composed_image_chain
 
 
 Z = FGAbelianGroup.free(1)
@@ -700,6 +708,177 @@ def test_certified_analyses_make_a_fixed_number_of_factorizations(smith_calls, e
         lim1_class(tower), tower_lim(tower)
         counts[name] = (len(smith_calls), len(echelon_forms))
     assert counts == expected
+
+
+def test_dense_tower_analyses_compose_no_homs(hom_calls):
+    # composites live in canonical coordinates: the only homs the analyses
+    # build are the restricted bonds stable_lim checks and the period maps
+    tower, system = fixed_dense_sequences()
+    del hom_calls[:]
+    lim1, lim, _ = lim1_class(tower), tower_lim(tower), colim_direct_system(system)
+    # every chain stabilizes; the first restricted bond is not an isomorphism
+    assert lim1.verdict == "Zero" and lim.reason.startswith("the bond does not carry")
+    assert hom_calls == ["GroupHom"]
+    counts = {}
+    for name in CERTIFIED:
+        tower, system = certified_fixture(name)
+        del hom_calls[:]
+        lim1_class(tower), tower_lim(tower), colim_direct_system(system)
+        counts[name] = (hom_calls.count("GroupHom"), hom_calls.count("compose"))
+    assert counts == {
+        "doubling": (2, 0), "diag": (2, 0), "period-two": (3, 0), "rank-drop": (2, 0),
+        "torsion": (2, 0), "shift-family": (0, 0),
+    }
+    # four levels whose chains repeat at once: stable_lim restricts the two
+    # bonds between the three stable images it compares
+    eye = [[int(i == j) for j in range(3)] for i in range(3)]
+    tower, _ = dense_sequences((3, tower_relations([[2, 0, 0]], [eye] * 3), [eye] * 3))
+    del hom_calls[:]
+    assert tower_lim(tower).invariants == (2, (2,))
+    assert hom_calls == ["GroupHom"] * 2
+
+
+# -- composites in canonical coordinates against composite homs --------------
+
+
+@st.composite
+def diagonal_endos(draw):
+    """An endomorphism of Z^n / diag(m), well defined by construction.
+
+    Entry (r, i) is a multiple of m_r / gcd(m_r, m_i), so the image of
+    m_i e_i lies in m_r Z in every row; a torsion generator never
+    reaches a free one.
+    """
+    n = draw(st.integers(1, 3))
+    m = draw(st.lists(st.sampled_from((0, 2, 3, 4, 6)), min_size=n, max_size=n))
+    matrix = []
+    for r in range(n):
+        row = []
+        for i in range(n):
+            x = draw(st.integers(-3, 3))
+            if m[r]:
+                row.append(x * (m[r] // gcd(m[r], m[i])))
+            else:
+                row.append(0 if m[i] else x)
+        matrix.append(row)
+    rels = [[m[i] * (i == j) for j in range(n)] for i in range(n) if m[i]]
+    g = FGAbelianGroup(n, IntegerMatrix(rels, ncols=n))
+    return GroupHom(g, g, IntegerMatrix(matrix, ncols=n))
+
+
+@st.composite
+def periodic_tail_data(draw):
+    """``dense_tower_data`` continued by a certified periodic tail of free groups.
+
+    The tail is Z^n at every level with bonds E_1..E_p repeating, joined
+    to the deepest dense level by an arbitrary C (a free source makes
+    every matrix a hom), so levels above the offset carry the stable
+    image down through dense bonds.
+    """
+    n, rels, bonds = draw(dense_tower_data())
+    join = st.lists(st.lists(st.integers(-3, 3), min_size=n, max_size=n), min_size=n, max_size=n)
+    # small entries make unimodular and nilpotent parts common, so the
+    # period map's images often repeat and get carried down
+    tail = st.lists(st.lists(st.integers(-1, 1), min_size=n, max_size=n), min_size=n, max_size=n)
+    period = draw(st.integers(1, 2))
+    return n, rels, bonds, draw(join), draw(st.lists(tail, min_size=period, max_size=period))
+
+
+def periodic_tail_tower(data):
+    n, rels, bonds, join, tail = data
+    levels = [FGAbelianGroup(n, IntegerMatrix(r, ncols=n)) for r in rels]
+    free = FGAbelianGroup.free(n)
+    homs = [hom(levels[i + 1], levels[i], a) for i, a in enumerate(bonds)]
+    homs.append(hom(free, levels[-1], join))
+    offset = len(levels)
+    periodic = [hom(free, free, e) for e in tail]
+    homs += periodic + periodic[:1]
+    levels += [free] * (len(tail) + 2)
+    return GroupTower(levels, homs, Certificate("periodic", offset=offset, period=len(tail)))
+
+
+def check_chains_match_composite_homs(build):
+    tower = build()
+    for level in range(len(tower.bonds)):
+        for depth in range(1, len(tower.bonds) - level + 1):
+            chain = [s.generators for s in _image_chain(tower, level, depth)]
+            assert chain == composed_image_chain(build(), level, depth), (level, depth)
+
+
+def check_periodic_images_match_composite_homs(build):
+    tower = build()
+    cert = tower.certificate
+    for level in range(len(tower.levels)):
+        base = max(level, cert.offset)
+        ours = _periodic_stable_image(tower, level, cert)
+        fresh = build()
+        _, stable, repeated = _kept_period_image(fresh, base)
+        if not repeated:
+            assert ours is None
+            continue
+        carried = Subgroup(fresh.levels[base], stable.generators)
+        expected = carried if base == level else composed_carry_down(fresh, level, base, carried)
+        assert ours.generators == expected.generators, level
+
+
+@settings(max_examples=60)
+@given(dense_tower_data())
+def test_image_chains_match_composite_homs(data):
+    check_chains_match_composite_homs(lambda: dense_sequences(data)[0])
+
+
+@settings(max_examples=40)
+@given(periodic_tail_data())
+def test_periodic_tails_match_composite_homs(data):
+    check_chains_match_composite_homs(lambda: periodic_tail_tower(data))
+    check_periodic_images_match_composite_homs(lambda: periodic_tail_tower(data))
+    tower = periodic_tail_tower(data)
+    endo = _period_endo(tower, tower.certificate, tower.certificate.offset)
+    count = _iteration_bound(endo.source)
+    assert [s.generators for s in islice(_power_images(endo), count)] == composed_endo_images(endo, count)
+
+
+@pytest.mark.parametrize("name", CERTIFIED)
+def test_certified_fixtures_match_composite_homs(name):
+    check_chains_match_composite_homs(lambda: certified_fixture(name)[0])
+    if name != "shift-family":
+        check_periodic_images_match_composite_homs(lambda: certified_fixture(name)[0])
+    for endo in set(certified_fixture(name)[0].bonds):
+        count = _iteration_bound(endo.source)
+        ours = [s.generators for s in islice(_power_images(endo), count)]
+        assert ours == composed_endo_images(endo, count)
+
+
+@settings(max_examples=80)
+@given(diagonal_endos())
+def test_endo_powers_match_composite_homs(endo):
+    count = _iteration_bound(endo.source)
+    ours = [s.generators for s in islice(_power_images(endo), count)]
+    assert ours == composed_endo_images(endo, count)
+
+
+def test_corrupted_bond_fails_the_composite_check():
+    # bond 1 is x -> 2x from Z/2 into Z/4; a kept canonical matrix of [1]
+    # would send the generator of order 2 to one of order 4
+    z4, z2 = FGAbelianGroup.from_invariants(0, (4,)), FGAbelianGroup.from_invariants(0, (2,))
+    status = ml_status(GroupTower([z4, z4, z2], [GroupHom.identity(z4), hom(z2, z4, [[2]])]), 0)
+    assert (status.verdict, status.index) == ("Stabilized", 0)
+    assert [g.invariants for g in status.image_chain] == [(0, (4,)), (0, (4,)), (0, (2,))]
+    tampered = GroupTower([z4, z4, z2], [GroupHom.identity(z4), hom(z2, z4, [[2]])])
+    tampered.bonds[1]._canonical = IntegerMatrix([[1]])
+    with pytest.raises(AssertionError, match="^composite does not carry source relations"):
+        ml_status(tampered, 0)
+
+
+def test_corrupted_period_map_fails_the_composite_check():
+    # on Z/2 + Z/4 the endomorphism sends e0 to 2 e1 and fixes e1; a kept
+    # canonical matrix sending e0 to e1 would give it order 4
+    g = FGAbelianGroup.from_invariants(0, (2, 4))
+    assert periodic_lim(g, GroupHom(g, g, IntegerMatrix([[0, 0], [2, 1]]))).invariants == (0, (4,))
+    endo = GroupHom(g, g, IntegerMatrix([[0, 0], [2, 1]]))
+    endo._canonical = IntegerMatrix([[0, 0], [1, 1]])
+    with pytest.raises(AssertionError, match="^composite does not carry source relations"):
+        periodic_lim(g, endo)
 
 
 @pytest.mark.parametrize("cls, name", [(GroupTower, "tower"), (DirectSystem, "direct system")])
