@@ -224,27 +224,54 @@ class IntegerMatrix:
         return f"IntegerMatrix({[list(r) for r in self.rows]!r}, ncols={self.ncols})"
 
 
+_IDENTITY_FAILED = "Smith decomposition identity U*M*V = D failed"
+
+
 class SmithDecomposition(_Record):
-    """Result of ``smith_normal_form``: U * M * V = D.
+    """Result of ``smith_normal_form``: U * M * V = D, with the one inverse its caller reads.
 
-    U and V are unimodular (built purely from elementary operations),
-    D is diagonal with nonnegative entries, every diagonal entry
-    divides the next, and zero entries trail.  ``uinv`` and ``vinv``
-    are the tracked inverses of U and V.
+    U and V are built purely from elementary operations, D is diagonal
+    with nonnegative entries, every diagonal entry divides the next,
+    and zero entries trail.  Exactly one of ``uinv`` and ``vinv`` is
+    kept and the other is None: each caller keeps the inverse it reads,
+    and construction proves exactly what that caller reads.  Both kinds
+    check the shapes first (U and U^-1 are m x m, V and V^-1 are n x n,
+    D is m x n for an m x n matrix M) and, last, that D is diagonal
+    with the sign, zero and divisibility conditions.  The rank r is the
+    number of nonzero diagonal entries d_i.
 
-    Construction re-verifies everything exactly: the shapes (U and
-    U^-1 are m x m, V and V^-1 are n x n, D is m x n for an m x n
-    matrix M), then V * V^-1 = I, U * M = D * V^-1, U * U^-1 = I, and
-    the diagonal, sign and divisibility conditions on D.  V is square,
-    so its one-sided inverse is two-sided, and U * M = D * V^-1 holds
-    exactly when U * M * V = D does: multiply either on the right by V
-    or by V^-1.  Every identity is checked one product row at a time
-    and no product matrix is kept: row i of V * V^-1 and of U * U^-1
-    must be the unit row e_i, and row i of U * M must be d_ii times
-    row i of V^-1 (the zero row from row min(m, n) on), which is row
-    i of D * V^-1 for a diagonal D; D's off-diagonal entries are
-    checked to be zero last.  A product row reads only the nonzero
-    entries of its two factors.
+    With ``uinv`` (a group's relation lattice) the identities are
+    U * U^-1 = I; for every i with d_i != 1, row i of U * M is
+    divisible by d_i, and zero where d_i = 0 or i >= min(m, n); and
+    M * v_j = d_j * (column j of U^-1) for j < r.  The first two put
+    every column of M in U^-1 * D * Z^n and the third puts U^-1 * D *
+    Z^n in M * Z^n, so M's columns span exactly U^-1 * D * Z^n: Z^m
+    modulo that lattice is the sum of the Z/d_i and of Z^(m - r), U
+    takes presentation coordinates to those, and U^-1's columns lift
+    them back.  Nothing proves V unimodular.
+
+    With ``vinv`` (a kernel and a cycle test) they are V * V^-1 = I;
+    row i of U * M equals d_i * (row i of V^-1) for i < r; and M * K =
+    0 for the columns K of V from r on.  The r checked rows are
+    independent, so M has rank at least r, and K's n - r independent
+    columns leave it at most r.  For an integer z with M * z = 0,
+    y = V^-1 * z has d_i * y_i = (U * M * z)_i = 0 for i < r, so z = K
+    * y[r:]: K is a saturated basis of ker M, and z is in ker M exactly
+    when the first r entries of V^-1 * z vanish.  Nothing proves U
+    unimodular, so the diagonal is not proven to be M's invariant
+    factors, and ``invariant_factors`` raises.
+
+    Each identity is checked one product row at a time and no product
+    matrix is kept; a product row reads only the nonzero entries of
+    its two factors.
+
+    >>> m = IntegerMatrix([[2, 4], [6, 8]])
+    >>> smith_normal_form(m, inverse="uinv").invariant_factors
+    (2, 4)
+    >>> smith_normal_form(m, inverse="vinv").invariant_factors
+    Traceback (most recent call last):
+    ...
+    AttributeError: only a decomposition that keeps uinv proves invariant factors
     """
 
     __slots__ = _fields = ("matrix", "u", "uinv", "d", "v", "vinv")
@@ -253,30 +280,26 @@ class SmithDecomposition(_Record):
         self,
         matrix: IntegerMatrix,
         u: IntegerMatrix,
-        uinv: IntegerMatrix,
+        uinv: Optional[IntegerMatrix],
         d: IntegerMatrix,
         v: IntegerMatrix,
-        vinv: IntegerMatrix,
+        vinv: Optional[IntegerMatrix],
     ):
         _Record.__init__(self, matrix, u, uinv, d, v, vinv)
+        if (uinv is None) == (vinv is None):
+            raise ValueError("a Smith decomposition keeps exactly one of uinv and vinv")
         m, n = matrix.nrows, matrix.ncols
         for name, factor, shape in (
             ("u", u, (m, m)), ("uinv", uinv, (m, m)), ("d", d, (m, n)),
             ("v", v, (n, n)), ("vinv", vinv, (n, n)),
         ):
-            if (factor.nrows, factor.ncols) != shape:
+            if factor is not None and (factor.nrows, factor.ncols) != shape:
                 raise AssertionError(f"Smith factor {name} has the wrong shape")
-        if not _rows_are_units(v.rows, _row_terms(vinv.rows), n):
-            raise AssertionError("tracked inverse of V is wrong")
         diag = self.diagonal()
-        terms = _row_terms(matrix.rows)
-        for i, row in enumerate(u.rows):
-            got = _product_row(row, terms, n)
-            di = diag[i] if i < len(diag) else 0
-            if (got != [di * x for x in vinv.rows[i]]) if di else any(got):
-                raise AssertionError("Smith decomposition identity U*M*V = D failed")
-        if not _rows_are_units(u.rows, _row_terms(uinv.rows), m):
-            raise AssertionError("tracked inverse of U is wrong")
+        if vinv is None:
+            self._check_lattice(diag, self.rank)
+        else:
+            self._check_kernel(diag, self.rank)
         for i, x in enumerate(diag):
             if x < 0:
                 raise AssertionError("negative entry on Smith diagonal")
@@ -291,6 +314,39 @@ class SmithDecomposition(_Record):
                 if i != j:
                     raise AssertionError("off-diagonal entry in Smith form")
 
+    def _check_lattice(self, diag: list, r: int) -> None:
+        """U * U^-1 = I, the rows of U * M in D * Z^n, and M * v_j = d_j * (column j of U^-1)."""
+        m, n = self.matrix.nrows, self.matrix.ncols
+        if not _rows_are_units(self.u.rows, _row_terms(self.uinv.rows), m):
+            raise AssertionError("tracked inverse of U is wrong")
+        terms = _row_terms(self.matrix.rows)
+        for i, row in enumerate(self.u.rows):
+            di = diag[i] if i < len(diag) else 0
+            if di != 1:
+                got = _product_row(row, terms, n)
+                if any(x % di for x in got) if di else any(got):
+                    raise AssertionError(_IDENTITY_FAILED)
+        if r:
+            v_terms = _row_terms(row[:r] for row in self.v.rows)
+            for row, lift in zip(self.matrix.rows, self.uinv.rows):
+                if _product_row(row, v_terms, r) != list(map(mul, diag, lift[:r])):
+                    raise AssertionError(_IDENTITY_FAILED)
+
+    def _check_kernel(self, diag: list, r: int) -> None:
+        """V * V^-1 = I, row i of U * M = d_i * (row i of V^-1) for i < r, and M * K = 0."""
+        n = self.matrix.ncols
+        vinv = self.vinv.rows
+        if not _rows_are_units(self.v.rows, _row_terms(vinv), n):
+            raise AssertionError("tracked inverse of V is wrong")
+        terms = _row_terms(self.matrix.rows)
+        for row, di, inverse_row in zip(self.u.rows[:r], diag, vinv):
+            if _product_row(row, terms, n) != [di * x for x in inverse_row]:
+                raise AssertionError(_IDENTITY_FAILED)
+        if r < n:
+            k_terms = _row_terms(row[r:] for row in self.v.rows)
+            if any(any(_product_row(row, k_terms, n - r)) for row in self.matrix.rows):
+                raise AssertionError(_IDENTITY_FAILED)
+
     def diagonal(self) -> list:
         return [self.d.rows[i][i] for i in range(min(self.d.nrows, self.d.ncols))]
 
@@ -300,6 +356,8 @@ class SmithDecomposition(_Record):
 
     @property
     def invariant_factors(self) -> tuple:
+        if self.uinv is None:
+            raise AttributeError("only a decomposition that keeps uinv proves invariant factors")
         return tuple(x for x in self.diagonal() if x != 0)
 
 
@@ -345,8 +403,14 @@ def _balanced_quotient(x: int, p: int) -> int:
     return q
 
 
-def smith_normal_form(matrix: IntegerMatrix) -> SmithDecomposition:
-    """Smith normal form over Z with unimodular transforms tracked.
+def smith_normal_form(matrix: IntegerMatrix, inverse: str) -> SmithDecomposition:
+    """Smith normal form over Z with U, V and the one inverse ``inverse`` tracked.
+
+    ``inverse`` is ``"uinv"`` for a caller that reads a relation
+    lattice through U and U^-1 (``FGAbelianGroup``) and ``"vinv"`` for
+    one that reads a kernel through V and V^-1 (homology).  The other
+    inverse is never built, updated or checked, and is None in the
+    result; ``SmithDecomposition`` says what each kind proves.
 
     Pivots are re-chosen by least absolute value after every reduction
     pass and remainders are balanced, so the pivot at least halves on
@@ -354,7 +418,8 @@ def smith_normal_form(matrix: IntegerMatrix) -> SmithDecomposition:
     torsion input U and V grow (up to 1045-bit entries on towers of
     4-6 generator presentations with relation entries in [-9, 9]), while
     on boundary matrices, whose pivots are nearly all units, they stay
-    at 1-2 bits.
+    at 1-2 bits.  The pivots and operations do not depend on
+    ``inverse``, so U, D and V are the same either way.
 
     The working matrix is kept by rows, U and V^-1 by rows and U^-1
     and V by columns, so a row operation on the matrix is a row
@@ -368,22 +433,26 @@ def smith_normal_form(matrix: IntegerMatrix) -> SmithDecomposition:
     operations of a dense elimination in the same order, minus the
     no-ops, with the same results.
 
-    >>> s = smith_normal_form(IntegerMatrix([[2, 4], [6, 8]]))
-    >>> s.invariant_factors
-    (2, 4)
-    >>> s = smith_normal_form(IntegerMatrix([[1, 0], [0, 1]]))
-    >>> s.diagonal()
-    [1, 1]
+    >>> s = smith_normal_form(IntegerMatrix([[2, 4], [6, 8]]), inverse="uinv")
+    >>> s.invariant_factors, s.vinv
+    ((2, 4), None)
+    >>> s = smith_normal_form(IntegerMatrix([[1, 1, 1]]), inverse="vinv")
+    >>> s.rank, s.v.columns()[s.rank:], s.uinv
+    (1, [(-1, 1, 0), (-1, 0, 1)], None)
     """
+    if inverse not in ("uinv", "vinv"):
+        raise ValueError(f"inverse must be 'uinv' or 'vinv', not {inverse!r}")
     m, n = matrix.nrows, matrix.ncols
     a = [list(row) for row in matrix.rows]
-    u, uinv = _identity_lists(m), _identity_lists(m)  # uinv by columns
-    v, vinv = _identity_lists(n), _identity_lists(n)  # v by columns
+    u, v = _identity_lists(m), _identity_lists(n)  # v by columns
+    uinv = _identity_lists(m) if inverse == "uinv" else None  # by columns
+    vinv = _identity_lists(n) if inverse == "vinv" else None
 
     def swap_rows(i, k):
         a[i], a[k] = a[k], a[i]
         u[i], u[k] = u[k], u[i]
-        uinv[i], uinv[k] = uinv[k], uinv[i]
+        if uinv is not None:
+            uinv[i], uinv[k] = uinv[k], uinv[i]
 
     def add_row(i, k, q):
         # row_i += q * row_k on a and u; col_k -= q * col_i on uinv
@@ -393,15 +462,17 @@ def smith_normal_form(matrix: IntegerMatrix) -> SmithDecomposition:
         dst, src = u[i], u[k]
         for j in compress(range(m), src):
             dst[j] += q * src[j]
-        dst, src = uinv[k], uinv[i]
-        for j in compress(range(m), src):
-            dst[j] -= q * src[j]
+        if uinv is not None:
+            dst, src = uinv[k], uinv[i]
+            for j in compress(range(m), src):
+                dst[j] -= q * src[j]
 
     def swap_cols(j, k):
         for row in a:
             row[j], row[k] = row[k], row[j]
         v[j], v[k] = v[k], v[j]
-        vinv[j], vinv[k] = vinv[k], vinv[j]
+        if vinv is not None:
+            vinv[j], vinv[k] = vinv[k], vinv[j]
 
     def add_col(j, k, q, rows):
         # col_j += q * col_k on a (``rows``: those with a nonzero in col_k)
@@ -411,9 +482,10 @@ def smith_normal_form(matrix: IntegerMatrix) -> SmithDecomposition:
         dst, src = v[j], v[k]
         for i in compress(range(n), src):
             dst[i] += q * src[i]
-        dst, src = vinv[k], vinv[j]
-        for i in compress(range(n), src):
-            dst[i] -= q * src[i]
+        if vinv is not None:
+            dst, src = vinv[k], vinv[j]
+            for i in compress(range(n), src):
+                dst[i] -= q * src[i]
 
     def min_entry(t):
         # first entry of least absolute value in row-major order; a unit
@@ -481,7 +553,8 @@ def smith_normal_form(matrix: IntegerMatrix) -> SmithDecomposition:
         if a[i][i] < 0:
             a[i] = [-x for x in a[i]]
             u[i] = [-x for x in u[i]]
-            uinv[i] = [-x for x in uinv[i]]
+            if uinv is not None:
+                uinv[i] = [-x for x in uinv[i]]
 
     def by_rows(rows, width):
         return IntegerMatrix._derived(tuple(map(tuple, rows)), width)
@@ -492,10 +565,10 @@ def smith_normal_form(matrix: IntegerMatrix) -> SmithDecomposition:
     return SmithDecomposition(
         matrix=matrix,
         u=by_rows(u, m),
-        uinv=by_columns(uinv, m),
+        uinv=None if uinv is None else by_columns(uinv, m),
         d=by_rows(a, n),
         v=by_columns(v, n),
-        vinv=by_rows(vinv, n),
+        vinv=None if vinv is None else by_rows(vinv, n),
     )
 
 
@@ -702,8 +775,13 @@ class FGAbelianGroup:
     The presentation is ``ngens`` generators subject to the rows of
     ``relations``.  Canonical form (free rank plus invariant-factor
     torsion list, each factor at least 2 and dividing the next) is
-    computed once from the Smith normal form of the transposed
-    relation matrix.  Of that factorization the group keeps only the
+    computed once from the Smith normal form U * M * V = D of the
+    transposed relation matrix M, factored keeping U^-1 and not V^-1.
+    Its check proves U * U^-1 = I, every column of M in U^-1 * D *
+    Z^n and every d_j * (column j of U^-1) in M * Z^n (see
+    ``SmithDecomposition``), so the relation lattice is exactly
+    U^-1 * D * Z^n: that gives the invariants, and U and U^-1 are the
+    coordinate maps.  Of that factorization the group keeps only the
     rows of U and the columns of U^-1 that carry a canonical
     coordinate, so elements move between presentation coordinates and
     canonical coordinates exactly, one product each way.  The columns
@@ -737,7 +815,7 @@ class FGAbelianGroup:
         # chain puts the units first, so torsion runs from ``first`` to the
         # rank; U's rows and U^-1's columns from there on are kept, free
         # ones first.
-        snf = smith_normal_form(relations.transpose())
+        snf = smith_normal_form(relations.transpose(), inverse="uinv")
         rank = snf.rank
         self.torsion = tuple(t for t in snf.invariant_factors if t > 1)
         self.free_rank = ngens - rank
@@ -857,12 +935,13 @@ class GroupHom:
     the check is the target's coordinate map times ``matrix`` times the
     transposed source relations, which must vanish, and the canonical
     matrix is that map times ``matrix`` times the source's ``lifts``.
-    The canonical matrix, the kernel and the image are computed on
-    first use and kept, so repeated injectivity and surjectivity tests
-    on one hom reduce the image's lattice once.
+    The check's first product is kept until the canonical matrix reads
+    it, so the two share it.  The canonical matrix, the kernel and the
+    image are computed on first use and kept, so repeated injectivity
+    and surjectivity tests on one hom reduce the image's lattice once.
     """
 
-    __slots__ = ("source", "target", "matrix", "_canonical", "_kernel", "_image")
+    __slots__ = ("source", "target", "matrix", "_pushed", "_canonical", "_kernel", "_image")
 
     def __init__(self, source: FGAbelianGroup, target: FGAbelianGroup, matrix: IntegerMatrix):
         if matrix.ncols != source.ngens or matrix.nrows != target.ngens:
@@ -870,13 +949,15 @@ class GroupHom:
         self.source = source
         self.target = target
         self.matrix = matrix
+        self._pushed = None
         self._canonical = None
         self._kernel = None
         self._image = None
         relations = source.relations
         if relations.rows:
-            images = target._to * matrix * relations.transpose()
-            if not target._reduced(images).is_zero():
+            # target._to * matrix is also the canonical matrix's first factor: keep it for that
+            self._pushed = target._to * matrix
+            if not target._reduced(self._pushed * relations.transpose()).is_zero():
                 raise ValueError("matrix does not carry source relations into target relations")
 
     @classmethod
@@ -902,7 +983,9 @@ class GroupHom:
         """Matrix in canonical coordinates (torsion rows reduced mod invariant)."""
         if self._canonical is None:
             target = self.target
-            self._canonical = target._reduced(target._to * self.matrix * self.source.lifts)
+            pushed = target._to * self.matrix if self._pushed is None else self._pushed
+            self._canonical = target._reduced(pushed * self.source.lifts)
+            self._pushed = None
         return self._canonical
 
     def compose(self, inner: "GroupHom") -> "GroupHom":

@@ -116,9 +116,10 @@ class SimplicialComplex:
     It keys its labels once: construction ranks every vertex in
     ``label_key`` order, and the simplexes, the vertices and the
     simplexes per dimension are sorted by those ranks, which is the
-    ``simplex_key`` order.  It keeps what it derives: its simplexes per
-    dimension, its vertices, and each ``homology`` and ``cohomology``
-    result built on it.
+    ``simplex_key`` order.  It keeps what it derives: its simplexes
+    grouped by dimension, each dimension sorted when first read, its
+    vertices, and each ``homology`` and ``cohomology`` result built on
+    it.
 
     >>> k = SimplicialComplex.from_maximal([("a", "b"), ("b", "c")])
     >>> sorted(k.vertices)
@@ -127,7 +128,7 @@ class SimplicialComplex:
     1
     """
 
-    __slots__ = ("simplexes", "_rank", "_by_dim", "_vertices", "_results")
+    __slots__ = ("simplexes", "_rank", "_unsorted", "_by_dim", "_vertices", "_results")
 
     def __init__(self, simplexes: Iterable[tuple]):
         simplexes = [tuple(s) for s in simplexes]
@@ -144,7 +145,8 @@ class SimplicialComplex:
     def _hold(self, simplexes: frozenset, rank: dict) -> None:
         self.simplexes = simplexes
         self._rank = rank
-        self._by_dim = None
+        self._unsorted = None
+        self._by_dim = {}
         self._vertices = None
         self._results = {}
 
@@ -175,15 +177,20 @@ class SimplicialComplex:
         return self._vertices
 
     def n_simplexes(self, n: int) -> list:
-        if self._by_dim is None:
-            by_dim: Dict[int, list] = {}
-            for s in self.simplexes:
-                by_dim.setdefault(len(s) - 1, []).append(s)
+        """The n-simplexes in ``simplex_key`` order.
+
+        The first call groups every simplex by dimension; a dimension is
+        sorted when it is first asked for, so reading a low skeleton does
+        not sort the simplexes above it.
+        """
+        if n not in self._by_dim:
+            if self._unsorted is None:
+                self._unsorted = {}
+                for s in self.simplexes:
+                    self._unsorted.setdefault(len(s) - 1, []).append(s)
             rank = self._rank.__getitem__
-            for lst in by_dim.values():
-                lst.sort(key=lambda s: tuple(map(rank, s)))
-            self._by_dim = by_dim
-        return list(self._by_dim.get(n, []))
+            self._by_dim[n] = sorted(self._unsorted.pop(n, ()), key=lambda s: tuple(map(rank, s)))
+        return list(self._by_dim[n])
 
     def ordered(self) -> list:
         """Every simplex in ``simplex_key`` order.
@@ -366,16 +373,29 @@ class HomologyResult(_Record):
     canonical generator, as a read-only map simplex -> coefficient.
     All of them are one product: the transposed ``group.lifts`` times
     the matrix whose rows are the cycle columns.
-    The cycle basis is the trailing columns of V in the Smith
+    The cycle basis is the trailing columns K of V in the Smith
     decomposition U * M * V = D of the outgoing map M (boundary,
     augmentation or transposed coboundary), each times its entry of
-    ``cycle_signs``.  Of that decomposition only V^-1 is kept, by
+    ``cycle_signs``.  That decomposition keeps V^-1 and not U^-1, and
+    its check proves V * V^-1 = I, row i of U * M = d_i * (row i of
+    V^-1) below the rank and M * K = 0 (see ``SmithDecomposition``):
+    so the rank is right, K is a saturated basis of the cycles, and a
+    chain is a cycle exactly when V^-1 takes it to zero in its first
+    rank entries, so ``cycle_coordinates`` returns None exactly for
+    non-cycles.  Of the decomposition the result keeps only V^-1, by
     columns in ``vinv_columns`` (column j as the (row, entry) pairs of
     its nonzero entries), so ``cycle_coordinates`` factors nothing and
     reads one column per nonzero entry of the chain; neither field
     takes part in equality or repr.  Results come from ``homology``
     and ``cohomology`` only, which keep them on the complex, so one
     result is shared by every caller that asks for it.
+
+    >>> circle = SimplicialComplex.from_maximal([(1, 2), (2, 3), (1, 3)])
+    >>> h = homology(circle, 1)
+    >>> h.basis, h.cycle_columns
+    (((1, 2), (1, 3), (2, 3)), ((1, -1, 1),))
+    >>> h.cycle_coordinates((2, -2, 2)), h.cycle_coordinates((1, 0, 0))
+    ((2,), None)
     """
 
     _fields = ("group", "representatives", "degree", "basis", "cycle_columns")
@@ -388,7 +408,8 @@ class HomologyResult(_Record):
 
 def _cycle_coordinates(vinv_columns, signs, chain) -> Optional[tuple]:
     # y = V^-1 * chain sums V^-1's columns at the chain's nonzero entries,
-    # sparse as they are; M * chain = U^-1 * D * y is zero iff y[:rank] is
+    # sparse as they are; the decomposition's check proves that the chain
+    # is a cycle iff y[:rank] is zero, and then it is K * y[rank:]
     if len(chain) != len(vinv_columns):
         raise ValueError("vector length mismatch")
     y: Dict[int, int] = {}
@@ -416,7 +437,7 @@ def _sparse_columns(m: IntegerMatrix) -> tuple:
 
 
 def _quotient_of_cycles(outgoing: IntegerMatrix, image_cols, degree: int, basis):
-    snf = smith_normal_form(outgoing)
+    snf = smith_normal_form(outgoing, inverse="vinv")
     vinv_columns = _sparse_columns(snf.vinv)
     cycle_cols, signs = [], []
     for col in list(zip(*snf.v.rows))[snf.rank :]:

@@ -22,9 +22,9 @@ def smith_calls(monkeypatch):
     calls = []
     real = towertop.abelian.smith_normal_form
 
-    def counting(matrix):
+    def counting(matrix, *args, **kwargs):
         calls.append(matrix)
-        return real(matrix)
+        return real(matrix, *args, **kwargs)
 
     for module in (towertop.abelian, towertop.simplicial):
         monkeypatch.setattr(module, "smith_normal_form", counting)

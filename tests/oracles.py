@@ -43,8 +43,9 @@ def dense_smith_normal_form(rows, ncols: int):
     """Smith normal form by dense elimination: the rows of U, U^-1, D, V, V^-1.
 
     The reference for ``smith_normal_form``, which performs the same
-    elementary operations in the same order but stores U^-1 and V by
-    columns and touches only nonzero entries: here every matrix is
+    elementary operations in the same order but tracks one of the two
+    inverses, stores U^-1 and V by columns and touches only nonzero
+    entries: here all four transforms are tracked, every matrix is
     stored by rows and every row and column operation walks every
     entry.  Pivots are the first entry of least absolute value in
     row-major order, remainders are balanced, a row that breaks the
@@ -136,36 +137,89 @@ def dense_smith_normal_form(rows, ncols: int):
     return u, uinv, a, v, vinv
 
 
-def dense_decomposition_holds(matrix, u, uinv, d, v, vinv, ncols: int) -> bool:
-    """Whether the row lists form a Smith decomposition of ``matrix``, by dense products.
+def _dense_shapes_hold(factors, shapes) -> bool:
+    return all(
+        len(factor) == height and all(len(row) == width for row in factor)
+        for factor, (height, width) in zip(factors, shapes)
+    )
 
-    The reference for ``SmithDecomposition``'s construction check,
-    which compares product rows one at a time and reads only nonzero
-    entries: here the shapes are compared, V * V^-1, U * M * V and
-    U * U^-1 are multiplied out in full, and D must be diagonal with
-    nonnegative entries, zeros trailing and each entry dividing the
-    next.  ``ncols`` is the width of ``matrix``.
-    """
-    m, n = len(matrix), ncols
-    for factor, (height, width) in (
-        (u, (m, m)), (uinv, (m, m)), (d, (m, n)), (v, (n, n)), (vinv, (n, n)),
-    ):
-        if len(factor) != height or any(len(row) != width for row in factor):
-            return False
 
-    def identity(k):
-        return [[int(i == j) for j in range(k)] for i in range(k)]
-
-    if dense_product(v, vinv, n) != identity(n) or dense_product(u, uinv, m) != identity(m):
-        return False
-    if dense_product(dense_product(u, matrix, n), v, n) != [list(row) for row in d]:
-        return False
+def _dense_diagonal_holds(d, m: int, n: int) -> bool:
+    """Whether ``d`` is diagonal with nonnegative entries, zeros trailing and each entry dividing the next."""
     if any(d[i][j] for i in range(m) for j in range(n) if i != j):
         return False
     diag = [d[i][i] for i in range(min(m, n))]
     return all(x >= 0 for x in diag) and all(
         (nxt == 0) if x == 0 else nxt % x == 0 for x, nxt in zip(diag, diag[1:])
     )
+
+
+def _identity(k: int):
+    return [[int(i == j) for j in range(k)] for i in range(k)]
+
+
+def dense_decomposition_holds(matrix, u, uinv, d, v, vinv, ncols: int) -> bool:
+    """Whether the row lists form a whole Smith decomposition of ``matrix``, by dense products.
+
+    The four-factor check, which no caller of ``smith_normal_form``
+    needs: here the shapes are compared, V * V^-1, U * M * V and
+    U * U^-1 are multiplied out in full, and D must be diagonal with
+    nonnegative entries, zeros trailing and each entry dividing the
+    next.  The factors of the two kinds of decomposition of one matrix
+    must pass it together.  ``ncols`` is the width of ``matrix``.
+    """
+    m, n = len(matrix), ncols
+    if not _dense_shapes_hold((u, uinv, d, v, vinv), ((m, m), (m, m), (m, n), (n, n), (n, n))):
+        return False
+    if dense_product(v, vinv, n) != _identity(n) or dense_product(u, uinv, m) != _identity(m):
+        return False
+    if dense_product(dense_product(u, matrix, n), v, n) != [list(row) for row in d]:
+        return False
+    return _dense_diagonal_holds(d, m, n)
+
+
+def dense_kept_decomposition_holds(matrix, u, uinv, d, v, vinv, ncols: int) -> bool:
+    """Whether the row lists pass the check of a decomposition keeping one inverse, by dense products.
+
+    The reference for ``SmithDecomposition``'s construction check,
+    which reads only nonzero entries, one product row at a time, skips
+    the rows of U * M that a unit d_i makes divisible and cuts the
+    products of the kernel kind to the rank: here exactly one of
+    ``uinv`` and ``vinv`` must be None, every product is multiplied out
+    in full, and with r the number of nonzero d_i,
+
+    * keeping U^-1: U * U^-1 = I, row i of U * M is divisible by d_i
+      (zero where d_i = 0 or i >= min(m, n)), and column j of M * V is
+      d_j times column j of U^-1 for j < r;
+    * keeping V^-1: V * V^-1 = I, row i of U * M is d_i times row i of
+      V^-1 for i < r, and the columns of M * V from r on are zero;
+
+    and D must pass the diagonal conditions of ``dense_decomposition_holds``.
+    """
+    m, n = len(matrix), ncols
+    if (uinv is None) == (vinv is None):
+        return False
+    kept, shape = (uinv, (m, m)) if vinv is None else (vinv, (n, n))
+    if not _dense_shapes_hold((u, kept, d, v), ((m, m), shape, (m, n), (n, n))):
+        return False
+    diag = [d[i][i] for i in range(min(m, n))] + [0] * (m - min(m, n))
+    r = sum(1 for x in diag if x)
+    um, mv = dense_product(u, matrix, n), dense_product(matrix, v, n)
+    if vinv is None:
+        if dense_product(u, uinv, m) != _identity(m):
+            return False
+        if any(any(x % di for x in row) if di else any(row) for row, di in zip(um, diag)):
+            return False
+        if any(mv[i][j] != diag[j] * uinv[i][j] for i in range(m) for j in range(r)):
+            return False
+    else:
+        if dense_product(v, vinv, n) != _identity(n):
+            return False
+        if any(um[i] != [diag[i] * x for x in vinv[i]] for i in range(r)):
+            return False
+        if any(mv[i][j] for i in range(m) for j in range(r, n)):
+            return False
+    return _dense_diagonal_holds(d, m, n)
 
 
 def bareiss_rank(rows) -> int:
@@ -314,7 +368,7 @@ def refactored_cycle_coordinates(cycle_columns, chain):
     from towertop.abelian import IntegerMatrix, smith_normal_form
 
     cycles = IntegerMatrix.from_columns(cycle_columns, nrows=len(chain))
-    return smith_solve(smith_normal_form(cycles), chain)
+    return smith_solve(smith_normal_form(cycles, inverse="uinv"), chain)
 
 
 def dense_cycle_coordinates(outgoing, cycle_columns):
@@ -330,7 +384,7 @@ def dense_cycle_coordinates(outgoing, cycle_columns):
     """
     from towertop.abelian import smith_normal_form
 
-    snf = smith_normal_form(outgoing)
+    snf = smith_normal_form(outgoing, inverse="vinv")
     rank = snf.rank
     signs = [
         1 if snf.v.column(rank + t) == tuple(col) else -1 for t, col in enumerate(cycle_columns)
@@ -355,7 +409,7 @@ def dense_cycle_coordinates(outgoing, cycle_columns):
 
 
 def _smith_diagonal_solution(snf, b):
-    """The w with D * w = U * b, or None when it is not integral."""
+    """The w with D * w = U * b, or None when it is not integral; ``snf`` keeps U^-1."""
     c = dense_matvec(snf.u.rows, b)
     diag = snf.diagonal()
     w = [0] * snf.matrix.ncols
@@ -372,28 +426,29 @@ def _smith_diagonal_solution(snf, b):
 
 
 def smith_solve(snf, b):
-    """One integer solution x of snf.matrix * x = b, or None when unsolvable."""
+    """One integer solution x of snf.matrix * x = b, or None when unsolvable; ``snf`` keeps U^-1."""
     w = _smith_diagonal_solution(snf, b)
     return None if w is None else tuple(dense_matvec(snf.v.rows, w))
 
 
 def smith_kernel_basis(snf) -> list:
-    """V's columns from the rank on: a basis of the integer kernel of ``snf.matrix``."""
+    """V's columns from the rank on: a basis of the integer kernel of ``snf.matrix``; ``snf`` keeps V^-1."""
     return [snf.v.column(j) for j in range(snf.rank, snf.matrix.ncols)]
 
 
-def smith_subgroup_solver(sub):
-    """Smith decomposition of [generators | relation columns] of a subgroup."""
+def smith_subgroup_solver(sub, inverse: str):
+    """Smith decomposition of [generators | relation columns] of a subgroup, keeping ``inverse``."""
     from towertop.abelian import IntegerMatrix, smith_normal_form
 
     cols = list(sub.generators) + sub.group.canonical_relation_columns()
-    return smith_normal_form(IntegerMatrix.from_columns(cols, nrows=sub.group.canonical_ngens))
+    stacked = IntegerMatrix.from_columns(cols, nrows=sub.group.canonical_ngens)
+    return smith_normal_form(stacked, inverse=inverse)
 
 
 def smith_contains(sub, y) -> bool:
     """Whether canonical coordinates ``y`` lie in the subgroup ``sub``."""
     y = sub.group.reduce_canonical(y)
-    return not any(y) or _smith_diagonal_solution(smith_subgroup_solver(sub), y) is not None
+    return not any(y) or _smith_diagonal_solution(smith_subgroup_solver(sub, "uinv"), y) is not None
 
 
 def smith_coordinates(sub, y):
@@ -402,7 +457,7 @@ def smith_coordinates(sub, y):
     k = len(sub.generators)
     if not any(y):
         return (0,) * k
-    x = smith_solve(smith_subgroup_solver(sub), y)
+    x = smith_solve(smith_subgroup_solver(sub, "uinv"), y)
     return None if x is None else tuple(x[:k])
 
 
@@ -421,7 +476,7 @@ def smith_as_group_invariants(sub) -> tuple:
     from towertop.abelian import FGAbelianGroup, IntegerMatrix
 
     k = len(sub.generators)
-    rows = [col[:k] for col in smith_kernel_basis(smith_subgroup_solver(sub))]
+    rows = [col[:k] for col in smith_kernel_basis(smith_subgroup_solver(sub, "vinv"))]
     return FGAbelianGroup(k, IntegerMatrix(rows, ncols=k)).invariants
 
 
@@ -440,7 +495,7 @@ def smith_kernel_subgroup(hom):
     nonzero = [j for j in range(n) if any(columns[j])]
     gens = [_unit(n, j) for j in range(n) if not any(columns[j])]
     if nonzero:
-        for col in smith_kernel_basis(smith_subgroup_solver(hom.image_subgroup())):
+        for col in smith_kernel_basis(smith_subgroup_solver(hom.image_subgroup(), "vinv")):
             g = [0] * n
             for j, c in zip(nonzero, col):
                 g[j] = c
@@ -464,7 +519,7 @@ def stacked_kernel_subgroup(hom):
         IntegerMatrix.from_columns(rel_cols, nrows=hom.target.canonical_ngens)
     )
     n = hom.source.canonical_ngens
-    gens = [tuple(col[:n]) for col in smith_kernel_basis(smith_normal_form(stacked))]
+    gens = [tuple(col[:n]) for col in smith_kernel_basis(smith_normal_form(stacked, inverse="vinv"))]
     return Subgroup(hom.source, gens + hom.source.canonical_relation_columns())
 
 
@@ -480,7 +535,7 @@ def full_decomposition_coordinates(relations):
     """
     from towertop.abelian import smith_normal_form
 
-    snf = smith_normal_form(relations.transpose())
+    snf = smith_normal_form(relations.transpose(), inverse="uinv")
     diag, rank, ngens = snf.diagonal(), snf.rank, relations.ncols
     torsion_positions = [i for i in range(rank) if diag[i] > 1]
     positions = list(range(rank, ngens)) + torsion_positions

@@ -30,6 +30,7 @@ from oracles import (
     columnwise_canonical_matrix,
     columnwise_from_canonical,
     dense_decomposition_holds,
+    dense_kept_decomposition_holds,
     dense_matvec,
     dense_product,
     dense_smith_normal_form,
@@ -91,37 +92,42 @@ def random_matrix(rng, max_dim=6, bound=9):
     )
 
 
+KINDS = ("uinv", "vinv")  # the inverse a decomposition keeps: a group's, homology's
+
+
 def test_smith_hand_case_gcd_structure():
     # entries have gcd 2; the single 2x2 minor is -8, so factors are (2, 4)
-    s = smith_normal_form(IntegerMatrix([[2, 4], [6, 8]]))
+    s = smith_normal_form(IntegerMatrix([[2, 4], [6, 8]]), inverse="uinv")
     assert s.invariant_factors == (2, 4)
     assert determinantal_invariant_factors([[2, 4], [6, 8]]) == [2, 4]
 
 
 def test_smith_zero_and_identity():
-    s = smith_normal_form(IntegerMatrix.zeros(3, 2))
-    assert s.rank == 0
-    s = smith_normal_form(IntegerMatrix.identity(4))
-    assert s.invariant_factors == (1, 1, 1, 1)
+    for kind in KINDS:
+        assert smith_normal_form(IntegerMatrix.zeros(3, 2), inverse=kind).rank == 0
+        assert smith_normal_form(IntegerMatrix.identity(4), inverse=kind).diagonal() == [1] * 4
+    assert smith_normal_form(IntegerMatrix.identity(4), inverse="uinv").invariant_factors == (1, 1, 1, 1)
 
 
 def test_smith_empty_shapes():
-    s = smith_normal_form(IntegerMatrix([], ncols=3))
-    assert s.rank == 0 and s.d.ncols == 3
-    s = smith_normal_form(IntegerMatrix([[], [], []], ncols=0))
-    assert s.rank == 0 and s.d.nrows == 3
+    for kind in KINDS:
+        s = smith_normal_form(IntegerMatrix([], ncols=3), inverse=kind)
+        assert s.rank == 0 and s.d.ncols == 3
+        s = smith_normal_form(IntegerMatrix([[], [], []], ncols=0), inverse=kind)
+        assert s.rank == 0 and s.d.nrows == 3
 
 
 def test_smith_properties_random():
     rng = random.Random(20240817)
     for _ in range(200):
         m = random_matrix(rng)
-        s = smith_normal_form(m)
-        # identity U*M*V = D is re-verified inside the constructor;
-        # cross-check rank and unimodularity with independent oracles
-        assert s.rank == bareiss_rank(m.rows)
-        assert abs(bareiss_det(s.u.rows)) == 1
-        assert abs(bareiss_det(s.v.rows)) == 1
+        for kind in KINDS:
+            s = smith_normal_form(m, inverse=kind)
+            # each kind's identities are re-verified inside the constructor;
+            # cross-check rank and unimodularity with independent oracles
+            assert s.rank == bareiss_rank(m.rows)
+            assert abs(bareiss_det(s.u.rows)) == 1
+            assert abs(bareiss_det(s.v.rows)) == 1
 
 
 def pinned_smith_inputs():
@@ -143,16 +149,28 @@ def pinned_smith_inputs():
     return out
 
 
-# sha256 of the reprs of every decomposition of ``pinned_smith_inputs``,
-# all six fields each: the elimination's pivots, operations and their
-# order, and so every transform it returns, stay exactly as they were
+# sha256 of the reprs of a whole decomposition of each of
+# ``pinned_smith_inputs``, all six fields, the two inverses taken from the
+# two kinds: the elimination's pivots, operations and their order, and so
+# every transform it returns, stay exactly as they were when one
+# decomposition tracked all four transforms
 PINNED_SMITH_DIGEST = "8efd85c31964a1da15c6c44908307d75cca8d71efd13662002fe574b4d76fcf3"
+
+
+def whole_decomposition_repr(m) -> str:
+    """The repr a decomposition keeping both inverses would have, from the two kinds."""
+    g, h = (smith_normal_form(m, inverse=kind) for kind in KINDS)
+    assert (g.u, g.d, g.v) == (h.u, h.d, h.v) and g.vinv is None and h.uinv is None
+    return (
+        f"SmithDecomposition(matrix={m!r}, u={g.u!r}, uinv={g.uinv!r},"
+        f" d={g.d!r}, v={g.v!r}, vinv={h.vinv!r})"
+    )
 
 
 def test_smith_decompositions_are_pinned():
     digest = hashlib.sha256()
     for m in pinned_smith_inputs():
-        digest.update(repr(smith_normal_form(m)).encode())
+        digest.update(whole_decomposition_repr(m).encode())
     assert digest.hexdigest() == PINNED_SMITH_DIGEST
 
 
@@ -163,7 +181,7 @@ def test_smith_matches_determinantal_divisors_small():
         width = len(rows[0])
         for _ in range(rng.randint(0, 3)):
             rows.append([rng.randint(-6, 6) for _ in range(width)])
-        s = smith_normal_form(IntegerMatrix(rows))
+        s = smith_normal_form(IntegerMatrix(rows), inverse="uinv")
         assert list(s.invariant_factors) == determinantal_invariant_factors(rows)
 
 
@@ -192,42 +210,110 @@ def test_matvec_matches_dense_reference(pair):
 
 @given(matrices(st.integers(0, 4), st.integers(0, 4)))
 def test_smith_invariant_factors_match_determinantal_divisors(m):
-    assert list(smith_normal_form(m).invariant_factors) == determinantal_invariant_factors(m.rows)
+    got = smith_normal_form(m, inverse="uinv").invariant_factors
+    assert list(got) == determinantal_invariant_factors(m.rows)
 
 
-@given(
-    matrices(st.integers(1, 5), st.integers(1, 5)),
-    st.sampled_from(("u", "uinv", "d", "v", "vinv")),
-    st.data(),
-)
-def test_tampered_decomposition_is_rejected(m, field, data):
-    # one wrong entry anywhere must break U*M*V = D, U*U^-1 = I or V*V^-1 = I
-    s = smith_normal_form(m)
-    target = getattr(s, field)
-    i = data.draw(st.integers(0, target.nrows - 1))
-    j = data.draw(st.integers(0, target.ncols - 1))
-    rows = [list(r) for r in target.rows]
-    rows[i][j] += data.draw(st.integers(-3, 3).filter(bool))
-    factors = {name: getattr(s, name) for name in ("matrix", "u", "uinv", "d", "v", "vinv")}
-    factors[field] = IntegerMatrix(rows, ncols=target.ncols)
-    with pytest.raises(AssertionError):
-        SmithDecomposition(**factors)
+def test_smith_rejects_an_unknown_inverse_and_a_record_with_both_or_neither():
+    m = IntegerMatrix([[2, 4], [6, 8]])
+    with pytest.raises(ValueError):
+        smith_normal_form(m, inverse="u")
+    g, h = (smith_normal_form(m, inverse=kind) for kind in KINDS)
+    for uinv, vinv in ((g.uinv, h.vinv), (None, None)):
+        with pytest.raises(ValueError):
+            SmithDecomposition(m, g.u, uinv, g.d, g.v, vinv)
 
 
-# -- the sparse elimination and its row-by-row check against dense references --
+def test_only_a_decomposition_keeping_uinv_exposes_invariant_factors():
+    # the kernel kind proves the rank, not that its diagonal is M's invariants
+    h = smith_normal_form(IntegerMatrix([[2, 4], [6, 8]]), inverse="vinv")
+    assert (h.rank, h.diagonal()) == (2, [2, 4])
+    with pytest.raises(AttributeError, match="uinv"):
+        h.invariant_factors
+
+
+def test_groups_never_build_vinv_and_homology_never_builds_uinv(monkeypatch):
+    import towertop.abelian as abelian
+    import towertop.simplicial as simplicial
+    from towertop.simplicial import SimplicialComplex, homology
+
+    built, kinds = [], []
+    real_identity, real_smith = abelian._identity_lists, abelian.smith_normal_form
+
+    def identity(n):
+        built.append(n)
+        return real_identity(n)
+
+    def smith(matrix, *args, **kwargs):
+        s = real_smith(matrix, *args, **kwargs)
+        kinds.append(("uinv" if s.vinv is None else "vinv", s.matrix.nrows, s.matrix.ncols))
+        return s
+
+    monkeypatch.setattr(abelian, "_identity_lists", identity)
+    for module in (abelian, simplicial):
+        monkeypatch.setattr(module, "smith_normal_form", smith)
+    # three generators, two relations: M = R^T is 3 x 2, so U and U^-1 are 3 x 3 and V is 2 x 2
+    FGAbelianGroup(3, IntegerMatrix([[2, 0, 0], [0, 4, 2]]))
+    assert kinds == [("uinv", 3, 2)] and sorted(built) == [2, 3, 3]
+    del built[:], kinds[:]
+    # H_1 of two hollow triangles on a shared edge: the 4 x 5 boundary map
+    # keeps V and V^-1, the 2 x 0 transposed relations of its two cycles U and U^-1
+    k = SimplicialComplex.from_maximal([(1, 2), (2, 3), (1, 3), (2, 4), (3, 4)])
+    homology(k, 1)
+    assert kinds == [("vinv", 4, 5), ("uinv", 2, 0)]
+    assert sorted(built[:3]) == [4, 5, 5] and sorted(built[3:]) == [0, 2, 2]
+
+
+# -- the sparse elimination and its row-by-row checks against dense references --
 
 FACTORS = ("u", "uinv", "d", "v", "vinv")
 FIELDS = ("matrix",) + FACTORS
 
 
+def read_entries(s) -> list:
+    """The (field, row, column) entries of ``s`` that its kind of caller reads.
+
+    A group reads D's diagonal, U's rows and U^-1's columns from the
+    first non-unit diagonal position on; homology reads D's diagonal
+    (the rank), V's columns from the rank on (the kernel K) and V^-1.
+    """
+    m, n = s.matrix.nrows, s.matrix.ncols
+    entries = [("d", i, i) for i in range(min(m, n))]
+    if s.vinv is None:
+        first = s.diagonal().count(1)
+        entries += [("u", i, j) for i in range(first, m) for j in range(m)]
+        entries += [("uinv", i, j) for i in range(m) for j in range(first, m)]
+    else:
+        entries += [("v", i, j) for i in range(n) for j in range(s.rank, n)]
+        entries += [("vinv", i, j) for i in range(n) for j in range(n)]
+    return entries
+
+
+@given(matrices(st.integers(1, 5), st.integers(1, 5)), st.sampled_from(KINDS), st.data())
+def test_tampered_decomposition_is_rejected(m, kind, data):
+    # one wrong entry that the kind's caller reads must break one of its identities
+    s = smith_normal_form(m, inverse=kind)
+    field, i, j = data.draw(st.sampled_from(read_entries(s)))
+    delta = data.draw(st.integers(-3, 3).filter(bool))
+    with pytest.raises(AssertionError):
+        SmithDecomposition(**tampered(s, field, i, j, delta))
+
+
 def assert_matches_the_dense_elimination(m):
-    s = smith_normal_form(m)
+    """Each kind keeps the dense elimination's factors, and the two kinds' factors form a whole decomposition."""
     h, w = m.nrows, m.ncols
     shapes = ((h, h), (h, h), (h, w), (w, w), (w, w))
-    factors = [getattr(s, name) for name in FACTORS]
-    got = [(f.nrows, f.ncols, [list(r) for r in f.rows]) for f in factors]
-    want = dense_smith_normal_form(m.rows, w)
-    assert got == [shape + (rows,) for shape, rows in zip(shapes, want)]
+    want = [shape + (rows,) for shape, rows in zip(shapes, dense_smith_normal_form(m.rows, w))]
+    kept = {}
+    for kind in KINDS:
+        s = smith_normal_form(m, inverse=kind)
+        assert getattr(s, "vinv" if kind == "uinv" else "uinv") is None
+        for name, reference in zip(FACTORS, want):
+            factor = getattr(s, name)
+            if factor is not None:
+                assert (factor.nrows, factor.ncols, [list(r) for r in factor.rows]) == reference
+                kept[name] = factor.rows
+    assert dense_decomposition_holds(m.rows, *(kept[name] for name in FACTORS), w)
 
 
 def complex_matrices(k):
@@ -252,6 +338,11 @@ def test_smith_matches_the_dense_elimination(m):
     assert_matches_the_dense_elimination(m)
 
 
+def test_kept_factors_match_the_dense_elimination_on_the_pinned_inputs():
+    for m in pinned_smith_inputs():
+        assert_matches_the_dense_elimination(m)
+
+
 @given(st.randoms(use_true_random=False))
 def test_smith_matches_the_dense_elimination_on_complexes(rng):
     for m in complex_matrices(random_complex(rng, max_vertices=9, max_cells=12, max_card=5)):
@@ -265,14 +356,15 @@ def test_smith_matches_the_dense_elimination_on_a_grid_torus():
         assert_matches_the_dense_elimination(m)
 
 
-@given(st.randoms(use_true_random=False), st.data())
-def test_tampered_sparse_decomposition_is_rejected_exactly_when_the_dense_check_fails(rng, data):
+@given(st.randoms(use_true_random=False), st.sampled_from(KINDS), st.data())
+def test_tampered_sparse_decomposition_is_rejected_exactly_when_the_dense_check_fails(rng, kind, data):
     k = random_complex(rng, max_vertices=7, max_cells=8)
     m = boundary_matrix(k, data.draw(st.integers(1, max(1, k.dimension()))))
     if data.draw(st.booleans()):
         m = m.transpose()
-    s = smith_normal_form(m)
-    nonempty = [name for name in FIELDS if getattr(s, name).nrows and getattr(s, name).ncols]
+    s = smith_normal_form(m, inverse=kind)
+    kept = [name for name in FIELDS if getattr(s, name) is not None]
+    nonempty = [name for name in kept if getattr(s, name).nrows and getattr(s, name).ncols]
     field = data.draw(st.sampled_from(nonempty))
     target = getattr(s, field)
     # one entry, zero or not (D's off-diagonal zeros among them): a zero
@@ -281,11 +373,9 @@ def test_tampered_sparse_decomposition_is_rejected_exactly_when_the_dense_check_
     cells = [(i, j) for i in range(target.nrows) for j in range(target.ncols)]
     pool = [(i, j) for i, j in cells if (target.rows[i][j] == 0) == zero] or cells
     i, j = data.draw(st.sampled_from(pool))
-    rows = [list(r) for r in target.rows]
-    rows[i][j] += data.draw(st.integers(-3, 3))  # 0 leaves the decomposition whole
-    factors = {name: getattr(s, name) for name in FIELDS}
-    factors[field] = IntegerMatrix(rows, ncols=target.ncols)
-    if dense_decomposition_holds(*(factors[f].rows for f in FIELDS), m.ncols):
+    factors = tampered(s, field, i, j, data.draw(st.integers(-3, 3)))  # 0 leaves it whole
+    rows = {name: None if f is None else f.rows for name, f in factors.items()}
+    if dense_kept_decomposition_holds(*(rows[f] for f in FIELDS), m.ncols):
         SmithDecomposition(**factors)
     else:
         with pytest.raises(AssertionError):
@@ -294,29 +384,22 @@ def test_tampered_sparse_decomposition_is_rejected_exactly_when_the_dense_check_
 
 @pytest.mark.parametrize("transpose", [False, True])
 def test_every_one_entry_tamper_of_a_boundary_decomposition_is_rejected(transpose):
-    # 9 x 27 and 27 x 9: in the tall one, the rows of U * M from the
-    # ninth on must be zero, and only they see a tamper in M's rows
-    # that no pivot reads
+    # 9 x 27 and 27 x 9, both kinds: every entry that the kind's caller
+    # reads, moved by one, must break one of the kind's identities
     m = boundary_matrix(grid_torus(3), 1)
     m = m.transpose() if transpose else m
-    s = smith_normal_form(m)
-    for field in FIELDS:
-        target = getattr(s, field)
-        for i in range(target.nrows):
-            for j in range(target.ncols):
-                rows = list(target.rows)
-                rows[i] = rows[i][:j] + (rows[i][j] + 1,) + rows[i][j + 1 :]
-                factors = {name: getattr(s, name) for name in FIELDS}
-                factors[field] = IntegerMatrix(rows, ncols=target.ncols)
-                with pytest.raises(AssertionError):
-                    SmithDecomposition(**factors)
+    for kind in KINDS:
+        s = smith_normal_form(m, inverse=kind)
+        for field, i, j in read_entries(s):
+            with pytest.raises(AssertionError):
+                SmithDecomposition(**tampered(s, field, i, j))
 
 
 def test_solve_and_kernel():
     m = IntegerMatrix([[2, 0], [0, 3]])
-    assert smith_solve(smith_normal_form(m), (4, 9)) == (2, 3)
-    assert smith_solve(smith_normal_form(m), (1, 0)) is None
-    k = smith_kernel_basis(smith_normal_form(IntegerMatrix([[1, 1, 1]])))
+    assert smith_solve(smith_normal_form(m, inverse="uinv"), (4, 9)) == (2, 3)
+    assert smith_solve(smith_normal_form(m, inverse="uinv"), (1, 0)) is None
+    k = smith_kernel_basis(smith_normal_form(IntegerMatrix([[1, 1, 1]]), inverse="vinv"))
     assert len(k) == 2
     for col in k:
         assert sum(col) == 0
@@ -330,7 +413,7 @@ def test_solve_random_consistency():
             continue
         x = tuple(rng.randint(-4, 4) for _ in range(m.ncols))
         b = m.matvec(x)
-        got = smith_solve(smith_normal_form(m), b)
+        got = smith_solve(smith_normal_form(m, inverse="uinv"), b)
         assert got is not None
         assert m.matvec(got) == b
 
@@ -339,7 +422,7 @@ def test_kernel_random_spans_kernel():
     rng = random.Random(8)
     for _ in range(100):
         m = random_matrix(rng, max_dim=5, bound=5)
-        cols = smith_kernel_basis(smith_normal_form(m))
+        cols = smith_kernel_basis(smith_normal_form(m, inverse="vinv"))
         for c in cols:
             assert all(v == 0 for v in m.matvec(c))
         assert len(cols) == m.ncols - bareiss_rank(m.rows)
@@ -429,6 +512,27 @@ def test_hom_well_definedness_enforced():
     with pytest.raises(ValueError):
         GroupHom(z2, z, IntegerMatrix([[1]]))  # 2x = 0 must map to 0
     GroupHom(z2, z, IntegerMatrix([[0]]))  # zero map is the only choice
+
+
+def test_canonical_matrix_shares_the_well_definedness_checks_first_product(monkeypatch):
+    products = []
+    real = IntegerMatrix.__mul__
+
+    def counting(self, other):
+        products.append((self, other))
+        return real(self, other)
+
+    monkeypatch.setattr(IntegerMatrix, "__mul__", counting)
+    z4 = FGAbelianGroup(2, IntegerMatrix([[4, 0], [1, -1]]))
+    z2 = FGAbelianGroup.from_invariants(0, (2,))
+    f = GroupHom(z4, z2, IntegerMatrix([[1, 1]]))
+    assert len(products) == 2  # target._to * matrix, then that times the relations
+    pushed = products[1][0]
+    del products[:]
+    assert f.canonical_matrix().rows == ((1,),)
+    assert len(products) == 1 and products[0][0] is pushed
+    f.canonical_matrix()
+    assert len(products) == 1
 
 
 def test_hom_composition_on_torsion():

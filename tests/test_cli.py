@@ -570,8 +570,8 @@ def test_failed_self_check_exits_three_with_one_line(monkeypatch):
 
     real = simplicial.smith_normal_form
 
-    def off_by_one(matrix):
-        s = real(matrix)
+    def off_by_one(matrix, *args, **kwargs):
+        s = real(matrix, *args, **kwargs)
         d = IntegerMatrix([[x + 1 for x in r] for r in s.d.rows], ncols=s.d.ncols)
         return SmithDecomposition(s.matrix, s.u, s.uinv, d, s.v, s.vinv)
 
