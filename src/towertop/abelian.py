@@ -14,8 +14,10 @@ objects are
 The Smith decomposition canonicalizes presentations and, in
 ``simplicial``, computes homology.  A subgroup is a lattice in
 canonical coordinates, and its Hermite normal form, which is unique,
-decides membership, containment and equality, writes an element over
-the generators and gives the relations among them.
+decides membership, containment and equality and gives the relations
+among the generators.  Finitely generated abelian groups are Hopfian,
+so a homomorphism is an isomorphism exactly when its two ends have the
+same invariants and its image is the whole target.
 """
 
 from __future__ import annotations
@@ -145,30 +147,6 @@ class IntegerMatrix:
     def identity(cls, n: int) -> "IntegerMatrix":
         return cls([[1 if i == j else 0 for j in range(n)] for i in range(n)], ncols=n)
 
-    @classmethod
-    def zeros(cls, m: int, n: int) -> "IntegerMatrix":
-        if m < 0:
-            raise ValueError("matrix sizes must be nonnegative")
-        return cls([[0] * n for _ in range(m)], ncols=n)
-
-    @classmethod
-    def from_columns(cls, cols: Sequence[Sequence[int]], nrows: Optional[int] = None) -> "IntegerMatrix":
-        cols = [tuple(c) for c in cols]
-        if cols:
-            heights = {len(c) for c in cols}
-            if len(heights) != 1:
-                raise ValueError("ragged columns")
-            m = heights.pop()
-            if nrows is not None and nrows != m:
-                raise ValueError("nrows disagrees with column height")
-        else:
-            if nrows is None:
-                raise ValueError("nrows required for a matrix with no columns")
-            m = nrows
-            if m < 0:
-                raise ValueError("matrix sizes must be nonnegative")
-        return cls([[cols[j][i] for j in range(len(cols))] for i in range(m)], ncols=len(cols))
-
     def column(self, j: int) -> tuple:
         return tuple(row[j] for row in self.rows)
 
@@ -189,23 +167,6 @@ class IntegerMatrix:
         n = other.ncols
         rows = tuple(tuple(_product_row(row, terms, n)) for row in self.rows)
         return IntegerMatrix._derived(rows, n)
-
-    def matvec(self, x: Sequence[int]) -> tuple:
-        if len(x) != self.ncols:
-            raise ValueError("vector length mismatch")
-        terms = [(j, xj) for j, xj in enumerate(x) if xj]
-        if 2 * len(terms) > len(x):
-            # mostly nonzero: one C-level pass beats skipping the zeros
-            return tuple(sum(map(mul, row, x)) for row in self.rows)
-        return tuple(sum(row[j] * xj for j, xj in terms) for row in self.rows)
-
-    def hstack(self, other: "IntegerMatrix") -> "IntegerMatrix":
-        if self.nrows != other.nrows:
-            raise ValueError("row count mismatch in hstack")
-        return IntegerMatrix._derived(
-            tuple(row_a + row_b for row_a, row_b in zip(self.rows, other.rows)),
-            self.ncols + other.ncols,
-        )
 
     def is_zero(self) -> bool:
         return all(x == 0 for row in self.rows for x in row)
@@ -580,11 +541,13 @@ class HermiteForm(_Record):
     positive and lie strictly further right in each row, with every
     entry above a pivot in [0, pivot); ``pivots`` lists their columns.
     A lattice has exactly one such form, so two lattices are equal
-    exactly when their forms are.  Row i of ``transform`` writes form
-    row i as a combination of the rows of ``matrix``; the rows of
-    ``kernel`` are the combinations that the elimination turned into
-    zero rows.  Stacked, ``transform`` over ``kernel`` is the
-    elimination's unimodular transform.
+    exactly when their forms are, and a subgroup is the whole group
+    exactly when its form is the identity.  Row i of ``transform``
+    writes form row i as a combination of the rows of ``matrix``; the
+    rows of ``kernel`` are the combinations that the elimination turned
+    into zero rows.  Stacked, ``transform`` over ``kernel`` is the
+    elimination's unimodular transform; only the construction check
+    and ``checked_kernel`` read ``transform``.
 
     Construction checks the shapes, that every form row equals its
     recorded combination (so the form's lattice lies in the input's),
@@ -652,17 +615,6 @@ class HermiteForm(_Record):
             q.append(c)
             start = p + 1
         return None if any(islice(v, start, None)) else q
-
-    def combination(self, v: Sequence[int]) -> Optional[list]:
-        """One x with x * matrix = v, or None when v is outside the lattice."""
-        q = self.divide(v)
-        if q is None:
-            return None
-        x = [0] * self.matrix.nrows
-        for c, row in compress(zip(q, self.transform.rows), q):
-            for j in compress(range(len(row)), row):
-                x[j] += c * row[j]
-        return x
 
     def checked_kernel(self) -> IntegerMatrix:
         """``kernel``, once it is checked to be a saturated basis of the vanishing combinations.
@@ -939,6 +891,11 @@ class GroupHom:
     it, so the two share it.  The canonical matrix, the kernel and the
     image are computed on first use and kept, so repeated injectivity
     and surjectivity tests on one hom reduce the image's lattice once.
+
+    Finitely generated abelian groups are Hopfian: a surjection between
+    two isomorphic ones is an isomorphism.  So ``is_isomorphism``
+    compares the invariants of the two ends, which each group already
+    holds, and then tests surjectivity; it reads no kernel.
     """
 
     __slots__ = ("source", "target", "matrix", "_pushed", "_canonical", "_kernel", "_image")
@@ -963,10 +920,6 @@ class GroupHom:
     @classmethod
     def identity(cls, group: FGAbelianGroup) -> "GroupHom":
         return cls(group, group, IntegerMatrix.identity(group.ngens))
-
-    @classmethod
-    def zero(cls, source: FGAbelianGroup, target: FGAbelianGroup) -> "GroupHom":
-        return cls(source, target, IntegerMatrix.zeros(target.ngens, source.ngens))
 
     @classmethod
     def from_canonical_matrix(
@@ -1034,7 +987,7 @@ class GroupHom:
         return self.image_subgroup().is_full()
 
     def is_isomorphism(self) -> bool:
-        return self.is_injective() and self.is_surjective()
+        return self.source.invariants == self.target.invariants and self.is_surjective()
 
     def __repr__(self) -> str:
         return f"<GroupHom {self.source.describe()} -> {self.target.describe()}>"
@@ -1048,10 +1001,11 @@ class Subgroup:
     lattice's ``HermiteForm``, built on first use.  The form is unique,
     so equality compares two forms; membership and containment reduce
     each vector against it; the subgroup is full when the form is the
-    identity; ``coordinates`` reads a reduced vector's combination; and
-    ``as_group`` reads the relations among the generators off the
-    checked kernel rows.  No Smith decomposition is made here beyond
-    the one ``as_group``'s own group makes of those relations.
+    identity, which is how a hom is tested for being onto, and so for
+    being an isomorphism; and ``as_group`` reads the relations among
+    the generators off the checked kernel rows.  No Smith decomposition
+    is made here beyond the one ``as_group``'s own group makes of those
+    relations.
     """
 
     __slots__ = ("group", "generators", "_hermite", "_as_group")
@@ -1071,10 +1025,6 @@ class Subgroup:
     def full(cls, group: FGAbelianGroup) -> "Subgroup":
         return cls(group, group.canonical_generators())
 
-    @classmethod
-    def trivial(cls, group: FGAbelianGroup) -> "Subgroup":
-        return cls(group, [])
-
     def _hermite_form(self) -> HermiteForm:
         """Hermite form of the generators followed by the relation vectors, as rows."""
         if self._hermite is None:
@@ -1090,19 +1040,6 @@ class Subgroup:
     def contains(self, y: Sequence[int]) -> bool:
         y = self.group.reduce_canonical(y)
         return not any(y) or self._hermite_form().divide(y) is not None
-
-    def coordinates(self, y: Sequence[int]):
-        """Express an element over this subgroup's generators, or None.
-
-        The coefficient vector is a presentation vector of ``as_group()``,
-        whose generators are exactly ``self.generators`` in order.
-        """
-        y = self.group.reduce_canonical(y)
-        k = len(self.generators)
-        if not any(y):
-            return (0,) * k
-        x = self._hermite_form().combination(y)
-        return None if x is None else tuple(x[:k])
 
     def is_subset_of(self, other: "Subgroup") -> bool:
         self._check_same_group(other)

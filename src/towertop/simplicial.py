@@ -165,10 +165,6 @@ class SimplicialComplex:
                 closed.update(combinations(s, size))
         return cls._of_sorted(frozenset(closed), rank)
 
-    @classmethod
-    def empty(cls) -> "SimplicialComplex":
-        return cls([])
-
     @property
     def vertices(self) -> tuple:
         if self._vertices is None:

@@ -344,6 +344,12 @@ def _image_chain(tower: GroupTower, level: int, depth: int) -> List[Subgroup]:
     return chain[: depth + 1]
 
 
+def _image_of(sub: Subgroup, canonical: IntegerMatrix, target: FGAbelianGroup) -> Subgroup:
+    """Image in ``target`` of ``sub`` under the map with canonical matrix ``canonical``: one product."""
+    gens = IntegerMatrix._derived(sub.generators, canonical.ncols)
+    return Subgroup(target, (gens * canonical.transpose()).rows)
+
+
 def _first_repeat(subs: List[Subgroup]) -> Optional[int]:
     """First index k with subs[k] equal to subs[k + 1], or None."""
     return next((k for k in range(len(subs) - 1) if subs[k].equals(subs[k + 1])), None)
@@ -437,8 +443,7 @@ def _periodic_stable_image(tower: GroupTower, level: int, cert: Certificate) -> 
     down = tower.bonds[level].canonical_matrix()
     for b in tower.bonds[level + 1 : base]:
         down = _composed(group, down, b.canonical_matrix(), b.source)
-    gens = IntegerMatrix._derived(stable.generators, down.ncols)
-    return Subgroup(group, (gens * down.transpose()).rows)
+    return _image_of(stable, down, group)
 
 
 def _ml_verdict(tower: GroupTower, level: int, window: int) -> Tuple[str, Optional[int], str]:
@@ -556,36 +561,19 @@ def lim1_class(tower: GroupTower, window: Optional[int] = None) -> Lim1Class:
 # -- limits -------------------------------------------------------------
 
 
-def _restricted_hom(bond: GroupHom, fine: Subgroup, coarse: Subgroup) -> Optional[GroupHom]:
-    """The bond between two stable images, presented on their generators.
-
-    One product carries every generator of ``fine`` through the bond's
-    canonical matrix; each image column is then written over the
-    generators of ``coarse`` against its Hermite form.
-    """
-    gens = IntegerMatrix._derived(fine.generators, fine.group.canonical_ngens)
-    images = bond.canonical_matrix() * gens.transpose()
-    cols = []
-    for y in images.columns():
-        c = coarse.coordinates(y)
-        if c is None:
-            return None
-        cols.append(c)
-    return GroupHom(
-        fine.as_group(),
-        coarse.as_group(),
-        IntegerMatrix.from_columns(cols, nrows=len(coarse.generators)),
-    )
-
-
 def stable_lim(
     tower: GroupTower, window: Optional[int] = None
 ) -> Union[FGAbelianGroup, NotStable]:
     """Inverse limit via stabilized image chains, when they stabilize.
 
-    Every level's image chain must repeat within its window, and the
-    bonds must restrict to isomorphisms between consecutive stable
-    images; the limit is then the stable image at the coarsest level.
+    Every level's image chain must repeat within its window, and each
+    bond must carry the finer stable image onto the coarser one, which
+    must have the same invariants: finitely generated abelian groups
+    are Hopfian, so such a surjection is an isomorphism.  The bond's
+    canonical matrix pushes the finer image's generators in one
+    product, and the invariants are compared first, so the pushed image
+    is reduced only when they agree.  The limit is then the stable
+    image at the coarsest level.
     This is deliberately partial: towers whose stable images keep
     proper inclusions (or whose chains never repeat) yield NotStable
     with the observed chains attached; their isomorphism types are
@@ -615,9 +603,10 @@ def stable_lim(
                 )
             idx = len(subs) - 1  # window too short to confirm; take the deepest image
         stable.append(subs[idx])
-    for i in range(len(stable) - 1):
-        h = _restricted_hom(tower.bonds[i], stable[i + 1], stable[i])
-        if h is None or not h.is_isomorphism():
+    for i, (coarse, fine) in enumerate(zip(stable, stable[1:])):
+        same_type = fine.as_group().invariants == coarse.as_group().invariants
+        bond = tower.bonds[i].canonical_matrix()
+        if not (same_type and _image_of(fine, bond, coarse.group).equals(coarse)):
             return NotStable(
                 f"the bond does not carry the stable image at level {i + 1} "
                 f"isomorphically onto the stable image at level {i}",

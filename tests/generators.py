@@ -92,14 +92,6 @@ def random_quotient_map(rng: random.Random, k: SimplicialComplex):
     return SimplicialMap(k, image, {v: ("q", assignment[v]) for v in verts}), image
 
 
-def random_subcomplex(rng: random.Random, k: SimplicialComplex) -> SimplicialComplex:
-    verts = list(k.vertices)
-    chosen = [v for v in verts if rng.random() < 0.7]
-    if not chosen:
-        chosen = [verts[0]]
-    return k.full_subcomplex(chosen)
-
-
 def random_simplicial_map(rng: random.Random, k: SimplicialComplex):
     """Random map with source exactly k: a collapse, maybe into a padded target."""
     q, image = random_quotient_map(rng, k)

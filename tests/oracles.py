@@ -3,7 +3,8 @@
 Apart from ``refactored_cycle_coordinates``,
 ``dense_cycle_coordinates``, the Smith-based subgroup routines, the
 composite-hom image routines (``image_under`` and the ``composed_*``
-references for tower analyses),
+references for tower analyses), ``restricted_hom`` and
+``restricted_stable_lim``,
 ``stacked_kernel_subgroup``, ``full_decomposition_coordinates``,
 ``inline_simplex_order`` and ``inline_chain_map_rows`` (which take only
 the label order) and the two-closure telescopes, nothing in here
@@ -367,7 +368,7 @@ def refactored_cycle_coordinates(cycle_columns, chain):
     """
     from towertop.abelian import IntegerMatrix, smith_normal_form
 
-    cycles = IntegerMatrix.from_columns(cycle_columns, nrows=len(chain))
+    cycles = IntegerMatrix(cycle_columns, ncols=len(chain)).transpose()
     return smith_solve(smith_normal_form(cycles, inverse="uinv"), chain)
 
 
@@ -441,7 +442,7 @@ def smith_subgroup_solver(sub, inverse: str):
     from towertop.abelian import IntegerMatrix, smith_normal_form
 
     cols = list(sub.generators) + sub.group.canonical_relation_columns()
-    stacked = IntegerMatrix.from_columns(cols, nrows=sub.group.canonical_ngens)
+    stacked = IntegerMatrix(cols, ncols=sub.group.canonical_ngens).transpose()
     return smith_normal_form(stacked, inverse=inverse)
 
 
@@ -515,10 +516,9 @@ def stacked_kernel_subgroup(hom):
     from towertop.abelian import IntegerMatrix, Subgroup, smith_normal_form
 
     rel_cols = hom.target.canonical_relation_columns()
-    stacked = hom.canonical_matrix().hstack(
-        IntegerMatrix.from_columns(rel_cols, nrows=hom.target.canonical_ngens)
-    )
     n = hom.source.canonical_ngens
+    rows = [row + tuple(col[i] for col in rel_cols) for i, row in enumerate(hom.canonical_matrix().rows)]
+    stacked = IntegerMatrix(rows, ncols=n + len(rel_cols))
     gens = [tuple(col[:n]) for col in smith_kernel_basis(smith_normal_form(stacked, inverse="vinv"))]
     return Subgroup(hom.source, gens + hom.source.canonical_relation_columns())
 
@@ -645,6 +645,65 @@ def composed_carry_down(tower, level: int, base: int, sub):
     for bond in tower.bonds[level + 1 : base]:
         down = down.compose(bond)
     return image_under(sub, down)
+
+
+def restricted_hom(bond, fine, coarse):
+    """``bond`` restricted to the subgroups ``fine`` -> ``coarse``, on their generators, or None.
+
+    Each generator of ``fine`` is pushed through the bond's canonical
+    matrix and written over the generators of ``coarse`` by
+    ``smith_coordinates``; None when an image lies outside ``coarse``.
+    The hom runs between the groups the two subgroups form, whose
+    generators are theirs in order, and its constructor checks it.
+    """
+    from towertop.abelian import GroupHom, IntegerMatrix
+
+    cols = []
+    for g in fine.generators:
+        c = smith_coordinates(coarse, apply_canonical(bond, g))
+        if c is None:
+            return None
+        cols.append(c)
+    matrix = IntegerMatrix(cols, ncols=len(coarse.generators)).transpose()
+    return GroupHom(fine.as_group(), coarse.as_group(), matrix)
+
+
+def restricted_stable_lim(tower, window=None):
+    """Invariants of ``tower.stable_lim``, or the reason it is not stable, by restricted homs.
+
+    The reference for ``stable_lim``, which compares the invariants of
+    two stable images and tests that the bond carries the finer onto
+    the coarser: here the image chains come from ``composed_image_chain``,
+    their first repeats from Smith containment of an image in the next
+    one, and each bond
+    is restricted to the stable images by ``restricted_hom`` and must be
+    injective and surjective there.
+    """
+    from towertop.abelian import Subgroup
+
+    n = len(tower.levels)
+    if n == 1:
+        return tower.levels[0].invariants
+    stable = []
+    for i in range(n - 1):
+        available = len(tower.bonds) - i
+        w = available if window is None else min(window, available)
+        subs = [Subgroup(tower.levels[i], gens) for gens in composed_image_chain(tower, i, w)]
+        # images descend, so an image inside the next one equals it
+        idx = next((k for k in range(w) if smith_is_subset(subs[k], subs[k + 1])), None)
+        if idx is None:
+            if len(subs) >= 3:
+                return f"image chain at level {i} does not repeat within the window"
+            idx = len(subs) - 1
+        stable.append(subs[idx])
+    for i in range(len(stable) - 1):
+        h = restricted_hom(tower.bonds[i], stable[i + 1], stable[i])
+        if h is None or not (h.is_injective() and h.is_surjective()):
+            return (
+                f"the bond does not carry the stable image at level {i + 1} "
+                f"isomorphically onto the stable image at level {i}"
+            )
+    return stable[0].as_group().invariants
 
 
 def columnwise_canonical_matrix(hom) -> list:

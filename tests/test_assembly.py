@@ -196,7 +196,7 @@ def test_gallery_reports_make_a_fixed_number_of_factorizations(smith_calls, eche
         "warsaw": ({"depth": 6}, [(7, 16), (7, 16), (3, 7), (3, 7)]),
         "solenoid": ({"p": 2, "depth": 4}, [(23, 23), (24, 17), (11, 5), (11, 5)]),
         "comb": ({"teeth": 4, "depth": 2}, [(14, 7), (14, 8), (7, 3), (7, 2)]),
-        "fence": ({"segments": 4, "depth": 2}, [(14, 8), (12, 5), (6, 2), (6, 2)]),
+        "fence": ({"segments": 4, "depth": 2}, [(14, 8), (12, 5), (6, 0), (6, 0)]),
     }
     for family, (params, counts) in expected.items():
         seen = []

@@ -276,7 +276,7 @@ def test_validators_walk_simplexes_in_the_inline_order():
 
 
 def test_complement_isomorphism_needs_a_vertex_bijection():
-    empty = SimplicialComplex.empty()
+    empty = SimplicialComplex([])
     triangle = cl([(0, 1), (1, 2), (0, 2)])
     hexagon = cl([(i, (i + 1) % 6) for i in range(6)])
     fold = SimplicialMap(hexagon, triangle, {v: v % 3 for v in range(6)})

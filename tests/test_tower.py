@@ -37,7 +37,13 @@ from towertop.tower import (
 )
 
 from generators import circle_power_tower, constant_tower, hollow_triangle
-from oracles import bareiss_det, composed_carry_down, composed_endo_images, composed_image_chain
+from oracles import (
+    bareiss_det,
+    composed_carry_down,
+    composed_endo_images,
+    composed_image_chain,
+    restricted_stable_lim,
+)
 
 
 Z = FGAbelianGroup.free(1)
@@ -670,10 +676,10 @@ def test_dense_tower_analyses_make_a_fixed_number_of_factorizations(smith_calls,
     lim1, lim, colim = lim1_class(tower), tower_lim(tower), colim_direct_system(system)
     assert lim1.verdict == "Zero"
     assert isinstance(lim, NotStable) and isinstance(colim, NotFinitelyStable)
-    assert (len(smith_calls), len(echelon_forms)) == (2, 9)
+    assert (len(smith_calls), len(echelon_forms)) == (2, 8)
     # the NotStable factors the images it shows only when they are read
     lim.image_chains
-    assert (len(smith_calls), len(echelon_forms)) == (14, 15)
+    assert (len(smith_calls), len(echelon_forms)) == (14, 14)
 
 
 def test_ml_status_builds_its_image_groups_on_first_read(smith_calls, echelon_forms):
@@ -711,14 +717,15 @@ def test_certified_analyses_make_a_fixed_number_of_factorizations(smith_calls, e
 
 
 def test_dense_tower_analyses_compose_no_homs(hom_calls):
-    # composites live in canonical coordinates: the only homs the analyses
-    # build are the restricted bonds stable_lim checks and the period maps
+    # composites live in canonical coordinates and stable_lim pushes stable
+    # images through canonical matrices: the only homs the analyses build
+    # are the period maps
     tower, system = fixed_dense_sequences()
     del hom_calls[:]
     lim1, lim, _ = lim1_class(tower), tower_lim(tower), colim_direct_system(system)
-    # every chain stabilizes; the first restricted bond is not an isomorphism
+    # every chain stabilizes; the first bond does not carry one stable image onto the next
     assert lim1.verdict == "Zero" and lim.reason.startswith("the bond does not carry")
-    assert hom_calls == ["GroupHom"]
+    assert hom_calls == []
     counts = {}
     for name in CERTIFIED:
         tower, system = certified_fixture(name)
@@ -729,13 +736,49 @@ def test_dense_tower_analyses_compose_no_homs(hom_calls):
         "doubling": (2, 0), "diag": (2, 0), "period-two": (3, 0), "rank-drop": (2, 0),
         "torsion": (2, 0), "shift-family": (0, 0),
     }
-    # four levels whose chains repeat at once: stable_lim restricts the two
-    # bonds between the three stable images it compares
+    # four levels whose chains repeat at once: stable_lim compares the
+    # three stable images without restricting a bond to them
     eye = [[int(i == j) for j in range(3)] for i in range(3)]
     tower, _ = dense_sequences((3, tower_relations([[2, 0, 0]], [eye] * 3), [eye] * 3))
     del hom_calls[:]
     assert tower_lim(tower).invariants == (2, (2,))
-    assert hom_calls == ["GroupHom"] * 2
+    assert hom_calls == []
+
+
+# -- stable limits against bonds restricted to the stable images -------------
+
+
+def check_stable_lim_matches_restricted_homs(build):
+    for window in [None] + list(range(1, len(build().bonds) + 1)):
+        got = stable_lim(build(), window)
+        got = got.reason if isinstance(got, NotStable) else got.invariants
+        assert got == restricted_stable_lim(build(), window), window
+
+
+@settings(max_examples=60)
+@given(dense_tower_data())
+def test_stable_lim_matches_the_restricted_hom_reference(data):
+    check_stable_lim_matches_restricted_homs(lambda: dense_sequences(data)[0])
+
+
+STABLE_LIM_CASES = {
+    # the first bond carries Z^2 onto Z, a stable image of another type
+    "projection": lambda: GroupTower([Z, Z2, Z2], [hom(Z2, Z, [[1, 0]]), GroupHom.identity(Z2)]),
+    # level 0's chain repeats before it drops, so the bond carries the
+    # stable image 2Z at level 1 into, not onto, the stable image Z
+    "pause-then-drop": lambda: GroupTower([Z] * 3, [GroupHom.identity(Z), hom(Z, Z, [[2]])]),
+}
+
+
+@pytest.mark.parametrize("name", CERTIFIED + tuple(STABLE_LIM_CASES))
+def test_named_stable_lims_match_the_restricted_hom_reference(name):
+    def build():
+        if name in STABLE_LIM_CASES:
+            return STABLE_LIM_CASES[name]()
+        tower = certified_fixture(name)[0]
+        return GroupTower(tower.levels, tower.bonds)
+
+    check_stable_lim_matches_restricted_homs(build)
 
 
 # -- composites in canonical coordinates against composite homs --------------
