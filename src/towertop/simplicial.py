@@ -8,11 +8,14 @@ labels once, when it is built, and orders by the ranks it keeps.  The
 boundary of an edge (a, b) with a < b is b - a.
 
 Homology and cohomology are computed over the integers with cycle
-representatives attached: the group returned is presented on a basis
-of the cycle lattice, so induced maps can be solved exactly in those
-coordinates.  A complex keeps each result, so reading it again, or
-an induced map between computed ends, factors nothing; a copy or a
-pickle carries only the simplexes and starts cold.
+representatives attached.  The chain complex around each dimension is
+first reduced by its unit pivots, as a verified chain equivalence
+(``ChainReduction``), and Smith runs only on what is left: the group
+returned is presented on the cycles that the reduction carries back, and
+a chain's class is read through the reduction's projection.  A complex
+keeps each result, so reading it again, or an induced map between
+computed ends, factors nothing; a copy or a pickle carries only the
+simplexes and starts cold.
 
 Telescopes use the order-complex prism construction over ordered
 simplexes.  One cell list holds level 0 and the prisms over the first
@@ -25,10 +28,9 @@ one-bond telescope of its target and source.
 
 from __future__ import annotations
 
-from itertools import chain, combinations, compress, filterfalse
-from operator import neg
+from itertools import chain, combinations, compress, filterfalse, repeat
 from types import MappingProxyType
-from typing import Dict, Iterable, Optional
+from typing import Iterable, Optional
 
 from .abelian import FGAbelianGroup, GroupHom, IntegerMatrix, _Record, smith_normal_form
 
@@ -333,7 +335,33 @@ def preimage_subcomplex(f: SimplicialMap, sub: SimplicialComplex) -> SimplicialC
     )
 
 
-# -- boundary matrices and homology -----------------------------------
+# -- chains, their reduction and homology ------------------------------
+
+
+def _boundary_columns(k: SimplicialComplex, n: int) -> tuple:
+    """The boundary map C_n -> C_{n-1} by columns, each its (row, entry) pairs in row order.
+
+    Rows and columns follow ``simplex_key`` order.  Dropping vertex i of
+    a sorted simplex gives a face that comes later the smaller i is, so
+    each column is built in row order with no sort.
+    """
+    if n <= 0:
+        return ((),) * len(k.n_simplexes(n))
+    index = {s: i for i, s in enumerate(k.n_simplexes(n - 1))}
+    return tuple(
+        tuple((index[s[:i] + s[i + 1 :]], -1 if i % 2 else 1) for i in range(n, -1, -1))
+        for s in k.n_simplexes(n)
+    )
+
+
+def _dense(columns, rows) -> IntegerMatrix:
+    """The matrix of sparse ``columns`` restricted to ``rows``, a list of their row indices."""
+    position = {i: p for p, i in enumerate(rows)}
+    out = [[0] * len(columns) for _ in rows]
+    for j, column in enumerate(columns):
+        for i, a in column:
+            out[position[i]][j] = a
+    return IntegerMatrix._derived(tuple(map(tuple, out)), len(columns))
 
 
 def boundary_matrix(k: SimplicialComplex, n: int) -> IntegerMatrix:
@@ -343,16 +371,7 @@ def boundary_matrix(k: SimplicialComplex, n: int) -> IntegerMatrix:
     >>> boundary_matrix(edge, 1).rows
     ((-1,), (1,))
     """
-    rows = k.n_simplexes(n - 1)
-    cols = k.n_simplexes(n)
-    index = {s: i for i, s in enumerate(rows)}
-    out = [[0] * len(cols) for _ in rows]
-    for j, s in enumerate(cols):
-        for i in range(len(s)):
-            face = s[:i] + s[i + 1 :]
-            if face:
-                out[index[face]][j] += (-1) ** i
-    return IntegerMatrix._derived(tuple(map(tuple, out)), len(cols))
+    return _dense(_boundary_columns(k, n), range(len(k.n_simplexes(n - 1))))
 
 
 def augmentation_matrix(k: SimplicialComplex) -> IntegerMatrix:
@@ -360,31 +379,255 @@ def augmentation_matrix(k: SimplicialComplex) -> IntegerMatrix:
     return IntegerMatrix([[1] * len(k.n_simplexes(0))], ncols=len(k.n_simplexes(0)))
 
 
+def _transposed(columns: tuple, nrows: int) -> tuple:
+    """The columns of the transpose of the map whose ``nrows``-row columns are ``columns``."""
+    rows = [[] for _ in range(nrows)]
+    for j, column in enumerate(columns):
+        for i, a in column:
+            rows[i].append((j, a))
+    return tuple(map(tuple, rows))
+
+
+def _combine(terms, columns) -> dict:
+    """The sum of c * columns[j] over the (j, c) in ``terms``, zero entries dropped."""
+    acc = {}
+    for j, c in terms:
+        for i, a in columns[j]:
+            acc[i] = acc.get(i, 0) + c * a
+    return {i: a for i, a in acc.items() if a}
+
+
+def _eliminate(columns: tuple, live: list) -> tuple:
+    """Eliminate unit pivots from the ``live`` columns: (pivots, columns left, their residual).
+
+    Each column in turn takes its last row, in simplex order, whose
+    current entry is 1 or -1, and that row is cleared from every other
+    live column (a Schur complement step); passes repeat over the columns
+    left without a unit until one finds none.  A pivot is (column, row,
+    column entries, row entries) as they stood when it was taken; a
+    residual column has no entry on a pivot row.
+    """
+    cols, rows = {j: dict(columns[j]) for j in live}, {}
+    for j in live:
+        for i in cols[j]:
+            rows.setdefault(i, set()).add(j)
+    pivots, pending = [], list(live)
+    while True:
+        left = []
+        for j in pending:
+            column = cols[j]
+            t = max((i for i, a in column.items() if abs(a) == 1), default=None)
+            if t is None:
+                left.append(j)
+                continue
+            del cols[j]
+            for i in column:
+                rows[i].discard(j)
+            row = {j: column[t]}
+            for x in rows.pop(t):
+                other = cols[x]
+                row[x] = other.pop(t)
+                q = row[x] * column[t]
+                for i, b in column.items():
+                    if i == t:
+                        continue
+                    w = other.get(i, 0) - q * b
+                    if w:
+                        if i not in other:
+                            rows[i].add(x)
+                        other[i] = w
+                    else:
+                        del other[i]
+                        rows[i].discard(x)
+            pivots.append((j, t, tuple(sorted(column.items())), tuple(sorted(row.items()))))
+        if len(left) == len(pending):
+            return tuple(pivots), left, tuple(tuple(sorted(cols[j].items())) for j in left)
+        pending = left
+
+
+def _reduce(incoming: tuple, outgoing: tuple) -> "ChainReduction":
+    """Reduce the complex C_{n+1} -> C_n -> C_{n-1} given by its two maps' columns.
+
+    The incoming map is eliminated first, and the outgoing one on the
+    n-cells that are not pivot rows of the first, whose classes are
+    boundaries.  pi_n is solved in reverse pivot order: a residual cell
+    is its own image, a pivot row's image makes the image of its pivot
+    column vanish, and any other cell maps to zero.  iota(a) = a - x
+    solves U x = U e_a on the pivot columns, U the upper triangular
+    matrix of the recorded pivot rows, from the last pivot back.
+    """
+    upper, _, rest_up = _eliminate(incoming, list(range(len(incoming))))
+    pivot_rows = {t for _, t, _, _ in upper}
+    lower, cells, rest_n = _eliminate(outgoing, [e for e in range(len(outgoing)) if e not in pivot_rows])
+    image = {a: ((a, 1),) for a in cells}
+    for _, t, column, _ in reversed(upper):
+        u = dict(column)[t]
+        terms = ((i, -u * a) for i, a in column if i != t and i in image)
+        image[t] = tuple(sorted(_combine(terms, image).items()))
+    iota = []
+    for a in cells:
+        chain = {a: 1}
+        for j, _, _, row in reversed(lower):
+            value = sum(b * chain.get(i, 0) for i, b in row if i != j)
+            if value:
+                chain[j] = -dict(row)[j] * value
+        iota.append(tuple(sorted(chain.items())))
+    pi = tuple(image.get(e, ()) for e in range(len(outgoing)))
+    return ChainReduction(incoming, outgoing, (upper, lower), (rest_up, rest_n), tuple(iota), pi)
+
+
+def _check_block(columns: tuple, live: list, pivots: tuple, residual: tuple) -> list:
+    """Check that ``pivots`` and ``residual`` factor the ``live`` columns; the columns left.
+
+    With u_p the pivot entry and c_p, r_p the recorded column and row of
+    pivot p, the columns must be the sum of u_p * c_p * r_p^T plus the
+    residual; c_p must hold u_p = +-1 at its row and no earlier pivot
+    row, r_p u_p at its column and no earlier pivot column, and the
+    residual no pivot row.  So the block M between pivot rows and pivot
+    columns is a lower times an upper triangular matrix with unit
+    diagonals, invertible over the integers.
+    """
+    rows, cols, acc = set(), set(), {j: {} for j in live}
+    for j, t, column, row in pivots:
+        u = dict(column).get(t)
+        if u not in (1, -1) or dict(row).get(j) != u:
+            raise AssertionError("a recorded pivot is not a unit at its row and column")
+        if rows.intersection(i for i, _ in column) or cols.intersection(i for i, _ in row):
+            raise AssertionError("recorded pivots are not triangular")
+        rows.add(t)
+        cols.add(j)
+        for x, b in row:
+            if x not in acc:
+                raise AssertionError("a recorded pivot row leaves the block")
+            for i, a in column:
+                acc[x][i] = acc[x].get(i, 0) + u * b * a
+    left = [j for j in live if j not in cols]
+    if len(left) != len(residual) or rows.intersection(i for column in residual for i, _ in column):
+        raise AssertionError("the residual is not the columns left off the pivot rows")
+    for j, column in zip(left, residual):
+        for i, a in column:
+            acc[j][i] = acc[j].get(i, 0) + a
+    if any({i: a for i, a in acc[j].items() if a} != dict(columns[j]) for j in live):
+        raise AssertionError("recorded pivots and residual do not factor the map")
+    return left
+
+
+class ChainReduction(_Record):
+    """A recorded chain equivalence between C_{n+1} -> C_n -> C_{n-1} and a residual complex C'.
+
+    ``incoming`` and ``outgoing`` are the two maps by sparse columns, as
+    (row, entry) pairs.  ``homotopy`` holds the unit pivots eliminated
+    from each map, in order, as (column, row, column entries, row
+    entries) when each was taken (``_eliminate``): first the incoming
+    block, then the outgoing block on the n-cells that are not pivot
+    rows of the first.  The cells of C' are those on no pivot, and
+    ``residual`` holds each block's Schur complement on its residual
+    columns: the incoming one over the n-cells the first block left,
+    the outgoing one over the residual (n-1)-cells.  ``iota`` maps each
+    residual n-cell to a chain of C_n, and ``pi`` maps every n-cell to
+    a chain of C'_n.
+
+    Let M_{n+1} and M_n be the blocks of the two maps between their
+    pivot rows and pivot columns.  The homotopy is h_n = M_{n+1}^-1 on
+    the incoming block's pivot rows and h_{n-1} = M_n^-1 on the
+    outgoing block's, zero elsewhere, kept as those blocks' triangular
+    factors.  Construction checks, raising ``AssertionError``:
+
+    - each block is its pivots' product plus its residual, with
+      triangular factors and unit pivots (``_check_block``), so M_{n+1}
+      and M_n are invertible over Z;
+    - the outgoing map after the incoming one is zero;
+    - pi lands in C'_n, fixes its cells and kills the outgoing block's
+      pivot columns, and iota(a) is a plus such pivot columns, so pi *
+      iota is the identity;
+    - iota and pi are chain maps: d * iota = d'' on the residual
+      n-cells, and pi * d = d'' * pi_{n+1} on every (n+1)-cell, where
+      pi_{n+1} keeps the residual (n+1)-cells and drops the rest.
+
+    These pin pi and iota to the maps of the reduction lemma
+    (Kaczynski, Mrozek and Slusarek 1998) for h: pi * d vanishes on the
+    incoming pivot columns, so pi is -alpha * M_{n+1}^-1 on the pivot
+    rows, and d * iota(a) has no entry on a pivot row, so M_n takes
+    a - iota(a) to the pivot-row part of d(a).  With d * d = 0 they
+    give id - iota * pi = d * h_n + h_{n-1} * d in degree n, cell by
+    cell, once both sides are multiplied by the invertible M_n.  So a
+    cycle z differs from iota(pi(z)) by the boundary of h_n(z), pi(z)
+    is a cycle of C' since iota(d''(pi(z))) = d(z) = 0, and pi and iota
+    induce inverse isomorphisms between H_n(C) and H_n(C').  Multiplied
+    out, h would hold a chain per pivot row as long as the path its
+    elimination followed; its factors cost the elimination.
+    """
+
+    __slots__ = _fields = ("incoming", "outgoing", "homotopy", "residual", "iota", "pi")
+
+    def __init__(self, incoming, outgoing, homotopy, residual, iota, pi):
+        _Record.__init__(self, incoming, outgoing, homotopy, residual, iota, pi)
+        (upper, lower), size = homotopy, len(outgoing)
+        pivot_rows = {t for _, t, _, _ in upper}
+        left_up = _check_block(incoming, list(range(len(incoming))), upper, residual[0])
+        cells = _check_block(outgoing, [e for e in range(size) if e not in pivot_rows], lower, residual[1])
+        if len(pi) != size or len(iota) != len(cells) or any(map(_combine, incoming, repeat(outgoing))):
+            raise AssertionError("the chain complex or its maps do not fit together")
+        spans, kept = {j for j, _, _, _ in lower}, set(cells)
+        for e, image in enumerate(pi):
+            if not kept.issuperset(i for i, _ in image) or (e in spans and image):
+                raise AssertionError("pi does not land in the residual complex")
+            if e in kept and image != ((e, 1),):
+                raise AssertionError("pi does not fix the residual complex")
+        for a, chain, column in zip(cells, iota, residual[1]):
+            if dict(chain).get(a) != 1 or not spans.issuperset(i for i, _ in chain if i != a):
+                raise AssertionError("iota is not the identity plus pivot columns")
+            if _combine(chain, outgoing) != dict(column):
+                raise AssertionError("iota is not a chain map")
+        up = dict(zip(left_up, residual[0]))
+        for x, column in enumerate(incoming):
+            if _combine(column, pi) != {i: a for i, a in up.get(x, ()) if i in kept}:
+                raise AssertionError("pi is not a chain map")
+
+    def residual_cells(self) -> tuple:
+        """The cells of C' in degrees n + 1, n and n - 1, each list in simplex order.
+
+        The (n-1)-cells are those the outgoing map meets, less its pivot
+        rows: any other row of d'' is zero.
+        """
+        upper, lower = self.homotopy
+        columns_up, rows_n = {j for j, _, _, _ in upper}, {t for _, t, _, _ in upper}
+        columns_n, rows_below = {j for j, _, _, _ in lower}, {t for _, t, _, _ in lower}
+        return (
+            [x for x in range(len(self.incoming)) if x not in columns_up],
+            [e for e in range(len(self.outgoing)) if e not in rows_n and e not in columns_n],
+            sorted({i for column in self.outgoing for i, _ in column} - rows_below),
+        )
+
+
 class HomologyResult(_Record):
     """Homology (or cohomology) group with generator representatives.
 
-    ``group`` is presented on a basis of the cycle lattice (the
-    columns in ``cycle_columns``, coordinates over ``basis``); the
-    j-th entry of ``representatives`` is the chain realizing the j-th
+    ``group`` is presented on the cycles in ``cycle_columns``
+    (coordinates over ``basis``), subject to the boundaries; the j-th
+    entry of ``representatives`` is the chain realizing the j-th
     canonical generator, as a read-only map simplex -> coefficient.
     All of them are one product: the transposed ``group.lifts`` times
     the matrix whose rows are the cycle columns.
-    The cycle basis is the trailing columns K of V in the Smith
-    decomposition U * M * V = D of the outgoing map M (boundary,
-    augmentation or transposed coboundary), each times its entry of
-    ``cycle_signs``.  That decomposition keeps V^-1 and not U^-1, and
-    its check proves V * V^-1 = I, row i of U * M = d_i * (row i of
-    V^-1) below the rank and M * K = 0 (see ``SmithDecomposition``):
-    so the rank is right, K is a saturated basis of the cycles, and a
-    chain is a cycle exactly when V^-1 takes it to zero in its first
-    rank entries, so ``cycle_coordinates`` returns None exactly for
-    non-cycles.  Of the decomposition the result keeps only V^-1, by
-    columns in ``vinv_columns`` (column j as the (row, entry) pairs of
-    its nonzero entries), so ``cycle_coordinates`` factors nothing and
-    reads one column per nonzero entry of the chain; neither field
-    takes part in equality or repr.  Results come from ``homology``
-    and ``cohomology`` only, which keep them on the complex, so one
-    result is shared by every caller that asks for it.
+
+    A result is read off one ``ChainReduction`` of its three-term
+    complex, whose outgoing map is the boundary, the augmentation or the
+    transposed coboundary.  Smith runs only on the residual outgoing map
+    d'' of C': the columns K of its V from the rank on are a basis of
+    the residual cycles, and the cycle columns are iota(K), each signed
+    so that its first nonzero entry in simplex order is positive.  The
+    group factors only the residual relations, the coordinates over K
+    of d''(b) for each residual (n+1)-cell b.  ``cycle_coordinates``
+    returns None exactly for a chain that is not a cycle, tested on the
+    kept ``outgoing`` columns, and otherwise the coordinates of its
+    class, which are those of pi_n(z): V^-1 * pi_n(z) from the rank on.
+    So the result keeps V^-1 * pi_n by columns in ``class_columns``
+    (column j as the (row, entry) pairs of its nonzero entries, rows
+    from the rank on signed like the cycles) with the rank in
+    ``residual_rank``; none of these takes part in equality or repr.
+    Results come from ``homology`` and ``cohomology`` only, which keep
+    them on the complex, so one result is shared by every caller that
+    asks for it.
 
     >>> circle = SimplicialComplex.from_maximal([(1, 2), (2, 3), (1, 3)])
     >>> h = homology(circle, 1)
@@ -395,56 +638,56 @@ class HomologyResult(_Record):
     """
 
     _fields = ("group", "representatives", "degree", "basis", "cycle_columns")
-    __slots__ = _fields + ("vinv_columns", "cycle_signs")
+    __slots__ = _fields + ("outgoing", "class_columns", "residual_rank")
 
     def cycle_coordinates(self, chain) -> Optional[tuple]:
-        """Coordinates of ``chain`` over ``cycle_columns``, or None for a non-cycle."""
-        return _cycle_coordinates(self.vinv_columns, self.cycle_signs, chain)
+        """Class coordinates of ``chain`` over ``cycle_columns``, or None for a non-cycle."""
+        if len(chain) != len(self.basis):
+            raise ValueError("vector length mismatch")
+        return self._coordinates([(j, chain[j]) for j in compress(range(len(chain)), chain)])
 
-
-def _cycle_coordinates(vinv_columns, signs, chain) -> Optional[tuple]:
-    # y = V^-1 * chain sums V^-1's columns at the chain's nonzero entries,
-    # sparse as they are; the decomposition's check proves that the chain
-    # is a cycle iff y[:rank] is zero, and then it is K * y[rank:]
-    if len(chain) != len(vinv_columns):
-        raise ValueError("vector length mismatch")
-    y: Dict[int, int] = {}
-    for j in compress(range(len(chain)), chain):
-        c = chain[j]
-        for i, a in vinv_columns[j]:
-            y[i] = y.get(i, 0) + c * a
-    rank = len(vinv_columns) - len(signs)
-    coords = [0] * len(signs)
-    for i, c in y.items():
-        if i >= rank:
-            coords[i - rank] = signs[i - rank] * c
-        elif c:
+    def _coordinates(self, chain: list) -> Optional[tuple]:
+        """``cycle_coordinates`` of the chain with the nonzero (index, entry) pairs ``chain``."""
+        if _combine(chain, self.outgoing):
             return None
+        return _class(_combine(chain, self.class_columns), self.residual_rank, len(self.cycle_columns))
+
+
+def _class(y: dict, rank: int, ngens: int) -> tuple:
+    """Coordinates read off V^-1 times a residual cycle, ``y``: its entries from ``rank`` on."""
+    if any(i < rank for i in y):
+        raise AssertionError("a cycle projects off the residual cycles; chain reduction broken")
+    coords = [0] * ngens
+    for i, c in y.items():
+        coords[i - rank] = c
     return tuple(coords)
 
 
-def _sparse_columns(m: IntegerMatrix) -> tuple:
-    """The columns of ``m``, each as the (row, entry) pairs of its nonzero entries."""
-    columns = [[] for _ in range(m.ncols)]
-    for i, row in enumerate(m.rows):
-        for j in compress(range(m.ncols), row):
-            columns[j].append((i, row[j]))
-    return tuple(map(tuple, columns))
-
-
-def _quotient_of_cycles(outgoing: IntegerMatrix, image_cols, degree: int, basis):
-    snf = smith_normal_form(outgoing, inverse="vinv")
-    vinv_columns = _sparse_columns(snf.vinv)
-    cycle_cols, signs = [], []
-    for col in list(zip(*snf.v.rows))[snf.rank :]:
-        signs.append(-1 if next(filter(None, col)) < 0 else 1)
-        cycle_cols.append(col if signs[-1] == 1 else tuple(map(neg, col)))
-    rel_rows = tuple(_cycle_coordinates(vinv_columns, signs, col) for col in image_cols)
-    if None in rel_rows:
-        raise AssertionError("boundary image is not a cycle; chain complex broken")
-    group = FGAbelianGroup(len(cycle_cols), IntegerMatrix._derived(rel_rows, len(cycle_cols)))
-    cycles = IntegerMatrix._derived(tuple(cycle_cols), outgoing.ncols)
-    reps = (group.lifts.transpose() * cycles).rows
+def _quotient(reduction: ChainReduction, degree: int, basis) -> HomologyResult:
+    """H_n of the reduction's C', carried to C by its iota and pi."""
+    _, cells, cells_below = reduction.residual_cells()
+    snf = smith_normal_form(_dense(reduction.residual[1], cells_below), inverse="vinv")
+    rank = snf.rank
+    signs, cycles = [1] * rank, []
+    for k in list(zip(*snf.v.rows))[rank:]:
+        chain = _combine(((j, k[j]) for j in compress(range(len(k)), k)), reduction.iota)
+        signs.append(1 if chain[min(chain)] > 0 else -1)
+        col = [0] * len(basis)
+        for e, c in chain.items():
+            col[e] = signs[-1] * c
+        cycles.append(tuple(col))
+    # V^-1 by columns, one per residual n-cell, its rows from the rank on signed like their cycles
+    inverse = {a: [] for a in cells}
+    for i, (s, row) in enumerate(zip(signs, snf.vinv.rows)):
+        for j in compress(range(len(row)), row):
+            inverse[cells[j]].append((i, s * row[j]))
+    ngens = len(cycles)
+    relations = tuple(
+        _class(_combine(((a, c) for a, c in column if a in inverse), inverse), rank, ngens)
+        for column in reduction.residual[0]
+    )
+    group = FGAbelianGroup(ngens, IntegerMatrix._derived(relations, ngens))
+    reps = (group.lifts.transpose() * IntegerMatrix._derived(tuple(cycles), len(basis))).rows
     return HomologyResult(
         group=group,
         representatives=tuple(
@@ -452,9 +695,10 @@ def _quotient_of_cycles(outgoing: IntegerMatrix, image_cols, degree: int, basis)
         ),
         degree=degree,
         basis=tuple(basis),
-        cycle_columns=tuple(cycle_cols),
-        vinv_columns=vinv_columns,
-        cycle_signs=tuple(signs),
+        cycle_columns=tuple(cycles),
+        outgoing=reduction.outgoing,
+        class_columns=tuple(tuple(sorted(_combine(image, inverse).items())) for image in reduction.pi),
+        residual_rank=rank,
     )
 
 
@@ -462,9 +706,9 @@ def homology(k: SimplicialComplex, n: int, reduced: bool = False) -> HomologyRes
     """Integral homology H_n with cycle representatives, kept on ``k``.
 
     ``reduced`` augments the complex in dimension 0 (and changes
-    nothing in higher dimensions).  The first call factors two
-    matrices, the outgoing map and the relations; a repeat returns
-    the same result.
+    nothing in higher dimensions).  The first call reduces the chain
+    complex around dimension n and factors two residual matrices, the
+    outgoing map and the relations; a repeat returns the same result.
 
     >>> circle = SimplicialComplex.from_maximal([(1, 2), (2, 3), (1, 3)])
     >>> homology(circle, 1).group.describe()
@@ -485,68 +729,74 @@ def cohomology(k: SimplicialComplex, n: int) -> HomologyResult:
     return _kept(k, "cohomology", n, False)
 
 
+def _reduction(k: SimplicialComplex, kind: str, n: int, reduced: bool) -> ChainReduction:
+    """The ``ChainReduction`` that ``k``'s ``kind`` result in dimension ``n`` is read off."""
+    if n < 0:
+        return _reduce((), ())
+    if kind == "cohomology":
+        incoming = _transposed(_boundary_columns(k, n), len(k.n_simplexes(n - 1)))
+        return _reduce(incoming, _transposed(_boundary_columns(k, n + 1), len(k.n_simplexes(n))))
+    outgoing = (((0, 1),),) * len(k.n_simplexes(0)) if reduced else _boundary_columns(k, n)
+    return _reduce(_boundary_columns(k, n + 1), outgoing)
+
+
 def _kept(k: SimplicialComplex, kind: str, n: int, reduced: bool) -> HomologyResult:
     """The ``kind`` result in dimension ``n`` that ``k`` keeps, built on the first read."""
     key = (kind, n, reduced)
     if key not in k._results:
         basis = k.n_simplexes(n) if n >= 0 else ()
-        if n < 0:
-            outgoing, incoming = IntegerMatrix([], ncols=0), []
-        elif kind == "cohomology":
-            outgoing = boundary_matrix(k, n + 1).transpose()
-            incoming = boundary_matrix(k, n).rows
-        else:
-            outgoing = augmentation_matrix(k) if reduced and basis else boundary_matrix(k, n)
-            incoming = boundary_matrix(k, n + 1).transpose().rows
-        k._results[key] = _quotient_of_cycles(outgoing, incoming, n, basis)
+        k._results[key] = _quotient(_reduction(k, kind, n, reduced), n, basis)
     return k._results[key]
 
 
-def chain_map_matrix(f: SimplicialMap, n: int) -> IntegerMatrix:
-    """Matrix of the induced chain map C_n(source) -> C_n(target).
+def _chain_columns(f: SimplicialMap, n: int) -> tuple:
+    """The chain map C_n(source) -> C_n(target) by sparse columns, one per source simplex.
 
     A simplex whose vertices collapse maps to zero; otherwise the sign
     is the parity of the permutation sorting the image vertices.
     """
-    src = f.source.n_simplexes(n)
-    tgt = f.target.n_simplexes(n)
-    rank = f.target._rank
-    index = {s: i for i, s in enumerate(tgt)}
-    out = [[0] * len(src) for _ in tgt]
-    for j, s in enumerate(src):
-        images = [f.vertex_map[v] for v in s]
-        ranks = [rank[w] for w in images]
-        if len(set(ranks)) != len(ranks):
-            continue
+    rank, index = f.target._rank, {s: i for i, s in enumerate(f.target.n_simplexes(n))}
+    columns = []
+    for s in f.source.n_simplexes(n):
+        ranks = [rank[f.vertex_map[v]] for v in s]
         inversions = sum(a > b for i, a in enumerate(ranks) for b in ranks[i + 1 :])
-        target_simplex = tuple(sorted(images, key=rank.__getitem__))
-        out[index[target_simplex]][j] += (-1) ** inversions
-    return IntegerMatrix._derived(tuple(map(tuple, out)), len(src))
+        collapsed = len(set(ranks)) != len(ranks)
+        columns.append(() if collapsed else ((index[f.image_simplex(s)], (-1) ** inversions),))
+    return tuple(columns)
 
 
-def _induced_between(
-    source: HomologyResult, target: HomologyResult, chain_rows: IntegerMatrix
-) -> GroupHom:
-    """Hom between quotient groups from a chain-level map given by its transpose.
+def chain_map_matrix(f: SimplicialMap, n: int) -> IntegerMatrix:
+    """Matrix of the induced chain map C_n(source) -> C_n(target)."""
+    return _dense(_chain_columns(f, n), range(len(f.target.n_simplexes(n))))
 
-    ``chain_rows`` has one row per source chain basis element, its
-    image in the target chain basis.  One product, the source cycle
-    basis (a row per presentation generator) times ``chain_rows``,
-    pushes every cycle at once; each image row is written over the
-    target cycle basis by ``target.cycle_coordinates``, which reads
-    the target's kept columns of V^-1 and factors nothing.  An image
-    with no coordinates is a real failure of cycles to land on cycles.
+
+def _induced_between(source: HomologyResult, target: HomologyResult, columns: tuple) -> GroupHom:
+    """Hom between quotient groups from a chain map given by its sparse ``columns``.
+
+    Each source cycle is pushed through the chain map at its nonzero
+    entries, and the target reads the image in class coordinates through
+    its kept ``class_columns``, factoring nothing.  An image that is not
+    a cycle is a real failure of cycles to land on cycles.
     """
-    cycles = IntegerMatrix._derived(source.cycle_columns, len(source.basis))
-    cols = tuple(map(target.cycle_coordinates, (cycles * chain_rows).rows))
+    cols = []
+    for cycle in source.cycle_columns:
+        image = _combine(((j, cycle[j]) for j in compress(range(len(cycle)), cycle)), columns)
+        cols.append(target._coordinates(image.items()))
     if None in cols:
         raise AssertionError("image of a cycle is not a cycle; induced map broken")
-    matrix = IntegerMatrix._derived(cols, target.group.ngens).transpose()
+    matrix = IntegerMatrix._derived(tuple(cols), target.group.ngens).transpose()
     return GroupHom(source.group, target.group, matrix)
+
+
+def _is_identity(f: SimplicialMap) -> bool:
+    return f.source == f.target and all(v == w for v, w in f.vertex_map.items())
 
 
 def induced_map(f: SimplicialMap, n: int, reduced: bool = False) -> GroupHom:
     """Induced map on H_n, between the homology results its ends keep.
+
+    The identity of a complex induces the identity of its kept group,
+    and nothing else is read for it.
 
     >>> hexagon = SimplicialComplex.from_maximal([(i, (i + 1) % 6) for i in range(6)])
     >>> triangle = SimplicialComplex.from_maximal([(0, 1), (1, 2), (0, 2)])
@@ -554,18 +804,19 @@ def induced_map(f: SimplicialMap, n: int, reduced: bool = False) -> GroupHom:
     >>> induced_map(wrap, 1).canonical_matrix().rows in (((2,),), ((-2,),))
     True
     """
-    return _induced_between(
-        homology(f.source, n, reduced),
-        homology(f.target, n, reduced),
-        chain_map_matrix(f, n).transpose(),
-    )
+    target = homology(f.target, n, reduced)
+    if _is_identity(f):
+        return GroupHom.identity(target.group)
+    return _induced_between(homology(f.source, n, reduced), target, _chain_columns(f, n))
 
 
 def induced_cohomology_map(f: SimplicialMap, n: int) -> GroupHom:
-    """Contravariant induced map H^n(target) -> H^n(source)."""
-    return _induced_between(
-        cohomology(f.target, n), cohomology(f.source, n), chain_map_matrix(f, n)
-    )
+    """Contravariant induced map H^n(target) -> H^n(source); the identity as in ``induced_map``."""
+    source = cohomology(f.source, n)
+    if _is_identity(f):
+        return GroupHom.identity(source.group)
+    target = cohomology(f.target, n)
+    return _induced_between(target, source, _transposed(_chain_columns(f, n), len(target.basis)))
 
 
 # -- mapping cylinders and telescopes ----------------------------------

@@ -1,7 +1,7 @@
 """Independent oracles used to cross-check the exact linear algebra.
 
-Apart from ``refactored_cycle_coordinates``,
-``dense_cycle_coordinates``, the Smith-based subgroup routines, the
+Apart from ``dense_homology`` (which presents its group with the
+package's ``FGAbelianGroup``), the Smith-based subgroup routines, the
 composite-hom image routines (``image_under`` and the ``composed_*``
 references for tower analyses), ``restricted_hom`` and
 ``restricted_stable_lim``,
@@ -357,47 +357,51 @@ def betti_from_boundaries(d_n, d_np1, n_chain_rank: int) -> int:
     return (n_chain_rank - bareiss_rank(d_n)) - bareiss_rank(d_np1)
 
 
-def refactored_cycle_coordinates(cycle_columns, chain):
-    """Coordinates of ``chain`` over ``cycle_columns`` from their own factorization.
+def dense_homology(outgoing, incoming):
+    """H_n by the dense path: (group, cycle columns, coordinates of a chain over them).
 
-    The reference for ``HomologyResult.cycle_coordinates``, which reads
-    them off the outgoing map's decomposition instead: here the cycle
-    matrix gets a Smith decomposition of its own and the chain is solved
-    against it.  The columns are independent, so a solution is the unique
-    coordinate vector; None when the chain is outside their span.
+    The reference for ``simplicial.homology``, which reduces the complex
+    first and factors only what is left: here the whole outgoing map M
+    gets the dense Smith decomposition U * M * V = D with V and V^-1
+    (``dense_smith_normal_form``), V's columns from the rank on are the
+    cycle basis, a chain's coordinates are V^-1 times it from the rank
+    on (None when the entries above the rank are not all zero), and the
+    group is presented on the cycle basis by the coordinates of the
+    incoming map's columns.
     """
-    from towertop.abelian import IntegerMatrix, smith_normal_form
+    from towertop.abelian import FGAbelianGroup, IntegerMatrix
 
-    cycles = IntegerMatrix(cycle_columns, ncols=len(chain)).transpose()
-    return smith_solve(smith_normal_form(cycles, inverse="uinv"), chain)
-
-
-def dense_cycle_coordinates(outgoing, cycle_columns):
-    """Cycle coordinates read off a fresh factorization of ``outgoing``, one row sum at a time.
-
-    The reference for ``HomologyResult.cycle_coordinates``, which keeps
-    V^-1 by its sparse columns and adds one column per nonzero entry of
-    the chain: here the outgoing map M gets its Smith decomposition
-    U * M * V = D again, y = V^-1 * chain is the dense product, the
-    chain is a cycle exactly when y is zero above the rank, and each
-    coordinate takes the sign that turns V's column into the cycle
-    column.  Returns the map chain -> coordinates (None off the cycles).
-    """
-    from towertop.abelian import smith_normal_form
-
-    snf = smith_normal_form(outgoing, inverse="vinv")
-    rank = snf.rank
-    signs = [
-        1 if snf.v.column(rank + t) == tuple(col) else -1 for t, col in enumerate(cycle_columns)
-    ]
+    _, _, d, v, vinv = dense_smith_normal_form(outgoing.rows, outgoing.ncols)
+    rank = sum(1 for i in range(min(outgoing.nrows, outgoing.ncols)) if d[i][i])
+    cycles = [tuple(row[j] for row in v) for j in range(rank, outgoing.ncols)]
 
     def coordinates(chain):
-        y = dense_matvec(snf.vinv.rows, chain)
-        if any(y[:rank]):
-            return None
-        return tuple(s * c for s, c in zip(signs, y[rank:]))
+        y = dense_matvec(vinv, chain)
+        return None if any(y[:rank]) else tuple(y[rank:])
 
-    return coordinates
+    relations = [coordinates(col) for col in incoming.columns()]
+    assert None not in relations, "a boundary is not a cycle"
+    return FGAbelianGroup(len(cycles), IntegerMatrix(relations, ncols=len(cycles))), cycles, coordinates
+
+
+def integer_span(columns, height: int):
+    """The test b -> whether b is an integer combination of ``columns`` (vectors of ``height``).
+
+    The reference for the class coordinates of a homology result: a
+    chain minus the lift of its coordinates must be a boundary, an
+    integer combination of the incoming map's columns.  The columns get
+    one dense Smith form U * A * V = D, and A x = b is solvable exactly
+    when each entry of U * b is divisible by its diagonal entry (zero
+    past the rank).
+    """
+    rows = [[col[i] for col in columns] for i in range(height)]
+    u, _, d, _, _ = dense_smith_normal_form(rows, len(columns))
+    diag = [d[i][i] if i < len(columns) else 0 for i in range(height)]
+
+    def contains(b) -> bool:
+        return all((c % di if di else c) == 0 for c, di in zip(dense_matvec(u, b), diag))
+
+    return contains
 
 
 # -- subgroups by Smith decomposition -----------------------------------------

@@ -3,7 +3,11 @@
 import contextlib
 import io
 import json
+import os
 import random
+import resource
+import subprocess
+import sys
 import time
 from fractions import Fraction
 
@@ -311,3 +315,34 @@ def test_structural_laws_cover_the_infinite_statements():
     direct = induced_map(f.compose(g), 1)
     composed = induced_map(f, 1).compose(induced_map(g, 1))
     assert equal_hom(direct, composed)
+
+
+def test_homology_of_a_30_by_30_torus_document_stays_under_100_mb(tmp_path):
+    # one towertop process on the 30 x 30 grid torus (900 vertices, 2 700
+    # edges, 1 800 triangles); its peak resident memory is read from the
+    # child's own rusage, and RLIMIT_AS caps that child alone at 1 GiB
+    side = 30
+    faces = []
+    for i in range(side):
+        for j in range(side):
+            a, b = i * side + j, (i + 1) % side * side + j
+            c, d = i * side + (j + 1) % side, (i + 1) % side * side + (j + 1) % side
+            faces += [[a, b, d], [a, c, d]]
+    doc = tmp_path / "torus30.complex"
+    doc.write_text(json.dumps({"format_version": "1", "kind": "complex", "payload": {"maximal": faces}}))
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    t0 = time.perf_counter()
+    argv = [sys.executable, "-m", "towertop.cli", "homology", str(doc), "--dim", "1"]
+    with subprocess.Popen(argv, stdout=subprocess.PIPE, env=env, preexec_fn=limit) as proc:
+        out = proc.stdout.read().decode()
+        _, status, usage = os.wait4(proc.pid, 0)
+        proc.returncode = os.waitstatus_to_exitcode(status)
+    assert proc.returncode == 0
+    assert out.splitlines()[-1] == "H_1 = Z^2"
+    assert usage.ru_maxrss < 100 * 1024  # kilobytes on Linux
+    assert time.perf_counter() - t0 < 30.0

@@ -27,11 +27,13 @@ from towertop.cli import Report
 from towertop.compactohedral import ValidationReport, Violation, build_gallery, validate
 from towertop.nerve import BallCover, PointSample
 from towertop.simplicial import (
+    ChainReduction,
     ComplexViolation,
     HomologyResult,
     SimplicialComplex,
     SimplicialMap,
     Telescope,
+    _reduction,
     finite_telescope,
     homology,
 )
@@ -49,6 +51,7 @@ from towertop.tower import (
 Z = FGAbelianGroup.free(1)
 ZR = "<FGAbelianGroup Z on 1 generators>"
 CIRCLE = SimplicialComplex.from_maximal([(1, 2), (2, 3), (1, 3)])
+EDGE = SimplicialComplex.from_maximal([("a", "b")])
 TELESCOPE = finite_telescope(build_gallery("solenoid", p=2, depth=2), 1)
 
 
@@ -87,8 +90,16 @@ RECORDS = {
         True,
         True,
     ),
+    "ChainReduction": (
+        lambda: _reduction(EDGE, "homology", 0, False),
+        "ChainReduction(incoming=(((0, -1), (1, 1)),), outgoing=((), ()),"
+        " homotopy=(((0, 1, ((0, -1), (1, 1)), ((0, 1),)),), ()), residual=((), ((),)),"
+        " iota=(((0, 1),),), pi=(((0, 1),), ((0, 1),)))",
+        True,
+        True,
+    ),
     "HomologyResult": (
-        lambda: HomologyResult(Z, (), 1, (), (), (((0, 1),),), (1,)),
+        lambda: HomologyResult(Z, (), 1, (), (), (), (((0, 1),),), 0),
         f"HomologyResult(group={ZR}, representatives=(), degree=1, basis=(), cycle_columns=())",
         True,
         True,
@@ -286,6 +297,19 @@ def test_unpickling_a_hermite_form_verifies_it():
         pickle.loads(pickle.dumps(_ForgedHermite()))
 
 
+class _ForgedReduction:
+    """Pickles as an edge's reduction whose pi sends the pivot vertex to twice the kept one."""
+
+    def __reduce__(self):
+        r = _reduction(EDGE, "homology", 0, False)
+        return ChainReduction, (r.incoming, r.outgoing, r.homotopy, r.residual, r.iota, (((0, 1),), ((0, 2),)))
+
+
+def test_unpickling_a_chain_reduction_verifies_it():
+    with pytest.raises(AssertionError, match="^pi is not a chain map$"):
+        pickle.loads(pickle.dumps(_ForgedReduction()))
+
+
 def test_only_the_record_constructor_assigns_past_the_frozen_setattr():
     def scopes(node, scope):
         """Enclosing class and function names of every ``object.__setattr__`` under node."""
@@ -345,12 +369,12 @@ def test_records_reject_a_missing_unknown_repeated_or_surplus_argument(args, kwa
 
 
 def test_homology_results_compare_without_the_kept_factorization():
-    kept = HomologyResult(Z, (), 1, (), (), (((0, 1),),), (1,))
-    other = HomologyResult(Z, (), 1, (), (), (((0, 3),),), (-1,))
+    kept = HomologyResult(Z, (), 1, (), (), (), (((0, 1),),), 0)
+    other = HomologyResult(Z, (), 1, (), (), ((),), (((0, 3),),), 1)
     assert kept == other and hash(kept) == hash(other)
-    assert kept != HomologyResult(Z, (), 2, (), (), (((0, 1),),), (1,))
+    assert kept != HomologyResult(Z, (), 2, (), (), (), (((0, 1),),), 0)
     h = homology(CIRCLE, 1)
-    assert "vinv" not in repr(h) and "cycle_signs" not in repr(h)
+    assert all(name not in repr(h) for name in ("outgoing", "class_columns", "residual_rank"))
 
 
 @pytest.mark.parametrize(

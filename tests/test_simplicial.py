@@ -11,7 +11,7 @@ import tracemalloc
 from itertools import combinations
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import towertop.simplicial as simplicial
@@ -58,16 +58,17 @@ from oracles import (
     bareiss_rank,
     betti_from_boundaries,
     cylinder_by_hand,
-    dense_cycle_coordinates,
+    dense_homology,
     dense_matvec,
     determinantal_invariant_factors,
     equal_hom,
     inline_chain_map_rows,
+    integer_span,
     inline_simplex_order,
     matvec_induced_columns,
     minor_gcd,
     mod_p_rank,
-    refactored_cycle_coordinates,
+    to_canonical,
     two_closure_telescope,
 )
 
@@ -311,62 +312,78 @@ def test_kept_results_are_shared_and_read_only():
             del rep[next(iter(rep))]
 
 
+def complex_maps(k, n) -> dict:
+    """(outgoing map, incoming map) of H_n, reduced H_n and H^n of k, by kind."""
+    down, up = boundary_matrix(k, n), boundary_matrix(k, n + 1)
+    reduced = augmentation_matrix(k) if n == 0 and k.n_simplexes(0) else down
+    return {
+        "homology": (down, up),
+        "reduced": (reduced, up),
+        "cohomology": (up.transpose(), down.transpose()),
+    }
+
+
 def quotient_cases(k, n):
     """(result, outgoing map, incoming map) for H_n, reduced H_n and H^n of k.
 
     Each result is computed on its own copy of k, so none of them is a
     result that k kept from an earlier case.
     """
-    if n == 0 and k.n_simplexes(0):
-        reduced_outgoing = augmentation_matrix(k)
-    else:
-        reduced_outgoing = boundary_matrix(k, n)
-    down, up = boundary_matrix(k, n), boundary_matrix(k, n + 1)
+    maps = complex_maps(k, n)
     return (
-        (homology(SimplicialComplex(k.simplexes), n), down, up),
-        (homology(SimplicialComplex(k.simplexes), n, reduced=True), reduced_outgoing, up),
-        (cohomology(SimplicialComplex(k.simplexes), n), up.transpose(), down.transpose()),
+        (homology(SimplicialComplex(k.simplexes), n), *maps["homology"]),
+        (homology(SimplicialComplex(k.simplexes), n, reduced=True), *maps["reduced"]),
+        (cohomology(SimplicialComplex(k.simplexes), n), *maps["cohomology"]),
     )
 
 
-def check_cycle_coordinates(h, outgoing, incoming, rng, refactored):
-    """``h.cycle_coordinates`` against the dense V^-1 row read on every chain tried.
+def lift(h, coords) -> list:
+    """The chain over ``h.basis`` that coordinates ``coords`` name over ``h.cycle_columns``."""
+    return [sum(c * col[i] for c, col in zip(coords, h.cycle_columns)) for i in range(len(h.basis))]
 
-    The chains are the incoming boundaries, the cycle basis and five
-    random chains; the first ``refactored`` incoming boundaries (all of
-    them for None, and then the random non-cycles too) are also solved
-    against a refactored cycle matrix.
+
+def check_cycle_coordinates(h, outgoing, incoming, rng):
+    """``h`` against the dense path, and its class coordinates against a solve over Z.
+
+    The group must have the dense path's invariants.  The chains tried
+    are the incoming boundaries, the cycle columns, the dense path's
+    cycle basis, five random chains and five random cycles: a chain has
+    coordinates exactly when the outgoing map kills it, a cycle column
+    has its unit vector, a boundary's class is zero, and a chain minus
+    the lift of its coordinates is a boundary.  Each cycle column leads
+    with a positive entry in simplex order.
     """
-    cycles = h.cycle_columns
-    dense = dense_cycle_coordinates(outgoing, cycles)
-    for col in incoming.columns()[:refactored]:
-        assert h.cycle_coordinates(col) == refactored_cycle_coordinates(cycles, col)
-    for col in incoming.columns():
-        coords = h.cycle_coordinates(col)
-        assert coords is not None and coords == dense(col)
-    for j, col in enumerate(cycles):
-        unit = tuple(int(i == j) for i in range(len(cycles)))
-        assert h.cycle_coordinates(col) == unit
+    group, dense_cycles, _ = dense_homology(outgoing, incoming)
+    assert h.group.invariants == group.invariants
+    assert all(next(filter(None, col)) > 0 for col in h.cycle_columns)
+    boundaries = incoming.columns()
+    is_boundary = integer_span(boundaries, len(h.basis))
+    for j, col in enumerate(h.cycle_columns):
+        assert h.cycle_coordinates(col) == tuple(int(i == j) for i in range(len(h.cycle_columns)))
+    for col in boundaries:
+        assert not any(to_canonical(h.group, h.cycle_coordinates(col)))
+    chains = [[rng.randint(-3, 3) for _ in h.basis] for _ in range(5)]
     for _ in range(5):
-        chain = [rng.randint(-3, 3) for _ in h.basis]
+        weights = [rng.randint(-2, 2) for _ in dense_cycles]
+        chains.append([sum(w * c[i] for w, c in zip(weights, dense_cycles)) for i in range(len(h.basis))])
+    for chain in boundaries + dense_cycles + chains:
         coords = h.cycle_coordinates(chain)
-        assert coords == dense(chain)
         assert (coords is None) == any(dense_matvec(outgoing.rows, chain))
-        if coords is None and refactored is None:
-            assert refactored_cycle_coordinates(cycles, chain) is None
+        if coords is not None:
+            assert is_boundary([a - b for a, b in zip(chain, lift(h, coords))])
     for wrong in (len(h.basis) + 1, len(h.basis) - 1):
         if wrong >= 0:
             with pytest.raises(ValueError, match="^vector length mismatch$"):
                 h.cycle_coordinates([1] * wrong)
 
 
-def test_cycle_coordinates_match_refactored_cycle_matrix():
+def test_cycle_coordinates_read_classes_against_the_dense_path():
     rng = random.Random(606)
     for _ in range(30):
         k = random_complex(rng, max_vertices=5, max_cells=4, max_card=3)
         for n in range(-1, k.dimension() + 2):
             for h, outgoing, incoming in quotient_cases(k, n):
-                check_cycle_coordinates(h, outgoing, incoming, rng, None)
+                check_cycle_coordinates(h, outgoing, incoming, rng)
                 torsion = [d for d in determinantal_invariant_factors(incoming.rows) if d > 1]
                 betti = betti_from_boundaries(outgoing.rows, incoming.rows, len(h.basis))
                 assert h.group.invariants == (betti, tuple(torsion))
@@ -376,9 +393,31 @@ def test_cycle_coordinates_match_refactored_cycle_matrix():
     for k, betti_numbers in ((grid_torus(6), (1, 2, 1)), (telescope, (1, 1, 0))):
         for n in range(-1, k.dimension() + 2):
             for h, outgoing, incoming in quotient_cases(k, n):
-                check_cycle_coordinates(h, outgoing, incoming, rng, 2)
+                check_cycle_coordinates(h, outgoing, incoming, rng)
             expected = betti_numbers[n] if 0 <= n < len(betti_numbers) else 0
             assert homology(k, n).group.invariants == (expected, ())
+
+
+@st.composite
+def reducible_complexes(draw) -> SimplicialComplex:
+    """A small random complex, a grid torus, RP^2, or a finite or pinched solenoid telescope."""
+    kind = draw(st.sampled_from(("random", "torus", "rp2", "telescope", "pinched")))
+    if kind == "random":
+        return random_complex(random.Random(draw(st.integers(0, 2**16))), 6, 6, 4)
+    if kind == "torus":
+        return grid_torus(3)
+    if kind == "rp2":
+        return projective_plane()
+    build = finite_telescope if kind == "telescope" else pinched_telescope
+    return build(circle_power_tower(draw(st.integers(2, 3)), 2), draw(st.integers(0, 1))).complex
+
+
+@settings(max_examples=30)
+@given(reducible_complexes(), st.randoms(use_true_random=False))
+def test_reduced_homology_matches_the_dense_path(k, rng):
+    for n in range(-1, k.dimension() + 2):
+        for h, outgoing, incoming in quotient_cases(k, n):
+            check_cycle_coordinates(h, outgoing, incoming, rng)
 
 
 def smith_digest(matrices) -> tuple:
@@ -390,23 +429,25 @@ def smith_digest(matrices) -> tuple:
 
 
 def test_torus_h1_and_comb_steenrod_h0_factor_the_pinned_matrices(smith_calls):
-    # the column read of V^-1 changes no factorization: these are the very
-    # matrices, in order, that the dense row read gave Smith
+    # the reduction leaves one vertex, two edges and one triangle of the
+    # 6 x 6 torus, so Smith sees only the 1 x 2 residual boundary map and
+    # the 2 x 1 transposed relations (36 x 108 and 73 x 72 unreduced)
     from towertop.assembly import steenrod_report
     from towertop.compactohedral import build_gallery
 
     homology(grid_torus(6), 1)
-    assert [(m.nrows, m.ncols) for m in smith_calls] == [(36, 108), (73, 72)]
+    assert [(m.nrows, m.ncols) for m in smith_calls] == [(1, 2), (2, 1)]
     assert smith_digest(smith_calls) == (
-        2, "aff56c92417c276cac410dc942edbd01594845712ba5aec451c012d29be6ab02"
+        2, "70d9a8dab7eb62856f33b87a18a5f270f6c6021f77b3aabf0f9b8d30a088f2f3"
     )
     del smith_calls[:]
     # the level homologies and the groups their images are read as; the
     # image comparisons go through Hermite forms and factor nothing
     steenrod_report(build_gallery("comb", teeth=4, depth=2), 0)
     assert smith_digest(smith_calls) == (
-        14, "d5e906755b0caa77c7182a5d7cf47c383e9d6c24cf6c9c9392862a8a0650202d"
+        14, "a6516f3d39096df11f4eeba5eb3cbc51659eb1c55d4bcc7cb38d4d1b6bdd4b1b"
     )
+    assert max(m.nrows * m.ncols for m in smith_calls) == 3
 
 
 def test_homology_factors_the_outgoing_map_and_the_relations_only(smith_calls):
@@ -415,7 +456,13 @@ def test_homology_factors_the_outgoing_map_and_the_relations_only(smith_calls):
             del smith_calls[:]
             cases = quotient_cases(k, n)
             assert len(smith_calls) == 2 * len(cases)
-            assert smith_calls[::2] == [outgoing for _, outgoing, _ in cases]
+            # the first of each pair is the residual outgoing map, no larger than the whole map
+            for kind, (_, outgoing, _), residual in zip(("homology", "reduced", "cohomology"), cases, smith_calls[::2]):
+                reduction = simplicial._reduction(k, kind.replace("reduced", "homology"), n, kind == "reduced" and n == 0)
+                _, cells, cells_below = reduction.residual_cells()
+                assert residual == simplicial._dense(reduction.residual[1], cells_below)
+                assert (residual.nrows, residual.ncols) == (len(cells_below), len(cells))
+                assert residual.nrows <= outgoing.nrows and residual.ncols <= outgoing.ncols
             # a kept result is read again, and reduced H_n is H_n above dimension 0
             first = homology(k, n, reduced=True)
             del smith_calls[:]
@@ -793,10 +840,12 @@ def test_unimodular_transforms_on_boundary_matrices():
 
 @st.composite
 def chain_maps(draw) -> SimplicialMap:
-    """A mixed-label map, a seeded collapse of a complex with homology, or a polygon wrap."""
-    kind = draw(st.sampled_from(("mixed", "collapse", "wrap")))
+    """A mixed-label map, a seeded collapse or the identity of a complex with homology, or a polygon wrap."""
+    kind = draw(st.sampled_from(("mixed", "collapse", "wrap", "identity")))
     if kind == "mixed":
         return draw(mixed_label_maps())
+    if kind == "identity":
+        return SimplicialMap.identity(draw(st.sampled_from((projective_plane, torus_7, hollow_triangle)))())
     if kind == "wrap":
         return polygon_wrap(3 * draw(st.integers(1, 3)), 3)
     k = draw(st.sampled_from((projective_plane, torus_7, hollow_triangle)))()
@@ -820,3 +869,152 @@ def test_induced_maps_and_representatives_match_the_per_vector_references(f):
             for h in (homology(k, n), homology(k, n, reduced=True), cohomology(k, n)):
                 expected = axpy_representatives(h.group, h.cycle_columns, h.basis)
                 assert [dict(rep) for rep in h.representatives] == expected
+
+
+def dense_class_test(k, n, kind):
+    """(group, the test that two chains of ``k`` are in one class) by the dense path."""
+    outgoing, incoming = complex_maps(k, n)[kind]
+    group, _, coordinates = dense_homology(outgoing, incoming)
+
+    def same_class(a, b) -> bool:
+        x, y = coordinates(a), coordinates(b)
+        return x is not None and y is not None and not any(to_canonical(group, [p - q for p, q in zip(x, y)]))
+
+    return group, same_class
+
+
+@given(chain_maps())
+def test_induced_maps_send_classes_where_the_dense_path_does(f):
+    # one change of basis apart: the image of each source cycle under the
+    # chain map and the lift of its induced coordinates are one class of the
+    # dense path; so are a generator and its image under an identity
+    for n in range(-1, max(f.source.dimension(), f.target.dimension()) + 2):
+        chain = chain_map_matrix(f, n)
+        for kind in ("homology", "reduced", "cohomology"):
+            if kind == "cohomology":
+                source, target = cohomology(f.target, n), cohomology(f.source, n)
+                hom, rows, end = induced_cohomology_map(f, n), chain.transpose().rows, f.source
+            else:
+                source, target = (homology(k, n, kind == "reduced") for k in (f.source, f.target))
+                hom, rows, end = induced_map(f, n, kind == "reduced"), chain.rows, f.target
+            group, same_class = dense_class_test(end, n, kind)
+            assert hom.target.invariants == group.invariants
+            for z, image in zip(source.cycle_columns, hom.matrix.columns()):
+                assert same_class(dense_matvec(rows, z), lift(target, image))
+
+
+def tampered(record):
+    """The fields of every copy of ``record`` with one entry of iota, pi or h changed by +1 or -2."""
+
+    def each(vectors):
+        """``vectors`` with one entry of one vector changed, every way in turn."""
+        for p, pairs in enumerate(vectors):
+            for q, (i, a) in enumerate(pairs):
+                for delta in (1, -2):
+                    yield vectors[:p] + (pairs[:q] + ((i, a + delta),) + pairs[q + 1 :],) + vectors[p + 1 :]
+
+    head = (record.incoming, record.outgoing)
+    for iota in each(record.iota):
+        yield (*head, record.homotopy, record.residual, iota, record.pi)
+    for pi in each(record.pi):
+        yield (*head, record.homotopy, record.residual, record.iota, pi)
+    for block, pivots in enumerate(record.homotopy):
+        for p, (j, t, column, row) in enumerate(pivots):
+            changed = [(j, t, c, row) for (c,) in each((column,))] + [(j, t, column, r) for (r,) in each((row,))]
+            for pivot in changed:
+                blocks = list(record.homotopy)
+                blocks[block] = pivots[:p] + (pivot,) + pivots[p + 1 :]
+                yield (*head, tuple(blocks), record.residual, record.iota, record.pi)
+
+
+TAMPER_CASES = {
+    "rp2-h1": (projective_plane, "homology", 1, False),
+    "rp2-cohomology-2": (projective_plane, "cohomology", 2, False),
+    "torus7-h1": (torus_7, "homology", 1, False),
+    "grid3-cohomology-1": (lambda: grid_torus(3), "cohomology", 1, False),
+    "pentagon-reduced-h0": (lambda: polygon(5), "homology", 0, True),
+    "points-h0": (lambda: disjoint_points(3), "homology", 0, False),
+    "telescope-h1": (lambda: finite_telescope(circle_power_tower(2, 3), 1).complex, "homology", 1, False),
+}
+
+
+@pytest.mark.parametrize("case", TAMPER_CASES)
+def test_every_one_entry_tamper_of_a_reduction_is_rejected(case):
+    build, kind, n, reduced = TAMPER_CASES[case]
+    record = simplicial._reduction(build(), kind, n, reduced)
+    assert simplicial.ChainReduction(*(getattr(record, name) for name in record._fields)) == record
+    count = 0
+    for fields in tampered(record):
+        count += 1
+        with pytest.raises(AssertionError):
+            simplicial.ChainReduction(*fields)
+    pivots = [pivot for block in record.homotopy for pivot in block]
+    entries = sum(map(len, record.iota)) + sum(map(len, record.pi))
+    assert count == 2 * (entries + sum(len(c) + len(r) for _, _, c, r in pivots)) > 0
+
+
+def test_reductions_do_not_depend_on_the_hash_seed():
+    # string labels iterate in hash-seed order in a frozenset; every pivot
+    # is taken in simplex order, so each record is the same under any seed
+    names = {v: f"v{v}" for v in range(7)}
+    torus = SimplicialComplex.from_maximal([[names[v] for v in s] for s in torus_7().simplexes])
+    plane = SimplicialComplex.from_maximal([[f"p{v}" for v in s] for s in projective_plane().simplexes])
+    digest = hashlib.sha256()
+    for k in (torus, plane):
+        for n in range(3):
+            for kind, reduced in (("homology", False), ("homology", True), ("cohomology", False)):
+                digest.update(repr(simplicial._reduction(k, kind, n, reduced and n == 0)).encode())
+    assert digest.hexdigest() == "5dc22e5c96d118447d9667ac606d59c22944320a2601443cb698970912eae306"
+
+
+def test_identity_bonds_factor_and_push_nothing(smith_calls, monkeypatch):
+    from towertop.compactohedral import build_gallery
+    from towertop.tower import cohomology_system, homology_tower
+
+    pushed = []
+    real = simplicial._chain_columns
+    monkeypatch.setattr(simplicial, "_chain_columns", lambda *args: pushed.append(args) or real(*args))
+    warsaw = build_gallery("warsaw", depth=3)
+    for n in (0, 1):
+        del smith_calls[:]
+        tower, system = homology_tower(warsaw, n), cohomology_system(warsaw, n)
+        # the one hexagon factors two residual matrices for H_n and two for
+        # H^n; its three identity bonds build no chain map, so they read no
+        # coordinates either
+        assert len(smith_calls) == 4 and pushed == []
+        for hom in tower.bonds + system.bonds:
+            assert hom.source is hom.target and hom.matrix == IntegerMatrix.identity(hom.source.ngens)
+    wrap = polygon_wrap(6, 3)
+    induced_map(wrap, 1)
+    assert len(pushed) == 1
+
+
+def test_reductions_reject_each_forged_shape():
+    # forgeries a one-entry change cannot make, each caught by its own check
+    r = simplicial._reduction(torus_7(), "homology", 1, False)
+    upper, lower = r.homotopy
+    _, cells, _ = r.residual_cells()
+    spans, rows_n = [j for j, _, _, _ in lower], [t for _, t, _, _ in upper]
+
+    def forged(**fields):
+        return simplicial.ChainReduction(**{**{name: getattr(r, name) for name in r._fields}, **fields})
+
+    # the products do not depend on the order of the pivots, triangularity does
+    with pytest.raises(AssertionError, match="^recorded pivots are not triangular$"):
+        forged(homotopy=(upper[::-1], lower))
+    j, t, column, row = lower[0]
+    with pytest.raises(AssertionError, match="^a recorded pivot row leaves the block$"):
+        forged(homotopy=(upper, ((j, t, column, row + ((rows_n[0], 1),)),) + lower[1:]))
+    moved = ((r.residual[1][0] + ((lower[0][1], 1),)),) + r.residual[1][1:]
+    with pytest.raises(AssertionError, match="^the residual is not the columns left off the pivot rows$"):
+        forged(residual=(r.residual[0], moved))
+    pi = list(r.pi)
+    pi[spans[0]] = ((cells[0], 1),)
+    with pytest.raises(AssertionError, match="^pi does not land in the residual complex$"):
+        forged(pi=tuple(pi))
+    iota = (tuple(sorted(r.iota[0] + ((rows_n[0], 1),))),) + r.iota[1:]
+    with pytest.raises(AssertionError, match="^iota is not the identity plus pivot columns$"):
+        forged(iota=iota)
+    # a 2-cell whose boundary is an edge: the boundary of its boundary is a vertex
+    with pytest.raises(AssertionError, match="^the chain complex or its maps do not fit together$"):
+        simplicial._reduce((((0, 1),),), (((0, -1), (1, 1)),))
