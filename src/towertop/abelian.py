@@ -13,11 +13,12 @@ objects are
 
 The Smith decomposition canonicalizes presentations and, in
 ``simplicial``, computes homology.  A subgroup is a lattice in
-canonical coordinates, and its Hermite normal form, which is unique,
-decides membership, containment and equality and gives the relations
-among the generators.  Finitely generated abelian groups are Hopfian,
-so a homomorphism is an isomorphism exactly when its two ends have the
-same invariants and its image is the whole target.
+canonical coordinates, and its Hermite normal form decides
+membership, containment and equality and gives the relations among the
+generators; residues mod 2 and 3 prove most strict containments first.
+Finitely generated abelian groups are Hopfian, so a homomorphism is an
+isomorphism exactly when its two ends have the same invariants and its
+image is the whole target.
 """
 
 from __future__ import annotations
@@ -553,7 +554,8 @@ class HermiteForm(_Record):
     recorded combination (so the form's lattice lies in the input's),
     that the form has the Hermite shape, and that every row of
     ``matrix`` reduces to zero against the form (so the input's lattice
-    lies in the form's).  ``checked_kernel`` checks the kernel where it
+    lies in the form's), unless the form is the identity, whose lattice
+    holds every row.  ``checked_kernel`` checks the kernel where it
     is read.  Every check raises ``AssertionError`` itself, so none
     rests on an ``assert`` statement.
     """
@@ -590,7 +592,9 @@ class HermiteForm(_Record):
             if any(not 0 <= above[p] < row[p] for above in form.rows[:i]):
                 raise AssertionError("Hermite form has an unreduced entry above a pivot")
             last = p
-        if any(self.divide(row) is None for row in matrix.rows):
+        # a form of n pivots 1 in n columns is the identity: its lattice Z^n holds every row
+        identity = r == n and all(row[p] == 1 for p, row in zip(self.pivots, form.rows))
+        if not identity and any(self.divide(row) is None for row in matrix.rows):
             raise AssertionError("an input row lies outside the lattice of its Hermite form")
 
     def divide(self, v: Sequence[int]) -> Optional[list]:
@@ -719,6 +723,68 @@ def hermite_normal_form(matrix: IntegerMatrix) -> HermiteForm:
         return IntegerMatrix._derived(tuple(map(tuple, lists)), width)
 
     return HermiteForm(matrix, rows(a[:top], n), pivots, rows(t[:top], m), rows(t[top:], m))
+
+
+class ResidueBasis(_Record):
+    """Result of ``residue_basis``: a reduced echelon basis over F_p of the rows of ``matrix``.
+
+    ``p`` is prime.  Basis row i has entries in [0, p) and a 1 in column
+    ``pivots[i]``, with zeros left of it and in the other rows there; the
+    pivots rise.  So a vector is in the span exactly when, off the
+    pivots, it is the rows weighted by its pivot entries (``spans``).
+    Construction checks that shape and that the basis spans every row of
+    ``matrix``, each check raising ``AssertionError`` itself; a vector
+    the basis does not span then lies outside the rows' span.
+    """
+
+    __slots__ = _fields = ("p", "matrix", "basis", "pivots")
+
+    def __init__(self, p: int, matrix: IntegerMatrix, basis: IntegerMatrix, pivots: tuple):
+        _Record.__init__(self, p, matrix, basis, tuple(pivots))
+        rows, pivots, n = basis.rows, self.pivots, matrix.ncols
+        if basis.ncols != n or len(pivots) != len(rows):
+            raise AssertionError("residue basis has the wrong shape")
+        for last, c, row in zip((-1,) + pivots, pivots, rows):
+            if not last < c < n or row[c] != 1 or any(islice(row, c)) or min(row) < 0 or max(row) >= p:
+                raise AssertionError("residue basis has a misplaced pivot or an entry outside [0, p)")
+        # entries are nonnegative, so the pivot columns sum to the pivots' 1s only when zero elsewhere
+        if sum([row[c] for row in rows for c in pivots]) != len(rows):
+            raise AssertionError("residue basis has a nonzero entry beside a pivot")
+        if not self.spans(matrix.rows):
+            raise AssertionError("a row lies outside the span of its residue basis")
+
+    def spans(self, vectors: Iterable[Sequence[int]]) -> bool:
+        """Whether the span holds every vector of ``vectors`` mod p."""
+        p, pivots, rows = self.p, self.pivots, self.basis.rows
+        off = [(j, [row[j] for row in rows]) for j in range(self.basis.ncols) if j not in pivots]
+        for v in vectors if off else ():
+            weights = [v[c] for c in pivots]
+            if any([(v[j] - sum(map(mul, weights, column))) % p for j, column in off]):
+                return False
+        return True
+
+
+def residue_basis(matrix: IntegerMatrix, p: int) -> ResidueBasis:
+    """Reduced echelon basis over F_p, for a prime ``p``, of the rows of ``matrix``, entries in [0, p)."""
+    kept = {}  # pivot column -> row
+    for v in matrix.rows:
+        for c, row in kept.items():
+            q = v[c]
+            if q:
+                v = [(x - q * y) % p for x, y in zip(v, row)]
+        c = next(compress(range(len(v)), v), None)
+        if c is not None:
+            if v[c] != 1:
+                q = pow(v[c], -1, p)
+                v = [x * q % p for x in v]
+            for k, row in kept.items():
+                q = row[c]
+                if q:
+                    kept[k] = [(x - q * y) % p for x, y in zip(row, v)]
+            kept[c] = v
+    pivots = sorted(kept)
+    basis = IntegerMatrix._derived(tuple(tuple(kept[c]) for c in pivots), matrix.ncols)
+    return ResidueBasis(p, matrix, basis, pivots)
 
 
 class FGAbelianGroup:
@@ -921,17 +987,6 @@ class GroupHom:
     def identity(cls, group: FGAbelianGroup) -> "GroupHom":
         return cls(group, group, IntegerMatrix.identity(group.ngens))
 
-    @classmethod
-    def from_canonical_matrix(
-        cls, source: FGAbelianGroup, target: FGAbelianGroup, canonical: IntegerMatrix
-    ) -> "GroupHom":
-        """Hom given by a matrix in canonical coordinates on both sides."""
-        if canonical.ncols != source.canonical_ngens or canonical.nrows != target.canonical_ngens:
-            raise ValueError("canonical matrix shape mismatch")
-        # column j of the reduced source._to is source generator j in canonical coordinates
-        images = target._reduced(canonical * source._reduced(source._to))
-        return cls(source, target, target.lifts * images)
-
     def canonical_matrix(self) -> IntegerMatrix:
         """Matrix in canonical coordinates (torsion rows reduced mod invariant)."""
         if self._canonical is None:
@@ -998,17 +1053,22 @@ class Subgroup:
 
     A subgroup is the lattice that its generators and the ambient
     relation vectors span in canonical coordinates, and it keeps that
-    lattice's ``HermiteForm``, built on first use.  The form is unique,
-    so equality compares two forms; membership and containment reduce
-    each vector against it; the subgroup is full when the form is the
-    identity, which is how a hom is tested for being onto, and so for
-    being an isomorphism; and ``as_group`` reads the relations among
-    the generators off the checked kernel rows.  No Smith decomposition
-    is made here beyond the one ``as_group``'s own group makes of those
-    relations.
+    lattice's ``HermiteForm``, built on first use.  Membership reduces a
+    vector against the form, A lies inside B when B's form reduces every
+    generator of A, and equality is containment both ways: so if B is
+    known to lie inside A, A equals B exactly when A lies inside B,
+    which reads B's form alone.  Before B's form, containment looks for
+    a strict drop mod p = 2 and 3: a generator of A whose residues in
+    G/pG (the free coordinates and the torsion ones of order divisible
+    by p) lie outside B's kept ``residue_basis`` proves A not inside B.
+    The subgroup is full when its form is the identity, which is how a
+    hom is tested for being onto, and so for being an isomorphism; and
+    ``as_group`` reads the relations among the generators off the
+    checked kernel rows.  No Smith decomposition is made here beyond the
+    one ``as_group``'s own group makes of those relations.
     """
 
-    __slots__ = ("group", "generators", "_hermite", "_as_group")
+    __slots__ = ("group", "generators", "_hermite", "_as_group", "_residues", "_bases")
 
     def __init__(self, group: FGAbelianGroup, generators: Iterable[Sequence[int]]):
         self.group = group
@@ -1020,6 +1080,7 @@ class Subgroup:
         self.generators = tuple(gens)
         self._hermite = None
         self._as_group = None
+        self._residues, self._bases = {}, {}
 
     @classmethod
     def full(cls, group: FGAbelianGroup) -> "Subgroup":
@@ -1033,6 +1094,24 @@ class Subgroup:
             self._hermite = hermite_normal_form(IntegerMatrix._derived(rows, group.canonical_ngens))
         return self._hermite
 
+    def _residue_rows(self, p: int) -> IntegerMatrix:
+        """The generators' images in G/pG, one row each."""
+        if p not in self._residues:
+            f, torsion = self.group.free_rank, self.group.torsion
+            columns = list(range(f)) + [f + k for k, t in enumerate(torsion) if t % p == 0]
+            rows = tuple([tuple([g[j] % p for j in columns]) for g in self.generators])
+            self._residues[p] = IntegerMatrix._derived(rows, len(columns))
+        return self._residues[p]
+
+    def _escapes_mod_p(self, other: "Subgroup") -> bool:
+        """Whether a generator's residues mod 2 or 3 lie outside ``other``'s: then self is not inside."""
+        for p in (2, 3):
+            if p not in other._bases:
+                other._bases[p] = residue_basis(other._residue_rows(p), p)
+            if not other._bases[p].spans(self._residue_rows(p).rows):
+                return True
+        return False
+
     def _check_same_group(self, other: "Subgroup") -> None:
         if self.group is not other.group and self.group != other.group:
             raise ValueError("subgroups live in different groups")
@@ -1043,14 +1122,15 @@ class Subgroup:
 
     def is_subset_of(self, other: "Subgroup") -> bool:
         self._check_same_group(other)
-        if not self.generators:
+        if self is other or not self.generators:
             return True
+        if self._escapes_mod_p(other):
+            return False
         form = other._hermite_form()
         return all(form.divide(g) is not None for g in self.generators)
 
     def equals(self, other: "Subgroup") -> bool:
-        self._check_same_group(other)
-        return self._hermite_form().form == other._hermite_form().form
+        return self.is_subset_of(other) and other.is_subset_of(self)
 
     def is_trivial(self) -> bool:
         return not self.generators

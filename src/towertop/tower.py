@@ -27,8 +27,9 @@ image chains, period powers and carry-downs multiply canonical
 matrices, and every product is checked where it is made
 (``_composed``).  A tower keeps each chain it builds, so
 ``ml_status``, ``lim1_class`` and ``stable_lim`` on one tower share
-the same subgroups and reduce each of them to its Hermite form once;
-comparing two images compares their forms.  A
+the same subgroups and reduce each to its Hermite form at most once;
+an image chain descends, so an image repeats when it lies inside the
+next one (``_first_repeat``).  A
 ``NotStable`` holds the chains it was given and an ``MLStatus`` its
 chain; each reads the isomorphism types through those subgroups,
 which keep them, so nothing is factored until they are read and
@@ -351,8 +352,15 @@ def _image_of(sub: Subgroup, canonical: IntegerMatrix, target: FGAbelianGroup) -
 
 
 def _first_repeat(subs: List[Subgroup]) -> Optional[int]:
-    """First index k with subs[k] equal to subs[k + 1], or None."""
-    return next((k for k in range(len(subs) - 1) if subs[k].equals(subs[k + 1])), None)
+    """First index k with subs[k] equal to subs[k + 1], or None.
+
+    An image chain descends: subs[k + 1] is spanned by subs[k]'s
+    generators times the next bond (``_image_chain``), so it lies inside
+    subs[k], and subs[k] equals it exactly when subs[k] lies inside it.
+    That reads the deeper image's Hermite form alone, and only when the
+    residues mod 2 and 3 show no drop (``Subgroup``).
+    """
+    return next((k for k in range(len(subs) - 1) if subs[k].is_subset_of(subs[k + 1])), None)
 
 
 def _iteration_bound(group: FGAbelianGroup) -> int:
@@ -401,10 +409,12 @@ def _stable_endo_image(endo: GroupHom) -> Tuple[Subgroup, bool]:
     the image returned is then that of the deepest power computed.  The
     powers are products of canonical matrices (``_power_images``), made
     one at a time until the chain repeats or the bound is reached.
+    Each image lies inside the one before, so it repeats when the one
+    before is a subset of it, as in ``_first_repeat``.
     """
     prev = Subgroup.full(endo.source)
     for cur in islice(_power_images(endo), _iteration_bound(endo.source)):
-        if cur.equals(prev):
+        if prev.is_subset_of(cur):
             return prev, True
         prev = cur
     return prev, False

@@ -4,7 +4,8 @@ Apart from ``dense_homology`` (which presents its group with the
 package's ``FGAbelianGroup``), the Smith-based subgroup routines, the
 composite-hom image routines (``image_under`` and the ``composed_*``
 references for tower analyses), ``restricted_hom`` and
-``restricted_stable_lim``,
+``restricted_stable_lim``, ``from_canonical_matrix``, the ``both_forms_*``
+references for image-chain repeats,
 ``stacked_kernel_subgroup``, ``full_decomposition_coordinates``,
 ``inline_simplex_order`` and ``inline_chain_map_rows`` (which take only
 the label order) and the two-closure telescopes, nothing in here
@@ -727,7 +728,7 @@ def columnwise_canonical_matrix(hom) -> list:
 def columnwise_from_canonical(source, target, canonical) -> list:
     """Columns of the presentation matrix of a canonical-coordinate hom, one generator at a time.
 
-    The reference for ``GroupHom.from_canonical_matrix``: each source
+    The reference for ``from_canonical_matrix``: each source
     presentation generator is read in canonical coordinates, pushed
     through ``canonical``, reduced and lifted back to the target's
     presentation.
@@ -737,6 +738,63 @@ def columnwise_from_canonical(source, target, canonical) -> list:
         from_canonical(target, target.reduce_canonical(dense_matvec(canonical.rows, y)))
         for y in coordinates
     ]
+
+
+def from_canonical_matrix(source, target, canonical):
+    """The hom given by ``canonical`` in canonical coordinates on both sides, by whole-matrix products.
+
+    Tests build homs this way; the library has no caller.  Column j of
+    the source's reduced coordinate map is source generator j in
+    canonical coordinates: it is pushed through ``canonical``, reduced,
+    and lifted by the target's ``lifts``.
+    """
+    from towertop.abelian import GroupHom
+
+    if canonical.ncols != source.canonical_ngens or canonical.nrows != target.canonical_ngens:
+        raise ValueError("canonical matrix shape mismatch")
+    images = target._reduced(canonical * source._reduced(source._to))
+    return GroupHom(source, target, target.lifts * images)
+
+
+def lattice_form(sub) -> tuple:
+    """Rows of a fresh Hermite form of the lattice of ``sub``'s generators and relation vectors."""
+    from towertop.abelian import IntegerMatrix, hermite_normal_form
+
+    rows = list(sub.generators) + sub.group.canonical_relation_columns()
+    return hermite_normal_form(IntegerMatrix(rows, ncols=sub.group.canonical_ngens)).form.rows
+
+
+def both_forms_equal(a, b) -> bool:
+    """Whether subgroups ``a`` and ``b`` are equal, by building and comparing both Hermite forms.
+
+    The reference for ``Subgroup.equals`` and for the descent test of
+    ``tower._first_repeat``, which look for a strict drop mod 2 and 3
+    before they read a form, and read fewer forms.
+    """
+    return lattice_form(a) == lattice_form(b)
+
+
+def both_forms_first_repeat(subs):
+    """First index k with ``subs[k]`` equal to ``subs[k + 1]`` by ``both_forms_equal``, or None."""
+    return next((k for k in range(len(subs) - 1) if both_forms_equal(subs[k], subs[k + 1])), None)
+
+
+def both_forms_stable_endo_image(endo, bound: int) -> tuple:
+    """Generators of the last image of iterated ``endo`` and whether the images repeated.
+
+    The reference for ``tower._stable_endo_image``: the powers are
+    composite homs (``composed_endo_images``) and two images are
+    compared by ``both_forms_equal``.
+    """
+    from towertop.abelian import Subgroup
+
+    prev = Subgroup.full(endo.source)
+    for gens in composed_endo_images(endo, bound):
+        cur = Subgroup(endo.source, gens)
+        if both_forms_equal(cur, prev):
+            return prev.generators, True
+        prev = cur
+    return prev.generators, False
 
 
 def relationwise_well_defined(source, target, matrix) -> bool:

@@ -14,8 +14,10 @@ from towertop.abelian import (
     IntegerMatrix,
     SmithDecomposition,
     HermiteForm,
+    ResidueBasis,
     Subgroup,
     hermite_normal_form,
+    residue_basis,
     smith_normal_form,
 )
 
@@ -25,6 +27,7 @@ from generators import grid_torus, random_complex
 from oracles import (
     apply_canonical,
     bareiss_det,
+    both_forms_equal,
     bareiss_rank,
     canonical_is_zero,
     columnwise_canonical_matrix,
@@ -37,6 +40,7 @@ from oracles import (
     determinantal_invariant_factors,
     equal_hom,
     from_canonical,
+    from_canonical_matrix,
     full_decomposition_coordinates,
     image_under,
     relationwise_well_defined,
@@ -629,7 +633,7 @@ def random_hom(rng, source, target):
                 col.append(step * rng.randint(0, s // step - 1) if step < s else 0)
         cols.append(col)
     canonical = IntegerMatrix(cols, ncols=target.canonical_ngens).transpose()
-    return GroupHom.from_canonical_matrix(source, target, canonical)
+    return from_canonical_matrix(source, target, canonical)
 
 
 def test_random_homs_compose_associatively():
@@ -691,7 +695,7 @@ def canonical_homs(draw, groups=presented_groups()):
             col.append(step * draw(st.integers(-2, 2)))
         cols.append(col)
     canonical = IntegerMatrix(cols, ncols=target.canonical_ngens).transpose()
-    return GroupHom.from_canonical_matrix(source, target, canonical)
+    return from_canonical_matrix(source, target, canonical)
 
 
 @given(canonical_homs())
@@ -786,7 +790,7 @@ def test_from_canonical_matrix_matches_the_columnwise_reference(f, data):
         for row, t in zip(f.canonical_matrix().rows, invariants)
     ]
     canonical = IntegerMatrix(rows, ncols=f.source.canonical_ngens)
-    g = GroupHom.from_canonical_matrix(f.source, f.target, canonical)
+    g = from_canonical_matrix(f.source, f.target, canonical)
     assert g.matrix.columns() == columnwise_from_canonical(f.source, f.target, canonical)
     assert g.matrix.nrows == f.target.ngens
     assert g.canonical_matrix() == f.canonical_matrix()
@@ -855,6 +859,8 @@ def test_hermite_subgroups_match_the_smith_oracle(case, data):
     assert a.is_subset_of(b) == smith_is_subset(a, b)
     assert b.is_subset_of(a) == smith_is_subset(b, a)
     assert a.equals(b) == (smith_is_subset(a, b) and smith_is_subset(b, a))
+    # fresh subgroups, so the mod-p certificates run before any form is kept
+    assert Subgroup(g, a.generators).equals(Subgroup(g, b.generators)) == both_forms_equal(a, b)
     n = g.canonical_ngens
     for sub in (a, b):
         assert sub.is_full() == smith_is_full(sub)
@@ -921,12 +927,7 @@ def tampered(record, field, i, j, delta=1):
     return fields
 
 
-def test_every_one_entry_tamper_of_a_kept_hermite_form_is_rejected():
-    # torsion and dependent generators: a form with zero rows and a kernel
-    g = FGAbelianGroup.from_invariants(2, (2, 12))
-    sub = Subgroup(g, [(2, 4, 1, 6), (4, 8, 0, 3), (0, 6, 1, 9), (6, 18, 1, 0)])
-    h = sub._hermite_form()
-    assert h.kernel.nrows and h.form.nrows and h.checked_kernel() is h.kernel
+def check_every_one_entry_tamper_is_rejected(h):
     # no input row is zero, so every tampered transform or kernel entry moves a product
     assert all(any(row) for row in h.matrix.rows)
     for field in ("form", "transform", "kernel"):
@@ -935,6 +936,15 @@ def test_every_one_entry_tamper_of_a_kept_hermite_form_is_rejected():
             for j in range(target.ncols):
                 with pytest.raises(AssertionError):
                     HermiteForm(**tampered(h, field, i, j)).checked_kernel()
+
+
+def test_every_one_entry_tamper_of_a_kept_hermite_form_is_rejected():
+    # torsion and dependent generators: a form with zero rows and a kernel
+    g = FGAbelianGroup.from_invariants(2, (2, 12))
+    sub = Subgroup(g, [(2, 4, 1, 6), (4, 8, 0, 3), (0, 6, 1, 9), (6, 18, 1, 0)])
+    h = sub._hermite_form()
+    assert h.kernel.nrows and h.form.nrows and h.checked_kernel() is h.kernel
+    check_every_one_entry_tamper_is_rejected(h)
     fields = {name: getattr(h, name) for name in h._fields}
     for i in range(len(h.pivots)):
         for delta in (-1, 1):
@@ -942,6 +952,72 @@ def test_every_one_entry_tamper_of_a_kept_hermite_form_is_rejected():
             pivots[i] += delta
             with pytest.raises(AssertionError, match="pivot"):
                 HermiteForm(**{**fields, "pivots": pivots})
+
+
+def test_every_one_entry_tamper_of_an_identity_hermite_form_is_rejected():
+    # the identity's lattice holds every input row, so no row is divided
+    # against it; the recorded combinations still tie the form to the input
+    g = FGAbelianGroup.from_invariants(2, (6,))
+    h = Subgroup(g, [(1, 2, 3), (0, 1, 4), (2, 3, 1), (1, 1, 5)])._hermite_form()
+    assert h.form == IntegerMatrix.identity(3) and h.kernel.nrows
+    check_every_one_entry_tamper_is_rejected(h)
+
+
+def test_every_one_entry_tamper_of_a_kept_residue_basis_is_rejected():
+    # torsion of orders 3 and 6: three coordinates mod 2 and four mod 3,
+    # bases with columns off their pivots and generators they reduce to zero
+    g = FGAbelianGroup.from_invariants(2, (3, 6))
+    sub = Subgroup(g, [(1, 2, 1, 0), (0, 0, 1, 2), (1, 2, 2, 2), (0, 1, 0, 3)])
+    assert Subgroup(g, sub.generators).equals(sub)
+    kept = [sub._bases[2], sub._bases[3]]
+    assert [(b.basis.nrows, b.basis.ncols) for b in kept] == [(2, 3), (3, 4)]
+    for b in kept:
+        fields = {name: getattr(b, name) for name in b._fields}
+        assert ResidueBasis(**fields) == b
+        for i in range(b.basis.nrows):
+            for j in range(b.basis.ncols):
+                # every other residue, and one past each end of [0, p)
+                for value in set(range(-1, b.p + 1)) - {b.basis.rows[i][j]}:
+                    with pytest.raises(AssertionError):
+                        ResidueBasis(**tampered(b, "basis", i, j, value - b.basis.rows[i][j]))
+        for i in range(len(b.pivots)):
+            for delta in (-1, 1):
+                pivots = list(b.pivots)
+                pivots[i] += delta
+                with pytest.raises(AssertionError, match="pivot"):
+                    ResidueBasis(**{**fields, "pivots": pivots})
+
+
+def test_residue_bases_reject_each_forged_shape():
+    b = residue_basis(IntegerMatrix([[1, 2, 0], [2, 1, 1]]), 3)
+    assert b.basis.rows == ((1, 2, 0), (0, 0, 1)) and b.pivots == (0, 2)
+    forged = {
+        "wrong shape": (IntegerMatrix([[1, 2]]), (0,)),
+        "misplaced pivot": (IntegerMatrix([[0, 0, 1], [1, 2, 0]]), (2, 0)),
+        "outside": (IntegerMatrix([[1, 2, 3], [0, 0, 1]]), (0, 2)),
+        "beside a pivot": (IntegerMatrix([[1, 2, 1], [0, 0, 1]]), (0, 2)),
+        "outside the span": (IntegerMatrix([[1, 2, 0]]), (0,)),
+    }
+    for message, (basis, pivots) in forged.items():
+        with pytest.raises(AssertionError, match=message):
+            ResidueBasis(3, b.matrix, basis, pivots)
+
+
+def test_a_drop_seen_mod_2_or_3_reads_no_hermite_form(echelon_forms):
+    # Z + Z/6 over its subgroups of index 2, 3 and 5: only the drop of
+    # index 5 leaves the residues mod 2 and 3 whole, so only it is decided
+    # by a Hermite form
+    g = FGAbelianGroup.from_invariants(1, (6,))
+    for index, forms in ((2, 0), (3, 0), (5, 1)):
+        pair = lambda: (Subgroup.full(g), Subgroup(g, [(index, 0), (0, 1)]))
+        full, sub = pair()
+        del echelon_forms[:]
+        assert not full.is_subset_of(sub)
+        assert len(echelon_forms) == forms, index
+        full, sub = pair()
+        assert not full.equals(sub)
+        assert len(echelon_forms) == 2 * forms, index
+        assert sub.is_subset_of(full)
 
 
 def test_hermite_checks_catch_what_a_consistent_tamper_leaves():
@@ -961,6 +1037,14 @@ def test_hermite_checks_catch_what_a_consistent_tamper_leaves():
     dropped["kernel"] = IntegerMatrix(h.kernel.rows + (h.transform.rows[-1],), ncols=h.kernel.ncols)
     with pytest.raises(AssertionError, match="outside the lattice"):
         HermiteForm(**dropped)
+    # a full-rank form that is not the identity, its last row doubled with
+    # its combination: still Hermite, but an input row no longer reduces
+    doubled_row = dict(fields)
+    assert h.form.nrows == h.form.ncols and h.form != IntegerMatrix.identity(h.form.ncols)
+    doubled_row["form"] = IntegerMatrix([*h.form.rows[:-1], [2 * x for x in h.form.rows[-1]]])
+    doubled_row["transform"] = IntegerMatrix([*h.transform.rows[:-1], [2 * x for x in h.transform.rows[-1]]])
+    with pytest.raises(AssertionError, match="outside the lattice"):
+        HermiteForm(**doubled_row)
     # a doubled kernel row still vanishes, but no longer spans a saturated kernel
     doubled = dict(fields)
     doubled["kernel"] = IntegerMatrix([[2 * x for x in h.kernel.rows[0]], *h.kernel.rows[1:]])
@@ -973,7 +1057,7 @@ def test_subgroups_factor_nothing(smith_calls):
     # tests all read Hermite forms; only a group built from a subgroup factors
     g = FGAbelianGroup.from_invariants(1, (2, 4))
     a, b = Subgroup(g, [(2, 0, 0), (0, 1, 2)]), Subgroup(g, [(4, 0, 0), (0, 1, 2), (0, 0, 2)])
-    f = GroupHom.from_canonical_matrix(g, g, IntegerMatrix([[2, 0, 0], [0, 1, 0], [0, 0, 2]]))
+    f = from_canonical_matrix(g, g, IntegerMatrix([[2, 0, 0], [0, 1, 0], [0, 0, 2]]))
     del smith_calls[:]
     a.equals(b), a.is_subset_of(b), a.is_full(), a.contains((2, 1, 2))
     f.kernel_subgroup(), f.is_isomorphism()

@@ -20,7 +20,7 @@ from generators import (
     torus_7,
 )
 from oracles import maximal_simplexes
-from towertop.abelian import FGAbelianGroup, IntegerMatrix, SmithDecomposition
+from towertop.abelian import FGAbelianGroup, IntegerMatrix, ResidueBasis, SmithDecomposition
 from towertop.cli import InputProblem, deserialize, main, serialize
 from towertop.compactohedral import build_gallery, fence_violation
 from towertop.nerve import BallCover, PointSample
@@ -581,6 +581,27 @@ def test_failed_self_check_exits_three_with_one_line(monkeypatch):
     assert err == (
         "internal self-check failed in homology: "
         "Smith decomposition identity U*M*V = D failed\n"
+    )
+
+
+def test_forged_residue_basis_exits_three_with_one_line(monkeypatch):
+    import towertop.abelian as abelian
+
+    real = abelian.residue_basis
+
+    def short_one_row(matrix, p):
+        # the basis loses its last row, so it no longer spans every residue
+        r = real(matrix, p)
+        basis = IntegerMatrix(r.basis.rows[:-1], ncols=r.basis.ncols)
+        return ResidueBasis(r.p, r.matrix, basis, r.pivots[:-1])
+
+    monkeypatch.setattr(abelian, "residue_basis", short_one_row)
+    argv = ["tower-report", path("dyadic.tower"), "--report", "steenrod", "--dim", "0"]
+    assert run_cli(argv) == (
+        3,
+        "",
+        "internal self-check failed in tower-report: "
+        "a row lies outside the span of its residue basis\n",
     )
 
 

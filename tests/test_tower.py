@@ -11,12 +11,14 @@ from hypothesis import strategies as st
 from towertop.abelian import FGAbelianGroup, GroupHom, IntegerMatrix, Subgroup
 from towertop.polynomial import charpoly, factor, unit_part_degree
 from towertop.tower import (
+    _first_repeat,
     _image_chain,
     _iteration_bound,
     _kept_period_image,
     _period_endo,
     _periodic_stable_image,
     _power_images,
+    _stable_endo_image,
     Certificate,
     ColimResult,
     ComplexTower,
@@ -39,10 +41,14 @@ from towertop.tower import (
 from generators import circle_power_tower, constant_tower, hollow_triangle
 from oracles import (
     bareiss_det,
+    both_forms_first_repeat,
+    both_forms_stable_endo_image,
     composed_carry_down,
     composed_endo_images,
     composed_image_chain,
+    dense_product,
     restricted_stable_lim,
+    smith_is_subset,
 )
 
 
@@ -648,10 +654,12 @@ def test_lim1_then_lim_on_one_tower_shares_factorizations(smith_calls, echelon_f
     separate = len(smith_calls), len(echelon_forms)
     del smith_calls[:], echelon_forms[:]
     together = lim1_class(shared), tower_lim(shared)
-    # the image chains are compared by Hermite forms, which the shared
-    # tower builds once; no group is factored either way
-    assert (len(smith_calls), len(echelon_forms)) == (0, 9)
-    assert separate == (0, 16)
+    # an image repeats when it lies inside the next one, which reads the
+    # deeper image's Hermite form alone, and a mod-p certificate proves
+    # most strict drops without one; the shared tower builds each form
+    # once, and no group is factored either way
+    assert (len(smith_calls), len(echelon_forms)) == (0, 2)
+    assert separate == (0, 4)
     assert together == apart
 
 
@@ -676,7 +684,7 @@ def test_dense_tower_analyses_make_a_fixed_number_of_factorizations(smith_calls,
     lim1, lim, colim = lim1_class(tower), tower_lim(tower), colim_direct_system(system)
     assert lim1.verdict == "Zero"
     assert isinstance(lim, NotStable) and isinstance(colim, NotFinitelyStable)
-    assert (len(smith_calls), len(echelon_forms)) == (2, 8)
+    assert (len(smith_calls), len(echelon_forms)) == (2, 6)
     # the NotStable factors the images it shows only when they are read
     lim.image_chains
     assert (len(smith_calls), len(echelon_forms)) == (14, 14)
@@ -687,7 +695,7 @@ def test_ml_status_builds_its_image_groups_on_first_read(smith_calls, echelon_fo
     del smith_calls[:], echelon_forms[:]
     status = ml_status(tower, 0)
     # the verdict's own Hermite forms only: no image is turned into a group
-    assert (len(smith_calls), len(echelon_forms)) == (0, 2)
+    assert (len(smith_calls), len(echelon_forms)) == (0, 1)
     # deeper analyses extend the tower's chains; the status still shows
     # the images it observed, as a fresh tower's does
     lim1_class(tower), tower_lim(tower), ml_status(tower, 1)
@@ -704,7 +712,7 @@ def test_certified_analyses_make_a_fixed_number_of_factorizations(smith_calls, e
     # place in the period and shared by every level and by tower_lim;
     # (Smith calls, Hermite forms) per fixture
     expected = {
-        "doubling": (3, 14), "diag": (3, 16), "period-two": (3, 19), "rank-drop": (2, 13),
+        "doubling": (3, 9), "diag": (3, 11), "period-two": (3, 11), "rank-drop": (2, 6),
         "torsion": (2, 6),
     }
     counts = {}
@@ -957,3 +965,94 @@ def test_shift_family_past_a_non_injective_first_bond_reads_the_window():
     assert (ml_status(t, 0).verdict, ml_status(t, 0).index) == ("Stabilized", 1)
     assert ml_status(t, 0, 1).verdict == "UndeterminedWithinWindow"
     assert ml_status(t, 0, 1).reason == "certified pattern does not settle the chain at this level"
+
+
+# -- repeats decided by descent, against the both-forms reference ------------
+
+
+@st.composite
+def diagonal_drop_data(draw, diagonal):
+    """A tower of Z^n / R_i whose bonds are L D U: unitriangular L and U, D diagonal over ``diagonal``.
+
+    A bond's image in Z^n has rank n less the zeros of D and, at full
+    rank, index the product of D's entries, so the entries decide at
+    which primes the drops along an image chain can be seen.
+    """
+    n = draw(st.integers(2, 3))
+    entry = st.integers(-2, 2)
+
+    def bond():
+        lower = [[1 if i == j else draw(entry) if i > j else 0 for j in range(n)] for i in range(n)]
+        upper = [[1 if i == j else draw(entry) if i < j else 0 for j in range(n)] for i in range(n)]
+        d = draw(st.lists(st.sampled_from(diagonal), min_size=n, max_size=n))
+        scaled = dense_product(lower, [[x * (i == j) for j in range(n)] for i, x in enumerate(d)], n)
+        return dense_product(scaled, upper, n)
+
+    bonds = [bond() for _ in range(draw(st.integers(1, 3)))]
+    relations = draw(st.lists(st.lists(st.integers(-9, 9), min_size=n, max_size=n), max_size=n))
+    return n, tower_relations(relations, bonds), bonds
+
+
+def whole_chains(tower):
+    return [_image_chain(tower, level, len(tower.bonds) - level) for level in range(len(tower.bonds))]
+
+
+def check_repeats_match_both_forms(data):
+    ours, theirs = (whole_chains(dense_sequences(data)[0]) for _ in range(2))
+    for chain, reference in zip(ours, theirs):
+        assert _first_repeat(chain) == both_forms_first_repeat(reference)
+        # the premise of the descent test: each image lies inside the one before
+        for deep, shallow in zip(chain[1:], chain):
+            assert deep.is_subset_of(shallow) and smith_is_subset(deep, shallow)
+    return ours
+
+
+@settings(max_examples=40)
+@given(dense_tower_data())
+def test_first_repeat_matches_the_both_forms_reference(data):
+    check_repeats_match_both_forms(data)
+
+
+@settings(max_examples=30)
+@given(diagonal_drop_data((0, 1, 1, 2, 3, 5)))
+def test_first_repeat_matches_the_both_forms_reference_on_rank_drops(data):
+    check_repeats_match_both_forms(data)
+
+
+@settings(max_examples=30)
+@given(diagonal_drop_data((1, 1, 5, 7)))
+def test_drops_of_index_five_and_seven_are_decided_by_hermite_forms(data):
+    # bonds invertible mod 2 and 3 keep every image whole mod 2 and 3,
+    # so no certificate fires and the forms decide every step
+    for chain in check_repeats_match_both_forms(data):
+        assert not any(shallow._escapes_mod_p(deep) for deep, shallow in zip(chain[1:], chain))
+
+
+def test_a_tower_of_index_five_and_seven_drops_falls_without_a_certificate():
+    z2 = FGAbelianGroup.free(2)
+    bonds = [hom(z2, z2, [[5, 0], [0, 1]]), hom(z2, z2, [[1, 0], [0, 7]]), hom(z2, z2, [[1, 0], [0, 1]])]
+    chain = _image_chain(GroupTower([z2] * 4, bonds), 0, 3)
+    assert [s.as_group().invariants for s in chain] == [(2, ())] * 4
+    assert not any(shallow._escapes_mod_p(deep) for deep, shallow in zip(chain[1:], chain))
+    assert _first_repeat(chain) == 2 == both_forms_first_repeat(chain)
+
+
+def check_stable_endo_image_matches_both_forms(endo):
+    bound = _iteration_bound(endo.source)
+    stable, repeated = _stable_endo_image(endo)
+    assert (stable.generators, repeated) == both_forms_stable_endo_image(endo, bound)
+    images = [Subgroup.full(endo.source), *islice(_power_images(endo), bound)]
+    for deep, shallow in zip(images[1:], images):
+        assert deep.is_subset_of(shallow) and smith_is_subset(deep, shallow)
+
+
+@settings(max_examples=60)
+@given(diagonal_endos())
+def test_stable_endo_image_matches_the_both_forms_reference(endo):
+    check_stable_endo_image_matches_both_forms(endo)
+
+
+@pytest.mark.parametrize("name", CERTIFIED)
+def test_certified_stable_endo_images_match_the_both_forms_reference(name):
+    for endo in set(certified_fixture(name)[0].bonds):
+        check_stable_endo_image_matches_both_forms(endo)
