@@ -190,78 +190,77 @@ _IDENTITY_FAILED = "Smith decomposition identity U*M*V = D failed"
 
 
 class SmithDecomposition(_Record):
-    """Result of ``smith_normal_form``: U * M * V = D, with the one inverse its caller reads.
+    """Result of ``smith_normal_form``: U * M * V = D, with U^-1.
 
     U and V are built purely from elementary operations, D is diagonal
     with nonnegative entries, every diagonal entry divides the next,
-    and zero entries trail.  Exactly one of ``uinv`` and ``vinv`` is
-    kept and the other is None: each caller keeps the inverse it reads,
-    and construction proves exactly what that caller reads.  Both kinds
-    check the shapes first (U and U^-1 are m x m, V and V^-1 are n x n,
-    D is m x n for an m x n matrix M) and, last, that D is diagonal
-    with the sign, zero and divisibility conditions.  The rank r is the
-    number of nonzero diagonal entries d_i.
-
-    With ``uinv`` (a group's relation lattice) the identities are
-    U * U^-1 = I; for every i with d_i != 1, row i of U * M is
+    and zero entries trail.  Construction checks the shapes first (U
+    and U^-1 are m x m, V is n x n, D is m x n for an m x n matrix M),
+    then U * U^-1 = I; for every i with d_i != 1, row i of U * M is
     divisible by d_i, and zero where d_i = 0 or i >= min(m, n); and
-    M * v_j = d_j * (column j of U^-1) for j < r.  The first two put
-    every column of M in U^-1 * D * Z^n and the third puts U^-1 * D *
-    Z^n in M * Z^n, so M's columns span exactly U^-1 * D * Z^n: Z^m
-    modulo that lattice is the sum of the Z/d_i and of Z^(m - r), U
-    takes presentation coordinates to those, and U^-1's columns lift
-    them back.  Nothing proves V unimodular.
+    M * v_j = d_j * (column j of U^-1) for j < r, r the rank (the
+    number of nonzero d_i); and last, that D is diagonal with the sign,
+    zero and divisibility conditions.  Nothing proves V unimodular.
 
-    With ``vinv`` (a kernel and a cycle test) they are V * V^-1 = I;
-    row i of U * M equals d_i * (row i of V^-1) for i < r; and M * K =
-    0 for the columns K of V from r on.  The r checked rows are
-    independent, so M has rank at least r, and K's n - r independent
-    columns leave it at most r.  For an integer z with M * z = 0,
-    y = V^-1 * z has d_i * y_i = (U * M * z)_i = 0 for i < r, so z = K
-    * y[r:]: K is a saturated basis of ker M, and z is in ker M exactly
-    when the first r entries of V^-1 * z vanish.  Nothing proves U
-    unimodular, so the diagonal is not proven to be M's invariant
-    factors, and ``invariant_factors`` raises.
+    For a group's relation lattice: the first two identities put every
+    column of M in U^-1 * D * Z^n and the third puts U^-1 * D * Z^n in
+    M * Z^n, so M's columns span exactly U^-1 * D * Z^n.  Z^m modulo
+    that lattice is the sum of the Z/d_i and of Z^(m - r), U takes
+    presentation coordinates to those, and U^-1's columns lift them
+    back.
+
+    For homology, M is the transpose of a residual boundary map, one
+    row per n-cell, and a chain z is a cycle when z^T * M = 0.
+    U * U^-1 = I makes U unimodular.  Rows i >= r of U * M vanish, so
+    those rows of U are cycles.  M * v_j = d_j * (column j of U^-1) for
+    j < r gives (U * M) * v_j = d_j * e_j, so the first r rows of U * M
+    are independent.  With y = U^-T * z, z^T * M = y^T * U * M is the
+    sum of y_i times row i of U * M over i < r: z is a cycle exactly
+    when the first r entries of U^-T * z vanish, and then z is the sum
+    of y_i times row i of U over i >= r.  So U's rows from r on are a
+    saturated basis of the cycles, and U^-T * z from r on gives a
+    cycle's coordinates over them.
 
     Each identity is checked one product row at a time and no product
     matrix is kept; a product row reads only the nonzero entries of
     its two factors.
 
-    >>> m = IntegerMatrix([[2, 4], [6, 8]])
-    >>> smith_normal_form(m, inverse="uinv").invariant_factors
+    >>> smith_normal_form(IntegerMatrix([[2, 4], [6, 8]])).invariant_factors
     (2, 4)
-    >>> smith_normal_form(m, inverse="vinv").invariant_factors
-    Traceback (most recent call last):
-    ...
-    AttributeError: only a decomposition that keeps uinv proves invariant factors
     """
 
-    __slots__ = _fields = ("matrix", "u", "uinv", "d", "v", "vinv")
+    __slots__ = _fields = ("matrix", "u", "uinv", "d", "v")
 
     def __init__(
         self,
         matrix: IntegerMatrix,
         u: IntegerMatrix,
-        uinv: Optional[IntegerMatrix],
+        uinv: IntegerMatrix,
         d: IntegerMatrix,
         v: IntegerMatrix,
-        vinv: Optional[IntegerMatrix],
     ):
-        _Record.__init__(self, matrix, u, uinv, d, v, vinv)
-        if (uinv is None) == (vinv is None):
-            raise ValueError("a Smith decomposition keeps exactly one of uinv and vinv")
+        _Record.__init__(self, matrix, u, uinv, d, v)
         m, n = matrix.nrows, matrix.ncols
         for name, factor, shape in (
-            ("u", u, (m, m)), ("uinv", uinv, (m, m)), ("d", d, (m, n)),
-            ("v", v, (n, n)), ("vinv", vinv, (n, n)),
+            ("u", u, (m, m)), ("uinv", uinv, (m, m)), ("d", d, (m, n)), ("v", v, (n, n)),
         ):
-            if factor is not None and (factor.nrows, factor.ncols) != shape:
+            if (factor.nrows, factor.ncols) != shape:
                 raise AssertionError(f"Smith factor {name} has the wrong shape")
-        diag = self.diagonal()
-        if vinv is None:
-            self._check_lattice(diag, self.rank)
-        else:
-            self._check_kernel(diag, self.rank)
+        if not _rows_are_units(u.rows, _row_terms(uinv.rows), m):
+            raise AssertionError("tracked inverse of U is wrong")
+        diag, r = self.diagonal(), self.rank
+        terms = _row_terms(matrix.rows)
+        for i, row in enumerate(u.rows):
+            di = diag[i] if i < len(diag) else 0
+            if di != 1:
+                got = _product_row(row, terms, n)
+                if any(x % di for x in got) if di else any(got):
+                    raise AssertionError(_IDENTITY_FAILED)
+        if r:
+            v_terms = _row_terms(row[:r] for row in v.rows)
+            for row, lift in zip(matrix.rows, uinv.rows):
+                if _product_row(row, v_terms, r) != list(map(mul, diag, lift[:r])):
+                    raise AssertionError(_IDENTITY_FAILED)
         for i, x in enumerate(diag):
             if x < 0:
                 raise AssertionError("negative entry on Smith diagonal")
@@ -276,39 +275,6 @@ class SmithDecomposition(_Record):
                 if i != j:
                     raise AssertionError("off-diagonal entry in Smith form")
 
-    def _check_lattice(self, diag: list, r: int) -> None:
-        """U * U^-1 = I, the rows of U * M in D * Z^n, and M * v_j = d_j * (column j of U^-1)."""
-        m, n = self.matrix.nrows, self.matrix.ncols
-        if not _rows_are_units(self.u.rows, _row_terms(self.uinv.rows), m):
-            raise AssertionError("tracked inverse of U is wrong")
-        terms = _row_terms(self.matrix.rows)
-        for i, row in enumerate(self.u.rows):
-            di = diag[i] if i < len(diag) else 0
-            if di != 1:
-                got = _product_row(row, terms, n)
-                if any(x % di for x in got) if di else any(got):
-                    raise AssertionError(_IDENTITY_FAILED)
-        if r:
-            v_terms = _row_terms(row[:r] for row in self.v.rows)
-            for row, lift in zip(self.matrix.rows, self.uinv.rows):
-                if _product_row(row, v_terms, r) != list(map(mul, diag, lift[:r])):
-                    raise AssertionError(_IDENTITY_FAILED)
-
-    def _check_kernel(self, diag: list, r: int) -> None:
-        """V * V^-1 = I, row i of U * M = d_i * (row i of V^-1) for i < r, and M * K = 0."""
-        n = self.matrix.ncols
-        vinv = self.vinv.rows
-        if not _rows_are_units(self.v.rows, _row_terms(vinv), n):
-            raise AssertionError("tracked inverse of V is wrong")
-        terms = _row_terms(self.matrix.rows)
-        for row, di, inverse_row in zip(self.u.rows[:r], diag, vinv):
-            if _product_row(row, terms, n) != [di * x for x in inverse_row]:
-                raise AssertionError(_IDENTITY_FAILED)
-        if r < n:
-            k_terms = _row_terms(row[r:] for row in self.v.rows)
-            if any(any(_product_row(row, k_terms, n - r)) for row in self.matrix.rows):
-                raise AssertionError(_IDENTITY_FAILED)
-
     def diagonal(self) -> list:
         return [self.d.rows[i][i] for i in range(min(self.d.nrows, self.d.ncols))]
 
@@ -318,8 +284,6 @@ class SmithDecomposition(_Record):
 
     @property
     def invariant_factors(self) -> tuple:
-        if self.uinv is None:
-            raise AttributeError("only a decomposition that keeps uinv proves invariant factors")
         return tuple(x for x in self.diagonal() if x != 0)
 
 
@@ -365,14 +329,13 @@ def _balanced_quotient(x: int, p: int) -> int:
     return q
 
 
-def smith_normal_form(matrix: IntegerMatrix, inverse: str) -> SmithDecomposition:
-    """Smith normal form over Z with U, V and the one inverse ``inverse`` tracked.
+def smith_normal_form(matrix: IntegerMatrix) -> SmithDecomposition:
+    """Smith normal form over Z with U, U^-1 and V tracked; ``SmithDecomposition`` says what it proves.
 
-    ``inverse`` is ``"uinv"`` for a caller that reads a relation
-    lattice through U and U^-1 (``FGAbelianGroup``) and ``"vinv"`` for
-    one that reads a kernel through V and V^-1 (homology).  The other
-    inverse is never built, updated or checked, and is None in the
-    result; ``SmithDecomposition`` says what each kind proves.
+    A group factors its transposed relation matrix and reads U and U^-1
+    as its coordinate maps; homology factors the transpose of a
+    residual boundary map and reads its cycles off U's rows and their
+    coordinates off U^-1.  V is tracked for the check alone.
 
     Pivots are re-chosen by least absolute value after every reduction
     pass and remainders are balanced, so the pivot at least halves on
@@ -380,41 +343,31 @@ def smith_normal_form(matrix: IntegerMatrix, inverse: str) -> SmithDecomposition
     torsion input U and V grow (up to 1045-bit entries on towers of
     4-6 generator presentations with relation entries in [-9, 9]), while
     on boundary matrices, whose pivots are nearly all units, they stay
-    at 1-2 bits.  The pivots and operations do not depend on
-    ``inverse``, so U, D and V are the same either way.
+    at 1-2 bits.
 
-    The working matrix is kept by rows, U and V^-1 by rows and U^-1
-    and V by columns, so a row operation on the matrix is a row
-    operation on U and a column operation on U^-1, a column operation
-    on the matrix is a column operation on V and a row operation on
-    V^-1, and each of them adds a multiple of one list to another or
-    swaps two lists.  Every update runs only over the nonzero entries
-    of the list it adds, and a reduction pass against pivot t visits
-    only the rows with a nonzero in column t and the columns with a
-    nonzero in row t: adding q * 0 changes nothing, so these are the
-    operations of a dense elimination in the same order, minus the
-    no-ops, with the same results.
+    The working matrix and U are kept by rows and U^-1 and V by
+    columns, so a row operation on the matrix is a row operation on U
+    and a column operation on U^-1, a column operation on the matrix is
+    a column operation on V, and each of them adds a multiple of one
+    list to another or swaps two lists.  Every update runs only over
+    the nonzero entries of the list it adds, and a reduction pass
+    against pivot t visits only the rows with a nonzero in column t and
+    the columns with a nonzero in row t: adding q * 0 changes nothing,
+    so these are the operations of a dense elimination in the same
+    order, minus the no-ops, with the same results.
 
-    >>> s = smith_normal_form(IntegerMatrix([[2, 4], [6, 8]]), inverse="uinv")
-    >>> s.invariant_factors, s.vinv
-    ((2, 4), None)
-    >>> s = smith_normal_form(IntegerMatrix([[1, 1, 1]]), inverse="vinv")
-    >>> s.rank, s.v.columns()[s.rank:], s.uinv
-    (1, [(-1, 1, 0), (-1, 0, 1)], None)
+    >>> s = smith_normal_form(IntegerMatrix([[1], [1], [1]]))
+    >>> s.rank, s.u.rows[s.rank:]
+    (1, ((-1, 1, 0), (-1, 0, 1)))
     """
-    if inverse not in ("uinv", "vinv"):
-        raise ValueError(f"inverse must be 'uinv' or 'vinv', not {inverse!r}")
     m, n = matrix.nrows, matrix.ncols
     a = [list(row) for row in matrix.rows]
-    u, v = _identity_lists(m), _identity_lists(n)  # v by columns
-    uinv = _identity_lists(m) if inverse == "uinv" else None  # by columns
-    vinv = _identity_lists(n) if inverse == "vinv" else None
+    u, uinv, v = _identity_lists(m), _identity_lists(m), _identity_lists(n)  # uinv, v by columns
 
     def swap_rows(i, k):
         a[i], a[k] = a[k], a[i]
         u[i], u[k] = u[k], u[i]
-        if uinv is not None:
-            uinv[i], uinv[k] = uinv[k], uinv[i]
+        uinv[i], uinv[k] = uinv[k], uinv[i]
 
     def add_row(i, k, q):
         # row_i += q * row_k on a and u; col_k -= q * col_i on uinv
@@ -424,30 +377,22 @@ def smith_normal_form(matrix: IntegerMatrix, inverse: str) -> SmithDecomposition
         dst, src = u[i], u[k]
         for j in compress(range(m), src):
             dst[j] += q * src[j]
-        if uinv is not None:
-            dst, src = uinv[k], uinv[i]
-            for j in compress(range(m), src):
-                dst[j] -= q * src[j]
+        dst, src = uinv[k], uinv[i]
+        for j in compress(range(m), src):
+            dst[j] -= q * src[j]
 
     def swap_cols(j, k):
         for row in a:
             row[j], row[k] = row[k], row[j]
         v[j], v[k] = v[k], v[j]
-        if vinv is not None:
-            vinv[j], vinv[k] = vinv[k], vinv[j]
 
     def add_col(j, k, q, rows):
-        # col_j += q * col_k on a (``rows``: those with a nonzero in col_k)
-        # and on v; row_k -= q * row_j on vinv
+        # col_j += q * col_k on a (``rows``: those with a nonzero in col_k) and on v
         for row in rows:
             row[j] += q * row[k]
         dst, src = v[j], v[k]
         for i in compress(range(n), src):
             dst[i] += q * src[i]
-        if vinv is not None:
-            dst, src = vinv[k], vinv[j]
-            for i in compress(range(n), src):
-                dst[i] -= q * src[i]
 
     def min_entry(t):
         # first entry of least absolute value in row-major order; a unit
@@ -515,8 +460,7 @@ def smith_normal_form(matrix: IntegerMatrix, inverse: str) -> SmithDecomposition
         if a[i][i] < 0:
             a[i] = [-x for x in a[i]]
             u[i] = [-x for x in u[i]]
-            if uinv is not None:
-                uinv[i] = [-x for x in uinv[i]]
+            uinv[i] = [-x for x in uinv[i]]
 
     def by_rows(rows, width):
         return IntegerMatrix._derived(tuple(map(tuple, rows)), width)
@@ -524,14 +468,7 @@ def smith_normal_form(matrix: IntegerMatrix, inverse: str) -> SmithDecomposition
     def by_columns(columns, width):
         return IntegerMatrix._derived(tuple(zip(*columns)), width)
 
-    return SmithDecomposition(
-        matrix=matrix,
-        u=by_rows(u, m),
-        uinv=None if uinv is None else by_columns(uinv, m),
-        d=by_rows(a, n),
-        v=by_columns(v, n),
-        vinv=None if vinv is None else by_rows(vinv, n),
-    )
+    return SmithDecomposition(matrix, by_rows(u, m), by_columns(uinv, m), by_rows(a, n), by_columns(v, n))
 
 
 class HermiteForm(_Record):
@@ -768,6 +705,7 @@ def residue_basis(matrix: IntegerMatrix, p: int) -> ResidueBasis:
     """Reduced echelon basis over F_p, for a prime ``p``, of the rows of ``matrix``, entries in [0, p)."""
     kept = {}  # pivot column -> row
     for v in matrix.rows:
+        v = [x % p for x in v]
         for c, row in kept.items():
             q = v[c]
             if q:
@@ -794,10 +732,9 @@ class FGAbelianGroup:
     ``relations``.  Canonical form (free rank plus invariant-factor
     torsion list, each factor at least 2 and dividing the next) is
     computed once from the Smith normal form U * M * V = D of the
-    transposed relation matrix M, factored keeping U^-1 and not V^-1.
-    Its check proves U * U^-1 = I, every column of M in U^-1 * D *
-    Z^n and every d_j * (column j of U^-1) in M * Z^n (see
-    ``SmithDecomposition``), so the relation lattice is exactly
+    transposed relation matrix M.  Its check proves U * U^-1 = I, every
+    column of M in U^-1 * D * Z^n and every d_j * (column j of U^-1) in
+    M * Z^n (see ``SmithDecomposition``), so the relation lattice is exactly
     U^-1 * D * Z^n: that gives the invariants, and U and U^-1 are the
     coordinate maps.  Of that factorization the group keeps only the
     rows of U and the columns of U^-1 that carry a canonical
@@ -833,7 +770,7 @@ class FGAbelianGroup:
         # chain puts the units first, so torsion runs from ``first`` to the
         # rank; U's rows and U^-1's columns from there on are kept, free
         # ones first.
-        snf = smith_normal_form(relations.transpose(), inverse="uinv")
+        snf = smith_normal_form(relations.transpose())
         rank = snf.rank
         self.torsion = tuple(t for t in snf.invariant_factors if t > 1)
         self.free_rank = ngens - rank
@@ -1115,10 +1052,6 @@ class Subgroup:
     def _check_same_group(self, other: "Subgroup") -> None:
         if self.group is not other.group and self.group != other.group:
             raise ValueError("subgroups live in different groups")
-
-    def contains(self, y: Sequence[int]) -> bool:
-        y = self.group.reduce_canonical(y)
-        return not any(y) or self._hermite_form().divide(y) is not None
 
     def is_subset_of(self, other: "Subgroup") -> bool:
         self._check_same_group(other)

@@ -29,6 +29,8 @@ from fractions import Fraction
 from itertools import combinations, zip_longest
 from math import isqrt
 
+from .abelian import IntegerMatrix, residue_basis
+
 
 def _trim(a, m=0):
     a = [c % m for c in a] if m else list(a)
@@ -87,26 +89,19 @@ def _powmod(a, e, f, m):
 
 
 def _nullspace(rows, p):
-    """Basis of the vectors v with rows · v = 0 over Z/p."""
-    rows, pivots = [[x % p for x in row] for row in rows], []
-    for c in range(len(rows[0])):
-        k = next((i for i in range(len(pivots), len(rows)) if rows[i][c]), None)
-        if k is None:
-            continue
-        r = len(pivots)
-        rows[r], rows[k] = rows[k], rows[r]
-        inv = pow(rows[r][c], -1, p)
-        rows[r] = [x * inv % p for x in rows[r]]
-        for i, row in enumerate(rows):
-            if i != r and row[c]:
-                rows[i] = [(x - row[c] * y) % p for x, y in zip(row, rows[r])]
-        pivots.append(c)
+    """Basis of the vectors v with rows · v = 0 over Z/p, one per free column of the rows' echelon basis.
+
+    The free column f gives v[f] = 1 and, at the pivot of each echelon
+    row, minus that row's entry in column f.
+    """
+    echelon = residue_basis(IntegerMatrix(rows), p)
+    n, pivots = echelon.basis.ncols, echelon.pivots
     basis = []
-    for free in (c for c in range(len(rows[0])) if c not in pivots):
-        v = [0] * len(rows[0])
+    for free in (c for c in range(n) if c not in pivots):
+        v = [0] * n
         v[free] = 1
-        for r, c in enumerate(pivots):
-            v[c] = -rows[r][free] % p
+        for c, row in zip(pivots, echelon.basis.rows):
+            v[c] = -row[free] % p
         basis.append(v)
     return basis
 

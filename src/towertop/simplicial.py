@@ -354,14 +354,16 @@ def _boundary_columns(k: SimplicialComplex, n: int) -> tuple:
     )
 
 
-def _dense(columns, rows) -> IntegerMatrix:
-    """The matrix of sparse ``columns`` restricted to ``rows``, a list of their row indices."""
+def _dense_rows(columns, rows) -> IntegerMatrix:
+    """The transpose of the matrix of sparse ``columns`` restricted to ``rows``, a list of their row indices."""
     position = {i: p for p, i in enumerate(rows)}
-    out = [[0] * len(columns) for _ in rows]
-    for j, column in enumerate(columns):
+    out = []
+    for column in columns:
+        row = [0] * len(position)
         for i, a in column:
-            out[position[i]][j] = a
-    return IntegerMatrix._derived(tuple(map(tuple, out)), len(columns))
+            row[position[i]] = a
+        out.append(tuple(row))
+    return IntegerMatrix._derived(tuple(out), len(position))
 
 
 def boundary_matrix(k: SimplicialComplex, n: int) -> IntegerMatrix:
@@ -371,12 +373,7 @@ def boundary_matrix(k: SimplicialComplex, n: int) -> IntegerMatrix:
     >>> boundary_matrix(edge, 1).rows
     ((-1,), (1,))
     """
-    return _dense(_boundary_columns(k, n), range(len(k.n_simplexes(n - 1))))
-
-
-def augmentation_matrix(k: SimplicialComplex) -> IntegerMatrix:
-    """Row of ones: the augmentation C_0 -> Z used for reduced homology."""
-    return IntegerMatrix([[1] * len(k.n_simplexes(0))], ncols=len(k.n_simplexes(0)))
+    return _dense_rows(_boundary_columns(k, n), range(len(k.n_simplexes(n - 1)))).transpose()
 
 
 def _transposed(columns: tuple, nrows: int) -> tuple:
@@ -612,16 +609,17 @@ class HomologyResult(_Record):
 
     A result is read off one ``ChainReduction`` of its three-term
     complex, whose outgoing map is the boundary, the augmentation or the
-    transposed coboundary.  Smith runs only on the residual outgoing map
-    d'' of C': the columns K of its V from the rank on are a basis of
-    the residual cycles, and the cycle columns are iota(K), each signed
-    so that its first nonzero entry in simplex order is positive.  The
-    group factors only the residual relations, the coordinates over K
-    of d''(b) for each residual (n+1)-cell b.  ``cycle_coordinates``
-    returns None exactly for a chain that is not a cycle, tested on the
-    kept ``outgoing`` columns, and otherwise the coordinates of its
-    class, which are those of pi_n(z): V^-1 * pi_n(z) from the rank on.
-    So the result keeps V^-1 * pi_n by columns in ``class_columns``
+    transposed coboundary.  Smith runs only on the transpose d''^T of
+    the residual outgoing map d'' of C', one row per residual n-cell:
+    the rows K of its U from the rank on are a basis of the residual
+    cycles, and the cycle columns are iota(K), each signed so that its
+    first nonzero entry in simplex order is positive.  The group factors
+    only the residual relations, the coordinates over K of d''(b) for
+    each residual (n+1)-cell b.  ``cycle_coordinates`` returns None
+    exactly for a chain that is not a cycle, tested on the kept
+    ``outgoing`` columns, and otherwise the coordinates of its class,
+    which are those of pi_n(z): U^-T * pi_n(z) from the rank on.  So
+    the result keeps U^-T * pi_n by columns in ``class_columns``
     (column j as the (row, entry) pairs of its nonzero entries, rows
     from the rank on signed like the cycles) with the rank in
     ``residual_rank``; none of these takes part in equality or repr.
@@ -654,7 +652,7 @@ class HomologyResult(_Record):
 
 
 def _class(y: dict, rank: int, ngens: int) -> tuple:
-    """Coordinates read off V^-1 times a residual cycle, ``y``: its entries from ``rank`` on."""
+    """Coordinates read off U^-T times a residual cycle, ``y``: its entries from ``rank`` on."""
     if any(i < rank for i in y):
         raise AssertionError("a cycle projects off the residual cycles; chain reduction broken")
     coords = [0] * ngens
@@ -664,26 +662,31 @@ def _class(y: dict, rank: int, ngens: int) -> tuple:
 
 
 def _quotient(reduction: ChainReduction, degree: int, basis) -> HomologyResult:
-    """H_n of the reduction's C', carried to C by its iota and pi."""
+    """H_n of the reduction's C', carried to C by its iota and pi.
+
+    Smith factors d''^T, one row per residual n-cell: U's rows from the
+    rank on are the residual cycles, and row a of U^-1 is column a of
+    U^-T, which gives the class coordinates (``SmithDecomposition``).
+    """
     _, cells, cells_below = reduction.residual_cells()
-    snf = smith_normal_form(_dense(reduction.residual[1], cells_below), inverse="vinv")
+    snf = smith_normal_form(_dense_rows(reduction.residual[1], cells_below))
     rank = snf.rank
     signs, cycles = [1] * rank, []
-    for k in list(zip(*snf.v.rows))[rank:]:
+    for k in snf.u.rows[rank:]:
         chain = _combine(((j, k[j]) for j in compress(range(len(k)), k)), reduction.iota)
         signs.append(1 if chain[min(chain)] > 0 else -1)
         col = [0] * len(basis)
         for e, c in chain.items():
             col[e] = signs[-1] * c
         cycles.append(tuple(col))
-    # V^-1 by columns, one per residual n-cell, its rows from the rank on signed like their cycles
-    inverse = {a: [] for a in cells}
-    for i, (s, row) in enumerate(zip(signs, snf.vinv.rows)):
-        for j in compress(range(len(row)), row):
-            inverse[cells[j]].append((i, s * row[j]))
+    # U^-T by columns, one per residual n-cell, its rows from the rank on signed like their cycles
+    classes = {
+        a: [(i, signs[i] * row[i]) for i in compress(range(len(row)), row)]
+        for a, row in zip(cells, snf.uinv.rows)
+    }
     ngens = len(cycles)
     relations = tuple(
-        _class(_combine(((a, c) for a, c in column if a in inverse), inverse), rank, ngens)
+        _class(_combine(((a, c) for a, c in column if a in classes), classes), rank, ngens)
         for column in reduction.residual[0]
     )
     group = FGAbelianGroup(ngens, IntegerMatrix._derived(relations, ngens))
@@ -697,7 +700,7 @@ def _quotient(reduction: ChainReduction, degree: int, basis) -> HomologyResult:
         basis=tuple(basis),
         cycle_columns=tuple(cycles),
         outgoing=reduction.outgoing,
-        class_columns=tuple(tuple(sorted(_combine(image, inverse).items())) for image in reduction.pi),
+        class_columns=tuple(tuple(sorted(_combine(image, classes).items())) for image in reduction.pi),
         residual_rank=rank,
     )
 
@@ -708,7 +711,8 @@ def homology(k: SimplicialComplex, n: int, reduced: bool = False) -> HomologyRes
     ``reduced`` augments the complex in dimension 0 (and changes
     nothing in higher dimensions).  The first call reduces the chain
     complex around dimension n and factors two residual matrices, the
-    outgoing map and the relations; a repeat returns the same result.
+    transposed outgoing map and the relations; a repeat returns the
+    same result.
 
     >>> circle = SimplicialComplex.from_maximal([(1, 2), (2, 3), (1, 3)])
     >>> homology(circle, 1).group.describe()
@@ -763,11 +767,6 @@ def _chain_columns(f: SimplicialMap, n: int) -> tuple:
         collapsed = len(set(ranks)) != len(ranks)
         columns.append(() if collapsed else ((index[f.image_simplex(s)], (-1) ** inversions),))
     return tuple(columns)
-
-
-def chain_map_matrix(f: SimplicialMap, n: int) -> IntegerMatrix:
-    """Matrix of the induced chain map C_n(source) -> C_n(target)."""
-    return _dense(_chain_columns(f, n), range(len(f.target.n_simplexes(n))))
 
 
 def _induced_between(source: HomologyResult, target: HomologyResult, columns: tuple) -> GroupHom:

@@ -22,6 +22,23 @@ def polygon_wrap(src_m: int, tgt_m: int) -> SimplicialMap:
     return SimplicialMap(polygon(src_m), polygon(tgt_m), {v: v % tgt_m for v in range(src_m)})
 
 
+def disks_on_a_triangle(*degrees: int) -> SimplicialComplex:
+    """A triangle with one disk attached along a circle map of each degree d.
+
+    Disk ``k`` is the cone over a 3d-gon, joined to the triangle by the
+    prisms of the cylinder of the wrap v -> v mod 3.  H_1 is Z/g, g the
+    gcd of the degrees, and H_2 is free of rank one less than the number
+    of disks.
+    """
+    cells = []
+    for k, d in enumerate(degrees):
+        m = 3 * d
+        for i in range(m):
+            t, u, s, w = ("t", i % 3), ("t", (i + 1) % 3), (k, i), (k, (i + 1) % m)
+            cells += [(t, u, w), (t, s, w), (s, w, (k, "apex"))]
+    return SimplicialComplex.from_maximal(cells)
+
+
 def tetra_sphere() -> SimplicialComplex:
     """Boundary of the 3-simplex: a 2-sphere."""
     return SimplicialComplex.from_maximal(

@@ -5,11 +5,11 @@ package's ``FGAbelianGroup``), the Smith-based subgroup routines, the
 composite-hom image routines (``image_under`` and the ``composed_*``
 references for tower analyses), ``restricted_hom`` and
 ``restricted_stable_lim``, ``from_canonical_matrix``, the ``both_forms_*``
-references for image-chain repeats,
+references for image-chain repeats and ``contains``,
 ``stacked_kernel_subgroup``, ``full_decomposition_coordinates``,
 ``inline_simplex_order`` and ``inline_chain_map_rows`` (which take only
-the label order) and the two-closure telescopes, nothing in here
-imports the package under test.
+the label order), ``chain_map_matrix``, ``augmentation_matrix`` and the
+two-closure telescopes, nothing in here imports the package under test.
 The routines are deliberately different algorithms from the ones being
 checked: fraction-free (Bareiss) elimination for ranks and determinants,
 gcd-of-minors determinantal divisors for invariant factors, and nerves,
@@ -45,9 +45,9 @@ def dense_smith_normal_form(rows, ncols: int):
     """Smith normal form by dense elimination: the rows of U, U^-1, D, V, V^-1.
 
     The reference for ``smith_normal_form``, which performs the same
-    elementary operations in the same order but tracks one of the two
-    inverses, stores U^-1 and V by columns and touches only nonzero
-    entries: here all four transforms are tracked, every matrix is
+    elementary operations in the same order but does not track V^-1,
+    stores U^-1 and V by columns and touches only nonzero entries:
+    here all four transforms are tracked, every matrix is
     stored by rows and every row and column operation walks every
     entry.  Pivots are the first entry of least absolute value in
     row-major order, remainders are balanced, a row that breaks the
@@ -167,8 +167,9 @@ def dense_decomposition_holds(matrix, u, uinv, d, v, vinv, ncols: int) -> bool:
     needs: here the shapes are compared, V * V^-1, U * M * V and
     U * U^-1 are multiplied out in full, and D must be diagonal with
     nonnegative entries, zeros trailing and each entry dividing the
-    next.  The factors of the two kinds of decomposition of one matrix
-    must pass it together.  ``ncols`` is the width of ``matrix``.
+    next.  A decomposition's factors must pass it together with the
+    V^-1 of ``dense_smith_normal_form``.  ``ncols`` is the width of
+    ``matrix``.
     """
     m, n = len(matrix), ncols
     if not _dense_shapes_hold((u, uinv, d, v, vinv), ((m, m), (m, m), (m, n), (n, n), (n, n))):
@@ -180,47 +181,30 @@ def dense_decomposition_holds(matrix, u, uinv, d, v, vinv, ncols: int) -> bool:
     return _dense_diagonal_holds(d, m, n)
 
 
-def dense_kept_decomposition_holds(matrix, u, uinv, d, v, vinv, ncols: int) -> bool:
-    """Whether the row lists pass the check of a decomposition keeping one inverse, by dense products.
+def dense_kept_decomposition_holds(matrix, u, uinv, d, v, ncols: int) -> bool:
+    """Whether the row lists pass the check of a decomposition keeping U^-1, by dense products.
 
     The reference for ``SmithDecomposition``'s construction check,
-    which reads only nonzero entries, one product row at a time, skips
-    the rows of U * M that a unit d_i makes divisible and cuts the
-    products of the kernel kind to the rank: here exactly one of
-    ``uinv`` and ``vinv`` must be None, every product is multiplied out
-    in full, and with r the number of nonzero d_i,
-
-    * keeping U^-1: U * U^-1 = I, row i of U * M is divisible by d_i
-      (zero where d_i = 0 or i >= min(m, n)), and column j of M * V is
-      d_j times column j of U^-1 for j < r;
-    * keeping V^-1: V * V^-1 = I, row i of U * M is d_i times row i of
-      V^-1 for i < r, and the columns of M * V from r on are zero;
-
-    and D must pass the diagonal conditions of ``dense_decomposition_holds``.
+    which reads only nonzero entries, one product row at a time, and
+    skips the rows of U * M that a unit d_i makes divisible: here every
+    product is multiplied out in full, and with r the number of nonzero
+    d_i, U * U^-1 = I, row i of U * M is divisible by d_i (zero where
+    d_i = 0 or i >= min(m, n)), column j of M * V is d_j times column j
+    of U^-1 for j < r, and D must pass the diagonal conditions of
+    ``dense_decomposition_holds``.
     """
     m, n = len(matrix), ncols
-    if (uinv is None) == (vinv is None):
-        return False
-    kept, shape = (uinv, (m, m)) if vinv is None else (vinv, (n, n))
-    if not _dense_shapes_hold((u, kept, d, v), ((m, m), shape, (m, n), (n, n))):
+    if not _dense_shapes_hold((u, uinv, d, v), ((m, m), (m, m), (m, n), (n, n))):
         return False
     diag = [d[i][i] for i in range(min(m, n))] + [0] * (m - min(m, n))
     r = sum(1 for x in diag if x)
     um, mv = dense_product(u, matrix, n), dense_product(matrix, v, n)
-    if vinv is None:
-        if dense_product(u, uinv, m) != _identity(m):
-            return False
-        if any(any(x % di for x in row) if di else any(row) for row, di in zip(um, diag)):
-            return False
-        if any(mv[i][j] != diag[j] * uinv[i][j] for i in range(m) for j in range(r)):
-            return False
-    else:
-        if dense_product(v, vinv, n) != _identity(n):
-            return False
-        if any(um[i] != [diag[i] * x for x in vinv[i]] for i in range(r)):
-            return False
-        if any(mv[i][j] for i in range(m) for j in range(r, n)):
-            return False
+    if dense_product(u, uinv, m) != _identity(m):
+        return False
+    if any(any(x % di for x in row) if di else any(row) for row, di in zip(um, diag)):
+        return False
+    if any(mv[i][j] != diag[j] * uinv[i][j] for i in range(m) for j in range(r)):
+        return False
     return _dense_diagonal_holds(d, m, n)
 
 
@@ -349,6 +333,40 @@ def mod_p_rank(rows, p: int) -> int:
     return rank
 
 
+def gauss_jordan_nullspace(rows, p: int) -> list:
+    """Basis of the vectors v with rows · v = 0 over Z/p, by its own Gauss-Jordan elimination.
+
+    The reference for ``polynomial._nullspace``, which reads the reduced
+    echelon basis of ``abelian.residue_basis`` instead: the rows are
+    reduced mod p, each column in turn takes the first unused row with
+    a nonzero entry as its pivot, which is scaled to 1 and cleared from
+    every other row, and each free column f gives v[f] = 1 and minus the
+    pivot rows' entries in column f.  A reduced echelon form is unique,
+    so the two bases agree vector for vector.
+    """
+    rows, pivots = [[x % p for x in row] for row in rows], []
+    for c in range(len(rows[0])):
+        k = next((i for i in range(len(pivots), len(rows)) if rows[i][c]), None)
+        if k is None:
+            continue
+        r = len(pivots)
+        rows[r], rows[k] = rows[k], rows[r]
+        inv = pow(rows[r][c], -1, p)
+        rows[r] = [x * inv % p for x in rows[r]]
+        for i, row in enumerate(rows):
+            if i != r and row[c]:
+                rows[i] = [(x - row[c] * y) % p for x, y in zip(row, rows[r])]
+        pivots.append(c)
+    basis = []
+    for free in (c for c in range(len(rows[0])) if c not in pivots):
+        v = [0] * len(rows[0])
+        v[free] = 1
+        for r, c in enumerate(pivots):
+            v[c] = -rows[r][free] % p
+        basis.append(v)
+    return basis
+
+
 def betti_from_boundaries(d_n, d_np1, n_chain_rank: int) -> int:
     """Free rank of homology at a spot from two boundary matrices.
 
@@ -411,11 +429,12 @@ def integer_span(columns, height: int):
 # routines decide them the earlier way, through a Smith decomposition
 # U * M * V = D of M = [generators | relation columns]: M x = b is solvable
 # exactly when D w = U b is, and then x = V w; V's columns from the rank on
-# are a basis of M's integer kernel.
+# are a basis of M's integer kernel, read off the dense elimination, which
+# performs the same operations as ``smith_normal_form``.
 
 
 def _smith_diagonal_solution(snf, b):
-    """The w with D * w = U * b, or None when it is not integral; ``snf`` keeps U^-1."""
+    """The w with D * w = U * b, or None when it is not integral."""
     c = dense_matvec(snf.u.rows, b)
     diag = snf.diagonal()
     w = [0] * snf.matrix.ncols
@@ -432,29 +451,37 @@ def _smith_diagonal_solution(snf, b):
 
 
 def smith_solve(snf, b):
-    """One integer solution x of snf.matrix * x = b, or None when unsolvable; ``snf`` keeps U^-1."""
+    """One integer solution x of snf.matrix * x = b, or None when unsolvable."""
     w = _smith_diagonal_solution(snf, b)
     return None if w is None else tuple(dense_matvec(snf.v.rows, w))
 
 
-def smith_kernel_basis(snf) -> list:
-    """V's columns from the rank on: a basis of the integer kernel of ``snf.matrix``; ``snf`` keeps V^-1."""
-    return [snf.v.column(j) for j in range(snf.rank, snf.matrix.ncols)]
+def smith_kernel_basis(matrix) -> list:
+    """V's columns from the rank on, of the dense Smith form of ``matrix``: a basis of its integer kernel."""
+    _, _, d, v, _ = dense_smith_normal_form(matrix.rows, matrix.ncols)
+    rank = sum(1 for i in range(min(matrix.nrows, matrix.ncols)) if d[i][i])
+    return [tuple(row[j] for row in v) for j in range(rank, matrix.ncols)]
 
 
-def smith_subgroup_solver(sub, inverse: str):
-    """Smith decomposition of [generators | relation columns] of a subgroup, keeping ``inverse``."""
-    from towertop.abelian import IntegerMatrix, smith_normal_form
+def _subgroup_stack(sub):
+    """[generators | relation columns] of a subgroup."""
+    from towertop.abelian import IntegerMatrix
 
     cols = list(sub.generators) + sub.group.canonical_relation_columns()
-    stacked = IntegerMatrix(cols, ncols=sub.group.canonical_ngens).transpose()
-    return smith_normal_form(stacked, inverse=inverse)
+    return IntegerMatrix(cols, ncols=sub.group.canonical_ngens).transpose()
+
+
+def smith_subgroup_solver(sub):
+    """Smith decomposition of [generators | relation columns] of a subgroup."""
+    from towertop.abelian import smith_normal_form
+
+    return smith_normal_form(_subgroup_stack(sub))
 
 
 def smith_contains(sub, y) -> bool:
     """Whether canonical coordinates ``y`` lie in the subgroup ``sub``."""
     y = sub.group.reduce_canonical(y)
-    return not any(y) or _smith_diagonal_solution(smith_subgroup_solver(sub, "uinv"), y) is not None
+    return not any(y) or _smith_diagonal_solution(smith_subgroup_solver(sub), y) is not None
 
 
 def smith_coordinates(sub, y):
@@ -463,7 +490,7 @@ def smith_coordinates(sub, y):
     k = len(sub.generators)
     if not any(y):
         return (0,) * k
-    x = smith_solve(smith_subgroup_solver(sub, "uinv"), y)
+    x = smith_solve(smith_subgroup_solver(sub), y)
     return None if x is None else tuple(x[:k])
 
 
@@ -482,7 +509,7 @@ def smith_as_group_invariants(sub) -> tuple:
     from towertop.abelian import FGAbelianGroup, IntegerMatrix
 
     k = len(sub.generators)
-    rows = [col[:k] for col in smith_kernel_basis(smith_subgroup_solver(sub, "vinv"))]
+    rows = [col[:k] for col in smith_kernel_basis(_subgroup_stack(sub))]
     return FGAbelianGroup(k, IntegerMatrix(rows, ncols=k)).invariants
 
 
@@ -501,7 +528,7 @@ def smith_kernel_subgroup(hom):
     nonzero = [j for j in range(n) if any(columns[j])]
     gens = [_unit(n, j) for j in range(n) if not any(columns[j])]
     if nonzero:
-        for col in smith_kernel_basis(smith_subgroup_solver(hom.image_subgroup(), "vinv")):
+        for col in smith_kernel_basis(_subgroup_stack(hom.image_subgroup())):
             g = [0] * n
             for j, c in zip(nonzero, col):
                 g[j] = c
@@ -518,13 +545,13 @@ def stacked_kernel_subgroup(hom):
     decomposition of its own, the kernel columns cut to their first
     part are kernel members, and so are the source's torsion relations.
     """
-    from towertop.abelian import IntegerMatrix, Subgroup, smith_normal_form
+    from towertop.abelian import IntegerMatrix, Subgroup
 
     rel_cols = hom.target.canonical_relation_columns()
     n = hom.source.canonical_ngens
     rows = [row + tuple(col[i] for col in rel_cols) for i, row in enumerate(hom.canonical_matrix().rows)]
     stacked = IntegerMatrix(rows, ncols=n + len(rel_cols))
-    gens = [tuple(col[:n]) for col in smith_kernel_basis(smith_normal_form(stacked, inverse="vinv"))]
+    gens = [tuple(col[:n]) for col in smith_kernel_basis(stacked)]
     return Subgroup(hom.source, gens + hom.source.canonical_relation_columns())
 
 
@@ -540,7 +567,7 @@ def full_decomposition_coordinates(relations):
     """
     from towertop.abelian import smith_normal_form
 
-    snf = smith_normal_form(relations.transpose(), inverse="uinv")
+    snf = smith_normal_form(relations.transpose())
     diag, rank, ngens = snf.diagonal(), snf.rank, relations.ncols
     torsion_positions = [i for i in range(rank) if diag[i] > 1]
     positions = list(range(rank, ngens)) + torsion_positions
@@ -756,6 +783,16 @@ def from_canonical_matrix(source, target, canonical):
     return GroupHom(source, target, target.lifts * images)
 
 
+def contains(sub, y) -> bool:
+    """Whether canonical coordinates ``y`` lie in the subgroup ``sub``, by dividing by its Hermite form.
+
+    The library asks containment of whole subgroups (``is_subset_of``);
+    tests ask it of single vectors, against ``smith_contains``.
+    """
+    y = sub.group.reduce_canonical(y)
+    return not any(y) or sub._hermite_form().divide(y) is not None
+
+
 def lattice_form(sub) -> tuple:
     """Rows of a fresh Hermite form of the lattice of ``sub``'s generators and relation vectors."""
     from towertop.abelian import IntegerMatrix, hermite_normal_form
@@ -858,8 +895,9 @@ def inline_simplex_order(simplexes) -> list:
 def inline_chain_map_rows(source_simplexes, target_simplexes, vertex_map, n: int) -> tuple:
     """Rows of the chain map C_n(source) -> C_n(target), every order read from ``label_key``.
 
-    The reference for ``chain_map_matrix``, which orders by the vertex
-    ranks each complex keeps instead: both bases in the inline simplex
+    The reference for ``simplicial._chain_columns`` (read whole by
+    ``chain_map_matrix``), which orders by the vertex ranks each complex
+    keeps instead: both bases in the inline simplex
     order, a simplex whose image repeats a vertex maps to zero, and
     otherwise the sign is the parity of the permutation that sorts the
     image vertices by their keys.
@@ -878,6 +916,32 @@ def inline_chain_map_rows(source_simplexes, target_simplexes, vertex_map, n: int
         inversions = sum(a > b for i, a in enumerate(order) for b in order[i + 1 :])
         rows[index[tuple(images[i] for i in order)]][j] += (-1) ** inversions
     return tuple(map(tuple, rows))
+
+
+def chain_map_matrix(f, n: int):
+    """Matrix of the chain map C_n(source) -> C_n(target) that ``f`` induces, from its sparse columns.
+
+    The library pushes cycles through the sparse columns of
+    ``simplicial._chain_columns``; tests read them as one matrix, one
+    row per target n-simplex, against ``inline_chain_map_rows``.  The
+    rows are built from the columns' entries as they are, uncoerced.
+    """
+    from towertop.abelian import IntegerMatrix
+    from towertop.simplicial import _chain_columns
+
+    columns = _chain_columns(f, n)
+    rows = [[0] * len(columns) for _ in f.target.n_simplexes(n)]
+    for j, column in enumerate(columns):
+        for i, a in column:
+            rows[i][j] = a
+    return IntegerMatrix._derived(tuple(map(tuple, rows)), len(columns))
+
+
+def augmentation_matrix(k):
+    """Row of ones: the augmentation C_0 -> Z that reduced homology appends."""
+    from towertop.abelian import IntegerMatrix
+
+    return IntegerMatrix([[1] * len(k.n_simplexes(0))], ncols=len(k.n_simplexes(0)))
 
 
 def maximal_simplexes(simplexes) -> set:

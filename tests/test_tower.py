@@ -47,6 +47,7 @@ from oracles import (
     composed_endo_images,
     composed_image_chain,
     dense_product,
+    gauss_jordan_nullspace,
     restricted_stable_lim,
     smith_is_subset,
 )
@@ -286,6 +287,22 @@ def test_charpoly_and_factor_on_hard_cases():
         assert charpoly(companion(poly)) == poly
     assert factor(SWINNERTON_DYER) == [(SWINNERTON_DYER, 1)]
     assert factor([-2, 5, -4, 1]) == [([-2, 1], 1), ([-1, 1], 2)]
+
+
+def test_nullspaces_match_the_gauss_jordan_reference():
+    # the Berlekamp bases come from residue_basis's reduced echelon form,
+    # which is unique, so they agree vector for vector with an elimination
+    # of their own; entries outside [0, p) as Berlekamp's -1 are among them
+    from towertop.polynomial import _nullspace
+
+    rng = random.Random(2027)
+    for _ in range(600):
+        p = rng.choice((2, 3, 5, 7, 11))
+        rows = [[rng.randint(-15, 15) for _ in range(rng.randint(1, 6))]]
+        rows += [[rng.randint(-15, 15) for _ in rows[0]] for _ in range(rng.randint(0, 5))]
+        assert _nullspace(rows, p) == gauss_jordan_nullspace(rows, p)
+    # a singular Berlekamp-shaped matrix: the identity subtracted from a projection
+    assert _nullspace([[0, 0], [0, -1]], 3) == gauss_jordan_nullspace([[0, 0], [0, -1]], 3) == [[1, 0]]
 
 
 def test_stable_lim_alternating_projection():
