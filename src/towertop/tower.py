@@ -22,22 +22,21 @@ composite bonds from deeper and deeper stages: entry k is the image of
 the k-fold composite, with entry 0 the full group.  Composites are
 never built as homs: a composite's canonical matrix is the product of
 its factors' canonical matrices with the target's torsion rows reduced
-(each factor carries its source's relations into its target's), so
-image chains, period powers and carry-downs multiply canonical
-matrices, and every product is checked where it is made
-(``_composed``).  A tower keeps each chain it builds, so
-``ml_status``, ``lim1_class`` and ``stable_lim`` on one tower share
-the same subgroups and reduce each to its Hermite form at most once;
-an image chain descends, so an image repeats when it lies inside the
-next one (``_first_repeat``).  A
+(each factor carries its source's relations into its target's), and
+every product is checked where it is made (``_composed``).  Image
+chains have one walker (``_image_chain``): a period map's powers are
+the image chain of its constant tower, and a carry-down reads a
+composite a chain keeps.  A tower keeps each chain it builds, so ``ml_status``,
+``lim1_class`` and ``stable_lim`` on one tower share the same subgroups
+and reduce each to its Hermite form at most once.  An image chain
+descends, so an image repeats when it lies inside the next one, and
+``_first_repeat`` extends a chain only until it finds that.  A
 ``NotStable`` holds the chains it was given and an ``MLStatus`` its
-chain; each reads the isomorphism types through those subgroups,
-which keep them, so nothing is factored until they are read and
-nothing twice.
+chain; each reads the isomorphism types through those subgroups, which
+keep them, so nothing is factored until they are read and nothing twice.
 """
 
-from itertools import islice
-from typing import Iterator, List, Optional, Tuple, Union
+from typing import List, Optional, Tuple, Union
 
 from .abelian import (
     FGAbelianGroup,
@@ -161,7 +160,7 @@ class GroupTower(_GroupSequence):
     """Inverse sequence of finitely generated abelian groups.
 
     Each level's image chain and, in ``_composites``, the canonical
-    matrix of the composite of bonds behind its deepest entry are kept
+    matrix of the composite of bonds behind each of its entries are kept
     once built (see ``_image_chain``), and so is a periodic
     certificate's period map with its stable image (see
     ``_kept_period_image``), so analyses of one tower share their
@@ -323,22 +322,25 @@ def _image_chain(tower: GroupTower, level: int, depth: int) -> List[Subgroup]:
     prefix is a new list, so a ``NotStable`` holding it reads the chain
     as it was observed however far later calls extend the tower's.
     Entry 1 is the first bond's own image; each deeper composite is the
-    kept canonical matrix times the next bond's (``_composed``), and
-    its image is spanned by the columns of that matrix.
+    one behind the entry before times the next bond's canonical matrix
+    (``_composed``), and its image is spanned by the columns of that
+    matrix, which ``_composites[level][k]`` keeps for entry k.  On an
+    endomorphism's constant tower the entries are its powers' images.
     """
-    chain = tower._chains[level]
+    chain, composites = tower._chains[level], tower._composites[level]
     group = tower.levels[level]
     if chain is None:
         chain = tower._chains[level] = [Subgroup.full(group)]
+        composites = tower._composites[level] = [None]
     while len(chain) <= depth:
         k = len(chain) - 1
         b = tower.bonds[level + k]
         if k == 0:
             running, image = b.canonical_matrix(), b.image_subgroup()
         else:
-            running = _composed(group, tower._composites[level], b.canonical_matrix(), b.source)
+            running = _composed(group, composites[k], b.canonical_matrix(), b.source)
             image = Subgroup(group, running.transpose().rows)
-        tower._composites[level] = running
+        composites.append(running)
         # an image on the very same generators is the same subgroup:
         # keep the earlier object and the Hermite form and group it holds
         chain.append(chain[-1] if image.generators == chain[-1].generators else image)
@@ -351,16 +353,21 @@ def _image_of(sub: Subgroup, canonical: IntegerMatrix, target: FGAbelianGroup) -
     return Subgroup(target, (gens * canonical.transpose()).rows)
 
 
-def _first_repeat(subs: List[Subgroup]) -> Optional[int]:
-    """First index k with subs[k] equal to subs[k + 1], or None.
+def _first_repeat(tower: GroupTower, level: int, depth: int) -> Optional[int]:
+    """First k below ``depth`` whose image at ``level`` equals image k + 1, or None.
 
-    An image chain descends: subs[k + 1] is spanned by subs[k]'s
+    An image chain descends: image k + 1 is spanned by image k's
     generators times the next bond (``_image_chain``), so it lies inside
-    subs[k], and subs[k] equals it exactly when subs[k] lies inside it.
+    image k, and image k equals it exactly when image k lies inside it.
     That reads the deeper image's Hermite form alone, and only when the
-    residues mod 2 and 3 show no drop (``Subgroup``).
+    residues mod 2 and 3 show no drop (``Subgroup``).  The kept chain is
+    extended one entry at a time, so it ends one entry past the repeat.
     """
-    return next((k for k in range(len(subs) - 1) if subs[k].is_subset_of(subs[k + 1])), None)
+    for k in range(depth):
+        shallow, deep = _image_chain(tower, level, k + 1)[k:]
+        if shallow.is_subset_of(deep):
+            return k
+    return None
 
 
 def _iteration_bound(group: FGAbelianGroup) -> int:
@@ -386,20 +393,6 @@ def _period_endo(seq: _GroupSequence, cert: Certificate, base: int) -> GroupHom:
     return GroupHom(model, model, prod)
 
 
-def _power_images(endo: GroupHom) -> Iterator[Subgroup]:
-    """Images of ``endo``, ``endo``², … in turn, each power made only when asked for.
-
-    The first is the endomorphism's own image; each further power is
-    its canonical matrix times the previous power's (``_composed``).
-    """
-    group = endo.source
-    step = power = endo.canonical_matrix()
-    yield endo.image_subgroup()
-    while True:
-        power = _composed(group, step, power, group)
-        yield Subgroup(group, power.transpose().rows)
-
-
 def _stable_endo_image(endo: GroupHom) -> Tuple[Subgroup, bool]:
     """The last image of iterated ``endo`` and whether it repeated.
 
@@ -407,17 +400,14 @@ def _stable_endo_image(endo: GroupHom) -> Tuple[Subgroup, bool]:
     (a repeat propagates forever), so a repeated image is the limit;
     absence of a repeat within the iteration bound rules one out, and
     the image returned is then that of the deepest power computed.  The
-    powers are products of canonical matrices (``_power_images``), made
-    one at a time until the chain repeats or the bound is reached.
-    Each image lies inside the one before, so it repeats when the one
-    before is a subset of it, as in ``_first_repeat``.
+    powers' images are the image chain of the constant tower with
+    ``endo`` as every bond, built by ``_first_repeat`` until it repeats
+    or the bound is reached.
     """
-    prev = Subgroup.full(endo.source)
-    for cur in islice(_power_images(endo), _iteration_bound(endo.source)):
-        if prev.is_subset_of(cur):
-            return prev, True
-        prev = cur
-    return prev, False
+    bound = _iteration_bound(endo.source)
+    tower = GroupTower((endo.source,) * (bound + 1), (endo,) * bound)
+    k = _first_repeat(tower, 0, bound)
+    return _image_chain(tower, 0, bound if k is None else k)[-1], k is not None
 
 
 def _kept_period_image(tower: GroupTower, base: int) -> Tuple[GroupHom, Subgroup, bool]:
@@ -441,7 +431,8 @@ def _periodic_stable_image(tower: GroupTower, level: int, cert: Certificate) -> 
 
     The stable image of the period map at ``base`` (the first level of
     the pattern at or below ``level``) is carried down to ``level`` by
-    the canonical matrix of the bonds between them (``_composed``).
+    the composite of the bonds between them, the one ``level``'s image
+    chain keeps behind entry ``base - level``.
     """
     base = max(level, cert.offset)
     _, stable, repeated = _kept_period_image(tower, base)
@@ -450,32 +441,19 @@ def _periodic_stable_image(tower: GroupTower, level: int, cert: Certificate) -> 
     group = tower.levels[level]
     if base == level:
         return Subgroup(group, stable.generators)
-    down = tower.bonds[level].canonical_matrix()
-    for b in tower.bonds[level + 1 : base]:
-        down = _composed(group, down, b.canonical_matrix(), b.source)
-    return _image_of(stable, down, group)
+    _image_chain(tower, level, base - level)
+    return _image_of(stable, tower._composites[level][base - level], group)
 
 
 def _ml_verdict(tower: GroupTower, level: int, window: int) -> Tuple[str, Optional[int], str]:
     """Verdict, stable index and reason of ``ml_status``, arguments unchecked."""
-    subs = _image_chain(tower, level, window)
-    repeat = _first_repeat(subs)
     cert = tower.certificate
     unsettled = "certified pattern does not settle the chain at this level"
 
-    if cert is None:
-        if repeat is not None:
-            return "Stabilized", repeat, "first repeated image within the window"
-        return (
-            "UndeterminedWithinWindow",
-            None,
-            "no repeated image within the window and no certificate to extend it",
-        )
-
-    if cert.kind == "periodic":
+    if cert is not None and cert.kind == "periodic":
         stable = _periodic_stable_image(tower, level, cert)
         if stable is not None:
-            for k, s in enumerate(subs):
+            for k, s in enumerate(_image_chain(tower, level, window)):
                 if s.equals(stable):
                     return "Stabilized", k, "image chain reaches the certified eventual image"
             # stabilization is proved even though the window is too
@@ -493,15 +471,19 @@ def _ml_verdict(tower: GroupTower, level: int, window: int) -> Tuple[str, Option
 
     # shift_family: bonds beyond the offset are injective and not
     # surjective forever; injectivity of the observed prefix makes the
-    # whole chain strictly decreasing from the offset on
-    if all(b.is_injective() for b in tower.bonds[level:]):
+    # whole chain strictly decreasing from the offset on.  Otherwise,
+    # and with no certificate, the window's first repeat decides
+    if cert is not None and all(b.is_injective() for b in tower.bonds[level:]):
         return (
             "StrictlyDecreasing",
             None,
             "certified shrinking family: injective non-surjective bonds force strict descent",
         )
+    repeat = _first_repeat(tower, level, window)
     if repeat is not None:
         return "Stabilized", repeat, "first repeated image within the window"
+    if cert is None:
+        unsettled = "no repeated image within the window and no certificate to extend it"
     return "UndeterminedWithinWindow", None, unsettled
 
 
@@ -603,16 +585,17 @@ def stable_lim(
     for i in range(n - 1):
         available = len(tower.bonds) - i
         w = available if window is None else min(window, available)
+        idx = _first_repeat(tower, i, w)
         subs = _image_chain(tower, i, w)
         chains.append(subs)
-        idx = _first_repeat(subs)
         if idx is None:
             if len(subs) >= 3:
                 return NotStable(
                     f"image chain at level {i} does not repeat within the window", chains
                 )
-            idx = len(subs) - 1  # window too short to confirm; take the deepest image
-        stable.append(subs[idx])
+            idx = len(subs) - 2  # window too short to confirm; take the deepest image
+        # the repeat test built the deeper, equal image's Hermite form
+        stable.append(subs[idx + 1])
     for i, (coarse, fine) in enumerate(zip(stable, stable[1:])):
         same_type = fine.as_group().invariants == coarse.as_group().invariants
         bond = tower.bonds[i].canonical_matrix()

@@ -657,7 +657,8 @@ def composed_image_chain(tower, level: int, depth: int) -> list:
 def composed_endo_images(endo, count: int) -> list:
     """Generator tuples of the images of ``endo``, ``endo``², …, ``endo``^count, by composite homs.
 
-    The reference for ``tower._power_images``: each power is
+    The reference for the image chain of ``endo``'s constant tower,
+    which ``tower._stable_endo_image`` reads: each power is
     ``endo.compose`` of the previous one.
     """
     images, power = [], endo

@@ -1,7 +1,6 @@
 """Tower analysis: image chains, derived-limit class, exact limits."""
 
 import random
-from itertools import islice
 from math import gcd
 
 import pytest
@@ -17,7 +16,6 @@ from towertop.tower import (
     _kept_period_image,
     _period_endo,
     _periodic_stable_image,
-    _power_images,
     _stable_endo_image,
     Certificate,
     ColimResult,
@@ -701,7 +699,7 @@ def test_dense_tower_analyses_make_a_fixed_number_of_factorizations(smith_calls,
     lim1, lim, colim = lim1_class(tower), tower_lim(tower), colim_direct_system(system)
     assert lim1.verdict == "Zero"
     assert isinstance(lim, NotStable) and isinstance(colim, NotFinitelyStable)
-    assert (len(smith_calls), len(echelon_forms)) == (2, 6)
+    assert (len(smith_calls), len(echelon_forms)) == (2, 4)
     # the NotStable factors the images it shows only when they are read
     lim.image_chains
     assert (len(smith_calls), len(echelon_forms)) == (14, 14)
@@ -718,7 +716,9 @@ def test_ml_status_builds_its_image_groups_on_first_read(smith_calls, echelon_fo
     lim1_class(tower), tower_lim(tower), ml_status(tower, 1)
     del smith_calls[:], echelon_forms[:]
     late = status.image_chain
-    assert (len(smith_calls), len(echelon_forms)) == (4, 3)
+    # tower_lim kept the deeper of each repeated pair, so this read builds
+    # the shallower image's form itself
+    assert (len(smith_calls), len(echelon_forms)) == (4, 4)
     fresh = ml_status(fixed_dense_sequences()[0], 0)
     assert status == fresh
     assert [g.invariants for g in late] == [g.invariants for g in fresh.image_chain] == [(2, ())] * 5
@@ -729,8 +729,8 @@ def test_certified_analyses_make_a_fixed_number_of_factorizations(smith_calls, e
     # place in the period and shared by every level and by tower_lim;
     # (Smith calls, Hermite forms) per fixture
     expected = {
-        "doubling": (3, 9), "diag": (3, 11), "period-two": (3, 11), "rank-drop": (2, 6),
-        "torsion": (2, 6),
+        "doubling": (3, 6), "diag": (3, 8), "period-two": (3, 6), "rank-drop": (2, 5),
+        "torsion": (2, 5),
     }
     counts = {}
     for name in expected:
@@ -865,6 +865,11 @@ def periodic_tail_tower(data):
     return GroupTower(levels, homs, Certificate("periodic", offset=offset, period=len(tail)))
 
 
+def power_chain(endo, count):
+    """Images of ``endo``^0..``endo``^count: the image chain of its constant tower."""
+    return _image_chain(GroupTower((endo.source,) * (count + 1), (endo,) * count), 0, count)
+
+
 def check_chains_match_composite_homs(build):
     tower = build()
     for level in range(len(tower.bonds)):
@@ -903,7 +908,7 @@ def test_periodic_tails_match_composite_homs(data):
     tower = periodic_tail_tower(data)
     endo = _period_endo(tower, tower.certificate, tower.certificate.offset)
     count = _iteration_bound(endo.source)
-    assert [s.generators for s in islice(_power_images(endo), count)] == composed_endo_images(endo, count)
+    assert [s.generators for s in power_chain(endo, count)[1:]] == composed_endo_images(endo, count)
 
 
 @pytest.mark.parametrize("name", CERTIFIED)
@@ -913,7 +918,7 @@ def test_certified_fixtures_match_composite_homs(name):
         check_periodic_images_match_composite_homs(lambda: certified_fixture(name)[0])
     for endo in set(certified_fixture(name)[0].bonds):
         count = _iteration_bound(endo.source)
-        ours = [s.generators for s in islice(_power_images(endo), count)]
+        ours = [s.generators for s in power_chain(endo, count)[1:]]
         assert ours == composed_endo_images(endo, count)
 
 
@@ -921,7 +926,7 @@ def test_certified_fixtures_match_composite_homs(name):
 @given(diagonal_endos())
 def test_endo_powers_match_composite_homs(endo):
     count = _iteration_bound(endo.source)
-    ours = [s.generators for s in islice(_power_images(endo), count)]
+    ours = [s.generators for s in power_chain(endo, count)[1:]]
     assert ours == composed_endo_images(endo, count)
 
 
@@ -1010,18 +1015,19 @@ def diagonal_drop_data(draw, diagonal):
     return n, tower_relations(relations, bonds), bonds
 
 
-def whole_chains(tower):
-    return [_image_chain(tower, level, len(tower.bonds) - level) for level in range(len(tower.bonds))]
-
-
 def check_repeats_match_both_forms(data):
-    ours, theirs = (whole_chains(dense_sequences(data)[0]) for _ in range(2))
-    for chain, reference in zip(ours, theirs):
-        assert _first_repeat(chain) == both_forms_first_repeat(reference)
+    tower, fresh = (dense_sequences(data)[0] for _ in range(2))
+    chains = []
+    for level in range(len(tower.bonds)):
+        depth = len(tower.bonds) - level
+        reference = _image_chain(fresh, level, depth)
+        assert _first_repeat(tower, level, depth) == both_forms_first_repeat(reference)
+        chain = _image_chain(tower, level, depth)
+        chains.append(chain)
         # the premise of the descent test: each image lies inside the one before
         for deep, shallow in zip(chain[1:], chain):
             assert deep.is_subset_of(shallow) and smith_is_subset(deep, shallow)
-    return ours
+    return chains
 
 
 @settings(max_examples=40)
@@ -1048,17 +1054,49 @@ def test_drops_of_index_five_and_seven_are_decided_by_hermite_forms(data):
 def test_a_tower_of_index_five_and_seven_drops_falls_without_a_certificate():
     z2 = FGAbelianGroup.free(2)
     bonds = [hom(z2, z2, [[5, 0], [0, 1]]), hom(z2, z2, [[1, 0], [0, 7]]), hom(z2, z2, [[1, 0], [0, 1]])]
-    chain = _image_chain(GroupTower([z2] * 4, bonds), 0, 3)
+    tower = GroupTower([z2] * 4, bonds)
+    chain = _image_chain(tower, 0, 3)
     assert [s.as_group().invariants for s in chain] == [(2, ())] * 4
     assert not any(shallow._escapes_mod_p(deep) for deep, shallow in zip(chain[1:], chain))
-    assert _first_repeat(chain) == 2 == both_forms_first_repeat(chain)
+    assert _first_repeat(tower, 0, 3) == 2 == both_forms_first_repeat(chain)
+
+
+def check_lim1_builds_no_image_past_a_repeat(build):
+    tower, fresh = build(), build()
+    lim1_class(tower)
+    for level in range(len(tower.bonds)):
+        depth = len(tower.bonds) - level
+        reference = [Subgroup(fresh.levels[level], g) for g in composed_image_chain(fresh, level, depth)]
+        repeat = both_forms_first_repeat(reference)
+        assert len(tower._chains[level]) == (depth + 1 if repeat is None else repeat + 2), level
+    # the analyses that show chains still take them to the whole window
+    for level in range(len(tower.bonds)):
+        status = ml_status(tower, level)
+        assert len(status.image_chain) == len(tower.bonds) - level + 1
+        assert status == ml_status(build(), level)
+    assert stable_lim(tower) == stable_lim(build())
+
+
+@settings(max_examples=40)
+@given(dense_tower_data())
+def test_lim1_builds_no_image_past_a_repeat(data):
+    check_lim1_builds_no_image_past_a_repeat(lambda: dense_sequences(data)[0])
+
+
+def test_lim1_stops_a_chain_of_identities_at_its_first_entry():
+    build = lambda: GroupTower([Z] * 4, [GroupHom.identity(Z)] * 3)
+    check_lim1_builds_no_image_past_a_repeat(build)
+    tower = build()
+    lim1_class(tower)
+    assert [len(chain) for chain in tower._chains[:3]] == [2, 2, 2]
 
 
 def check_stable_endo_image_matches_both_forms(endo):
     bound = _iteration_bound(endo.source)
     stable, repeated = _stable_endo_image(endo)
     assert (stable.generators, repeated) == both_forms_stable_endo_image(endo, bound)
-    images = [Subgroup.full(endo.source), *islice(_power_images(endo), bound)]
+    images = power_chain(endo, bound)
+    assert [s.generators for s in images[1:]] == composed_endo_images(endo, bound)
     for deep, shallow in zip(images[1:], images):
         assert deep.is_subset_of(shallow) and smith_is_subset(deep, shallow)
 
