@@ -14,16 +14,19 @@ objects are
 The Smith decomposition canonicalizes presentations and, in
 ``simplicial``, computes homology.  A subgroup is a lattice in
 canonical coordinates, and its Hermite normal form decides
-membership, containment and equality and gives the relations among the
-generators; residues mod 2 and 3 prove most strict containments first.
-Finitely generated abelian groups are Hopfian, so a homomorphism is an
-isomorphism exactly when its two ends have the same invariants and its
-image is the whole target.
+membership, containment and equality; residues mod 2 and 3 prove most
+strict containments first.  The form's pivots give the subgroup's free
+rank and torsion order, and its rows present the subgroup as a group.
+A homomorphism is one-to-one exactly when its image has the source's
+free rank and torsion order, and, finitely generated abelian groups
+being Hopfian, an isomorphism exactly when its two ends have the same
+invariants and its image is the whole target.
 """
 
 from __future__ import annotations
 
 from itertools import compress, islice
+from math import prod
 from operator import mul
 from typing import Iterable, Optional, Sequence
 
@@ -481,39 +484,25 @@ class HermiteForm(_Record):
     A lattice has exactly one such form, so two lattices are equal
     exactly when their forms are, and a subgroup is the whole group
     exactly when its form is the identity.  Row i of ``transform``
-    writes form row i as a combination of the rows of ``matrix``; the
-    rows of ``kernel`` are the combinations that the elimination turned
-    into zero rows.  Stacked, ``transform`` over ``kernel`` is the
-    elimination's unimodular transform; only the construction check
-    and ``checked_kernel`` read ``transform``.
+    writes form row i as a combination of the rows of ``matrix``; only
+    the construction check reads it.
 
     Construction checks the shapes, that every form row equals its
     recorded combination (so the form's lattice lies in the input's),
-    that the form has the Hermite shape, and that every row of
-    ``matrix`` reduces to zero against the form (so the input's lattice
-    lies in the form's), unless the form is the identity, whose lattice
-    holds every row.  ``checked_kernel`` checks the kernel where it
-    is read.  Every check raises ``AssertionError`` itself, so none
-    rests on an ``assert`` statement.
+    that the form has the Hermite shape (so its rows are independent),
+    and that every row of ``matrix`` reduces to zero against the form
+    (so the input's lattice lies in the form's), unless the form is the
+    identity, whose lattice holds every row.  The form's rows are then
+    a basis of the input's lattice.  Every check raises
+    ``AssertionError`` itself, so none rests on an ``assert`` statement.
     """
 
-    __slots__ = _fields = ("matrix", "form", "pivots", "transform", "kernel")
+    __slots__ = _fields = ("matrix", "form", "pivots", "transform")
 
-    def __init__(
-        self,
-        matrix: IntegerMatrix,
-        form: IntegerMatrix,
-        pivots: tuple,
-        transform: IntegerMatrix,
-        kernel: IntegerMatrix,
-    ):
-        _Record.__init__(self, matrix, form, tuple(pivots), transform, kernel)
+    def __init__(self, matrix: IntegerMatrix, form: IntegerMatrix, pivots: tuple, transform: IntegerMatrix):
+        _Record.__init__(self, matrix, form, tuple(pivots), transform)
         m, n, r = matrix.nrows, matrix.ncols, form.nrows
-        for name, factor, shape in (
-            ("form", form, (r, n)),
-            ("transform", transform, (r, m)),
-            ("kernel", kernel, (m - r, m)),
-        ):
+        for name, factor, shape in (("form", form, (r, n)), ("transform", transform, (r, m))):
             if (factor.nrows, factor.ncols) != shape:
                 raise AssertionError(f"Hermite {name} has the wrong shape")
         if len(self.pivots) != r:
@@ -556,46 +545,6 @@ class HermiteForm(_Record):
             q.append(c)
             start = p + 1
         return None if any(islice(v, start, None)) else q
-
-    def checked_kernel(self) -> IntegerMatrix:
-        """``kernel``, once it is checked to be a saturated basis of the vanishing combinations.
-
-        Every kernel row times ``matrix`` must vanish, and ``transform``
-        stacked over ``kernel`` must have determinant 1 or -1.  Then a
-        vanishing combination z is w times that stack for an integer w;
-        w is zero on the form rows, which are independent, so z is a
-        combination of the kernel rows, which as rows of a unimodular
-        matrix span a saturated lattice.
-        """
-        terms = _row_terms(self.matrix.rows)
-        n = self.matrix.ncols
-        if any(any(_product_row(row, terms, n)) for row in self.kernel.rows):
-            raise AssertionError("a Hermite kernel row does not vanish")
-        if abs(_determinant(self.transform.rows + self.kernel.rows)) != 1:
-            raise AssertionError("Hermite transform is not unimodular")
-        return self.kernel
-
-
-def _determinant(rows) -> int:
-    """Determinant of a square integer matrix by fraction-free (Bareiss) elimination."""
-    a = [list(row) for row in rows]
-    n = len(a)
-    sign, previous = 1, 1
-    for k in range(n):
-        spot = next((i for i in range(k, n) if a[i][k]), None)
-        if spot is None:
-            return 0
-        if spot != k:
-            a[k], a[spot] = a[spot], a[k]
-            sign = -sign
-        top = a[k]
-        p = top[k]
-        for row in a[k + 1 :]:
-            f = row[k]
-            for j in range(k + 1, n):
-                row[j] = (p * row[j] - f * top[j]) // previous
-        previous = p
-    return sign * previous
 
 
 def hermite_normal_form(matrix: IntegerMatrix) -> HermiteForm:
@@ -659,7 +608,7 @@ def hermite_normal_form(matrix: IntegerMatrix) -> HermiteForm:
     def rows(lists, width):
         return IntegerMatrix._derived(tuple(map(tuple, lists)), width)
 
-    return HermiteForm(matrix, rows(a[:top], n), pivots, rows(t[:top], m), rows(t[top:], m))
+    return HermiteForm(matrix, rows(a[:top], n), pivots, rows(t[:top], m))
 
 
 class ResidueBasis(_Record):
@@ -891,17 +840,18 @@ class GroupHom:
     transposed source relations, which must vanish, and the canonical
     matrix is that map times ``matrix`` times the source's ``lifts``.
     The check's first product is kept until the canonical matrix reads
-    it, so the two share it.  The canonical matrix, the kernel and the
-    image are computed on first use and kept, so repeated injectivity
-    and surjectivity tests on one hom reduce the image's lattice once.
+    it, so the two share it.  The canonical matrix and the image are
+    computed on first use and kept, and injectivity and surjectivity
+    are both read off the image's Hermite form, so repeated tests on one
+    hom reduce the image's lattice once.  No kernel is computed.
 
     Finitely generated abelian groups are Hopfian: a surjection between
     two isomorphic ones is an isomorphism.  So ``is_isomorphism``
     compares the invariants of the two ends, which each group already
-    holds, and then tests surjectivity; it reads no kernel.
+    holds, and then tests surjectivity.
     """
 
-    __slots__ = ("source", "target", "matrix", "_pushed", "_canonical", "_kernel", "_image")
+    __slots__ = ("source", "target", "matrix", "_pushed", "_canonical", "_image")
 
     def __init__(self, source: FGAbelianGroup, target: FGAbelianGroup, matrix: IntegerMatrix):
         if matrix.ncols != source.ngens or matrix.nrows != target.ngens:
@@ -911,7 +861,6 @@ class GroupHom:
         self.matrix = matrix
         self._pushed = None
         self._canonical = None
-        self._kernel = None
         self._image = None
         relations = source.relations
         if relations.rows:
@@ -944,36 +893,15 @@ class GroupHom:
             self._image = Subgroup(self.target, self.canonical_matrix().transpose().rows)
         return self._image
 
-    def kernel_subgroup(self) -> "Subgroup":
-        """Kernel as a subgroup of the source (canonical coordinates).
-
-        The image subgroup's generators are the nonzero canonical
-        columns in order, so its Hermite form reduces [those columns |
-        target relation columns] as rows, and the first parts of the
-        kernel rows it records are the relations among the nonzero
-        columns modulo the target relations.  Scattered back to their
-        column positions, together with a unit vector for every zero
-        column and the source torsion relations, they generate the
-        kernel: no lattice is reduced beyond the image's own.
-        """
-        if self._kernel is None:
-            n = self.source.canonical_ngens
-            columns = self.canonical_matrix().columns()
-            nonzero = [j for j in range(n) if any(columns[j])]
-            gens = [tuple(int(i == j) for i in range(n)) for j in range(n) if not any(columns[j])]
-            if nonzero:
-                for row in self.image_subgroup()._hermite_form().checked_kernel().rows:
-                    g = [0] * n
-                    for j, c in zip(nonzero, row):
-                        g[j] = c
-                    gens.append(g)
-            # source torsion relations are kernel members as well
-            gens.extend(self.source.canonical_relation_columns())
-            self._kernel = Subgroup(self.source, gens)
-        return self._kernel
-
     def is_injective(self) -> bool:
-        return self.kernel_subgroup().is_trivial()
+        """Whether the image has the source's free rank and torsion order.
+
+        Equal free rank makes the kernel finite, so it lies in the
+        source's torsion, and the image's torsion is that torsion modulo
+        the kernel: equal torsion orders leave the kernel trivial.
+        """
+        source = self.source
+        return self.image_subgroup()._rank_and_order() == (source.free_rank, prod(source.torsion))
 
     def is_surjective(self) -> bool:
         return self.image_subgroup().is_full()
@@ -999,10 +927,21 @@ class Subgroup:
     G/pG (the free coordinates and the torsion ones of order divisible
     by p) lie outside B's kept ``residue_basis`` proves A not inside B.
     The subgroup is full when its form is the identity, which is how a
-    hom is tested for being onto, and so for being an isomorphism; and
-    ``as_group`` reads the relations among the generators off the
-    checked kernel rows.  No Smith decomposition is made here beyond the
-    one ``as_group``'s own group makes of those relations.
+    hom is tested for being onto, and so for being an isomorphism.
+
+    The subgroup's type is read off the same form (Cohen, *A Course in
+    Computational Algebraic Number Theory*, §2.4).  With G = Z^f + the
+    Z/t_i, the form's rows are a basis of the lattice L; split them into
+    A, pivots in the f free columns, and B, pivots in the torsion ones.
+    B's rows vanish on the free columns and, the form being echelon,
+    span the part of L that does, which holds every relation vector
+    t_i * e_(f+i).  So the subgroup, L modulo the relation vectors, is
+    Z^|A| plus span(B) modulo them: ``_rank_and_order`` gives |A| and the
+    product of the t_i over that of B's pivots, which is how a hom is
+    tested for being one-to-one, and ``as_group`` presents the subgroup
+    on the form's rows, each relation vector divided by the form giving
+    one relation.  No Smith decomposition is made here beyond the one
+    ``as_group``'s own group makes of those relations.
     """
 
     __slots__ = ("group", "generators", "_hermite", "_as_group", "_residues", "_bases")
@@ -1075,12 +1014,26 @@ class Subgroup:
         rows = self._hermite_form().form.rows if n else ()
         return len(rows) == n and all(row[i] == 1 for i, row in enumerate(rows))
 
+    def _rank_and_order(self) -> tuple:
+        """The subgroup's free rank and torsion order, read off its form's pivots."""
+        if not self.generators:
+            return 0, 1
+        f, form = self.group.free_rank, self._hermite_form()
+        torsion_pivots = [row[p] for p, row in zip(form.pivots, form.form.rows) if p >= f]
+        order, rest = divmod(prod(self.group.torsion), prod(torsion_pivots))
+        if rest:
+            raise AssertionError("torsion pivots of a Hermite form do not divide the torsion order")
+        return len(form.pivots) - len(torsion_pivots), order
+
     def as_group(self) -> FGAbelianGroup:
-        """The subgroup itself as an abstract group (canonicalized)."""
+        """The subgroup itself as an abstract group on its form's rows (canonicalized)."""
         if self._as_group is None:
-            k = len(self.generators)
-            rows = tuple(row[:k] for row in self._hermite_form().checked_kernel().rows)
-            self._as_group = FGAbelianGroup(k, IntegerMatrix._derived(rows, k))
+            form = self._hermite_form()
+            relations = [form.divide(v) for v in self.group.canonical_relation_columns()]
+            if None in relations:
+                raise AssertionError("a relation vector lies outside the lattice of its Hermite form")
+            r = form.form.nrows
+            self._as_group = FGAbelianGroup(r, IntegerMatrix._derived(tuple(map(tuple, relations)), r))
         return self._as_group
 
     def __repr__(self) -> str:

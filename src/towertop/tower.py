@@ -453,8 +453,10 @@ def _ml_verdict(tower: GroupTower, level: int, window: int) -> Tuple[str, Option
     if cert is not None and cert.kind == "periodic":
         stable = _periodic_stable_image(tower, level, cert)
         if stable is not None:
-            for k, s in enumerate(_image_chain(tower, level, window)):
-                if s.equals(stable):
+            # the kept chain is extended one entry at a time, so it ends
+            # at the stable index or at the carry-down, whichever is deeper
+            for k in range(window + 1):
+                if _image_chain(tower, level, k)[k].equals(stable):
                     return "Stabilized", k, "image chain reaches the certified eventual image"
             # stabilization is proved even though the window is too
             # short to exhibit the stable index

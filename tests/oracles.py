@@ -504,13 +504,18 @@ def smith_is_full(sub) -> bool:
     return all(smith_contains(sub, e) for e in sub.group.canonical_generators())
 
 
-def smith_as_group_invariants(sub) -> tuple:
-    """Invariants of ``sub`` presented on its generators, the relations read off V."""
+def smith_subgroup_group(sub):
+    """``sub`` as a group presented on its generators, the relations among them read off V."""
     from towertop.abelian import FGAbelianGroup, IntegerMatrix
 
     k = len(sub.generators)
     rows = [col[:k] for col in smith_kernel_basis(_subgroup_stack(sub))]
-    return FGAbelianGroup(k, IntegerMatrix(rows, ncols=k)).invariants
+    return FGAbelianGroup(k, IntegerMatrix(rows, ncols=k))
+
+
+def smith_as_group_invariants(sub) -> tuple:
+    """Invariants of ``sub`` presented on its generators by ``smith_subgroup_group``."""
+    return smith_subgroup_group(sub).invariants
 
 
 def smith_kernel_subgroup(hom):
@@ -539,11 +544,12 @@ def smith_kernel_subgroup(hom):
 def stacked_kernel_subgroup(hom):
     """Kernel of ``hom`` from a factorization of its own stacked matrix.
 
-    The reference for ``GroupHom.kernel_subgroup``, which reads the
-    kernel off the Hermite form its image subgroup keeps instead: here
-    [canonical matrix | target relation columns] gets a Smith
-    decomposition of its own, the kernel columns cut to their first
-    part are kernel members, and so are the source's torsion relations.
+    The reference for ``GroupHom.is_injective``, which computes no
+    kernel but compares the free rank and torsion order of the image
+    with the source's: here [canonical matrix | target relation columns]
+    gets a Smith decomposition of its own, the kernel columns cut to
+    their first part are kernel members, and so are the source's
+    torsion relations.
     """
     from towertop.abelian import IntegerMatrix, Subgroup
 
@@ -608,11 +614,6 @@ def from_canonical(group, y) -> tuple:
     """One presentation vector of canonical coordinates ``y``: the group's lifts times y."""
     assert len(y) == group.canonical_ngens, "canonical length mismatch"
     return tuple(dense_matvec(group.lifts.rows, y))
-
-
-def canonical_is_zero(group, y) -> bool:
-    """Whether canonical coordinates ``y`` name the zero element."""
-    return not any(group.reduce_canonical(y))
 
 
 def apply_canonical(hom, y) -> tuple:
@@ -686,8 +687,8 @@ def restricted_hom(bond, fine, coarse):
     Each generator of ``fine`` is pushed through the bond's canonical
     matrix and written over the generators of ``coarse`` by
     ``smith_coordinates``; None when an image lies outside ``coarse``.
-    The hom runs between the groups the two subgroups form, whose
-    generators are theirs in order, and its constructor checks it.
+    The hom runs between the groups ``smith_subgroup_group`` presents on
+    the two subgroups' generators in order, and its constructor checks it.
     """
     from towertop.abelian import GroupHom, IntegerMatrix
 
@@ -698,7 +699,7 @@ def restricted_hom(bond, fine, coarse):
             return None
         cols.append(c)
     matrix = IntegerMatrix(cols, ncols=len(coarse.generators)).transpose()
-    return GroupHom(fine.as_group(), coarse.as_group(), matrix)
+    return GroupHom(smith_subgroup_group(fine), smith_subgroup_group(coarse), matrix)
 
 
 def restricted_stable_lim(tower, window=None):
@@ -708,9 +709,9 @@ def restricted_stable_lim(tower, window=None):
     two stable images and tests that the bond carries the finer onto
     the coarser: here the image chains come from ``composed_image_chain``,
     their first repeats from Smith containment of an image in the next
-    one, and each bond
-    is restricted to the stable images by ``restricted_hom`` and must be
-    injective and surjective there.
+    one, and each bond is restricted to the stable images by
+    ``restricted_hom`` and must have a trivial ``smith_kernel_subgroup``
+    and a full image by ``smith_is_full`` there.
     """
     from towertop.abelian import Subgroup
 
@@ -731,12 +732,12 @@ def restricted_stable_lim(tower, window=None):
         stable.append(subs[idx])
     for i in range(len(stable) - 1):
         h = restricted_hom(tower.bonds[i], stable[i + 1], stable[i])
-        if h is None or not (h.is_injective() and h.is_surjective()):
+        if h is None or not (smith_kernel_subgroup(h).is_trivial() and smith_is_full(h.image_subgroup())):
             return (
                 f"the bond does not carry the stable image at level {i + 1} "
                 f"isomorphically onto the stable image at level {i}"
             )
-    return stable[0].as_group().invariants
+    return smith_as_group_invariants(stable[0])
 
 
 def columnwise_canonical_matrix(hom) -> list:

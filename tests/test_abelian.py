@@ -2,7 +2,7 @@ from __future__ import annotations
 
 import hashlib
 import random
-from math import gcd
+from math import gcd, prod
 
 import pytest
 from hypothesis import example, given
@@ -29,7 +29,6 @@ from oracles import (
     bareiss_det,
     both_forms_equal,
     bareiss_rank,
-    canonical_is_zero,
     columnwise_canonical_matrix,
     columnwise_from_canonical,
     contains,
@@ -506,34 +505,14 @@ def test_hom_canonical_matrix_quotient():
     assert h.canonical_matrix() == IntegerMatrix.identity(2)
 
 
-def test_kernel_image_subgroups():
-    z = FGAbelianGroup.free(1)
-    two = GroupHom(z, z, IntegerMatrix([[2]]))
-    assert two.is_injective()
-    assert not two.is_surjective()
-    img = two.image_subgroup()
-    assert contains(img, (4,))
-    assert not contains(img, (3,))
-
-    z2 = FGAbelianGroup.free(2)
-    proj = GroupHom(z2, z, IntegerMatrix([[1, 0]]))
-    assert proj.is_surjective()
-    ker = proj.kernel_subgroup()
-    assert contains(ker, (0, 5))
-    assert not contains(ker, (1, 0))
-    assert ker.as_group().invariants == (1, ())
-
-
-def test_kernel_and_image_are_factored_once(smith_calls, echelon_forms):
+def test_injectivity_and_surjectivity_read_one_hermite_form(smith_calls, echelon_forms):
     src = FGAbelianGroup.free(3)
     tgt = FGAbelianGroup.from_invariants(1, (6,))
     f = GroupHom(src, tgt, IntegerMatrix([[1, 2, 3], [2, 4, 0]]))
     del smith_calls[:], echelon_forms[:]
-    ker, img = f.kernel_subgroup(), f.image_subgroup()
-    assert f.kernel_subgroup() is ker and f.image_subgroup() is img
-    assert not f.is_injective() and not f.is_surjective()
-    # the kernel is read off the image's one Hermite form
-    assert (len(smith_calls), len(echelon_forms)) == (0, 1)
+    img = f.image_subgroup()
+    assert f.image_subgroup() is img
+    # both tests read the image's one Hermite form, and no kernel is built
     for _ in range(3):
         assert not f.is_injective() and not f.is_surjective() and not f.is_isomorphism()
     assert (len(smith_calls), len(echelon_forms)) == (0, 1)
@@ -622,20 +601,6 @@ def test_random_homs_compose_associatively():
         assert equal_hom(ident.compose(f), f)
 
 
-def test_random_hom_kernel_image_consistency():
-    rng = random.Random(515151)
-    for _ in range(60):
-        a = random_canonical_group(rng)
-        b = random_canonical_group(rng)
-        f = random_hom(rng, a, b)
-        ker = f.kernel_subgroup()
-        for gen in ker.generators:
-            assert canonical_is_zero(b, apply_canonical(f, gen))
-        img = f.image_subgroup()
-        for e in a.canonical_generators():
-            assert contains(img, apply_canonical(f, e))
-
-
 @st.composite
 def presented_groups(draw):
     """A group in canonical shape, trivial ones included, or a random presentation."""
@@ -668,16 +633,6 @@ def canonical_homs(draw, groups=presented_groups()):
         cols.append(col)
     canonical = IntegerMatrix(cols, ncols=target.canonical_ngens).transpose()
     return from_canonical_matrix(source, target, canonical)
-
-
-@given(canonical_homs())
-def test_kernel_matches_stacked_matrix_kernel(f):
-    ker, ref = f.kernel_subgroup(), stacked_kernel_subgroup(f)
-    assert ker.is_trivial() == ref.is_trivial()
-    assert ker.is_subset_of(ref) and ref.is_subset_of(ker)
-    for g in ker.generators:
-        assert canonical_is_zero(f.target, apply_canonical(f, g))
-
 
 
 @given(presented_groups(), st.data())
@@ -836,20 +791,11 @@ def test_hermite_subgroups_match_the_smith_oracle(case, data):
     n = g.canonical_ngens
     for sub in (a, b):
         assert sub.is_full() == smith_is_full(sub)
-        assert sub.as_group().invariants == smith_as_group_invariants(sub)
+        check_subgroup_type_matches_the_smith_oracle(sub)
         candidates = [data.draw(st.lists(st.integers(-9, 9), min_size=n, max_size=n))]
         candidates += [[2 * x for x in gen] for gen in sub.generators]
         for y in candidates:
             assert contains(sub, y) == smith_contains(sub, y)
-
-
-@given(HOMS)
-def test_hermite_kernels_match_the_smith_oracle(f):
-    ker, ref = f.kernel_subgroup(), smith_kernel_subgroup(f)
-    assert smith_is_subset(ker, ref) and smith_is_subset(ref, ker)
-    assert ker.as_group().invariants == smith_as_group_invariants(ref)
-    for g in ker.generators:
-        assert canonical_is_zero(f.target, apply_canonical(f, g))
 
 
 # -- isomorphisms by invariants and surjectivity against kernel and image --
@@ -889,6 +835,51 @@ def test_named_isomorphism_tests_match_injective_and_surjective(name):
     assert f.is_isomorphism() == (f.is_injective() and f.is_surjective()) == expected
 
 
+def check_subgroup_type_matches_the_smith_oracle(sub):
+    free, torsion = smith_as_group_invariants(sub)
+    assert sub._rank_and_order() == (free, prod(torsion))
+    assert sub.as_group().invariants == (free, torsion)
+
+
+def check_injectivity_matches_the_kernel_oracles(f):
+    # two kernels by Smith decompositions: of the image's solver, and of
+    # the stacked matrix [canonical matrix | target relation columns]
+    injective = f.is_injective()
+    assert injective == smith_kernel_subgroup(f).is_trivial() == stacked_kernel_subgroup(f).is_trivial()
+    img = f.image_subgroup()
+    check_subgroup_type_matches_the_smith_oracle(img)
+    for e in f.source.canonical_generators():
+        assert contains(img, apply_canonical(f, e))
+
+
+@given(HOMS)
+def test_injectivity_and_image_type_match_the_smith_oracles(f):
+    check_injectivity_matches_the_kernel_oracles(f)
+
+
+@pytest.mark.parametrize("name", NAMED_HOMS)
+def test_named_injectivity_and_image_types_match_the_smith_oracles(name):
+    check_injectivity_matches_the_kernel_oracles(NAMED_HOMS[name][0])
+
+
+@pytest.mark.parametrize(
+    "g",
+    [
+        FGAbelianGroup.trivial(),
+        FGAbelianGroup.from_invariants(0, (2, 6)),
+        FGAbelianGroup.free(2),
+        FGAbelianGroup.from_invariants(1, (4,)),
+    ],
+    ids=["trivial", "torsion only", "free only", "mixed"],
+)
+def test_trivial_and_full_subgroup_types_match_the_smith_oracle(g):
+    halves = [[2 * x for x in e] for e in g.canonical_generators()]
+    for sub in (Subgroup(g, []), Subgroup.full(g), Subgroup(g, halves)):
+        check_subgroup_type_matches_the_smith_oracle(sub)
+    assert Subgroup.full(g).as_group().invariants == g.invariants
+    assert Subgroup(g, []).as_group().invariants == (0, ())
+
+
 def tampered(record, field, i, j, delta=1):
     """``record``'s fields, with entry (i, j) of ``field`` moved by ``delta``."""
     target = getattr(record, field)
@@ -900,22 +891,22 @@ def tampered(record, field, i, j, delta=1):
 
 
 def check_every_one_entry_tamper_is_rejected(h):
-    # no input row is zero, so every tampered transform or kernel entry moves a product
+    # no input row is zero, so every tampered transform entry moves a product
     assert all(any(row) for row in h.matrix.rows)
-    for field in ("form", "transform", "kernel"):
+    for field in ("form", "transform"):
         target = getattr(h, field)
         for i in range(target.nrows):
             for j in range(target.ncols):
                 with pytest.raises(AssertionError):
-                    HermiteForm(**tampered(h, field, i, j)).checked_kernel()
+                    HermiteForm(**tampered(h, field, i, j))
 
 
 def test_every_one_entry_tamper_of_a_kept_hermite_form_is_rejected():
-    # torsion and dependent generators: a form with zero rows and a kernel
+    # torsion and dependent generators: fewer form rows than input rows
     g = FGAbelianGroup.from_invariants(2, (2, 12))
     sub = Subgroup(g, [(2, 4, 1, 6), (4, 8, 0, 3), (0, 6, 1, 9), (6, 18, 1, 0)])
     h = sub._hermite_form()
-    assert h.kernel.nrows and h.form.nrows and h.checked_kernel() is h.kernel
+    assert 0 < h.form.nrows < h.matrix.nrows
     check_every_one_entry_tamper_is_rejected(h)
     fields = {name: getattr(h, name) for name in h._fields}
     for i in range(len(h.pivots)):
@@ -931,7 +922,7 @@ def test_every_one_entry_tamper_of_an_identity_hermite_form_is_rejected():
     # against it; the recorded combinations still tie the form to the input
     g = FGAbelianGroup.from_invariants(2, (6,))
     h = Subgroup(g, [(1, 2, 3), (0, 1, 4), (2, 3, 1), (1, 1, 5)])._hermite_form()
-    assert h.form == IntegerMatrix.identity(3) and h.kernel.nrows
+    assert h.form == IntegerMatrix.identity(3) and h.matrix.nrows > 3
     check_every_one_entry_tamper_is_rejected(h)
 
 
@@ -1020,7 +1011,6 @@ def test_hermite_checks_catch_what_a_consistent_tamper_leaves():
     dropped["form"] = IntegerMatrix(h.form.rows[:-1], ncols=h.form.ncols)
     dropped["pivots"] = h.pivots[:-1]
     dropped["transform"] = IntegerMatrix(h.transform.rows[:-1], ncols=h.transform.ncols)
-    dropped["kernel"] = IntegerMatrix(h.kernel.rows + (h.transform.rows[-1],), ncols=h.kernel.ncols)
     with pytest.raises(AssertionError, match="outside the lattice"):
         HermiteForm(**dropped)
     # a full-rank form that is not the identity, its last row doubled with
@@ -1031,21 +1021,16 @@ def test_hermite_checks_catch_what_a_consistent_tamper_leaves():
     doubled_row["transform"] = IntegerMatrix([*h.transform.rows[:-1], [2 * x for x in h.transform.rows[-1]]])
     with pytest.raises(AssertionError, match="outside the lattice"):
         HermiteForm(**doubled_row)
-    # a doubled kernel row still vanishes, but no longer spans a saturated kernel
-    doubled = dict(fields)
-    doubled["kernel"] = IntegerMatrix([[2 * x for x in h.kernel.rows[0]], *h.kernel.rows[1:]])
-    with pytest.raises(AssertionError, match="unimodular"):
-        HermiteForm(**doubled).checked_kernel()
 
 
 def test_subgroups_factor_nothing(smith_calls):
-    # membership, containment, equality, fullness, kernels and isomorphism
+    # membership, containment, equality, fullness, injectivity and isomorphism
     # tests all read Hermite forms; only a group built from a subgroup factors
     g = FGAbelianGroup.from_invariants(1, (2, 4))
     a, b = Subgroup(g, [(2, 0, 0), (0, 1, 2)]), Subgroup(g, [(4, 0, 0), (0, 1, 2), (0, 0, 2)])
     f = from_canonical_matrix(g, g, IntegerMatrix([[2, 0, 0], [0, 1, 0], [0, 0, 2]]))
     del smith_calls[:]
     a.equals(b), a.is_subset_of(b), a.is_full(), contains(a, (2, 1, 2))
-    f.kernel_subgroup(), f.is_isomorphism()
+    f.is_injective(), f.is_isomorphism()
     assert smith_calls == []
     assert a.as_group().invariants == (1, (2,)) and len(smith_calls) == 1

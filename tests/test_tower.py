@@ -1091,6 +1091,32 @@ def test_lim1_stops_a_chain_of_identities_at_its_first_entry():
     assert [len(chain) for chain in tower._chains[:3]] == [2, 2, 2]
 
 
+def check_periodic_lim1_builds_no_image_past_the_stable_index(build):
+    # a level whose chain reaches the certified eventual image keeps the
+    # chain to that index, or to the carry-down from the pattern's first
+    # level when that is deeper
+    tower = build()
+    lim1_class(tower)
+    offset = tower.certificate.offset
+    for level in range(len(tower.bonds)):
+        status = ml_status(build(), level)
+        if status.index is not None:
+            depth = max(status.index, max(level, offset) - level)
+            assert len(tower._chains[level]) == depth + 1, level
+        assert ml_status(tower, level) == status
+
+
+@pytest.mark.parametrize("name", ["period-two", "rank-drop", "torsion"])
+def test_periodic_lim1_builds_no_image_past_the_stable_index(name):
+    check_periodic_lim1_builds_no_image_past_the_stable_index(lambda: certified_fixture(name)[0])
+
+
+@settings(max_examples=30)
+@given(periodic_tail_data())
+def test_periodic_tails_build_no_image_past_the_stable_index(data):
+    check_periodic_lim1_builds_no_image_past_the_stable_index(lambda: periodic_tail_tower(data))
+
+
 def check_stable_endo_image_matches_both_forms(endo):
     bound = _iteration_bound(endo.source)
     stable, repeated = _stable_endo_image(endo)
