@@ -616,6 +616,11 @@ def from_canonical(group, y) -> tuple:
     return tuple(dense_matvec(group.lifts.rows, y))
 
 
+def canonical_is_zero(group, y) -> bool:
+    """Whether canonical coordinates ``y`` name the zero element."""
+    return not any(group.reduce_canonical(y))
+
+
 def apply_canonical(hom, y) -> tuple:
     """Image under ``hom`` of canonical coordinates ``y``, one textbook product, reduced."""
     return hom.target.reduce_canonical(dense_matvec(hom.canonical_matrix().rows, y))

@@ -29,6 +29,7 @@ from oracles import (
     bareiss_det,
     both_forms_equal,
     bareiss_rank,
+    canonical_is_zero,
     columnwise_canonical_matrix,
     columnwise_from_canonical,
     contains,
@@ -505,6 +506,26 @@ def test_hom_canonical_matrix_quotient():
     assert h.canonical_matrix() == IntegerMatrix.identity(2)
 
 
+def test_kernel_image_subgroups():
+    z = FGAbelianGroup.free(1)
+    two = GroupHom(z, z, IntegerMatrix([[2]]))
+    assert two.is_injective()
+    assert not two.is_surjective()
+    img = two.image_subgroup()
+    assert contains(img, (4,))
+    assert not contains(img, (3,))
+    assert img.as_group().invariants == (1, ())
+
+    z2 = FGAbelianGroup.free(2)
+    proj = GroupHom(z2, z, IntegerMatrix([[1, 0]]))
+    assert proj.is_surjective() and not proj.is_injective()
+    # no kernel is kept; the Smith oracle's kernel has the expected type
+    ker = smith_kernel_subgroup(proj)
+    assert contains(ker, (0, 5))
+    assert not contains(ker, (1, 0))
+    assert ker.as_group().invariants == (1, ())
+
+
 def test_injectivity_and_surjectivity_read_one_hermite_form(smith_calls, echelon_forms):
     src = FGAbelianGroup.free(3)
     tgt = FGAbelianGroup.from_invariants(1, (6,))
@@ -601,6 +622,21 @@ def test_random_homs_compose_associatively():
         assert equal_hom(ident.compose(f), f)
 
 
+def test_random_hom_kernel_image_consistency():
+    rng = random.Random(515151)
+    for _ in range(60):
+        a = random_canonical_group(rng)
+        b = random_canonical_group(rng)
+        f = random_hom(rng, a, b)
+        ker = smith_kernel_subgroup(f)
+        for gen in ker.generators:
+            assert canonical_is_zero(b, apply_canonical(f, gen))
+        assert f.is_injective() == ker.is_trivial()
+        img = f.image_subgroup()
+        for e in a.canonical_generators():
+            assert contains(img, apply_canonical(f, e))
+
+
 @st.composite
 def presented_groups(draw):
     """A group in canonical shape, trivial ones included, or a random presentation."""
@@ -633,6 +669,17 @@ def canonical_homs(draw, groups=presented_groups()):
         cols.append(col)
     canonical = IntegerMatrix(cols, ncols=target.canonical_ngens).transpose()
     return from_canonical_matrix(source, target, canonical)
+
+
+@given(canonical_homs())
+def test_kernel_matches_stacked_matrix_kernel(f):
+    # the two kernel oracles agree, and injectivity, read off the image's
+    # Hermite form, agrees with both
+    ker, ref = smith_kernel_subgroup(f), stacked_kernel_subgroup(f)
+    assert f.is_injective() == ker.is_trivial() == ref.is_trivial()
+    assert ker.is_subset_of(ref) and ref.is_subset_of(ker)
+    for g in ker.generators:
+        assert canonical_is_zero(f.target, apply_canonical(f, g))
 
 
 @given(presented_groups(), st.data())
@@ -850,10 +897,12 @@ def check_injectivity_matches_the_kernel_oracles(f):
     check_subgroup_type_matches_the_smith_oracle(img)
     for e in f.source.canonical_generators():
         assert contains(img, apply_canonical(f, e))
+    # the oracle kernel's type read off its Hermite form
+    check_subgroup_type_matches_the_smith_oracle(smith_kernel_subgroup(f))
 
 
 @given(HOMS)
-def test_injectivity_and_image_type_match_the_smith_oracles(f):
+def test_hermite_kernels_match_the_smith_oracle(f):
     check_injectivity_matches_the_kernel_oracles(f)
 
 
