@@ -839,11 +839,11 @@ class GroupHom:
     the check is the target's coordinate map times ``matrix`` times the
     transposed source relations, which must vanish, and the canonical
     matrix is that map times ``matrix`` times the source's ``lifts``.
-    The check's first product is kept until the canonical matrix reads
-    it, so the two share it.  The canonical matrix and the image are
-    computed on first use and kept, and injectivity and surjectivity
-    are both read off the image's Hermite form, so repeated tests on one
-    hom reduce the image's lattice once.  No kernel is computed.
+    Both are built on construction from the one product of the
+    coordinate map and ``matrix``.  The image is computed on first use
+    and kept, and injectivity and surjectivity are both read off the
+    image's Hermite form, so repeated tests on one hom reduce the
+    image's lattice once.  No kernel is computed.
 
     Finitely generated abelian groups are Hopfian: a surjection between
     two isomorphic ones is an isomorphism.  So ``is_isomorphism``
@@ -851,7 +851,7 @@ class GroupHom:
     holds, and then tests surjectivity.
     """
 
-    __slots__ = ("source", "target", "matrix", "_pushed", "_canonical", "_image")
+    __slots__ = ("source", "target", "matrix", "_canonical", "_image")
 
     def __init__(self, source: FGAbelianGroup, target: FGAbelianGroup, matrix: IntegerMatrix):
         if matrix.ncols != source.ngens or matrix.nrows != target.ngens:
@@ -859,15 +859,12 @@ class GroupHom:
         self.source = source
         self.target = target
         self.matrix = matrix
-        self._pushed = None
-        self._canonical = None
         self._image = None
+        pushed = target._to * matrix
         relations = source.relations
-        if relations.rows:
-            # target._to * matrix is also the canonical matrix's first factor: keep it for that
-            self._pushed = target._to * matrix
-            if not target._reduced(self._pushed * relations.transpose()).is_zero():
-                raise ValueError("matrix does not carry source relations into target relations")
+        if relations.rows and not target._reduced(pushed * relations.transpose()).is_zero():
+            raise ValueError("matrix does not carry source relations into target relations")
+        self._canonical = target._reduced(pushed * source.lifts)
 
     @classmethod
     def identity(cls, group: FGAbelianGroup) -> "GroupHom":
@@ -875,11 +872,6 @@ class GroupHom:
 
     def canonical_matrix(self) -> IntegerMatrix:
         """Matrix in canonical coordinates (torsion rows reduced mod invariant)."""
-        if self._canonical is None:
-            target = self.target
-            pushed = target._to * self.matrix if self._pushed is None else self._pushed
-            self._canonical = target._reduced(pushed * self.source.lifts)
-            self._pushed = None
         return self._canonical
 
     def compose(self, inner: "GroupHom") -> "GroupHom":

@@ -24,16 +24,18 @@ never built as homs: a composite's canonical matrix is the product of
 its factors' canonical matrices with the target's torsion rows reduced
 (each factor carries its source's relations into its target's), and
 every product is checked where it is made (``_composed``).  Image
-chains have one walker (``_image_chain``): a period map's powers are
-the image chain of its constant tower, and a carry-down reads a
-composite a chain keeps.  A tower keeps each chain it builds, so ``ml_status``,
-``lim1_class`` and ``stable_lim`` on one tower share the same subgroups
-and reduce each to its Hermite form at most once.  An image chain
-descends, so an image repeats when it lies inside the next one, and
-``_first_repeat`` extends a chain only until it finds that.  A
-``NotStable`` holds the chains it was given and an ``MLStatus`` its
-chain; each reads the isomorphism types through those subgroups, which
-keep them, so nothing is factored until they are read and nothing twice.
+chains have one walker (``_image_chain``): a period map acts on its
+level, its powers are the image chain of its constant tower, and a
+carry-down reads a composite a chain keeps.  A tower keeps each chain
+it builds, so ``ml_status``, ``lim1_class`` and ``stable_lim`` on one
+tower share the same subgroups and reduce each to its Hermite form at
+most once.  An image chain descends, so an image repeats when it lies
+inside the next one, and ``_first_repeat`` extends a chain only until
+it finds that.  Decisions read Hermite forms alone: a group is factored
+only to be returned or shown.  A ``NotStable`` holds the chains it was
+given and an ``MLStatus`` its chain; each reads the isomorphism types
+through those subgroups, which keep them, so nothing is factored until
+they are read and nothing twice.
 """
 
 from typing import List, Optional, Tuple, Union
@@ -378,19 +380,22 @@ def _iteration_bound(group: FGAbelianGroup) -> int:
 
 
 def _period_endo(seq: _GroupSequence, cert: Certificate, base: int) -> GroupHom:
-    """One period of bonds as an endomorphism of the canonical model at ``base``.
+    """One period of bonds as an endomorphism of the level at ``base``.
 
     Bonds are taken canonically from the certified pattern, so the
     composite exists even when ``base + period`` exceeds the window;
-    they compose in the direction the sequence's bonds point.
+    they compose in the direction the sequence's bonds point.  The map
+    is their product between the level's coordinate maps, so its
+    canonical matrix is that product, reduced, in the level's own
+    coordinates.
     """
     o, p = cert.offset, cert.period
     prod = None
     for j in range(base, base + p):
         m = seq.bonds[o + ((j - o) % p)].canonical_matrix()
         prod = m if prod is None else (m * prod if seq.forward else prod * m)
-    model = FGAbelianGroup.from_invariants(*seq.levels[base].invariants)
-    return GroupHom(model, model, prod)
+    level = seq.levels[base]
+    return GroupHom(level, level, level.lifts * prod * level._to)
 
 
 def _stable_endo_image(endo: GroupHom) -> Tuple[Subgroup, bool]:
@@ -455,8 +460,9 @@ def _ml_verdict(tower: GroupTower, level: int, window: int) -> Tuple[str, Option
         if stable is not None:
             # the kept chain is extended one entry at a time, so it ends
             # at the stable index or at the carry-down, whichever is deeper
+            # every entry holds the eventual image: equal exactly when inside it
             for k in range(window + 1):
-                if _image_chain(tower, level, k)[k].equals(stable):
+                if _image_chain(tower, level, k)[k].is_subset_of(stable):
                     return "Stabilized", k, "image chain reaches the certified eventual image"
             # stabilization is proved even though the window is too
             # short to exhibit the stable index
@@ -561,13 +567,13 @@ def stable_lim(
     """Inverse limit via stabilized image chains, when they stabilize.
 
     Every level's image chain must repeat within its window, and each
-    bond must carry the finer stable image onto the coarser one, which
-    must have the same invariants: finitely generated abelian groups
-    are Hopfian, so such a surjection is an isomorphism.  The bond's
-    canonical matrix pushes the finer image's generators in one
-    product, and the invariants are compared first, so the pushed image
-    is reduced only when they agree.  The limit is then the stable
-    image at the coarsest level.
+    bond must carry the finer stable image onto the coarser one with
+    the same free rank and torsion order, read off their Hermite
+    pivots: the kernel of such a surjection is finite, so it lies in
+    the torsion, and equal torsion orders leave it trivial.  Those are
+    compared first, so the finer image is pushed (one product with the
+    bond's canonical matrix) only when they agree.  The limit is then
+    the stable image at the coarsest level, or a one-level tower's level.
     This is deliberately partial: towers whose stable images keep
     proper inclusions (or whose chains never repeat) yield NotStable
     with the observed chains attached; their isomorphism types are
@@ -581,7 +587,7 @@ def stable_lim(
     _check_window(window)
     n = len(tower.levels)
     if n == 1:
-        return Subgroup.full(tower.levels[0]).as_group()
+        return tower.levels[0]
     stable = []
     chains = []
     for i in range(n - 1):
@@ -599,7 +605,7 @@ def stable_lim(
         # the repeat test built the deeper, equal image's Hermite form
         stable.append(subs[idx + 1])
     for i, (coarse, fine) in enumerate(zip(stable, stable[1:])):
-        same_type = fine.as_group().invariants == coarse.as_group().invariants
+        same_type = fine._rank_and_order() == coarse._rank_and_order()
         bond = tower.bonds[i].canonical_matrix()
         if not (same_type and _image_of(fine, bond, coarse.group).equals(coarse)):
             return NotStable(

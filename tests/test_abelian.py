@@ -481,13 +481,13 @@ def test_canonical_matrix_shares_the_well_definedness_checks_first_product(monke
     z4 = FGAbelianGroup(2, IntegerMatrix([[4, 0], [1, -1]]))
     z2 = FGAbelianGroup.from_invariants(0, (2,))
     f = GroupHom(z4, z2, IntegerMatrix([[1, 1]]))
-    assert len(products) == 2  # target._to * matrix, then that times the relations
+    # target._to * matrix, then that times the relations and times the lifts
+    assert len(products) == 3
     pushed = products[1][0]
+    assert products[2] == (pushed, z4.lifts) and products[2][0] is pushed
     del products[:]
     assert f.canonical_matrix().rows == ((1,),)
-    assert len(products) == 1 and products[0][0] is pushed
-    f.canonical_matrix()
-    assert len(products) == 1
+    assert products == []
 
 
 def test_hom_composition_on_torsion():

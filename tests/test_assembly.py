@@ -193,10 +193,10 @@ def test_gallery_reports_make_a_fixed_number_of_factorizations(smith_calls, eche
     # tower; warsaw's levels are one hexagon, whose results are factored
     # once.  Each report's (Smith calls, Hermite forms)
     expected = {
-        "warsaw": ({"depth": 6}, [(7, 13), (7, 1), (3, 7), (3, 7)]),
-        "solenoid": ({"p": 2, "depth": 4}, [(23, 10), (24, 5), (11, 5), (11, 5)]),
-        "comb": ({"teeth": 4, "depth": 2}, [(14, 3), (14, 2), (7, 3), (7, 2)]),
-        "fence": ({"segments": 4, "depth": 2}, [(14, 2), (12, 0), (6, 0), (6, 0)]),
+        "warsaw": ({"depth": 6}, [(5, 7), (5, 1), (2, 7), (2, 7)]),
+        "solenoid": ({"p": 2, "depth": 4}, [(21, 10), (22, 5), (10, 5), (10, 5)]),
+        "comb": ({"teeth": 4, "depth": 2}, [(13, 3), (13, 2), (6, 3), (7, 2)]),
+        "fence": ({"segments": 4, "depth": 2}, [(12, 1), (12, 0), (6, 0), (6, 0)]),
     }
     for family, (params, counts) in expected.items():
         seen = []
