@@ -98,12 +98,24 @@ class _Record:
         return f"{type(self).__qualname__}({shown})"
 
 
+def _exact_int(value, what: str) -> int:
+    """``value`` as an int, or ValueError when it is a bool or not an int.
+
+    Arithmetic here is exact, so a float, a fraction or a string is
+    refused rather than truncated or parsed.
+    """
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{what} must be an int, got {value!r}")
+    return int(value)
+
+
 class IntegerMatrix:
     """Immutable integer matrix stored as a tuple of row tuples.
 
     A matrix with zero rows or zero columns is legal (boundary
     matrices of complexes routinely are); ``ncols`` must be passed
-    explicitly when there are no rows to infer it from.
+    explicitly when there are no rows to infer it from.  Entries and
+    ``ncols`` must be ints (``_exact_int``).
 
     >>> m = IntegerMatrix([[1, 2], [3, 4]])
     >>> m.nrows, m.ncols
@@ -115,7 +127,9 @@ class IntegerMatrix:
     __slots__ = ("rows", "ncols")
 
     def __init__(self, rows: Iterable[Iterable[int]], ncols: Optional[int] = None):
-        self.rows = tuple(tuple(map(int, row)) for row in rows)
+        self.rows = tuple(tuple([_exact_int(x, "matrix entry") for x in row]) for row in rows)
+        if ncols is not None:
+            ncols = _exact_int(ncols, "ncols")
         if self.rows:
             widths = {len(r) for r in self.rows}
             if len(widths) != 1:
@@ -127,7 +141,7 @@ class IntegerMatrix:
         else:
             if ncols is None:
                 raise ValueError("ncols required for a matrix with no rows")
-            self.ncols = int(ncols)
+            self.ncols = ncols
             if self.ncols < 0:
                 raise ValueError("matrix sizes must be nonnegative")
 
@@ -705,6 +719,7 @@ class FGAbelianGroup:
     __slots__ = ("ngens", "relations", "free_rank", "torsion", "_to", "lifts")
 
     def __init__(self, ngens: int, relations: Optional[IntegerMatrix] = None):
+        ngens = _exact_int(ngens, "generator count")
         if ngens < 0:
             raise ValueError("generator count must be nonnegative")
         if relations is None:
@@ -741,10 +756,15 @@ class FGAbelianGroup:
 
     @classmethod
     def from_invariants(cls, free_rank: int, torsion: Sequence[int] = ()) -> "FGAbelianGroup":
-        """Group in canonical shape: free generators first, then torsion."""
-        if free_rank < 0:
+        """Group in canonical shape: free generators first, then torsion.
+
+        Its presentation lists the free generators first, but its
+        canonical coordinates may permute them: they are whatever the
+        Smith decomposition of its relations gives, as for any group.
+        """
+        if _exact_int(free_rank, "free rank") < 0:
             raise ValueError("free rank must be nonnegative")
-        torsion = [int(t) for t in torsion]
+        torsion = [_exact_int(t, "torsion invariant") for t in torsion]
         for i, t in enumerate(torsion):
             if t < 2:
                 raise ValueError("torsion invariants must be at least 2")

@@ -41,7 +41,7 @@ the command line reads its family names and flags from the same rows.
 
 from typing import List, Optional
 
-from .abelian import _Record
+from .abelian import _Record, _exact_int
 from .simplicial import (
     SimplicialComplex,
     SimplicialMap,
@@ -447,8 +447,7 @@ def build_gallery(name: str, **params) -> ComplexTower:
     for key in wanted:
         if key not in params:
             raise ValueError(f"{name} needs the keyword {key!r}")
-        if isinstance(params[key], bool) or not isinstance(params[key], int):
-            raise ValueError(f"{key} must be an int, got {params[key]!r}")
+        _exact_int(params[key], key)
     width = 0 if param is None else params[param]
     depth = params["depth"]
     if depth < 1:

@@ -22,7 +22,7 @@ same covers are contiguous, so the induced homology maps agree.
 from fractions import Fraction
 from typing import TYPE_CHECKING, Optional, Sequence
 
-from .abelian import _Record
+from .abelian import _Record, _exact_int
 from .simplicial import SimplicialComplex, SimplicialMap, check_face_budget
 
 if TYPE_CHECKING:  # only cech_tower builds a tower, and imports it there
@@ -51,7 +51,7 @@ class PointSample(_Record):
         dim = len(pts[0])
         if any(len(p) != dim for p in pts):
             raise ValueError("all points must share one ambient dimension")
-        mark = frozenset(int(i) for i in compactum_mark)
+        mark = frozenset(_exact_int(i, "compactum mark") for i in compactum_mark)
         if any(i < 0 or i >= len(pts) for i in mark):
             raise ValueError("compactum mark indexes outside the sample")
         _Record.__init__(self, pts, mark)
@@ -65,7 +65,7 @@ class BallCover(_Record):
     def __init__(self, elements):
         elems = []
         for center, radius in elements:
-            center = int(center)
+            center = _exact_int(center, "center")
             radius = _rational(radius)
             if center < 0:
                 raise ValueError("center must be a point index")

@@ -46,6 +46,7 @@ from .abelian import (
     IntegerMatrix,
     Subgroup,
     _Record,
+    _exact_int,
 )
 from .simplicial import (
     cohomology,
@@ -77,9 +78,9 @@ class Certificate(_Record):
         _Record.__init__(self, *args, **kwargs)
         if self.kind not in ("periodic", "shift_family"):
             raise ValueError(f"unknown certificate kind: {self.kind!r}")
-        if self.offset < 0:
+        if _exact_int(self.offset, "certificate offset") < 0:
             raise ValueError("certificate offset must be nonnegative")
-        if self.period < 1:
+        if _exact_int(self.period, "certificate period") < 1:
             raise ValueError("certificate period must be positive")
 
 

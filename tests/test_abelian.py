@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import hashlib
 import random
+from fractions import Fraction
 from math import gcd, prod
 
 import pytest
@@ -441,6 +442,33 @@ def test_from_invariants_rejects_a_negative_free_rank(torsion):
 def test_negative_matrix_sizes_are_rejected(build):
     with pytest.raises(ValueError, match="nonnegative"):
         build()
+
+
+# exact arithmetic takes ints only: a bool, a float, a fraction or a
+# string was once truncated or parsed into a different matrix or group
+NOT_INTS = [2.7, True, Fraction(7, 2), "12"]
+
+
+@pytest.mark.parametrize("x", NOT_INTS, ids=repr)
+def test_integer_matrix_rejects_a_non_int_entry_or_width(x):
+    with pytest.raises(ValueError, match="^matrix entry must be an int"):
+        IntegerMatrix([[1, x]])
+    with pytest.raises(ValueError, match="^ncols must be an int"):
+        IntegerMatrix([], ncols=x)
+
+
+@pytest.mark.parametrize("x", [2.9, True, Fraction(5, 2), "2"], ids=repr)
+def test_from_invariants_rejects_a_non_int_invariant(x):
+    with pytest.raises(ValueError, match="^torsion invariant must be an int"):
+        FGAbelianGroup.from_invariants(0, [x])
+    with pytest.raises(ValueError, match="^free rank must be an int"):
+        FGAbelianGroup.from_invariants(x, [2])
+
+
+@pytest.mark.parametrize("x", [2.0, True, Fraction(2), "2"], ids=repr)
+def test_group_rejects_a_non_int_generator_count(x):
+    with pytest.raises(ValueError, match="^generator count must be an int"):
+        FGAbelianGroup(x)
 
 
 def test_canonical_roundtrip_random():

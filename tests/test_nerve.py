@@ -274,6 +274,20 @@ def test_exactness_guards():
         nerve(BallCover([(5, 1)]), PointSample([(0, 0)]))
 
 
+@pytest.mark.parametrize("x", [1.7, True, Fraction(3, 2), "1"], ids=repr)
+def test_ball_cover_rejects_a_non_int_center(x):
+    # 1.7 was once truncated to the center 1
+    with pytest.raises(ValueError, match="^center must be an int"):
+        BallCover([(x, 1)])
+
+
+@pytest.mark.parametrize("x", [0.9, True, Fraction(1, 2), "0"], ids=repr)
+def test_point_sample_rejects_a_non_int_mark(x):
+    # 0.9 was once truncated to the mark 0
+    with pytest.raises(ValueError, match="^compactum mark must be an int"):
+        PointSample([(0, 0), (1, 1)], [x])
+
+
 def test_lebesgue_of_an_empty_cover_raises():
     with pytest.raises(ValueError, match="^the cover has no elements$"):
         lebesgue_number(PointSample([(0, 0)]), BallCover([]))

@@ -354,6 +354,13 @@ def test_stabilization_beyond_window():
     assert tower_lim(t).invariants == (1, ())
 
 
+@pytest.mark.parametrize("offset, period", [(True, True), (0, True), (1.0, 1), (0, 2.0), (0, "1")])
+def test_certificate_rejects_a_non_int_offset_or_period(offset, period):
+    # Certificate("periodic", True, True) once constructed
+    with pytest.raises(ValueError, match="^certificate (offset|period) must be an int"):
+        Certificate("periodic", offset, period)
+
+
 def test_certificate_rejected_on_contradicting_data():
     with pytest.raises(ValueError):
         GroupTower([Z, Z2], [hom(Z2, Z, [[1, 0]])], Certificate("periodic"))
