@@ -4,7 +4,7 @@ import random
 from math import gcd
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from towertop.abelian import FGAbelianGroup, GroupHom, IntegerMatrix, Subgroup
@@ -936,6 +936,52 @@ def test_endo_powers_match_composite_homs(endo):
     count = _iteration_bound(endo.source)
     ours = [s.generators for s in power_chain(endo, count)[1:]]
     assert ours == composed_endo_images(endo, count)
+
+
+@st.composite
+def canonical_endos(draw):
+    """(f, torsion, matrix): an endomorphism of ``from_invariants(f, torsion)``, f <= 3.
+
+    The torsion is a chain of at most two invariants.  Free columns are
+    arbitrary; a torsion column of order t_i has zero free entries and,
+    in the row of order t_r, a multiple of t_r / gcd(t_r, t_i), so the
+    matrix is well defined.
+    """
+    f = draw(st.integers(0, 3))
+    torsion = []
+    for _ in range(draw(st.integers(0, 2))):
+        step = st.sampled_from((2, 3, 4)) if not torsion else st.integers(1, 3)
+        torsion.append(draw(step) * (torsion[-1] if torsion else 1))
+    orders = [0] * f + torsion
+    matrix = []
+    for r in orders:
+        row = []
+        for i in orders:
+            x = draw(st.integers(-2, 2))
+            row.append(x if not i else 0 if not r else x * (r // gcd(r, i)))
+        matrix.append(row)
+    return f, tuple(torsion), matrix
+
+
+@settings(max_examples=80, derandomize=True)
+@example((2, (2,), [[1, 0, 0], [0, 0, 0], [0, 0, 1]]))
+@given(canonical_endos())
+def test_certified_and_uncertified_analyses_agree_where_the_window_decides(case):
+    # from_invariants(2, (2,)) swaps its two free coordinates, so a period
+    # map hosted on any group other than the level itself read this
+    # tower's certified chain in the wrong coordinates
+    f, torsion, rows = case
+    group = FGAbelianGroup.from_invariants(f, torsion)
+    endo = hom(group, group, rows)
+    plain = GroupTower([group] * 4, [endo] * 3)
+    certified = GroupTower([group] * 4, [endo] * 3, Certificate("periodic"))
+    for level in range(3):
+        seen = ml_status(plain, level)
+        if seen.verdict == "Stabilized":
+            status = ml_status(certified, level)
+            assert (status.verdict, status.index) == ("Stabilized", seen.index), level
+            assert status.reason == "image chain reaches the certified eventual image"
+    assert tower_lim(certified).invariants == periodic_lim(group, endo).invariants
 
 
 def test_corrupted_bond_fails_the_composite_check():
