@@ -23,7 +23,7 @@ import io
 import json
 import pathlib
 
-from towertop.cli import main
+from towertop.cli import _COMMANDS, main
 
 SAMPLE = pathlib.Path(__file__).resolve().parent.parent / "sample"
 
@@ -88,18 +88,9 @@ BAD_COVERS = {
     "negative_radius.cover": {"elements": [[0, "-1"]]},
 }
 
-COMMANDS = (
-    "homology",
-    "cohomology",
-    "induced",
-    "telescope",
-    "pinch",
-    "tower-report",
-    "validate",
-    "nerve",
-    "lebesgue",
-    "gallery",
-)
+# every subcommand's --help, read from the parser's own table so that a
+# new subcommand cannot escape the digest
+COMMANDS = tuple(name for name, *_ in _COMMANDS)
 
 
 def _envelope(kind, payload) -> str:
