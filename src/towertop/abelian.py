@@ -115,7 +115,8 @@ class IntegerMatrix:
     A matrix with zero rows or zero columns is legal (boundary
     matrices of complexes routinely are); ``ncols`` must be passed
     explicitly when there are no rows to infer it from.  Entries and
-    ``ncols`` must be ints (``_exact_int``).
+    ``ncols`` must be ints: a bool, a float, a fraction or a string
+    raises ValueError.
 
     >>> m = IntegerMatrix([[1, 2], [3, 4]])
     >>> m.nrows, m.ncols
