@@ -14,7 +14,7 @@ objects are
 The Smith decomposition canonicalizes presentations and, in
 ``simplicial``, computes homology.  A subgroup is a lattice in
 canonical coordinates, and its Hermite normal form decides
-membership, containment and equality; residues mod 2 and 3 prove most
+membership, containment and equality; residues mod 2 prove most
 strict containments first.  The form's pivots give the subgroup's free
 rank and torsion order, and its rows present the subgroup as a group.
 A homomorphism is one-to-one exactly when its image has the source's
@@ -936,9 +936,9 @@ class Subgroup:
     generator of A, and equality is containment both ways: so if B is
     known to lie inside A, A equals B exactly when A lies inside B,
     which reads B's form alone.  Before B's form, containment looks for
-    a strict drop mod p = 2 and 3: a generator of A whose residues in
-    G/pG (the free coordinates and the torsion ones of order divisible
-    by p) lie outside B's kept ``residue_basis`` proves A not inside B.
+    a strict drop mod 2: a generator of A whose residues in G/2G (the
+    free coordinates and the torsion ones of even order) lie outside
+    B's kept ``residue_basis`` proves A not inside B.
     The subgroup is full when its form is the identity, which is how a
     hom is tested for being onto, and so for being an isomorphism.
 
@@ -951,13 +951,13 @@ class Subgroup:
     t_i * e_(f+i).  So the subgroup, L modulo the relation vectors, is
     Z^|A| plus span(B) modulo them: ``_rank_and_order`` gives |A| and the
     product of the t_i over that of B's pivots, which is how a hom is
-    tested for being one-to-one, and ``as_group`` presents the subgroup
-    on the form's rows, each relation vector divided by the form giving
-    one relation.  No Smith decomposition is made here beyond the one
-    ``as_group``'s own group makes of those relations.
+    tested for being one-to-one.  Each relation vector divided by the
+    form gives one relation on B's rows alone, so Z^r plus span(B)
+    modulo them is presented on r free generators and B's rows, and is
+    factored once (``_torsion_plus_free``): ``as_group`` takes r = |A|.
     """
 
-    __slots__ = ("group", "generators", "_hermite", "_as_group", "_residues", "_bases")
+    __slots__ = ("group", "generators", "_hermite", "_as_group", "_residues", "_basis")
 
     def __init__(self, group: FGAbelianGroup, generators: Iterable[Sequence[int]]):
         self.group = group
@@ -969,7 +969,7 @@ class Subgroup:
         self.generators = tuple(gens)
         self._hermite = None
         self._as_group = None
-        self._residues, self._bases = {}, {}
+        self._residues = self._basis = None
 
     @classmethod
     def full(cls, group: FGAbelianGroup) -> "Subgroup":
@@ -983,33 +983,27 @@ class Subgroup:
             self._hermite = hermite_normal_form(IntegerMatrix._derived(rows, group.canonical_ngens))
         return self._hermite
 
-    def _residue_rows(self, p: int) -> IntegerMatrix:
-        """The generators' images in G/pG, one row each."""
-        if p not in self._residues:
+    def _residue_rows(self) -> IntegerMatrix:
+        """The generators' images in G/2G, one row each."""
+        if self._residues is None:
             f, torsion = self.group.free_rank, self.group.torsion
-            columns = list(range(f)) + [f + k for k, t in enumerate(torsion) if t % p == 0]
-            rows = tuple([tuple([g[j] % p for j in columns]) for g in self.generators])
-            self._residues[p] = IntegerMatrix._derived(rows, len(columns))
-        return self._residues[p]
+            columns = list(range(f)) + [f + k for k, t in enumerate(torsion) if t % 2 == 0]
+            rows = tuple([tuple([g[j] % 2 for j in columns]) for g in self.generators])
+            self._residues = IntegerMatrix._derived(rows, len(columns))
+        return self._residues
 
-    def _escapes_mod_p(self, other: "Subgroup") -> bool:
-        """Whether a generator's residues mod 2 or 3 lie outside ``other``'s: then self is not inside."""
-        for p in (2, 3):
-            if p not in other._bases:
-                other._bases[p] = residue_basis(other._residue_rows(p), p)
-            if not other._bases[p].spans(self._residue_rows(p).rows):
-                return True
-        return False
-
-    def _check_same_group(self, other: "Subgroup") -> None:
-        if self.group is not other.group and self.group != other.group:
-            raise ValueError("subgroups live in different groups")
+    def _escapes_mod_2(self, other: "Subgroup") -> bool:
+        """Whether a generator's residues mod 2 lie outside ``other``'s: then self is not inside."""
+        if other._basis is None:
+            other._basis = residue_basis(other._residue_rows(), 2)
+        return not other._basis.spans(self._residue_rows().rows)
 
     def is_subset_of(self, other: "Subgroup") -> bool:
-        self._check_same_group(other)
+        if self.group is not other.group and self.group != other.group:
+            raise ValueError("subgroups live in different groups")
         if self is other or not self.generators:
             return True
-        if self._escapes_mod_p(other):
+        if self._escapes_mod_2(other):
             return False
         form = other._hermite_form()
         return all(form.divide(g) is not None for g in self.generators)
@@ -1041,13 +1035,18 @@ class Subgroup:
     def as_group(self) -> FGAbelianGroup:
         """The subgroup itself as an abstract group on its form's rows (canonicalized)."""
         if self._as_group is None:
-            form = self._hermite_form()
-            relations = [form.divide(v) for v in self.group.canonical_relation_columns()]
-            if None in relations:
-                raise AssertionError("a relation vector lies outside the lattice of its Hermite form")
-            r = form.form.nrows
-            self._as_group = FGAbelianGroup(r, IntegerMatrix._derived(tuple(map(tuple, relations)), r))
+            self._as_group = self._torsion_plus_free(self._rank_and_order()[0])
         return self._as_group
+
+    def _torsion_plus_free(self, rank: int) -> FGAbelianGroup:
+        """Z^rank plus the subgroup's torsion, on ``rank`` free generators and the form's torsion-pivot rows."""
+        form, free = self._hermite_form(), self._rank_and_order()[0]
+        relations = [form.divide(v) for v in self.group.canonical_relation_columns()]
+        if any(q is None or any(q[:free]) for q in relations):
+            raise AssertionError("a relation vector lies outside the span of its Hermite form's torsion rows")
+        n = rank + form.form.nrows - free
+        rows = tuple((0,) * rank + tuple(q[free:]) for q in relations)
+        return FGAbelianGroup(n, IntegerMatrix._derived(rows, n))
 
     def __repr__(self) -> str:
         return f"<Subgroup of {self.group.describe()} with {len(self.generators)} generators>"

@@ -363,7 +363,7 @@ def _first_repeat(tower: GroupTower, level: int, depth: int) -> Optional[int]:
     generators times the next bond (``_image_chain``), so it lies inside
     image k, and image k equals it exactly when image k lies inside it.
     That reads the deeper image's Hermite form alone, and only when the
-    residues mod 2 and 3 show no drop (``Subgroup``).  The kept chain is
+    residues mod 2 show no drop (``Subgroup``).  The kept chain is
     extended one entry at a time, so it ends one entry past the repeat.
     """
     for k in range(depth):
@@ -659,7 +659,7 @@ def _periodic_limit(endo: GroupHom, image: Subgroup, repeated: bool) -> FGAbelia
     """``periodic_lim`` of ``endo`` from its ``_stable_endo_image``."""
     if repeated:
         return image.as_group()
-    return FGAbelianGroup.from_invariants(_unit_part_degree(endo), image.as_group().torsion)
+    return image._torsion_plus_free(_unit_part_degree(endo))
 
 
 def tower_lim(

@@ -812,7 +812,7 @@ def both_forms_equal(a, b) -> bool:
     """Whether subgroups ``a`` and ``b`` are equal, by building and comparing both Hermite forms.
 
     The reference for ``Subgroup.equals`` and for the descent test of
-    ``tower._first_repeat``, which look for a strict drop mod 2 and 3
+    ``tower._first_repeat``, which look for a strict drop mod 2
     before they read a form, and read fewer forms.
     """
     return lattice_form(a) == lattice_form(b)

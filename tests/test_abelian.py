@@ -861,7 +861,7 @@ def test_hermite_subgroups_match_the_smith_oracle(case, data):
     assert a.is_subset_of(b) == smith_is_subset(a, b)
     assert b.is_subset_of(a) == smith_is_subset(b, a)
     assert a.equals(b) == (smith_is_subset(a, b) and smith_is_subset(b, a))
-    # fresh subgroups, so the mod-p certificates run before any form is kept
+    # fresh subgroups, so the mod-2 certificate runs before any form is kept
     assert Subgroup(g, a.generators).equals(Subgroup(g, b.generators)) == both_forms_equal(a, b)
     n = g.canonical_ngens
     for sub in (a, b):
@@ -1004,14 +1004,16 @@ def test_every_one_entry_tamper_of_an_identity_hermite_form_is_rejected():
 
 
 def test_every_one_entry_tamper_of_a_kept_residue_basis_is_rejected():
-    # torsion of orders 3 and 6: three coordinates mod 2 and four mod 3,
-    # bases with columns off their pivots and generators they reduce to zero
+    # torsion of orders 3 and 6: three coordinates mod 2, bases with
+    # columns off their pivots and generators they reduce to zero; the
+    # generators' basis mod 3, on all four coordinates, is the odd-prime
+    # shape that polynomial's Berlekamp nullspaces take
     g = FGAbelianGroup.from_invariants(2, (3, 6))
     sub = Subgroup(g, [(1, 2, 1, 0), (0, 0, 1, 2), (1, 2, 2, 2), (0, 1, 0, 3)])
     assert Subgroup(g, sub.generators).equals(sub)
-    kept = [sub._bases[2], sub._bases[3]]
-    assert [(b.basis.nrows, b.basis.ncols) for b in kept] == [(2, 3), (3, 4)]
-    for b in kept:
+    bases = [sub._basis, residue_basis(IntegerMatrix(sub.generators), 3)]
+    assert [(b.p, b.basis.nrows, b.basis.ncols) for b in bases] == [(2, 2, 3), (3, 3, 4)]
+    for b in bases:
         fields = {name: getattr(b, name) for name in b._fields}
         assert ResidueBasis(**fields) == b
         for i in range(b.basis.nrows):
@@ -1057,12 +1059,12 @@ def test_residue_bases_reduce_rows_not_reduced_mod_p(p):
         assert got.basis.nrows == mod_p_rank(rows, p)
 
 
-def test_a_drop_seen_mod_2_or_3_reads_no_hermite_form(echelon_forms):
+def test_a_drop_seen_mod_2_reads_no_hermite_form(echelon_forms):
     # Z + Z/6 over its subgroups of index 2, 3 and 5: only the drop of
-    # index 5 leaves the residues mod 2 and 3 whole, so only it is decided
-    # by a Hermite form
+    # index 2 shows in the residues mod 2, so the drops of index 3 and 5
+    # are each decided by a Hermite form
     g = FGAbelianGroup.from_invariants(1, (6,))
-    for index, forms in ((2, 0), (3, 0), (5, 1)):
+    for index, forms in ((2, 0), (3, 1), (5, 1)):
         pair = lambda: (Subgroup.full(g), Subgroup(g, [(index, 0), (0, 1)]))
         full, sub = pair()
         del echelon_forms[:]

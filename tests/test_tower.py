@@ -677,11 +677,13 @@ def test_lim1_then_lim_on_one_tower_shares_factorizations(smith_calls, echelon_f
     del smith_calls[:], echelon_forms[:]
     together = lim1_class(shared), tower_lim(shared)
     # an image repeats when it lies inside the next one, which reads the
-    # deeper image's Hermite form alone, and a mod-p certificate proves
-    # most strict drops without one; the shared tower builds each form
-    # once, and no group is factored either way
-    assert (len(smith_calls), len(echelon_forms)) == (0, 2)
-    assert separate == (0, 4)
+    # deeper image's Hermite form alone unless a mod-2 certificate proves
+    # a drop; no image here is smaller mod 2 than the one before it, so
+    # each of the six images past the first at levels 0-2 has its form
+    # built, and lim reads five of them again.  The shared tower builds
+    # each form once, and no group is factored either way
+    assert (len(smith_calls), len(echelon_forms)) == (0, 6)
+    assert separate == (0, 11)
     assert together == apart
 
 
@@ -737,7 +739,7 @@ def test_certified_analyses_make_a_fixed_number_of_factorizations(smith_calls, e
     # place in the period and shared by every level and by tower_lim;
     # (Smith calls, Hermite forms) per fixture
     expected = {
-        "doubling": (2, 6), "diag": (2, 8), "period-two": (1, 4), "rank-drop": (1, 3),
+        "doubling": (1, 6), "diag": (1, 8), "period-two": (1, 4), "rank-drop": (1, 3),
         "torsion": (1, 3),
     }
     counts = {}
@@ -1099,10 +1101,10 @@ def test_first_repeat_matches_the_both_forms_reference_on_rank_drops(data):
 @settings(max_examples=30)
 @given(diagonal_drop_data((1, 1, 5, 7)))
 def test_drops_of_index_five_and_seven_are_decided_by_hermite_forms(data):
-    # bonds invertible mod 2 and 3 keep every image whole mod 2 and 3,
-    # so no certificate fires and the forms decide every step
+    # bonds invertible mod 2 keep every image whole mod 2, so no
+    # certificate fires and the forms decide every step
     for chain in check_repeats_match_both_forms(data):
-        assert not any(shallow._escapes_mod_p(deep) for deep, shallow in zip(chain[1:], chain))
+        assert not any(shallow._escapes_mod_2(deep) for deep, shallow in zip(chain[1:], chain))
 
 
 def test_a_tower_of_index_five_and_seven_drops_falls_without_a_certificate():
@@ -1111,7 +1113,7 @@ def test_a_tower_of_index_five_and_seven_drops_falls_without_a_certificate():
     tower = GroupTower([z2] * 4, bonds)
     chain = _image_chain(tower, 0, 3)
     assert [s.as_group().invariants for s in chain] == [(2, ())] * 4
-    assert not any(shallow._escapes_mod_p(deep) for deep, shallow in zip(chain[1:], chain))
+    assert not any(shallow._escapes_mod_2(deep) for deep, shallow in zip(chain[1:], chain))
     assert _first_repeat(tower, 0, 3) == 2 == both_forms_first_repeat(chain)
 
 
