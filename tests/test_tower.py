@@ -219,6 +219,13 @@ def test_periodic_lim_torsion_doubling():
     # not from the group
     g = FGAbelianGroup.from_invariants(1, (2,))
     assert periodic_lim(g, hom(g, g, [[2, 0], [0, 0]])).is_trivial()
+    # a unit part of degree 1 beside the image's two free pivots, and a
+    # Z/3 the images keep: the limit drops one free generator, not the torsion
+    g = FGAbelianGroup.from_invariants(2, (3,))
+    endo = hom(g, g, [[1, 1, 0], [0, 2, 0], [0, 0, 1]])
+    image, repeated = _stable_endo_image(endo)
+    assert not repeated and image._rank_and_order() == (2, 3)
+    assert periodic_lim(g, endo).invariants == (1, (3,))
 
 
 def test_period_map_composes_in_bond_order():
