@@ -14,9 +14,10 @@ objects are
 The Smith decomposition canonicalizes presentations and, in
 ``simplicial``, computes homology.  A subgroup is a lattice in
 canonical coordinates, and its Hermite normal form decides
-membership, containment and equality; residues mod 2 prove most
-strict containments first.  The form's pivots give the subgroup's free
-rank and torsion order, and its rows present the subgroup as a group.
+membership, containment and equality; residues mod 2, packed one
+generator to an int, prove most strict containments first.  The
+form's pivots give the subgroup's free rank and torsion order, and its
+rows present the subgroup as a group.
 A homomorphism is one-to-one exactly when its image has the source's
 free rank and torsion order, and, finitely generated abelian groups
 being Hopfian, an isomorphism exactly when its two ends have the same
@@ -165,12 +166,6 @@ class IntegerMatrix:
     @classmethod
     def identity(cls, n: int) -> "IntegerMatrix":
         return cls([[1 if i == j else 0 for j in range(n)] for i in range(n)], ncols=n)
-
-    def column(self, j: int) -> tuple:
-        return tuple(row[j] for row in self.rows)
-
-    def columns(self) -> list:
-        return [self.column(j) for j in range(self.ncols)]
 
     def transpose(self) -> "IntegerMatrix":
         if not self.rows:
@@ -626,67 +621,42 @@ def hermite_normal_form(matrix: IntegerMatrix) -> HermiteForm:
     return HermiteForm(matrix, rows(a[:top], n), pivots, rows(t[:top], m))
 
 
-class ResidueBasis(_Record):
-    """Result of ``residue_basis``: a reduced echelon basis over F_p of the rows of ``matrix``.
+def _bit_basis(rows: Iterable[int]) -> dict:
+    """Reduced echelon basis over F_2 of bit rows, each row keyed by its highest set bit.
 
-    ``p`` is prime.  Basis row i has entries in [0, p) and a 1 in column
-    ``pivots[i]``, with zeros left of it and in the other rows there; the
-    pivots rise.  So a vector is in the span exactly when, off the
-    pivots, it is the rows weighted by its pivot entries (``spans``).
-    Construction checks that shape and that the basis spans every row of
-    ``matrix``, each check raising ``AssertionError`` itself; a vector
-    the basis does not span then lies outside the rows' span.
+    A row is reduced by XOR with the rows whose key bit it holds; one
+    left nonzero is keyed by its highest bit, which is then cleared from
+    the other rows, so no row holds another row's key bit.
     """
-
-    __slots__ = _fields = ("p", "matrix", "basis", "pivots")
-
-    def __init__(self, p: int, matrix: IntegerMatrix, basis: IntegerMatrix, pivots: tuple):
-        _Record.__init__(self, p, matrix, basis, tuple(pivots))
-        rows, pivots, n = basis.rows, self.pivots, matrix.ncols
-        if basis.ncols != n or len(pivots) != len(rows):
-            raise AssertionError("residue basis has the wrong shape")
-        for last, c, row in zip((-1,) + pivots, pivots, rows):
-            if not last < c < n or row[c] != 1 or any(islice(row, c)) or min(row) < 0 or max(row) >= p:
-                raise AssertionError("residue basis has a misplaced pivot or an entry outside [0, p)")
-        # entries are nonnegative, so the pivot columns sum to the pivots' 1s only when zero elsewhere
-        if sum([row[c] for row in rows for c in pivots]) != len(rows):
-            raise AssertionError("residue basis has a nonzero entry beside a pivot")
-        if not self.spans(matrix.rows):
-            raise AssertionError("a row lies outside the span of its residue basis")
-
-    def spans(self, vectors: Iterable[Sequence[int]]) -> bool:
-        """Whether the span holds every vector of ``vectors`` mod p."""
-        p, pivots, rows = self.p, self.pivots, self.basis.rows
-        off = [(j, [row[j] for row in rows]) for j in range(self.basis.ncols) if j not in pivots]
-        for v in vectors if off else ():
-            weights = [v[c] for c in pivots]
-            if any([(v[j] - sum(map(mul, weights, column))) % p for j, column in off]):
-                return False
-        return True
+    basis = {}
+    for v in rows:
+        v = _bit_reduce(basis, v)
+        if v:
+            key = v.bit_length() - 1
+            for k, row in basis.items():
+                if row >> key & 1:
+                    basis[k] = row ^ v
+            basis[key] = v
+    return basis
 
 
-def residue_basis(matrix: IntegerMatrix, p: int) -> ResidueBasis:
-    """Reduced echelon basis over F_p, for a prime ``p``, of the rows of ``matrix``, entries in [0, p)."""
-    kept = {}  # pivot column -> row
-    for v in matrix.rows:
-        v = [x % p for x in v]
-        for c, row in kept.items():
-            q = v[c]
-            if q:
-                v = [(x - q * y) % p for x, y in zip(v, row)]
-        c = next(compress(range(len(v)), v), None)
-        if c is not None:
-            if v[c] != 1:
-                q = pow(v[c], -1, p)
-                v = [x * q % p for x in v]
-            for k, row in kept.items():
-                q = row[c]
-                if q:
-                    kept[k] = [(x - q * y) % p for x, y in zip(row, v)]
-            kept[c] = v
-    pivots = sorted(kept)
-    basis = IntegerMatrix._derived(tuple(tuple(kept[c]) for c in pivots), matrix.ncols)
-    return ResidueBasis(p, matrix, basis, pivots)
+def _bit_reduce(basis: dict, v: int) -> int:
+    """``v`` less the rows of ``basis`` whose key bit it holds: zero exactly when ``basis`` spans ``v``."""
+    for key, row in basis.items():
+        if v >> key & 1:
+            v ^= row
+    return v
+
+
+def _check_bit_basis(basis: dict, rows: Iterable[int]) -> None:
+    """Raise ``AssertionError`` unless ``basis`` is a reduced echelon basis that spans every row."""
+    if any(key < 0 or row >> key != 1 for key, row in basis.items()):
+        raise AssertionError("residue basis has a misplaced key")
+    keys = sum(1 << key for key in basis)
+    if any(row & keys != 1 << key for key, row in basis.items()):
+        raise AssertionError("residue basis has a key bit in another row")
+    if any(_bit_reduce(basis, v) for v in rows):
+        raise AssertionError("a row lies outside the span of its residue basis")
 
 
 class FGAbelianGroup:
@@ -936,9 +906,11 @@ class Subgroup:
     generator of A, and equality is containment both ways: so if B is
     known to lie inside A, A equals B exactly when A lies inside B,
     which reads B's form alone.  Before B's form, containment looks for
-    a strict drop mod 2: a generator of A whose residues in G/2G (the
-    free coordinates and the torsion ones of even order) lie outside
-    B's kept ``residue_basis`` proves A not inside B.
+    a strict drop mod 2.  Each generator's residues in G/2G (the free
+    coordinates and the torsion ones of even order) pack into one int,
+    bit b for residue column b, and B keeps a checked reduced echelon
+    basis over F_2 of its own such bit rows, built by XOR: a generator
+    of A that does not reduce to zero against it proves A not inside B.
     The subgroup is full when its form is the identity, which is how a
     hom is tested for being onto, and so for being an isomorphism.
 
@@ -983,20 +955,22 @@ class Subgroup:
             self._hermite = hermite_normal_form(IntegerMatrix._derived(rows, group.canonical_ngens))
         return self._hermite
 
-    def _residue_rows(self) -> IntegerMatrix:
-        """The generators' images in G/2G, one row each."""
+    def _residue_rows(self) -> tuple:
+        """The generators' images in G/2G, one int each: bit b is residue column b."""
         if self._residues is None:
             f, torsion = self.group.free_rank, self.group.torsion
             columns = list(range(f)) + [f + k for k, t in enumerate(torsion) if t % 2 == 0]
-            rows = tuple([tuple([g[j] % 2 for j in columns]) for g in self.generators])
-            self._residues = IntegerMatrix._derived(rows, len(columns))
+            self._residues = tuple([sum([(g[j] & 1) << b for b, j in enumerate(columns)])
+                                    for g in self.generators])
         return self._residues
 
     def _escapes_mod_2(self, other: "Subgroup") -> bool:
         """Whether a generator's residues mod 2 lie outside ``other``'s: then self is not inside."""
         if other._basis is None:
-            other._basis = residue_basis(other._residue_rows(), 2)
-        return not other._basis.spans(self._residue_rows().rows)
+            basis = _bit_basis(other._residue_rows())
+            _check_bit_basis(basis, other._residue_rows())
+            other._basis = basis
+        return any(_bit_reduce(other._basis, v) for v in self._residue_rows())
 
     def is_subset_of(self, other: "Subgroup") -> bool:
         if self.group is not other.group and self.group != other.group:

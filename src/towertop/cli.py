@@ -210,12 +210,16 @@ def _decode_map(payload, where: str) -> SimplicialMap:
     return _checked(where, SimplicialMap, source, target, vm)
 
 
-def _decode_group(payload, where: str) -> FGAbelianGroup:
+def _decode_group(payload, where: str, most: int) -> FGAbelianGroup:
+    """A group on at most ``most`` canonical generators, refused before it is built."""
     free_rank = _as_int(_need(payload, "free_rank", where), where)
     torsion = [
         _as_int(t, f"{where}.torsion")
         for t in _as_list(payload.get("torsion", []), where)
     ]
+    n = free_rank + len(torsion)
+    if n > most:
+        _fail(where, f"{n} generators are more than the {most} simplexes of the largest level")
     return _checked(where, FGAbelianGroup.from_invariants, free_rank, torsion)
 
 
@@ -223,7 +227,8 @@ def _encode_group(g: FGAbelianGroup) -> dict:
     return {"free_rank": g.free_rank, "torsion": list(g.torsion)}
 
 
-def _decode_certificate(payload, where: str) -> Optional[Certificate]:
+def _decode_certificate(payload, where: str, most: int) -> Optional[Certificate]:
+    """The certificate, whose stable core may have at most ``most`` canonical generators."""
     from .tower import Certificate
 
     if payload is None:
@@ -239,7 +244,7 @@ def _decode_certificate(payload, where: str) -> Optional[Certificate]:
         kind,
         _as_int(payload.get("offset", 0), where),
         _as_int(payload.get("period", 1), where),
-        None if core is None else _decode_group(core, f"{where}.stable_core"),
+        None if core is None else _decode_group(core, f"{where}.stable_core", most),
         display,
     )
 
@@ -260,7 +265,10 @@ def _decode_complex_tower(payload, where: str) -> ComplexTower:
         for name in ("marked_K", "marked_L")
         if payload.get(name) is not None
     }
-    cert = _decode_certificate(payload.get("certificate"), f"{where}.certificate")
+    # a certified limit is a subgroup or a quotient of some level's group,
+    # whose canonical generators are no more than that level's simplexes
+    most = max((len(k.simplexes) for k in levels), default=0)
+    cert = _decode_certificate(payload.get("certificate"), f"{where}.certificate", most)
     return _checked(
         where, ComplexTower, levels, bonds, marks.get("marked_K"), marks.get("marked_L"), cert
     )

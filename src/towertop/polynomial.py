@@ -12,7 +12,9 @@ irreducible factors f with f(0) = ±1, counted with multiplicity.
   splitting modulo a prime at which the part stays square-free, linear
   Hensel lifting to a prime power above twice the Landau–Mignotte
   coefficient bound, and recombination of the lifted factors by exact
-  trial division over Z.
+  trial division over Z.  Berlekamp's nullspace mod p is read off the
+  Hermite normal form of the lattice that the matrix's rows and pZ^n
+  span, whose own check proves it spans exactly that lattice.
 
 The factors raised to their multiplicities are multiplied back and
 asserted to equal the characteristic polynomial exactly.  Recombination
@@ -29,7 +31,7 @@ from fractions import Fraction
 from itertools import combinations, zip_longest
 from math import isqrt
 
-from .abelian import IntegerMatrix, residue_basis
+from .abelian import IntegerMatrix, hermite_normal_form
 
 
 def _trim(a, m=0):
@@ -91,16 +93,27 @@ def _powmod(a, e, f, m):
 def _nullspace(rows, p):
     """Basis of the vectors v with rows · v = 0 over Z/p, one per free column of the rows' echelon basis.
 
-    The free column f gives v[f] = 1 and, at the pivot of each echelon
-    row, minus that row's entry in column f.
+    The rows mod p stacked over p·I span a lattice L that holds pZ^n,
+    so each pivot of its Hermite form divides p and is 1 or p.  A pivot-p
+    row is p·e_c: anything else in it would be an element of L with a
+    leading entry in (0, p) below a pivot p.  So the pivot-1 rows span L
+    modulo pZ^n, the rows' span over Z/p; each has a 1 at its pivot, 0
+    at the other pivot-1 columns and entries in [0, p) elsewhere, which
+    is the reduced echelon basis over Z/p (Cohen, *A Course in
+    Computational Algebraic Number Theory*, §2.4).  The form's check
+    proves that it spans exactly L.  The free column f, a pivot-p
+    column, gives v[f] = 1 and, at the pivot of each pivot-1 row, minus
+    that row's entry in column f.
     """
-    echelon = residue_basis(IntegerMatrix(rows), p)
-    n, pivots = echelon.basis.ncols, echelon.pivots
+    n = len(rows[0])
+    stacked = [[x % p for x in row] for row in rows] + [[p * (i == j) for j in range(n)] for i in range(n)]
+    form = hermite_normal_form(IntegerMatrix(stacked))
+    echelon = [(c, row) for c, row in zip(form.pivots, form.form.rows) if row[c] == 1]
     basis = []
-    for free in (c for c in range(n) if c not in pivots):
+    for free in (c for c, row in zip(form.pivots, form.form.rows) if row[c] != 1):
         v = [0] * n
         v[free] = 1
-        for c, row in zip(pivots, echelon.basis.rows):
+        for c, row in echelon:
             v[c] = -row[free] % p
         basis.append(v)
     return basis

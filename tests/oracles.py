@@ -337,7 +337,8 @@ def gauss_jordan_nullspace(rows, p: int) -> list:
     """Basis of the vectors v with rows · v = 0 over Z/p, by its own Gauss-Jordan elimination.
 
     The reference for ``polynomial._nullspace``, which reads the reduced
-    echelon basis of ``abelian.residue_basis`` instead: the rows are
+    echelon basis off the pivot-1 rows of the Hermite form of the rows
+    stacked over p·I instead: here the rows are
     reduced mod p, each column in turn takes the first unused row with
     a nonzero entry as its pivot, which is scaled to 1 and cleared from
     every other row, and each free column f gives v[f] = 1 and minus the
@@ -398,7 +399,7 @@ def dense_homology(outgoing, incoming):
         y = dense_matvec(vinv, chain)
         return None if any(y[:rank]) else tuple(y[rank:])
 
-    relations = [coordinates(col) for col in incoming.columns()]
+    relations = [coordinates(col) for col in incoming.transpose().rows]
     assert None not in relations, "a boundary is not a cycle"
     return FGAbelianGroup(len(cycles), IntegerMatrix(relations, ncols=len(cycles))), cycles, coordinates
 
@@ -529,7 +530,7 @@ def smith_kernel_subgroup(hom):
     from towertop.abelian import Subgroup
 
     n = hom.source.canonical_ngens
-    columns = hom.canonical_matrix().columns()
+    columns = hom.canonical_matrix().transpose().rows
     nonzero = [j for j in range(n) if any(columns[j])]
     gens = [_unit(n, j) for j in range(n) if not any(columns[j])]
     if nonzero:

@@ -15,12 +15,13 @@ from towertop.abelian import (
     IntegerMatrix,
     SmithDecomposition,
     HermiteForm,
-    ResidueBasis,
     Subgroup,
+    _bit_basis,
+    _check_bit_basis,
     hermite_normal_form,
-    residue_basis,
     smith_normal_form,
 )
+from towertop import polynomial
 
 from towertop.simplicial import boundary_matrix
 
@@ -44,6 +45,7 @@ from oracles import (
     from_canonical,
     from_canonical_matrix,
     full_decomposition_coordinates,
+    gauss_jordan_nullspace,
     image_under,
     mod_p_rank,
     relationwise_well_defined,
@@ -777,7 +779,7 @@ def test_canonical_matrix_matches_the_full_decomposition(f):
         for j in range(n)
     ]
     assert f.canonical_matrix() == IntegerMatrix(cols, ncols=f.target.canonical_ngens).transpose()
-    assert f.canonical_matrix().columns() == columnwise_canonical_matrix(f)
+    assert list(f.canonical_matrix().transpose().rows) == columnwise_canonical_matrix(f)
 
 
 # -- whole-matrix coordinate changes against their per-vector references --
@@ -793,7 +795,7 @@ def test_from_canonical_matrix_matches_the_columnwise_reference(f, data):
     ]
     canonical = IntegerMatrix(rows, ncols=f.source.canonical_ngens)
     g = from_canonical_matrix(f.source, f.target, canonical)
-    assert g.matrix.columns() == columnwise_from_canonical(f.source, f.target, canonical)
+    assert list(g.matrix.transpose().rows) == columnwise_from_canonical(f.source, f.target, canonical)
     assert g.matrix.nrows == f.target.ngens
     assert g.canonical_matrix() == f.canonical_matrix()
 
@@ -1003,60 +1005,80 @@ def test_every_one_entry_tamper_of_an_identity_hermite_form_is_rejected():
     check_every_one_entry_tamper_is_rejected(h)
 
 
-def test_every_one_entry_tamper_of_a_kept_residue_basis_is_rejected():
-    # torsion of orders 3 and 6: three coordinates mod 2, bases with
-    # columns off their pivots and generators they reduce to zero; the
-    # generators' basis mod 3, on all four coordinates, is the odd-prime
-    # shape that polynomial's Berlekamp nullspaces take
+def test_every_one_entry_tamper_of_a_kept_residue_basis_is_rejected(monkeypatch):
+    # torsion of orders 3 and 6: three residue columns mod 2, a basis with
+    # a column off its keys and generators it reduces to zero; the
+    # generators' nullspace mod 3, on all four coordinates, is the shape
+    # that Berlekamp's nullspaces take, and every entry of its Hermite
+    # form is tampered in turn
     g = FGAbelianGroup.from_invariants(2, (3, 6))
     sub = Subgroup(g, [(1, 2, 1, 0), (0, 0, 1, 2), (1, 2, 2, 2), (0, 1, 0, 3)])
     assert Subgroup(g, sub.generators).equals(sub)
-    bases = [sub._basis, residue_basis(IntegerMatrix(sub.generators), 3)]
-    assert [(b.p, b.basis.nrows, b.basis.ncols) for b in bases] == [(2, 2, 3), (3, 3, 4)]
-    for b in bases:
-        fields = {name: getattr(b, name) for name in b._fields}
-        assert ResidueBasis(**fields) == b
-        for i in range(b.basis.nrows):
-            for j in range(b.basis.ncols):
-                # every other residue, and one past each end of [0, p)
-                for value in set(range(-1, b.p + 1)) - {b.basis.rows[i][j]}:
-                    with pytest.raises(AssertionError):
-                        ResidueBasis(**tampered(b, "basis", i, j, value - b.basis.rows[i][j]))
-        for i in range(len(b.pivots)):
-            for delta in (-1, 1):
-                pivots = list(b.pivots)
-                pivots[i] += delta
-                with pytest.raises(AssertionError, match="pivot"):
-                    ResidueBasis(**{**fields, "pivots": pivots})
+    basis, rows = sub._basis, sub._residue_rows()
+    assert basis == {0: 0b001, 2: 0b110}
+    _check_bit_basis(basis, rows)
+    for key in basis:
+        # every bit of the three columns, and one past them
+        for bit in range(4):
+            with pytest.raises(AssertionError):
+                _check_bit_basis({**basis, key: basis[key] ^ 1 << bit}, rows)
+        with pytest.raises(AssertionError, match="outside the span"):
+            _check_bit_basis({k: row for k, row in basis.items() if k != key}, rows)
+        for delta in (-1, 1):
+            moved = {(k + delta if k == key else k): row for k, row in basis.items()}
+            with pytest.raises(AssertionError, match="misplaced key"):
+                _check_bit_basis(moved, rows)
+    forms = []
+    real = polynomial.hermite_normal_form
+    monkeypatch.setattr(polynomial, "hermite_normal_form", lambda m: forms.append(real(m)) or forms[-1])
+    assert polynomial._nullspace(sub.generators, 3) == gauss_jordan_nullspace(sub.generators, 3)
+    assert [row[c] for c, row in zip(forms[0].pivots, forms[0].form.rows)] == [1, 1, 1, 3]
+    check_every_one_entry_tamper_is_rejected(forms[0])
 
 
 def test_residue_bases_reject_each_forged_shape():
-    b = residue_basis(IntegerMatrix([[1, 2, 0], [2, 1, 1]]), 3)
-    assert b.basis.rows == ((1, 2, 0), (0, 0, 1)) and b.pivots == (0, 2)
+    rows = (0b011, 0b110)
+    basis = _bit_basis(rows)
+    assert basis == {1: 0b011, 2: 0b101}
+    _check_bit_basis(basis, rows)
     forged = {
-        "wrong shape": (IntegerMatrix([[1, 2]]), (0,)),
-        "misplaced pivot": (IntegerMatrix([[0, 0, 1], [1, 2, 0]]), (2, 0)),
-        "outside": (IntegerMatrix([[1, 2, 3], [0, 0, 1]]), (0, 2)),
-        "beside a pivot": (IntegerMatrix([[1, 2, 1], [0, 0, 1]]), (0, 2)),
-        "outside the span": (IntegerMatrix([[1, 2, 0]]), (0,)),
+        "misplaced key": {0: 0b011, 2: 0b101},
+        "key bit in another row": {1: 0b011, 2: 0b111},
+        "outside the span": {1: 0b011},
     }
-    for message, (basis, pivots) in forged.items():
+    for message, bits in forged.items():
         with pytest.raises(AssertionError, match=message):
-            ResidueBasis(3, b.matrix, basis, pivots)
+            _check_bit_basis(bits, rows)
 
 
 @pytest.mark.parametrize("p", [2, 3, 5])
 def test_residue_bases_reduce_rows_not_reduced_mod_p(p):
     # an entry of p or more, or below 0, names the residue of its reduction
-    assert residue_basis(IntegerMatrix([[2, 1]]), 2).basis.rows == ((0, 1),)
-    assert residue_basis(IntegerMatrix([[p, 1], [-1, 2 * p]]), p).basis.rows == ((1, 0), (0, 1))
+    assert polynomial._nullspace([[2, 1]], 2) == [[1, 0]]
+    assert polynomial._nullspace([[p, 1], [-1, 2 * p]], p) == []
     rng = random.Random(p)
     for _ in range(60):
         rows = [[rng.randint(-3 * p, 3 * p) for _ in range(4)] for _ in range(rng.randint(1, 4))]
-        got = residue_basis(IntegerMatrix(rows), p)
-        want = residue_basis(IntegerMatrix([[x % p for x in row] for row in rows]), p)
-        assert (got.basis, got.pivots) == (want.basis, want.pivots)
-        assert got.basis.nrows == mod_p_rank(rows, p)
+        got = polynomial._nullspace(rows, p)
+        assert got == polynomial._nullspace([[x % p for x in row] for row in rows], p)
+        assert len(got) == 4 - mod_p_rank(rows, p)
+
+
+@given(related_subgroups())
+def test_a_drop_mod_2_is_a_rise_in_rank_mod_2(case):
+    # the residue columns are the free coordinates and the torsion ones of
+    # even order; a drop mod 2 never contradicts containment
+    g, a, b = case
+    f = g.free_rank
+    columns = list(range(f)) + [f + k for k, t in enumerate(g.torsion) if t % 2 == 0]
+
+    def rows(sub):
+        return [[v[j] for j in columns] for v in sub.generators]
+
+    for x, y in ((a, b), (b, a)):
+        rises = mod_p_rank(rows(y) + rows(x), 2) > mod_p_rank(rows(y), 2)
+        assert x._escapes_mod_2(y) == rises
+        assert not (rises and smith_is_subset(x, y))
 
 
 def test_a_drop_seen_mod_2_reads_no_hermite_form(echelon_forms):

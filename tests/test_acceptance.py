@@ -346,3 +346,30 @@ def test_homology_of_a_30_by_30_torus_document_stays_under_100_mb(tmp_path):
     assert out.splitlines()[-1] == "H_1 = Z^2"
     assert usage.ru_maxrss < 100 * 1024  # kilobytes on Linux
     assert time.perf_counter() - t0 < 30.0
+
+
+def test_a_stable_core_larger_than_every_level_exits_one_in_a_1_gib_child(tmp_path):
+    # a certified limit is a subgroup or a quotient of some level's group, so
+    # a core on more generators than the largest level has simplexes is
+    # refused before its dense coordinate maps are built; RLIMIT_AS caps
+    # that child alone at 1 GiB, where building a free rank of 6000 ran out
+    doc = tmp_path / "core.tower"
+    payload = {
+        "levels": [{"maximal": [[0, 1], [1, 2], [0, 2]]}],
+        "bonds": [],
+        "certificate": {"kind": "shift_family", "stable_core": {"free_rank": 6000, "torsion": []}},
+    }
+    doc.write_text(json.dumps({"format_version": "1", "kind": "complex_tower", "payload": payload}))
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    argv = [sys.executable, "-m", "towertop.cli", "validate", str(doc)]
+    proc = subprocess.run(argv, capture_output=True, text=True, env=env, preexec_fn=limit, timeout=60)
+    assert (proc.returncode, proc.stdout) == (1, "")
+    assert proc.stderr == (
+        f"error: {doc}.payload.certificate.stable_core: "
+        "6000 generators are more than the 6 simplexes of the largest level\n"
+    )

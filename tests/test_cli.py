@@ -20,7 +20,7 @@ from generators import (
     torus_7,
 )
 from oracles import maximal_simplexes
-from towertop.abelian import FGAbelianGroup, IntegerMatrix, ResidueBasis, SmithDecomposition
+from towertop.abelian import FGAbelianGroup, IntegerMatrix, SmithDecomposition
 from towertop.cli import InputProblem, deserialize, main, serialize
 from towertop.compactohedral import build_gallery, fence_violation
 from towertop.nerve import BallCover, PointSample
@@ -587,15 +587,16 @@ def test_failed_self_check_exits_three_with_one_line(monkeypatch):
 def test_forged_residue_basis_exits_three_with_one_line(monkeypatch):
     import towertop.abelian as abelian
 
-    real = abelian.residue_basis
+    real = abelian._bit_basis
 
-    def short_one_row(matrix, p):
-        # the basis loses its last row, so it no longer spans every residue
-        r = real(matrix, p)
-        basis = IntegerMatrix(r.basis.rows[:-1], ncols=r.basis.ncols)
-        return ResidueBasis(r.p, r.matrix, basis, r.pivots[:-1])
+    def short_one_row(rows):
+        # the basis loses its highest-keyed row, so it no longer spans every residue
+        basis = real(rows)
+        if basis:
+            del basis[max(basis)]
+        return basis
 
-    monkeypatch.setattr(abelian, "residue_basis", short_one_row)
+    monkeypatch.setattr(abelian, "_bit_basis", short_one_row)
     # the warsaw circle's image chains keep mod-2 bases with rows, so the
     # forged basis misses one (the dyadic tower's bases mod 2 are empty)
     argv = ["gallery", "warsaw", "--depth", "4", "--report", "steenrod", "--dim", "0"]

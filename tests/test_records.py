@@ -17,11 +17,9 @@ from towertop.abelian import (
     GroupHom,
     HermiteForm,
     IntegerMatrix,
-    ResidueBasis,
     SmithDecomposition,
     _Record,
     hermite_normal_form,
-    residue_basis,
     smith_normal_form,
 )
 from towertop.assembly import CechReport, SESReport
@@ -81,13 +79,6 @@ RECORDS = {
         " form=IntegerMatrix([[1, 2]], ncols=2),"
         " pivots=(0,),"
         " transform=IntegerMatrix([[-1, 1]], ncols=2))",
-        True,
-        True,
-    ),
-    "ResidueBasis": (
-        lambda: residue_basis(IntegerMatrix([[1, 2, 0], [2, 1, 0]]), 3),
-        "ResidueBasis(p=3, matrix=IntegerMatrix([[1, 2, 0], [2, 1, 0]], ncols=3),"
-        " basis=IntegerMatrix([[1, 2, 0]], ncols=3), pivots=(0,))",
         True,
         True,
     ),
@@ -302,19 +293,6 @@ class _ForgedHermite:
 def test_unpickling_a_hermite_form_verifies_it():
     with pytest.raises(AssertionError):
         pickle.loads(pickle.dumps(_ForgedHermite()))
-
-
-class _ForgedResidues:
-    """Pickles as a reduced echelon basis mod 3 with one entry off, so it misses a row it must span."""
-
-    def __reduce__(self):
-        r = residue_basis(IntegerMatrix([[1, 2, 0], [2, 1, 1]]), 3)
-        return ResidueBasis, (r.p, r.matrix, IntegerMatrix([[1, 1, 0], [0, 0, 1]]), r.pivots)
-
-
-def test_unpickling_a_residue_basis_verifies_it():
-    with pytest.raises(AssertionError):
-        pickle.loads(pickle.dumps(_ForgedResidues()))
 
 
 class _ForgedReduction:

@@ -295,8 +295,9 @@ def test_charpoly_and_factor_on_hard_cases():
 
 
 def test_nullspaces_match_the_gauss_jordan_reference():
-    # the Berlekamp bases come from residue_basis's reduced echelon form,
-    # which is unique, so they agree vector for vector with an elimination
+    # the Berlekamp bases come from the reduced echelon form that the
+    # pivot-1 rows of a Hermite form give, which is unique, so they agree
+    # vector for vector with an elimination
     # of their own; entries outside [0, p) as Berlekamp's -1 are among them
     from towertop.polynomial import _nullspace
 
@@ -308,6 +309,28 @@ def test_nullspaces_match_the_gauss_jordan_reference():
         assert _nullspace(rows, p) == gauss_jordan_nullspace(rows, p)
     # a singular Berlekamp-shaped matrix: the identity subtracted from a projection
     assert _nullspace([[0, 0], [0, -1]], 3) == gauss_jordan_nullspace([[0, 0], [0, -1]], 3) == [[1, 0]]
+
+
+def test_a_forged_hermite_form_under_a_nullspace_is_rejected(monkeypatch):
+    # the form loses its last pivot-1 row with that row's combination, which
+    # would free one more column; its check finds a stacked row outside it
+    import towertop.polynomial as polynomial
+    from towertop.abelian import HermiteForm
+
+    real = polynomial.hermite_normal_form
+
+    def short_one_row(matrix):
+        h = real(matrix)
+        i = max(i for i, (c, row) in enumerate(zip(h.pivots, h.form.rows)) if row[c] == 1)
+        form, transform = ([r for k, r in enumerate(m.rows) if k != i] for m in (h.form, h.transform))
+        pivots = h.pivots[:i] + h.pivots[i + 1 :]
+        return HermiteForm(matrix, IntegerMatrix(form), pivots, IntegerMatrix(transform))
+
+    rows = [[1, 2, 0], [2, 1, 1]]
+    assert polynomial._nullspace(rows, 3) == [[1, 1, 0]]
+    monkeypatch.setattr(polynomial, "hermite_normal_form", short_one_row)
+    with pytest.raises(AssertionError, match="outside the lattice"):
+        polynomial._nullspace(rows, 3)
 
 
 def test_stable_lim_alternating_projection():
